@@ -98,6 +98,8 @@ def parse_snr_grid(text: str) -> tuple:
         if len(parts) != 3:
             raise ValueError
         start, step, stop = (float(p) for p in parts)
+        if not np.all(np.isfinite((start, step, stop))):
+            raise ValueError
     except ValueError:
         raise UsageError(
             f"invalid snr grid {text!r}; expected 'start:step:stop' or a single value"

@@ -121,9 +121,27 @@ def enumerate_combinations(pool_size: int, selected: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def split_covariances(matrices: np.ndarray, num_users: int, user_antennas: int) -> tuple:
+    """Per-user desired and interference covariances of precoder batches.
+
+    ``matrices`` is ``(..., N_t, N_t)`` with user ``u``'s columns at
+    ``u * user_antennas``. Returns Hermitian ``(rd, ri)`` of shape
+    ``(..., M, N_t, N_t)``: ``rd[..., u] = U_u U_u^H`` and ``ri[..., u]`` the
+    sum of the other users' terms. Both are noise-free.
+    """
+    blocks = matrices.reshape(*matrices.shape[:-1], num_users, user_antennas).swapaxes(-2, -3)
+    rd = hermitize(blocks @ blocks.conj().swapaxes(-1, -2))
+    # The sum of the other users' terms, not the total minus the own term:
+    # at high SNR the noise is far below the rounding error of that difference.
+    others = 1.0 - np.eye(num_users)
+    ri = (others @ rd.reshape(*rd.shape[:-2], -1)).reshape(rd.shape)
+    return rd, ri
+
+
 @dataclass
 class CandidateSet:
-    """Per-candidate channels, precoders and cached rate terms.
+    """Per-candidate channels and precoders of one realization, plus the
+    noise-free terms every SNR point shares.
 
     ``hop1[c]`` stacks the members' source->relay blocks (square, N_t x N_t);
     ``hop2[c, u]`` concatenates the members' relay->user blocks for user
@@ -131,6 +149,13 @@ class CandidateSet:
     scaled ZF matrices for the two hops; candidates where either hop's
     channel was singular have ``valid[c]`` False and identity placeholders so
     batched linear algebra stays finite.
+
+    Receiver noise ``s I`` enters every criterion only as an additive shift
+    of a noise-free form, so one set serves every SNR point of a trial: the
+    covariance splits and the grams below are filled lazily, once, and a
+    selection at one noise level adds ``s`` and takes one batched log-det or
+    division. ``config`` supplies dimensions and signal power only; the
+    noise level comes from the config passed to each selection.
     """
 
     config: SystemConfig
@@ -145,9 +170,8 @@ class CandidateSet:
     residuals: np.ndarray
     _index: dict = field(default_factory=dict, repr=False)
     _cov1: tuple | None = field(default=None, repr=False)
-    _cov2: tuple | None = field(default=None, repr=False)
-    _legit_cache: dict = field(default_factory=dict, repr=False)
-    _eve_cache: dict = field(default_factory=dict, repr=False)
+    _legit: tuple | None = field(default=None, repr=False)
+    _eve: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self._index = {combo: pos for pos, combo in enumerate(self.combinations)}
@@ -179,39 +203,43 @@ class CandidateSet:
             user_antennas=self.config.user_antennas,
         )
 
-    def _user_split(self, matrices: np.ndarray) -> tuple:
-        """Per-user desired/interference covariances for a precoder batch."""
-        n_r = self.config.user_antennas
-        total = matrices @ matrices.conj().transpose(0, 2, 1)
-        rd = np.stack(
-            [
-                matrices[:, :, u * n_r:(u + 1) * n_r]
-                @ matrices[:, :, u * n_r:(u + 1) * n_r].conj().transpose(0, 2, 1)
-                for u in range(self.config.num_users)
-            ],
-            axis=1,
-        )
-        ri = hermitize(total[:, None, :, :] - rd)
-        return hermitize(rd), ri
-
     def user_covariances(self) -> tuple:
         """Phase-1 ``(rd, ri)`` with shape ``(C, M, N_t, N_t)``, noise-free."""
         if self._cov1 is None:
-            self._cov1 = self._user_split(self.precoders)
+            self._cov1 = split_covariances(self.precoders, self.config.num_users,
+                                           self.config.user_antennas)
         return self._cov1
 
-    def relay_covariances(self) -> tuple:
-        """Phase-2 ``(rd, ri)`` of the relay-side precoders, noise-free."""
-        if self._cov2 is None:
-            self._cov2 = self._user_split(self.relay_precoders)
-        return self._cov2
+    def legit_grams(self) -> tuple:
+        """``(H_u R_d H_u^H, H_u R_I H_u^H)`` per hop, candidate and user.
 
-    def share_caches(self, other: "CandidateSet"):
-        """Adopt ``other``'s mutable caches (channels must be identical)."""
-        self._cov1 = other._cov1 or self._cov1
-        self._cov2 = other._cov2 or self._cov2
-        self._legit_cache = other._legit_cache
-        self._eve_cache = other._eve_cache
+        Shape ``(2, C, M, N_r, N_r)``, source hop first. Their diagonals are
+        the per-stream SINR numerators and denominators.
+        """
+        if self._legit is None:
+            # Only these grams read the relay-side split, so it is not kept.
+            relay_split = split_covariances(self.relay_precoders, self.config.num_users,
+                                            self.config.user_antennas)
+            pairs = []
+            for rows, (rd, ri) in ((self.hop1.reshape(self.hop2.shape), self.user_covariances()),
+                                   (self.hop2, relay_split)):
+                rows_h = rows.conj().swapaxes(-1, -2)
+                pairs.append((rows @ rd @ rows_h, rows @ ri @ rows_h))
+            self._legit = tuple(np.stack(grams) for grams in zip(*pairs))
+        return self._legit
+
+    def eve_grams(self, eve_stack: np.ndarray) -> tuple:
+        """``(E R_d E^H, E R_I E^H, E E^H)`` of the phase-1 covariances.
+
+        ``E`` is the stacked eavesdropper channel; the first two have shape
+        ``(C, M, K N_e, K N_e)``. Noise inside the sandwich is then
+        ``E (R_I + s I) E^H = E R_I E^H + s E E^H``.
+        """
+        if self._eve is None:
+            rd, ri = self.user_covariances()
+            eve_h = eve_stack.conj().T
+            self._eve = (eve_stack @ rd @ eve_h, eve_stack @ ri @ eve_h, eve_stack @ eve_h)
+        return self._eve
 
 
 def prepare_candidates(realization: ChannelRealization, config: SystemConfig,
@@ -263,16 +291,29 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig,
 # ---------------------------------------------------------------------------
 
 
+def _logdet(matrices: np.ndarray) -> tuple:
+    """``(regular, log|det|)`` over a batch of square matrices."""
+    if matrices.shape[-1] == 1:
+        # A 1x1 determinant is the entry itself; this skips LAPACK's
+        # per-matrix overhead, which dominates for single-antenna nodes.
+        absdet = np.abs(matrices[..., 0, 0])
+        with np.errstate(divide="ignore"):
+            return absdet > 0, np.log(absdet)
+    sign, logdet = np.linalg.slogdet(matrices)
+    return np.abs(sign) > 0.5, logdet
+
+
 def _rate_bits(gram_num: np.ndarray, gram_den: np.ndarray) -> np.ndarray:
     """``log2 det(I + gram_den^{-1} gram_num)`` over batches of PSD grams.
 
     A singular denominator yields 0 when the numerator is also negligible
     (dead link) and +inf otherwise (unbounded ratio).
     """
-    total = gram_den + gram_num
-    sign_t, logdet_t = np.linalg.slogdet(total)
-    sign_d, logdet_d = np.linalg.slogdet(gram_den)
-    ok = (np.abs(sign_t) > 0.5) & (np.abs(sign_d) > 0.5)
+    ok_t, logdet_t = _logdet(gram_den + gram_num)
+    ok_d, logdet_d = _logdet(gram_den)
+    ok = ok_t & ok_d
+    if ok.all():
+        return (logdet_t - logdet_d) / _LN2
     out = np.zeros(np.shape(ok))
     np.subtract(logdet_t, logdet_d, out=out, where=ok)
     out /= _LN2
@@ -281,11 +322,6 @@ def _rate_bits(gram_num: np.ndarray, gram_den: np.ndarray) -> np.ndarray:
     dead = ~ok & (num_scale <= 1e-14 * (1.0 + den_scale))
     out = np.where(~ok & ~dead, np.inf, out)
     return out
-
-
-def _gram(channels: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Batched ``B @ cov @ B^H`` where rows of ``channels`` are streams."""
-    return np.einsum("...ki,...ij,...lj->...kl", channels, cov, channels.conj())
 
 
 def secrecy_gamma(channel: np.ndarray, cov_num: np.ndarray, cov_den: np.ndarray,
@@ -440,37 +476,19 @@ def ssinr_metric(channel_block: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _per_stream(cov_user: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Expand (C, M, n, n) per-user covariances to (C, streams, n, n)."""
-    users = np.repeat(np.arange(config.num_users), config.user_antennas)
-    return cov_user[:, users]
-
-
-def _stream_sinr(rows: np.ndarray, rd: np.ndarray, ri: np.ndarray,
-                 noise: float) -> np.ndarray:
-    num = np.real(np.einsum("cki,ckij,ckj->ck", rows, rd, rows.conj()))
-    den = np.real(np.einsum("cki,ckij,ckj->ck", rows, ri, rows.conj())) + noise
-    with np.errstate(divide="ignore"):
-        return np.where(den > 0, num / den, np.inf)
-
-
 def _score_sinr(cs: CandidateSet, config: SystemConfig, combine: str,
                 aggregate: str = "min"):
-    noise = config.noise_power
-    rd1, ri1 = cs.user_covariances()
-    sinr1 = _stream_sinr(cs.hop1, _per_stream(rd1, config), _per_stream(ri1, config),
-                         noise)
-    per_relay = sinr1.reshape(len(cs.combinations), config.selected_relays,
-                              config.relay_antennas).mean(axis=2)
-    eta1 = per_relay.min(axis=1) if aggregate == "min" else per_relay.max(axis=1)
-
-    rd2, ri2 = cs.relay_covariances()
-    rows2 = cs.hop2.reshape(cs.hop1.shape)
-    sinr2 = _stream_sinr(rows2, _per_stream(rd2, config), _per_stream(ri2, config),
-                         noise)
-    per_user = sinr2.reshape(len(cs.combinations), config.num_users,
-                             config.user_antennas).mean(axis=2)
-    eta2 = per_user.min(axis=1) if aggregate == "min" else per_user.max(axis=1)
+    num, den = cs.legit_grams()
+    num = np.real(np.diagonal(num, axis1=-2, axis2=-1))
+    den = np.real(np.diagonal(den, axis1=-2, axis2=-1)) + config.noise_power
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(den > 0, num / den, np.inf)
+    c = len(cs.combinations)
+    per_relay = sinr[0].reshape(c, config.selected_relays, config.relay_antennas).mean(axis=2)
+    per_user = sinr[1].mean(axis=2)
+    reduce = np.min if aggregate == "min" else np.max
+    eta1 = reduce(per_relay, axis=1)
+    eta2 = reduce(per_user, axis=1)
     combined = combine_metrics(eta1, eta2, combine)
     combined = np.where(cs.valid, combined, -np.inf)
     return eta1, eta2, combined
@@ -486,91 +504,68 @@ def _score_ssinr(cs: CandidateSet, config: SystemConfig, combine: str,
     return eta1, eta2, combined
 
 
-def _legit_rates(cs: CandidateSet, config: SystemConfig):
-    """Per-user first- and second-hop log-det rates of every candidate.
-
-    Same convention as the evaluation side: interference sandwiched by the
-    destination channel, receiver noise added at the destination antennas.
-    """
-    noise = config.noise_power
-    cached = cs._legit_cache.get(noise)
-    if cached is not None:
-        return cached
-    rd1, ri1 = cs.user_covariances()
-    rd2, ri2 = cs.relay_covariances()
-    n_r = config.user_antennas
-    eye = np.eye(n_r)
-    rate1 = np.empty((len(cs.combinations), config.num_users))
-    rate2 = np.empty_like(rate1)
-    for u in range(config.num_users):
-        rows = cs.hop1[:, u * n_r:(u + 1) * n_r, :]
-        rate1[:, u] = _rate_bits(_gram(rows, rd1[:, u]),
-                                 _gram(rows, ri1[:, u]) + noise * eye)
-        rows2 = cs.hop2[:, u]
-        rate2[:, u] = _rate_bits(_gram(rows2, rd2[:, u]),
-                                 _gram(rows2, ri2[:, u]) + noise * eye)
-    cs._legit_cache[noise] = (rate1, rate2)
-    return rate1, rate2
-
-
-def _eve_terms_full(cs: CandidateSet, eve_stack: np.ndarray, config: SystemConfig):
+def _eve_terms_full(cs: CandidateSet, eve_stack: np.ndarray, noise: float):
     """Eavesdropper log-det terms from the stacked eavesdropper channel."""
-    key = ("full", config.noise_power)
-    cached = cs._eve_cache.get(key)
-    if cached is not None:
-        return cached
-    rd1, ri1 = cs.user_covariances()
-    noise = config.noise_power
-    eye = np.eye(config.transmit_antennas)
-    out = np.empty((len(cs.combinations), config.num_users))
-    for u in range(config.num_users):
-        r_in = ri1[:, u] + noise * eye
-        gram_den = np.einsum("ki,cij,lj->ckl", eve_stack, r_in, eve_stack.conj())
-        gram_num = np.einsum("ki,cij,lj->ckl", eve_stack, rd1[:, u], eve_stack.conj())
-        out[:, u] = _rate_bits(gram_num, gram_den)
-    cs._eve_cache[key] = out
-    return out
+    num, den, eve_gram = cs.eve_grams(eve_stack)
+    return _rate_bits(num, den + noise * eve_gram)
 
 
 def _eve_terms_reduced(cs: CandidateSet, config: SystemConfig):
-    """Eavesdropper log-det terms from precoders and symbol statistics alone."""
-    key = ("reduced", config.noise_power)
-    cached = cs._eve_cache.get(key)
-    if cached is not None:
-        return cached
-    _, ri1 = cs.user_covariances()
+    """Eavesdropper log-det terms from precoders and symbol statistics alone.
+
+    ``log2 det(I + U_u^H (R_I + s I)^{-1} U_u)`` for every candidate and
+    user in one solve, with the same trace-scaled ridge as
+    :func:`ssr_eve_term` where ``cond(R_I + s I) >= GRAM_CONDITION_LIMIT``.
+    A candidate the ridge cannot rescue gets an infinite term.
+    """
+    _, ri = cs.user_covariances()
     noise = config.noise_power
-    n_r = config.user_antennas
-    eye = np.eye(config.transmit_antennas)
-    out = np.empty((len(cs.combinations), config.num_users))
-    for u in range(config.num_users):
-        r_in = ri1[:, u] + noise * eye
-        u_u = cs.precoders[:, :, u * n_r:(u + 1) * n_r]
-        inner = u_u.conj().transpose(0, 2, 1) @ np.linalg.solve(r_in, u_u)
-        sign, logdet = np.linalg.slogdet(np.eye(n_r) + inner)
-        out[:, u] = np.where(np.abs(sign) > 0.5, logdet / _LN2, np.inf)
-    cs._eve_cache[key] = out
-    return out
+    n_t, n_r = config.transmit_antennas, config.user_antennas
+    eye = np.eye(n_t)
+    r_in = ri + noise * eye
+    viable = True
+    # cond(R_I + s I) <= (tr R_I + s) / s, and tr R_I is at most the total
+    # transmit power N_t P of a column-normalized precoder, so the exact
+    # check runs only within a factor 100 of the limit by that bound.
+    if n_t * config.signal_power + noise >= 1e-2 * GRAM_CONDITION_LIMIT * noise:
+        trace = np.real(np.trace(r_in, axis1=-2, axis2=-1))
+        cond = np.linalg.cond(r_in)
+        singular = ~np.isfinite(cond) | (cond >= GRAM_CONDITION_LIMIT)
+        ridge = np.where(singular, RIDGE_SCALE * trace / n_t, 0.0)
+        r_in = r_in + ridge[..., None, None] * eye
+        cond = np.linalg.cond(r_in)
+        failed = singular & ((ridge <= 0) | ~np.isfinite(cond) | (cond >= GRAM_CONDITION_LIMIT))
+        r_in[failed] = eye
+        viable = ~failed
+    blocks = cs.precoders.reshape(len(cs.combinations), n_t, config.num_users, n_r).swapaxes(1, 2)
+    inner = blocks.conj().swapaxes(-1, -2) @ np.linalg.solve(r_in, blocks)
+    regular, logdet = _logdet(np.eye(n_r) + inner)
+    return np.where(viable & regular, logdet / _LN2, np.inf)
 
 
 def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str,
                    eve_terms: np.ndarray):
-    rate1, rate2 = _legit_rates(cs, config)
-    legit1 = rate1.sum(axis=1)
-    legit2 = rate2.sum(axis=1)
+    """Two-hop secrecy score; the legitimate rates use the same convention as
+    the evaluation side (receiver noise added at the destination antennas)."""
+    num, den = cs.legit_grams()
+    rates = _rate_bits(num, den + config.noise_power * np.eye(config.user_antennas))
+    legit = rates.sum(axis=2)
     eve = eve_terms.sum(axis=1)
-    eta1 = legit1 - eve
-    eta2 = legit2 - eve
+    eta1 = legit[0] - eve
+    eta2 = legit[1] - eve
     combined = combine_metrics(eta1, eta2, combine)
-    bad = ~np.isfinite(legit1) | ~np.isfinite(legit2) | ~cs.valid
+    bad = ~np.isfinite(legit).all(axis=0) | ~cs.valid
     combined = np.where(bad, -np.inf, combined)
     return eta1, eta2, combined
 
 
 def _score_sr(cs: CandidateSet, realization: ChannelRealization,
               config: SystemConfig, combine: str):
+    # Read on every call, so a stripped realization fails even once the
+    # eavesdropper grams are cached.
     eve_stack = realization.stacked_eve_channel()
-    return _score_secrecy(cs, config, combine, _eve_terms_full(cs, eve_stack, config))
+    return _score_secrecy(cs, config, combine,
+                          _eve_terms_full(cs, eve_stack, config.noise_power))
 
 
 def _score_ssr(cs: CandidateSet, config: SystemConfig, combine: str):

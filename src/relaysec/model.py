@@ -75,8 +75,12 @@ class SystemConfig:
         for name, value in counts.items():
             if int(value) != value or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if self.signal_power < 0:
-            raise ConfigError(f"signal_power must be >= 0, got {self.signal_power}")
+        # A zero or non-finite power or SNR leaves every rate undefined;
+        # reject it here rather than fail inside a sweep.
+        if not (0 < self.signal_power < np.inf):
+            raise ConfigError(f"signal_power must be positive and finite, got {self.signal_power}")
+        if not np.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if self.selected_relays > self.pool_size:
             raise ConfigError(
                 "selected_relays must not exceed pool_size "
@@ -186,7 +190,11 @@ class ChannelRealization:
 
     def all_users_channel(self, combination, num_users: int) -> np.ndarray:
         """Second-hop channels of every user stacked row-wise (square)."""
-        return np.vstack([self.user_channel(combination, r) for r in range(num_users)])
+        # (M, T, N_r, N_i) -> (M * N_r, T * N_i): member blocks side by side
+        blocks = np.array([[self.relay_to_user[(i, r)] for i in combination]
+                           for r in range(num_users)])
+        m, t, n_r, n_i = blocks.shape
+        return blocks.swapaxes(1, 2).reshape(m * n_r, t * n_i)
 
     def _require_eves(self):
         if not self.has_eavesdroppers:
@@ -203,10 +211,14 @@ class ChannelRealization:
         self._require_eves()
         return np.vstack([self.source_to_eve[k] for k in sorted(self.source_to_eve)])
 
-    def relay_eve_channel(self, combination, eve: int) -> np.ndarray:
-        """Second-hop leakage channel to ``eve``, (N_e, T*relay_antennas)."""
+    def relay_eve_channels(self, combination) -> np.ndarray:
+        """Second-hop leakage channels of every eavesdropper, (K, N_e, T*relay_antennas)."""
         self._require_eves()
-        return np.hstack([self.relay_to_eve[(i, eve)] for i in combination])
+        # (K, T, N_e, N_i) -> (K, N_e, T * N_i): member blocks side by side
+        blocks = np.array([[self.relay_to_eve[(i, k)] for i in combination]
+                           for k in sorted(self.source_to_eve)])
+        k, t, n_e, n_i = blocks.shape
+        return blocks.swapaxes(1, 2).reshape(k, n_e, t * n_i)
 
 
 def generate_realization(config: SystemConfig, trial: int = 0, seed: int | None = None) -> ChannelRealization:

@@ -2,11 +2,15 @@
 
 Each trial draws one channel realization from a sub-stream keyed by
 ``(seed, trial)`` and evaluates every requested criterion on that same
-realization (paired comparison). Candidate precoders are built once per
-trial and shared by all criteria; selection reruns per SNR point only for
-the noise-dependent criteria. Results are bit-identical for a given spec
-regardless of the worker count, because trials are keyed, independent work
-units and the reduction runs in fixed trial order.
+realization (paired comparison). Between two SNR points only the receiver
+noise changes, so each trial builds one :class:`CandidateSet`: the
+candidate precoders, and lazily the noise-free covariance splits and grams,
+are computed once and shared by every criterion and every SNR point. A
+selection at one SNR point then costs a noise shift, one batched log-det
+or division, and an argmax. Criteria that ignore the noise level select
+once per trial. Results are bit-identical for a given spec regardless of
+the worker count, because trials are keyed, independent work units and the
+reduction runs in fixed trial order.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from . import criteria as crit
-from .criteria import CandidateSet, CriterionKind, NoViableCandidateError
+from .criteria import CriterionKind, NoViableCandidateError
 from .model import ConfigError, SystemConfig, generate_realization
 from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 
@@ -57,6 +61,8 @@ class SweepSpec:
         object.__setattr__(self, "criteria", kinds)
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty")
+        if not np.all(np.isfinite(self.snr_grid_db)):
+            raise ConfigError(f"snr_grid_db values must be finite, got {self.snr_grid_db}")
         if not self.criteria:
             raise ConfigError("criteria must not be empty")
         if self.trials < 1:
@@ -141,27 +147,24 @@ class SweepResult:
 def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
     """Evaluate a block of trials; pure function of (spec, indices)."""
     cfg0 = spec.config
+    configs = [cfg0.at_snr(snr) for snr in spec.snr_grid_db]
     kinds = spec.criteria
-    n_c, n_s = len(kinds), len(spec.snr_grid_db)
+    n_c, n_s = len(kinds), len(configs)
     block = len(trial_indices)
     samples = np.full((n_c, n_s, block), np.nan)
     selections = np.full((n_c, n_s, block), -1, dtype=np.int32)
     for b, trial in enumerate(trial_indices):
         realization = generate_realization(cfg0, trial=int(trial))
         cands = crit.prepare_candidates(realization, cfg0)
-        fixed_choice = {}
-        for kind in kinds:
-            if kind in _SNR_FREE:
-                fixed_choice[kind] = _try_select(kind, realization, cfg0, cands, spec)
-        for s, snr in enumerate(spec.snr_grid_db):
-            cfg = cfg0.at_snr(snr)
-            cands_s = _rebind(cands, cfg)
+        fixed_choice = {kind: _try_select(kind, realization, cfg0, cands, spec)
+                        for kind in kinds if kind in _SNR_FREE}
+        for s, cfg in enumerate(configs):
             evaluated = {}
             for c, kind in enumerate(kinds):
                 if kind in _SNR_FREE:
                     combo = fixed_choice[kind]
                 else:
-                    combo = _try_select(kind, realization, cfg, cands_s, spec)
+                    combo = _try_select(kind, realization, cfg, cands, spec)
                 if combo is None:
                     continue
                 value = evaluated.get(combo)
@@ -184,28 +187,6 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
                 samples[c, s, b] = value
                 selections[c, s, b] = cands.position(combo)
     return samples, selections
-
-
-def _rebind(cands: CandidateSet, cfg: SystemConfig) -> CandidateSet:
-    """Candidate cache viewed under a different SNR (channels are shared)."""
-    if cfg is cands.config:
-        return cands
-    clone = CandidateSet(
-        config=cfg,
-        combinations=cands.combinations,
-        hop1=cands.hop1,
-        hop2=cands.hop2,
-        precoders=cands.precoders,
-        cores=cands.cores,
-        relay_precoders=cands.relay_precoders,
-        relay_cores=cands.relay_cores,
-        valid=cands.valid,
-        residuals=cands.residuals,
-    )
-    # Precoders scale with signal power only, so every noise-free cache can
-    # be shared across SNR points (rate caches key on the noise level).
-    clone.share_caches(cands)
-    return clone
 
 
 def _try_select(kind, realization, cfg, cands, spec):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .criteria import _rate_bits
+from .criteria import _rate_bits, split_covariances
 from .model import ChannelRealization, Precoder, SystemConfig
 
 EVE_MODELS = ("phase1", "both")
@@ -38,36 +38,16 @@ class SecrecySample:
     combination: tuple
 
 
-def _split_covariances(matrix: np.ndarray, num_users: int, user_antennas: int):
-    """Per-user desired and interference covariances of one precoder."""
-    total = matrix @ matrix.conj().T
-    rd = np.stack([
-        matrix[:, u * user_antennas:(u + 1) * user_antennas]
-        @ matrix[:, u * user_antennas:(u + 1) * user_antennas].conj().T
-        for u in range(num_users)
-    ])
-    ri = total[None] - rd
-    return rd, ri
+def _link_rates(channels: np.ndarray, rd: np.ndarray, ri: np.ndarray,
+                noise: float) -> np.ndarray:
+    """Clamped log-det rates of receivers against covariance pairs.
 
-
-def _per_user_rates(channels: np.ndarray, rd: np.ndarray, ri: np.ndarray,
-                    noise: float) -> np.ndarray:
-    """log-det rates of stacked per-user channels against covariance pairs.
-
-    ``channels`` is (M, k, n); receiver noise enters outside the sandwich.
+    ``channels`` is ``(..., k, n)``, broadcast against ``rd``/``ri`` of shape
+    ``(..., n, n)``; receiver noise enters outside the sandwich.
     """
-    eye = np.eye(channels.shape[1])
-    gram_num = np.einsum("uki,uij,ulj->ukl", channels, rd, channels.conj())
-    gram_den = np.einsum("uki,uij,ulj->ukl", channels, ri, channels.conj()) + noise * eye
-    return np.maximum(_rate_bits(gram_num, gram_den), 0.0)
-
-
-def _cross_rates(channels: np.ndarray, rd: np.ndarray, ri: np.ndarray,
-                 noise: float) -> np.ndarray:
-    """(K, M) intercept rates of observer channels against per-user pairs."""
-    eye = np.eye(channels.shape[1])
-    gram_num = np.einsum("kei,uij,kfj->kuef", channels, rd, channels.conj())
-    gram_den = np.einsum("kei,uij,kfj->kuef", channels, ri, channels.conj()) + noise * eye
+    channels_h = channels.conj().swapaxes(-1, -2)
+    gram_num = channels @ rd @ channels_h
+    gram_den = channels @ ri @ channels_h + noise * np.eye(channels.shape[-2])
     return np.maximum(_rate_bits(gram_num, gram_den), 0.0)
 
 
@@ -75,6 +55,47 @@ def _resolve_relay_precoder(realization, combination, config, relay_pre):
     if relay_pre is not None:
         return relay_pre
     return model.relay_precoder(realization, combination, config)
+
+
+def _hop_covariances(config: SystemConfig, *precoders: Precoder) -> tuple:
+    """``(rd, ri)`` of shape ``(P, M, N_t, N_t)``, one row per precoder."""
+    matrices = np.array([p.matrix for p in precoders])
+    return split_covariances(matrices, config.num_users, config.user_antennas)
+
+
+def _legit(realization, combination, config, rd, ri, half_duplex) -> float:
+    """Two-hop legitimate rate from both hops' covariance splits."""
+    m, n_r = config.num_users, config.user_antennas
+    channels = np.array([
+        realization.stacked_source_channel(combination),
+        realization.all_users_channel(combination, m),
+    ]).reshape(2, m, n_r, -1)
+    per_hop = _link_rates(channels, rd, ri, config.noise_power).sum(axis=1)
+    rate = float(per_hop.min())
+    return 0.5 * rate if half_duplex else rate
+
+
+def _eve(realization, combination, config, rd, ri, half_duplex, eve_aggregate) -> float:
+    """Eavesdropper rate over the phases in ``rd``/``ri`` (phase 1 first)."""
+    n_e, n_t = config.eve_antennas, config.transmit_antennas
+    channels = [realization.stacked_eve_channel().reshape(-1, n_e, n_t)]
+    if len(rd) == 2:
+        channels.append(realization.relay_eve_channels(combination))
+    # (P, K, 1, N_e, N_t) against (P, 1, M, N_t, N_t): rates (P, K, M)
+    rates = _link_rates(np.array(channels)[:, :, None], rd[:, None], ri[:, None],
+                        config.noise_power)
+    per_eve = rates.sum(axis=(0, 2))
+    rate = float(per_eve.sum() if eve_aggregate == "sum" else per_eve.max())
+    return 0.5 * rate if half_duplex else rate
+
+
+def _check_eve_options(eve_model: str, eve_aggregate: str):
+    if eve_model not in EVE_MODELS:
+        raise ValueError(f"eve_model must be one of {EVE_MODELS}, got {eve_model!r}")
+    if eve_aggregate not in EVE_AGGREGATES:
+        raise ValueError(
+            f"eve_aggregate must be one of {EVE_AGGREGATES}, got {eve_aggregate!r}"
+        )
 
 
 def legit_rate(realization: ChannelRealization, precoder: Precoder, combination,
@@ -85,20 +106,9 @@ def legit_rate(realization: ChannelRealization, precoder: Precoder, combination,
     Sum over users of the per-hop log-det rates, bottlenecked over the hops,
     times the two-slot factor.
     """
-    noise = config.noise_power
-    m, n_r = config.num_users, config.user_antennas
     relay_pre = _resolve_relay_precoder(realization, combination, config, relay_pre)
-
-    rd1, ri1 = _split_covariances(precoder.matrix, m, n_r)
-    hop1_channels = realization.stacked_source_channel(combination).reshape(m, n_r, -1)
-    hop1 = float(_per_user_rates(hop1_channels, rd1, ri1, noise).sum())
-
-    rd2, ri2 = _split_covariances(relay_pre.matrix, m, n_r)
-    hop2_channels = realization.all_users_channel(combination, m).reshape(m, n_r, -1)
-    hop2 = float(_per_user_rates(hop2_channels, rd2, ri2, noise).sum())
-
-    rate = min(hop1, hop2)
-    return 0.5 * rate if half_duplex else rate
+    rd, ri = _hop_covariances(config, precoder, relay_pre)
+    return _legit(realization, combination, config, rd, ri, half_duplex)
 
 
 def eve_rate(realization: ChannelRealization, precoder: Precoder, combination,
@@ -114,28 +124,13 @@ def eve_rate(realization: ChannelRealization, precoder: Precoder, combination,
     Evaluation always uses the true eavesdropper channels, even for criteria
     that selected without them.
     """
-    if eve_model not in EVE_MODELS:
-        raise ValueError(f"eve_model must be one of {EVE_MODELS}, got {eve_model!r}")
-    if eve_aggregate not in EVE_AGGREGATES:
-        raise ValueError(
-            f"eve_aggregate must be one of {EVE_AGGREGATES}, got {eve_aggregate!r}"
-        )
-    noise = config.noise_power
-    m, n_r = config.num_users, config.user_antennas
-    k = config.num_eves
-
-    rd1, ri1 = _split_covariances(precoder.matrix, m, n_r)
-    eve1 = np.stack([realization.eve_channel(i) for i in range(k)])
-    per_eve = _cross_rates(eve1, rd1, ri1, noise).sum(axis=1)
-
+    _check_eve_options(eve_model, eve_aggregate)
+    precoders = [precoder]
     if eve_model == "both":
-        relay_pre = _resolve_relay_precoder(realization, combination, config, relay_pre)
-        rd2, ri2 = _split_covariances(relay_pre.matrix, m, n_r)
-        eve2 = np.stack([realization.relay_eve_channel(combination, i) for i in range(k)])
-        per_eve = per_eve + _cross_rates(eve2, rd2, ri2, noise).sum(axis=1)
-
-    rate = float(per_eve.sum() if eve_aggregate == "sum" else per_eve.max())
-    return 0.5 * rate if half_duplex else rate
+        precoders.append(_resolve_relay_precoder(realization, combination, config,
+                                                 relay_pre))
+    rd, ri = _hop_covariances(config, *precoders)
+    return _eve(realization, combination, config, rd, ri, half_duplex, eve_aggregate)
 
 
 def secrecy_rate(realization: ChannelRealization, precoder: Precoder, combination,
@@ -146,13 +141,17 @@ def secrecy_rate(realization: ChannelRealization, precoder: Precoder, combinatio
     """Achieved secrecy rate: legitimate rate minus eavesdropper rate.
 
     Clamped at zero by default (an overheard link conveys no secret bits);
-    set ``clamp=False`` for the signed difference.
+    set ``clamp=False`` for the signed difference. Each precoder is split
+    into per-user covariances once, for both the legitimate and the
+    eavesdropper side.
     """
+    _check_eve_options(eve_model, eve_aggregate)
     relay_pre = _resolve_relay_precoder(realization, combination, config, relay_pre)
-    legit = legit_rate(realization, precoder, combination, config, half_duplex,
-                       relay_pre)
-    eve = eve_rate(realization, precoder, combination, config, half_duplex,
-                   eve_model, eve_aggregate, relay_pre)
+    rd, ri = _hop_covariances(config, precoder, relay_pre)
+    legit = _legit(realization, combination, config, rd, ri, half_duplex)
+    phases = 2 if eve_model == "both" else 1
+    eve = _eve(realization, combination, config, rd[:phases], ri[:phases],
+               half_duplex, eve_aggregate)
     diff = legit - eve
     if clamp:
         diff = max(diff, 0.0)

@@ -40,6 +40,9 @@ class TestSnrGrid:
             parse_snr_grid("0:0:20")
         with pytest.raises(UsageError, match="stop"):
             parse_snr_grid("20:2:0")
+        for text in ("0:nan:20", "nan:2:20", "0:2:inf"):
+            with pytest.raises(UsageError, match="invalid snr grid"):
+                parse_snr_grid(text)
 
 
 class TestParseConfig:
@@ -188,6 +191,14 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "T*N_i = M*N_r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr", ["inf", "nan", "-inf", "0:nan:20"])
+    def test_non_finite_snr_exits_2(self, tmp_path, snr, capsys):
+        code = main(["run", "--trials", "2", f"--snr={snr}", "--criteria", "s-sr",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "snr" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -37,6 +37,7 @@ from relaysec.model import (
     relay_precoder,
     zf_precoder,
 )
+from relaysec.montecarlo import SweepSpec, run_sweep
 
 
 def single_antenna_config(**kw):
@@ -517,3 +518,78 @@ class TestSecrecySelection:
         assert combo_enum == combo_name
         with pytest.raises(ValueError, match="unknown criterion"):
             select("bogus", real, cfg)
+
+
+def scalar_scores(kind, real, cfg):
+    """Combined sr, s-sr or sinr score of every candidate, from the scalar oracles."""
+    scores = []
+    for combo in enumerate_combinations(cfg.pool_size, cfg.selected_relays):
+        u = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
+                        cfg.user_antennas)
+        if kind is CriterionKind.SINR:
+            scores.append(min(sinr_relay_metric(real, u, combo, cfg),
+                              sinr_user_metric(real, combo, cfg)))
+            continue
+        v = relay_precoder(real, combo, cfg)
+        h1 = real.stacked_source_channel(combo)
+        h2 = real.all_users_channel(combo, cfg.num_users)
+        hop1 = hop2 = eve = 0.0
+        for user in range(cfg.num_users):
+            rows = cfg.user_streams(user)
+            rd = desired_covariance(u, user)
+            hop1 += gamma_rate_bits(h1[rows], rd, interference_covariance(
+                u, user, include_noise=False), cfg.noise_power)
+            hop2 += gamma_rate_bits(h2[rows], desired_covariance(v, user),
+                                    interference_covariance(v, user, include_noise=False),
+                                    cfg.noise_power)
+            r_in = interference_covariance(u, user, cfg.noise_power)
+            if kind is CriterionKind.SECRECY_RATE:
+                eve += gamma_rate_bits(real.stacked_eve_channel(), rd, r_in)
+            else:
+                eve += ssr_eve_term(u, user, r_in)
+        scores.append(min(hop1 - eve, hop2 - eve))
+    return np.array(scores)
+
+
+class TestCandidateSetAcrossSnr:
+    # sr with K * N_e > N_t is left out: its eavesdropper gram is singular
+    # there, so its score is set by rounding error.
+    CONFIGS = {
+        "single-antenna": single_antenna_config(),
+        "two-antenna-users": mimo_config(),
+        "fewer-eve-antennas": single_antenna_config(num_eves=1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("kind", [CriterionKind.SINR, CriterionKind.SECRECY_RATE,
+                                      CriterionKind.S_SR])
+    def test_one_set_serves_every_snr_point(self, name, kind):
+        cfg0 = self.CONFIGS[name]
+        for trial in range(3):
+            real = generate_realization(cfg0, trial=trial)
+            shared = prepare_candidates(real, cfg0)
+            # 0 dB again last: the noise-free terms filled at other points
+            # must not carry a noise level over.
+            for snr in (0.0, 20.0, 7.5, 0.0):
+                cfg = cfg0.at_snr(snr)
+                fresh = prepare_candidates(real, cfg)
+                _, _, _, reused_scores = score_candidates(kind, real, cfg, candidates=shared)
+                _, _, _, fresh_scores = score_candidates(kind, real, cfg, candidates=fresh)
+                oracle = scalar_scores(kind, real, cfg)
+                np.testing.assert_allclose(reused_scores, fresh_scores, rtol=1e-9)
+                np.testing.assert_allclose(reused_scores, oracle, rtol=1e-9, atol=1e-12)
+                pick, _ = select(kind, real, cfg, candidates=shared)
+                assert pick == select(kind, real, cfg, candidates=fresh)[0]
+                assert pick == shared.combinations[int(np.argmax(oracle))]
+
+    def test_ssr_sweep_at_200_db_matches_scalar_oracle(self):
+        # cond(R_I + s I) ~ 1e20 here, so every candidate takes the ridge.
+        cfg = single_antenna_config(snr_db=200.0)
+        result = run_sweep(SweepSpec(config=cfg, snr_grid_db=(200.0,), trials=8,
+                                     criteria=("s-sr",)))
+        assert np.all(np.isfinite(result.samples))
+        for trial in range(8):
+            real = generate_realization(cfg, trial=trial)
+            oracle = scalar_scores(CriterionKind.S_SR, real, cfg)
+            picked = result.combinations[result.selections[0, 0, trial]]
+            assert picked == result.combinations[int(np.argmax(oracle))]

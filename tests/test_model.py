@@ -60,6 +60,16 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match="num_users"):
             scalar_config(num_users=0, selected_relays=0)
 
+    @pytest.mark.parametrize("snr_db", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ConfigError, match="snr_db"):
+            scalar_config(snr_db=snr_db)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, float("inf"), float("nan")])
+    def test_signal_power_must_be_positive_and_finite(self, power):
+        with pytest.raises(ConfigError, match="signal_power"):
+            scalar_config(signal_power=power)
+
     def test_snr_sets_noise_power(self):
         cfg = scalar_config(snr_db=20.0, signal_power=2.0)
         assert cfg.noise_power == pytest.approx(0.02)

@@ -32,6 +32,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="criteria"):
             SweepSpec(config=pair_config(), snr_grid_db=(0.0,), trials=1, criteria=())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_grid_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSpec(config=pair_config(), snr_grid_db=(0.0, bad), trials=1)
+
     def test_criteria_accept_names(self):
         spec = SweepSpec(config=pair_config(), snr_grid_db=(0.0,), trials=1,
                          criteria=("sr", "s-sinr"))

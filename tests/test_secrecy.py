@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from relaysec.criteria import channel_gain_select, sr_select, ssinr_select
+from relaysec.criteria import channel_gain_select, gamma_rate_bits, sr_select, ssinr_select
 from relaysec.model import (
     SystemConfig,
+    desired_covariance,
     generate_realization,
+    interference_covariance,
     relay_precoder,
     zf_precoder,
 )
@@ -199,3 +201,39 @@ class TestCriterionAgnostic:
         a = secrecy_rate(real, pre, combo, cfg)
         b = secrecy_rate(real, pre, combo, cfg, relay_pre=v)
         assert a.secrecy_rate == b.secrecy_rate
+
+
+class TestMimoAgainstComposedCovariances:
+    @pytest.mark.parametrize("eve_model", ["phase1", "both"])
+    @pytest.mark.parametrize("eve_aggregate", ["sum", "max"])
+    def test_rates_match_hand_composition(self, eve_model, eve_aggregate):
+        cfg = pair_config(user_antennas=2, relay_antennas=2, eve_antennas=2, snr_db=6.0)
+        users = range(cfg.num_users)
+
+        def rate(channel, precoder, user):
+            rd = desired_covariance(precoder, user)
+            ri = interference_covariance(precoder, user, include_noise=False)
+            return max(gamma_rate_bits(channel, rd, ri, cfg.noise_power), 0.0)
+
+        for t in range(5):
+            real, combo, u = build(cfg, trial=t)
+            v = relay_precoder(real, combo, cfg)
+            h1 = real.stacked_source_channel(combo)
+            h2 = real.all_users_channel(combo, cfg.num_users)
+            legit = 0.5 * min(sum(rate(h1[cfg.user_streams(r)], u, r) for r in users),
+                              sum(rate(h2[cfg.user_streams(r)], v, r) for r in users))
+            per_eve = []
+            for k in range(cfg.num_eves):
+                leak = sum(rate(real.source_to_eve[k], u, r) for r in users)
+                if eve_model == "both":
+                    e2 = np.hstack([real.relay_to_eve[(i, k)] for i in combo])
+                    leak += sum(rate(e2, v, r) for r in users)
+                per_eve.append(leak)
+            eve = 0.5 * (sum(per_eve) if eve_aggregate == "sum" else max(per_eve))
+            options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate)
+            signed = secrecy_rate(real, u, combo, cfg, clamp=False, **options)
+            assert signed.legit_rate == pytest.approx(legit, rel=1e-9)
+            assert signed.eve_rate == pytest.approx(eve, rel=1e-9)
+            assert signed.secrecy_rate == pytest.approx(legit - eve, rel=1e-9)
+            clamped = secrecy_rate(real, u, combo, cfg, **options)
+            assert clamped.secrecy_rate == pytest.approx(max(legit - eve, 0.0), rel=1e-9)
