@@ -45,6 +45,6 @@ from .model import (
     zf_precoder,
 )
 from .montecarlo import SweepResult, SweepSpec, compare_criteria, run_sweep
-from .secrecy import SecrecySample, eve_rate, legit_rate, secrecy_rate
+from .secrecy import SecrecySample, secrecy_rate
 
 __version__ = "0.1.0"

@@ -167,7 +167,6 @@ class CandidateSet:
     relay_precoders: np.ndarray
     relay_cores: np.ndarray
     valid: np.ndarray
-    residuals: np.ndarray
     _index: dict = field(default_factory=dict, repr=False)
     _cov1: tuple | None = field(default=None, repr=False)
     _legit: tuple | None = field(default=None, repr=False)
@@ -242,32 +241,17 @@ class CandidateSet:
         return self._eve
 
 
-def prepare_candidates(realization: ChannelRealization, config: SystemConfig,
-                       combinations=None) -> CandidateSet:
+def prepare_candidates(realization: ChannelRealization, config: SystemConfig) -> CandidateSet:
     """Stack channels and build both ZF precoders for every candidate."""
-    if combinations is None:
-        combinations = enumerate_combinations(config.pool_size, config.selected_relays)
-    combinations = [tuple(c) for c in combinations]
-    pool = sorted(realization.source_to_relay)
-    pos = {relay: p for p, relay in enumerate(pool)}
-    src = np.stack([realization.source_to_relay[i] for i in pool])
-    r2u = np.stack(
-        [[realization.relay_to_user[(i, r)] for r in range(config.num_users)] for i in pool]
-    )
-    idx = np.array([[pos[i] for i in combo] for combo in combinations])
-    n_t = config.transmit_antennas
-    c = len(combinations)
-    hop1 = src[idx].reshape(c, n_t, n_t)
-    # (C, T, M, N_r, N_i) -> (C, M, N_r, T, N_i) -> concatenate member blocks
-    hop2 = r2u[idx].transpose(0, 2, 3, 1, 4).reshape(
-        c, config.num_users, config.user_antennas, n_t
-    )
-    matrix1, core1, valid1, residuals = zf_core_batch(hop1, config.signal_power)
+    combinations = enumerate_combinations(config.pool_size, config.selected_relays)
+    members = np.array(combinations)
+    hop1 = realization.stacked_source_channel(members)
     # All users' antennas stacked give a square phase-2 channel as well.
-    hop2_all = hop2.reshape(c, n_t, n_t)
+    hop2_all = realization.all_users_channel(members)
+    matrix1, core1, valid1, _ = zf_core_batch(hop1, config.signal_power)
     matrix2, core2, valid2, _ = zf_core_batch(hop2_all, config.signal_power)
     valid = valid1 & valid2
-    eye = np.eye(n_t, dtype=complex)
+    eye = np.eye(config.transmit_antennas, dtype=complex)
     matrix1 = np.where(valid[:, None, None], matrix1, eye)
     core1 = np.where(valid[:, None, None], core1, eye)
     matrix2 = np.where(valid[:, None, None], matrix2, eye)
@@ -276,13 +260,12 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig,
         config=config,
         combinations=combinations,
         hop1=hop1,
-        hop2=hop2,
+        hop2=hop2_all.reshape(len(combinations), config.num_users, config.user_antennas, -1),
         precoders=matrix1,
         cores=core1,
         relay_precoders=matrix2,
         relay_cores=core2,
         valid=valid,
-        residuals=residuals,
     )
 
 
@@ -391,15 +374,13 @@ def ssr_eve_term(precoder: Precoder, own_user: int, interference: np.ndarray,
 
 
 def sinr_relay_metric(realization: ChannelRealization, precoder: Precoder,
-                      combination, config: SystemConfig,
-                      aggregate: str = "min") -> float:
+                      combination, config: SystemConfig) -> float:
     """First-hop SINR metric of one candidate combination.
 
     Per relay antenna ``l`` the SINR is ``(h^H R_d h) / (h^H R_I h + s_n^2)``
     with ``h`` the antenna's channel row and the covariances taken for the
     user whose stream the antenna carries. Antenna values are averaged per
-    relay; ``aggregate`` reduces over the members (``min`` scores the
-    bottleneck relay, ``max`` the literal best member).
+    relay, and the bottleneck (minimum) relay scores the candidate.
     """
     h = realization.stacked_source_channel(combination)
     noise = config.noise_power
@@ -421,12 +402,11 @@ def sinr_relay_metric(realization: ChannelRealization, precoder: Precoder,
         else:
             per_stream[stream] = num / den
     per_relay = per_stream.reshape(len(combination), config.relay_antennas).mean(axis=1)
-    return float(per_relay.min() if aggregate == "min" else per_relay.max())
+    return float(per_relay.min())
 
 
 def sinr_user_metric(realization: ChannelRealization, combination, config: SystemConfig,
-                     relay_output_covariance: np.ndarray | None = None,
-                     aggregate: str = "min") -> float:
+                     relay_output_covariance: np.ndarray | None = None) -> float:
     """Second-hop SINR metric of one candidate combination.
 
     By default the selected relays re-transmit through their coordinated
@@ -435,7 +415,7 @@ def sinr_user_metric(realization: ChannelRealization, combination, config: Syste
     with an explicit relay output covariance (the interference model stays).
     """
     noise = config.noise_power
-    stacked = realization.all_users_channel(combination, config.num_users)
+    stacked = realization.all_users_channel(combination)
     v = zf_precoder(stacked, config.signal_power, config.user_antennas)
     total = v.matrix @ v.matrix.conj().T
     per_user = np.empty(config.num_users)
@@ -458,7 +438,7 @@ def sinr_user_metric(realization: ChannelRealization, combination, config: Syste
             else:
                 ratios[n] = num / den
         per_user[user] = ratios.mean()
-    return float(per_user.min() if aggregate == "min" else per_user.max())
+    return float(per_user.min())
 
 
 def ssinr_metric(channel_block: np.ndarray) -> float:
@@ -476,28 +456,25 @@ def ssinr_metric(channel_block: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _score_sinr(cs: CandidateSet, config: SystemConfig, combine: str,
-                aggregate: str = "min"):
+def _score_sinr(cs: CandidateSet, config: SystemConfig, combine: str):
     num, den = cs.legit_grams()
     num = np.real(np.diagonal(num, axis1=-2, axis2=-1))
-    den = np.real(np.diagonal(den, axis1=-2, axis2=-1)) + config.noise_power
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(den > 0, num / den, np.inf)
+    # Zero forcing makes the interference form vanish in exact arithmetic; its
+    # rounding can be negative and, at high SNR, outweigh the noise.
+    den = np.maximum(np.real(np.diagonal(den, axis1=-2, axis2=-1)), 0.0) + config.noise_power
+    sinr = num / den
     c = len(cs.combinations)
     per_relay = sinr[0].reshape(c, config.selected_relays, config.relay_antennas).mean(axis=2)
     per_user = sinr[1].mean(axis=2)
-    reduce = np.min if aggregate == "min" else np.max
-    eta1 = reduce(per_relay, axis=1)
-    eta2 = reduce(per_user, axis=1)
+    eta1 = np.min(per_relay, axis=1)
+    eta2 = np.min(per_user, axis=1)
     combined = combine_metrics(eta1, eta2, combine)
     combined = np.where(cs.valid, combined, -np.inf)
     return eta1, eta2, combined
 
 
-def _score_ssinr(cs: CandidateSet, config: SystemConfig, combine: str,
-                 aggregate: str = "min"):
-    # Channel-norm metrics only; precoder validity does not constrain them
-    # and the aggregate flag has no effect on a plain min over streams.
+def _score_ssinr(cs: CandidateSet, config: SystemConfig, combine: str):
+    # Channel-norm metrics only; precoder validity does not constrain them.
     eta1 = np.min(np.sum(np.abs(cs.hop1) ** 2, axis=2), axis=1)
     eta2 = np.min(np.sum(np.abs(cs.hop2) ** 2, axis=3), axis=(1, 2))
     combined = combine_metrics(eta1, eta2, combine)
@@ -574,7 +551,7 @@ def _score_ssr(cs: CandidateSet, config: SystemConfig, combine: str):
 
 def score_candidates(kind: CriterionKind, realization: ChannelRealization,
                      config: SystemConfig, candidates: CandidateSet | None = None,
-                     combine: str = "min", aggregate: str = "min"):
+                     combine: str = "min"):
     """Score every candidate under an exhaustive criterion.
 
     Returns ``(candidate_set, eta1, eta2, combined)`` arrays aligned with
@@ -585,9 +562,9 @@ def score_candidates(kind: CriterionKind, realization: ChannelRealization,
         raise ValueError(f"{kind.value} does not score the full candidate list")
     cs = candidates if candidates is not None else prepare_candidates(realization, config)
     if kind is CriterionKind.SINR:
-        eta1, eta2, combined = _score_sinr(cs, config, combine, aggregate)
+        eta1, eta2, combined = _score_sinr(cs, config, combine)
     elif kind is CriterionKind.S_SINR:
-        eta1, eta2, combined = _score_ssinr(cs, config, combine, aggregate)
+        eta1, eta2, combined = _score_ssinr(cs, config, combine)
     elif kind is CriterionKind.SECRECY_RATE:
         eta1, eta2, combined = _score_sr(cs, realization, config, combine)
     else:
@@ -610,6 +587,11 @@ def _pick_best(cs: CandidateSet, eta1, eta2, combined):
 # ---------------------------------------------------------------------------
 
 
+def _block_gains(blocks: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every block (the last two axes)."""
+    return np.sum(np.abs(blocks) ** 2, axis=(-2, -1))
+
+
 def channel_gain_select(realization: ChannelRealization, config: SystemConfig,
                         combine: str = "min"):
     """Greedy two-pass selection on channel-gain traces.
@@ -619,29 +601,20 @@ def channel_gain_select(realization: ChannelRealization, config: SystemConfig,
     scores, among the picked relays still holding a pick token, the best
     relay->user trace. Ties fall to the lowest relay index.
     """
-    pool = sorted(realization.source_to_relay)
-    theta1 = {
-        i: float(np.sum(np.abs(realization.source_to_relay[i]) ** 2)) for i in pool
-    }
-    order = sorted(pool, key=lambda i: (-theta1[i], i))
-    picked = order[:config.selected_relays]
-    eta1 = float(sum(theta1[i] for i in picked))
-    tokens = {i: 1 for i in picked}
+    theta1 = _block_gains(realization.source_to_relay)
+    picked = np.argsort(-theta1, kind="stable")[:config.selected_relays]
+    eta1 = float(theta1[picked].sum())
+    combo = np.sort(picked)
+    theta2 = _block_gains(realization.relay_to_user[combo])
+    tokens = np.ones(len(combo), dtype=bool)
     eta2 = 0.0
-    for user in range(config.num_users):
-        available = [i for i in picked if tokens[i] != 0]
-        if not available:
-            break
-        theta2 = {
-            i: float(np.sum(np.abs(realization.relay_to_user[(i, user)]) ** 2))
-            for i in available
-        }
-        winner = sorted(available, key=lambda i: (-theta2[i], i))[0]
-        eta2 += theta2[winner]
-        tokens[winner] -= 1
-    combo = tuple(sorted(picked))
+    for user in range(min(config.num_users, len(combo))):
+        # argmax keeps the first maximum: the lowest relay index among ties
+        winner = int(np.argmax(np.where(tokens, theta2[:, user], -np.inf)))
+        eta2 += float(theta2[winner, user])
+        tokens[winner] = False
     combined = float(combine_metrics(eta1, eta2, combine))
-    return combo, CriterionScore(eta1, eta2, combined)
+    return tuple(combo.tolist()), CriterionScore(eta1, eta2, combined)
 
 
 def max_ratio_select(realization: ChannelRealization, config: SystemConfig,
@@ -659,34 +632,25 @@ def max_ratio_select(realization: ChannelRealization, config: SystemConfig,
             "max-ratio selection requires relay_antennas == user_antennas == "
             "eve_antennas == 1"
         )
-    pool = sorted(realization.source_to_relay)
-    se_gain = float(sum(np.sum(np.abs(realization.eve_channel(k)) ** 2)
-                        for k in range(config.num_eves)))
-    m1 = {}
-    m2 = {}
-    for i in pool:
-        gain_src = float(np.sum(np.abs(realization.source_to_relay[i]) ** 2))
-        m1[i] = gain_src / se_gain if se_gain > 0 else np.inf
-        gain_user = float(sum(np.sum(np.abs(realization.relay_to_user[(i, r)]) ** 2)
-                              for r in range(config.num_users)))
-        gain_eve = float(sum(np.sum(np.abs(realization.relay_to_eve[(i, k)]) ** 2)
-                             for k in range(config.num_eves)))
-        m2[i] = gain_user / gain_eve if gain_eve > 0 else np.inf
-    scored = sorted(pool, key=lambda i: (-float(combine_metrics(m1[i], m2[i], combine)), i))
-    picked = scored[:config.selected_relays]
-    eta1 = float(max(m1[i] for i in picked))
-    eta2 = float(max(m2[i] for i in picked))
-    combo = tuple(sorted(picked))
+    se_gain = float(np.sum(np.abs(realization.stacked_eve_channel()) ** 2, axis=1).sum())
+    m1 = np.divide(_block_gains(realization.source_to_relay), se_gain,
+                   out=np.full(config.pool_size, np.inf), where=se_gain > 0)
+    gain_user = _block_gains(realization.relay_to_user).sum(axis=1)
+    gain_eve = _block_gains(realization.relay_to_eve).sum(axis=1)
+    m2 = np.divide(gain_user, gain_eve, out=np.full(config.pool_size, np.inf),
+                   where=gain_eve > 0)
+    picked = np.argsort(-combine_metrics(m1, m2, combine), kind="stable")[:config.selected_relays]
+    eta1 = float(m1[picked].max())
+    eta2 = float(m2[picked].max())
     combined = float(combine_metrics(eta1, eta2, combine))
-    return combo, CriterionScore(eta1, eta2, combined)
+    return tuple(sorted(picked.tolist())), CriterionScore(eta1, eta2, combined)
 
 
 def sinr_select(realization: ChannelRealization, config: SystemConfig,
-                candidates: CandidateSet | None = None, combine: str = "min",
-                aggregate: str = "min"):
+                candidates: CandidateSet | None = None, combine: str = "min"):
     """Exhaustive selection on the two-hop SINR metrics."""
     return _pick_best(*score_candidates(CriterionKind.SINR, realization, config,
-                                        candidates, combine, aggregate))
+                                        candidates, combine))
 
 
 def ssinr_select(realization: ChannelRealization, config: SystemConfig,
@@ -716,8 +680,7 @@ def ssr_select(realization: ChannelRealization, config: SystemConfig,
 
 
 def select(kind: CriterionKind, realization: ChannelRealization, config: SystemConfig,
-           candidates: CandidateSet | None = None, combine: str = "min",
-           aggregate: str = "min"):
+           candidates: CandidateSet | None = None, combine: str = "min"):
     """Run one selection criterion and return ``(combination, score)``."""
     if isinstance(kind, str):
         kind = CriterionKind.from_name(kind)
@@ -726,7 +689,7 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
     if kind is CriterionKind.MAX_RATIO:
         return max_ratio_select(realization, config, combine)
     if kind is CriterionKind.SINR:
-        return sinr_select(realization, config, candidates, combine, aggregate)
+        return sinr_select(realization, config, candidates, combine)
     if kind is CriterionKind.S_SINR:
         return ssinr_select(realization, config, candidates, combine)
     if kind is CriterionKind.SECRECY_RATE:

@@ -2,7 +2,11 @@
 
 Network geometry, Rayleigh fading generation, zero-forcing precoding and the
 phase-1 / phase-2 received-signal composition. Channels are plain complex
-ndarrays; shapes follow the dimensions in :class:`SystemConfig`.
+ndarrays; shapes follow the dimensions in :class:`SystemConfig`. A
+:class:`ChannelRealization` holds each link type as one dense array whose
+leading axes index the nodes: ``source_to_relay[i]``, ``relay_to_user[i, r]``,
+``source_to_eve[k]`` and ``relay_to_eve[i, k]`` are single blocks, and only
+its accessors know how a selected set's blocks are stacked.
 
 Conventions used throughout the package:
 
@@ -145,19 +149,26 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 @dataclass
 class ChannelRealization:
-    """One flat-fading draw of every link in the network.
+    """One flat-fading draw of every link in the network, one array per link type.
 
-    ``source_to_relay[i]`` is ``(relay_antennas, N_t)``,
-    ``relay_to_user[(i, r)]`` is ``(user_antennas, relay_antennas)``,
-    ``source_to_eve[k]`` is ``(eve_antennas, N_t)`` and
-    ``relay_to_eve[(i, k)]`` is ``(eve_antennas, relay_antennas)``.
-    The eavesdropper maps are ``None`` on a stripped view.
+    ``source_to_relay`` is ``(P, N_i, N_t)``, ``relay_to_user`` is
+    ``(P, M, N_r, N_i)``, ``source_to_eve`` is ``(K, N_e, N_t)`` and
+    ``relay_to_eve`` is ``(P, K, N_e, N_i)``, with ``P`` the pool size, ``K``
+    the eavesdropper count and ``N_i``/``N_r``/``N_e`` the relay, user and
+    eavesdropper antenna counts. So ``source_to_relay[i]`` is relay ``i``'s
+    block, ``relay_to_user[i, r]`` the block from relay ``i`` to user ``r``
+    and ``relay_to_eve[i, k]`` the block from relay ``i`` to eavesdropper
+    ``k``. The eavesdropper arrays are ``None`` on a stripped view.
+
+    The accessors are the only code that knows how the member blocks of a
+    selected set are stacked. Each takes one combination (a sequence of ``T``
+    relay indices) or a ``(C, T)`` array of them, which adds a leading axis.
     """
 
-    source_to_relay: dict
-    relay_to_user: dict
-    source_to_eve: dict | None
-    relay_to_eve: dict | None
+    source_to_relay: np.ndarray
+    relay_to_user: np.ndarray
+    source_to_eve: np.ndarray | None
+    relay_to_eve: np.ndarray | None
 
     @property
     def has_eavesdroppers(self) -> bool:
@@ -175,26 +186,23 @@ class ChannelRealization:
     # -- accessors ----------------------------------------------------------
 
     def stacked_source_channel(self, combination) -> np.ndarray:
-        """First-hop channel of the selected set: member blocks stacked row-wise."""
-        return np.vstack([self.source_to_relay[i] for i in combination])
+        """First-hop channel of the selected set, ``(..., T*N_i, N_t)``:
+        member blocks stacked row-wise."""
+        blocks = self.source_to_relay[np.asarray(combination)]
+        return blocks.reshape(*blocks.shape[:-3], -1, blocks.shape[-1])
 
     def user_channel(self, combination, user: int) -> np.ndarray:
-        """Second-hop channel to ``user``: member blocks concatenated column-wise."""
-        blocks = []
-        for i in combination:
-            key = (i, user)
-            if key not in self.relay_to_user:
-                raise ValueError(f"unknown user index {user}")
-            blocks.append(self.relay_to_user[key])
-        return np.hstack(blocks)
+        """Second-hop channel to ``user``, ``(..., N_r, T*N_i)``."""
+        num_users, n_r = self.relay_to_user.shape[1:3]
+        if not 0 <= user < num_users:
+            raise ValueError(f"unknown user index {user}")
+        return self.all_users_channel(combination)[..., user * n_r:(user + 1) * n_r, :]
 
-    def all_users_channel(self, combination, num_users: int) -> np.ndarray:
-        """Second-hop channels of every user stacked row-wise (square)."""
-        # (M, T, N_r, N_i) -> (M * N_r, T * N_i): member blocks side by side
-        blocks = np.array([[self.relay_to_user[(i, r)] for i in combination]
-                           for r in range(num_users)])
-        m, t, n_r, n_i = blocks.shape
-        return blocks.swapaxes(1, 2).reshape(m * n_r, t * n_i)
+    def all_users_channel(self, combination) -> np.ndarray:
+        """Second-hop channels of every user stacked row-wise,
+        ``(..., M*N_r, T*N_i)`` (square for a full selection)."""
+        blocks = _side_by_side(self.relay_to_user[np.asarray(combination)])
+        return blocks.reshape(*blocks.shape[:-3], -1, blocks.shape[-1])
 
     def _require_eves(self):
         if not self.has_eavesdroppers:
@@ -202,23 +210,30 @@ class ChannelRealization:
                 "eavesdropper channels are not available on this realization view"
             )
 
-    def eve_channel(self, eve: int) -> np.ndarray:
-        self._require_eves()
-        return self.source_to_eve[eve]
-
     def stacked_eve_channel(self) -> np.ndarray:
         """All eavesdropper source-side blocks stacked row-wise, (K*N_e, N_t)."""
         self._require_eves()
-        return np.vstack([self.source_to_eve[k] for k in sorted(self.source_to_eve)])
+        return self.source_to_eve.reshape(-1, self.source_to_eve.shape[-1])
 
     def relay_eve_channels(self, combination) -> np.ndarray:
-        """Second-hop leakage channels of every eavesdropper, (K, N_e, T*relay_antennas)."""
+        """Second-hop leakage channels of every eavesdropper, ``(..., K, N_e, T*N_i)``."""
         self._require_eves()
-        # (K, T, N_e, N_i) -> (K, N_e, T * N_i): member blocks side by side
-        blocks = np.array([[self.relay_to_eve[(i, k)] for i in combination]
-                           for k in sorted(self.source_to_eve)])
-        k, t, n_e, n_i = blocks.shape
-        return blocks.swapaxes(1, 2).reshape(k, n_e, t * n_i)
+        return _side_by_side(self.relay_to_eve[np.asarray(combination)])
+
+
+def _side_by_side(blocks: np.ndarray) -> np.ndarray:
+    """``(..., T, A, B, N_i)`` member blocks -> ``(..., A, B, T*N_i)``, concatenated column-wise."""
+    moved = blocks.swapaxes(-4, -3).swapaxes(-3, -2)
+    return moved.reshape(*moved.shape[:-2], -1)
+
+
+def _draw_blocks(seed: int, trial: int, domain: int, keys: tuple, block: tuple) -> np.ndarray:
+    """Array of shape ``keys + block``; the block at index ``(a, b)`` of the
+    leading axes is drawn from the sub-stream keyed by ``(domain, a, b)``."""
+    out = np.empty(keys + block, dtype=complex)
+    for key in np.ndindex(*keys):
+        out[key] = complex_normal(_block_rng(seed, trial, domain, *key), block)
+    return out
 
 
 def generate_realization(config: SystemConfig, trial: int = 0, seed: int | None = None) -> ChannelRealization:
@@ -229,24 +244,14 @@ def generate_realization(config: SystemConfig, trial: int = 0, seed: int | None 
     the draws of existing entities untouched.
     """
     base = config.seed if seed is None else seed
-    n_t = config.transmit_antennas
-    src = {}
-    r2u = {}
-    for i in range(config.pool_size):
-        rng = _block_rng(base, trial, _DOM_SOURCE_RELAY, i)
-        src[i] = complex_normal(rng, (config.relay_antennas, n_t))
-        for r in range(config.num_users):
-            rng = _block_rng(base, trial, _DOM_RELAY_USER, i, r)
-            r2u[(i, r)] = complex_normal(rng, (config.user_antennas, config.relay_antennas))
-    s2e = {}
-    r2e = {}
-    for k in range(config.num_eves):
-        rng = _block_rng(base, trial, _DOM_SOURCE_EVE, k)
-        s2e[k] = complex_normal(rng, (config.eve_antennas, n_t))
-        for i in range(config.pool_size):
-            rng = _block_rng(base, trial, _DOM_RELAY_EVE, i, k)
-            r2e[(i, k)] = complex_normal(rng, (config.eve_antennas, config.relay_antennas))
-    return ChannelRealization(src, r2u, s2e, r2e)
+    p, k, n_t = config.pool_size, config.num_eves, config.transmit_antennas
+    n_i, n_r, n_e = config.relay_antennas, config.user_antennas, config.eve_antennas
+    return ChannelRealization(
+        source_to_relay=_draw_blocks(base, trial, _DOM_SOURCE_RELAY, (p,), (n_i, n_t)),
+        relay_to_user=_draw_blocks(base, trial, _DOM_RELAY_USER, (p, config.num_users), (n_r, n_i)),
+        source_to_eve=_draw_blocks(base, trial, _DOM_SOURCE_EVE, (k,), (n_e, n_t)),
+        relay_to_eve=_draw_blocks(base, trial, _DOM_RELAY_EVE, (p, k), (n_e, n_i)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +390,7 @@ def relay_precoder(realization: ChannelRealization, combination,
     precoder. Column powers are normalized to ``signal_power`` each, keeping
     the second-hop SNR governed by ``snr_db`` instead of the fading scale.
     """
-    stacked = realization.all_users_channel(combination, config.num_users)
+    stacked = realization.all_users_channel(combination)
     return zf_precoder(stacked, config.signal_power, config.user_antennas)
 
 

@@ -411,7 +411,7 @@ class TestSecrecySelection:
                 v = relay_precoder(real, combo, cfg)
                 hop1 = hop2 = eve = 0.0
                 h1 = real.stacked_source_channel(combo)
-                h2_all = real.all_users_channel(combo, cfg.num_users)
+                h2_all = real.all_users_channel(combo)
                 for user in range(cfg.num_users):
                     rows = h1[cfg.user_streams(user), :]
                     rd = desired_covariance(u, user)
@@ -532,7 +532,7 @@ def scalar_scores(kind, real, cfg):
             continue
         v = relay_precoder(real, combo, cfg)
         h1 = real.stacked_source_channel(combo)
-        h2 = real.all_users_channel(combo, cfg.num_users)
+        h2 = real.all_users_channel(combo)
         hop1 = hop2 = eve = 0.0
         for user in range(cfg.num_users):
             rows = cfg.user_streams(user)
@@ -593,3 +593,11 @@ class TestCandidateSetAcrossSnr:
             oracle = scalar_scores(CriterionKind.S_SR, real, cfg)
             picked = result.combinations[result.selections[0, 0, trial]]
             assert picked == result.combinations[int(np.argmax(oracle))]
+
+    def test_sinr_sweep_at_200_db_discards_nothing(self):
+        # The zero-forced interference form rounds to about -2e-16, far more
+        # than the noise 1e-20; a negative denominator must not void a trial.
+        cfg = single_antenna_config(snr_db=200.0)
+        result = run_sweep(SweepSpec(config=cfg, snr_grid_db=(200.0,), trials=40,
+                                     criteria=("sinr",)))
+        assert np.all(result.n_discarded == 0)

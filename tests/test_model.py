@@ -324,6 +324,6 @@ class TestRelayPrecoder:
         real = generate_realization(cfg, trial=6)
         combo = (1, 2)
         v = relay_precoder(real, combo, cfg)
-        stacked = real.all_users_channel(combo, cfg.num_users)
+        stacked = real.all_users_channel(combo)
         assert np.linalg.norm(stacked @ v.core - np.eye(4)) < 1e-9
         assert np.allclose(np.sum(np.abs(v.matrix) ** 2, axis=0), cfg.signal_power)

@@ -12,7 +12,7 @@ from relaysec.model import (
     relay_precoder,
     zf_precoder,
 )
-from relaysec.secrecy import eve_rate, legit_rate, secrecy_rate
+from relaysec.secrecy import secrecy_rate
 
 
 def scalar_config(**kw):
@@ -45,7 +45,7 @@ class TestScalarClosedForms:
         h2 = abs(real.relay_to_user[(0, 0)][0, 0]) ** 2
         snr = cfg.signal_power / cfg.noise_power
         want = 0.5 * min(np.log2(1 + h1 * snr), np.log2(1 + h2 * snr))
-        assert legit_rate(real, pre, combo, cfg) == pytest.approx(want)
+        assert secrecy_rate(real, pre, combo, cfg).legit_rate == pytest.approx(want)
 
     def test_eve_rate_matches_hand_formula_phase1(self):
         cfg = scalar_config()
@@ -53,7 +53,7 @@ class TestScalarClosedForms:
         he = abs(real.source_to_eve[0][0, 0]) ** 2
         snr = cfg.signal_power / cfg.noise_power
         want = 0.5 * np.log2(1 + he * snr)
-        got = eve_rate(real, pre, combo, cfg, eve_model="phase1")
+        got = secrecy_rate(real, pre, combo, cfg, eve_model="phase1").eve_rate
         assert got == pytest.approx(want)
 
     def test_both_phases_adds_relay_leakage(self):
@@ -63,15 +63,15 @@ class TestScalarClosedForms:
         he2 = abs(real.relay_to_eve[(0, 0)][0, 0]) ** 2
         snr = cfg.signal_power / cfg.noise_power
         want = 0.5 * (np.log2(1 + he1 * snr) + np.log2(1 + he2 * snr))
-        got = eve_rate(real, pre, combo, cfg, eve_model="both")
+        got = secrecy_rate(real, pre, combo, cfg, eve_model="both").eve_rate
         assert got == pytest.approx(want)
 
     def test_secrecy_rate_is_clamped_difference(self):
         cfg = scalar_config()
         real, combo, pre = build(cfg)
         sample = secrecy_rate(real, pre, combo, cfg, criterion="sr")
-        want = max(legit_rate(real, pre, combo, cfg)
-                   - eve_rate(real, pre, combo, cfg), 0.0)
+        want = max(secrecy_rate(real, pre, combo, cfg).legit_rate
+                   - secrecy_rate(real, pre, combo, cfg).eve_rate, 0.0)
         assert sample.secrecy_rate == pytest.approx(want)
         assert sample.combination == combo
         assert sample.snr_db == cfg.snr_db
@@ -85,7 +85,7 @@ class TestEdgeCases:
             real.source_to_eve[k] = np.zeros((1, 2), dtype=complex)
             for i in range(cfg.pool_size):
                 real.relay_to_eve[(i, k)] = np.zeros((1, 1), dtype=complex)
-        assert eve_rate(real, pre, combo, cfg) == 0.0
+        assert secrecy_rate(real, pre, combo, cfg).eve_rate == 0.0
         sample = secrecy_rate(real, pre, combo, cfg)
         assert sample.secrecy_rate == pytest.approx(sample.legit_rate)
 
@@ -104,8 +104,8 @@ class TestEdgeCases:
     def test_half_duplex_factor_flag(self):
         cfg = scalar_config()
         real, combo, pre = build(cfg)
-        half = legit_rate(real, pre, combo, cfg, half_duplex=True)
-        full = legit_rate(real, pre, combo, cfg, half_duplex=False)
+        half = secrecy_rate(real, pre, combo, cfg, half_duplex=True).legit_rate
+        full = secrecy_rate(real, pre, combo, cfg, half_duplex=False).legit_rate
         assert full == pytest.approx(2.0 * half)
 
     def test_rates_nonnegative(self):
@@ -125,10 +125,10 @@ class TestMonotonicity:
             real, combo, _ = build(cfg, trial=t)
             low_cfg = cfg
             high_cfg = SystemConfig(**{**low_cfg.__dict__, "signal_power": 2.0})
-            low = legit_rate(real, zf_precoder(
-                real.stacked_source_channel(combo), 1.0, 1), combo, low_cfg)
-            high = legit_rate(real, zf_precoder(
-                real.stacked_source_channel(combo), 2.0, 1), combo, high_cfg)
+            low = secrecy_rate(real, zf_precoder(
+                real.stacked_source_channel(combo), 1.0, 1), combo, low_cfg).legit_rate
+            high = secrecy_rate(real, zf_precoder(
+                real.stacked_source_channel(combo), 2.0, 1), combo, high_cfg).legit_rate
             assert high >= low - 1e-12
 
     def test_extra_eavesdropper_never_lowers_eve_rate(self):
@@ -141,29 +141,29 @@ class TestMonotonicity:
             # keyed draws make the first eavesdropper identical in both
             real_s = generate_realization(small, trial=t)
             assert np.array_equal(real_s.source_to_eve[0], real_l.source_to_eve[0])
-            low = eve_rate(real_s, pre, combo, small)
-            high = eve_rate(real_l, pre, combo, large)
+            low = secrecy_rate(real_s, pre, combo, small).eve_rate
+            high = secrecy_rate(real_l, pre, combo, large).eve_rate
             assert high >= low - 1e-12
 
     def test_both_phases_at_least_phase1(self):
         cfg = pair_config()
         for t in range(20):
             real, combo, pre = build(cfg, trial=t)
-            p1 = eve_rate(real, pre, combo, cfg, eve_model="phase1")
-            both = eve_rate(real, pre, combo, cfg, eve_model="both")
+            p1 = secrecy_rate(real, pre, combo, cfg, eve_model="phase1").eve_rate
+            both = secrecy_rate(real, pre, combo, cfg, eve_model="both").eve_rate
             assert both >= p1 - 1e-12
 
     def test_worstcase_aggregate_bounded_by_sum(self):
         cfg = pair_config()
         real, combo, pre = build(cfg, trial=3)
-        worst = eve_rate(real, pre, combo, cfg, eve_aggregate="max")
-        total = eve_rate(real, pre, combo, cfg, eve_aggregate="sum")
+        worst = secrecy_rate(real, pre, combo, cfg, eve_aggregate="max").eve_rate
+        total = secrecy_rate(real, pre, combo, cfg, eve_aggregate="sum").eve_rate
         assert worst <= total + 1e-12
 
     def test_vanishing_eavesdropper_scale_recovers_legit(self):
         cfg = pair_config()
         real, combo, pre = build(cfg, trial=4)
-        legit = legit_rate(real, pre, combo, cfg)
+        legit = secrecy_rate(real, pre, combo, cfg).legit_rate
         gaps = []
         for scale in (1e-3, 1e-6):
             scaled = generate_realization(cfg, trial=4)
@@ -219,7 +219,7 @@ class TestMimoAgainstComposedCovariances:
             real, combo, u = build(cfg, trial=t)
             v = relay_precoder(real, combo, cfg)
             h1 = real.stacked_source_channel(combo)
-            h2 = real.all_users_channel(combo, cfg.num_users)
+            h2 = real.all_users_channel(combo)
             legit = 0.5 * min(sum(rate(h1[cfg.user_streams(r)], u, r) for r in users),
                               sum(rate(h2[cfg.user_streams(r)], v, r) for r in users))
             per_eve = []
