@@ -18,23 +18,13 @@ import sys
 
 import numpy as np
 
-from .criteria import (
-    CRITERION_NAMES,
-    CriterionKind,
-    prepare_candidates,
-    sinr_select,
-    sr_select,
-    ssinr_select,
-    ssr_eve_term,
-    ssr_select,
-    gamma_rate_bits,
-)
-from .model import (
-    ConfigError,
-    SystemConfig,
+from .criteria import CRITERION_NAMES, CriterionKind, prepare_candidates, select
+from .model import ConfigError, SystemConfig, generate_realization
+from .reference import (
     desired_covariance,
-    generate_realization,
+    gamma_rate_bits,
     interference_covariance,
+    ssr_eve_term,
     zf_precoder,
 )
 from .montecarlo import SweepSpec, compare_criteria, run_sweep
@@ -361,10 +351,11 @@ def verify_ssr_oracle(draws: int = 1000, seed: int = VERIFY_SEED):
         realization = generate_realization(cfg, trial=t)
         cands = prepare_candidates(realization, cfg)
         eve_stack = realization.stacked_eve_channel()
-        for combo in cands.combinations:
-            pre = cands.precoder_for(combo)
-            if pre is None:
+        for pos, combo in enumerate(cands.combinations):
+            if not cands.valid[pos]:
                 continue
+            pre = zf_precoder(realization.stacked_source_channel(combo), cfg.signal_power,
+                              cfg.user_antennas)
             for user in range(cfg.num_users):
                 r_in = interference_covariance(pre, user, cfg.noise_power,
                                                include_noise=True)
@@ -372,8 +363,8 @@ def verify_ssr_oracle(draws: int = 1000, seed: int = VERIFY_SEED):
                 full = gamma_rate_bits(eve_stack, desired_covariance(pre, user), r_in)
                 err = abs(reduced - full) / max(1.0, abs(full))
                 worst = max(worst, err)
-        full_pick, _ = sr_select(realization, cfg, candidates=cands)
-        reduced_pick, _ = ssr_select(realization, cfg, candidates=cands)
+        full_pick, _ = select(CriterionKind.SECRECY_RATE, realization, cfg, candidates=cands)
+        reduced_pick, _ = select(CriterionKind.S_SR, realization, cfg, candidates=cands)
         mismatches += full_pick != reduced_pick
     ok = worst < 1e-8 and mismatches == 0
     lines = [
@@ -395,8 +386,8 @@ def verify_ssinr_diag(draws: int = 1000, seed: int = VERIFY_SEED):
     for t in range(draws):
         realization = generate_realization(cfg, trial=t)
         cands = prepare_candidates(realization, cfg)
-        full_pick, _ = sinr_select(realization, cfg, candidates=cands)
-        reduced_pick, _ = ssinr_select(realization, cfg, candidates=cands)
+        full_pick, _ = select(CriterionKind.SINR, realization, cfg, candidates=cands)
+        reduced_pick, _ = select(CriterionKind.S_SINR, realization, cfg, candidates=cands)
         mismatches += full_pick != reduced_pick
     ok = mismatches == 0
     lines = [f"ssinr-diag: {draws} draws, selection mismatches {mismatches}/{draws}"]

@@ -23,37 +23,17 @@ candidate that enumerates first (lexicographic order).
 from __future__ import annotations
 
 import itertools
-import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .model import (
-    ChannelRealization,
-    Precoder,
-    SystemConfig,
-    hermitize,
-    zf_core_batch,
-    zf_precoder,
-)
-
-_LN2 = math.log(2.0)
-GRAM_CONDITION_LIMIT = 1e12
-RIDGE_SCALE = 1e-10
+from .kernels import GRAM_CONDITION_LIMIT, LN2, RIDGE_SCALE, logdet, rate_bits, split_covariances
+from .model import ChannelRealization, SystemConfig, zf_core_batch
 
 
 class NotSingleAntennaError(ValueError):
     """max-ratio selection is defined only for single-antenna nodes."""
-
-
-class SingularGramError(RuntimeError):
-    """A sandwiched covariance was numerically singular."""
-
-
-class SingularInterferenceError(RuntimeError):
-    """Interference covariance stayed singular even after ridge loading."""
 
 
 class NoViableCandidateError(RuntimeError):
@@ -121,23 +101,6 @@ def enumerate_combinations(pool_size: int, selected: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def split_covariances(matrices: np.ndarray, num_users: int, user_antennas: int) -> tuple:
-    """Per-user desired and interference covariances of precoder batches.
-
-    ``matrices`` is ``(..., N_t, N_t)`` with user ``u``'s columns at
-    ``u * user_antennas``. Returns Hermitian ``(rd, ri)`` of shape
-    ``(..., M, N_t, N_t)``: ``rd[..., u] = U_u U_u^H`` and ``ri[..., u]`` the
-    sum of the other users' terms. Both are noise-free.
-    """
-    blocks = matrices.reshape(*matrices.shape[:-1], num_users, user_antennas).swapaxes(-2, -3)
-    rd = hermitize(blocks @ blocks.conj().swapaxes(-1, -2))
-    # The sum of the other users' terms, not the total minus the own term:
-    # at high SNR the noise is far below the rounding error of that difference.
-    others = 1.0 - np.eye(num_users)
-    ri = (others @ rd.reshape(*rd.shape[:-2], -1)).reshape(rd.shape)
-    return rd, ri
-
-
 @dataclass
 class CandidateSet:
     """Per-candidate channels and precoders of one realization, plus the
@@ -146,9 +109,12 @@ class CandidateSet:
     ``hop1[c]`` stacks the members' source->relay blocks (square, N_t x N_t);
     ``hop2[c, u]`` concatenates the members' relay->user blocks for user
     ``u``. ``precoders[c]`` / ``relay_precoders[c]`` hold the candidate's
-    scaled ZF matrices for the two hops; candidates where either hop's
-    channel was singular have ``valid[c]`` False and identity placeholders so
-    batched linear algebra stays finite.
+    scaled ZF matrices for the two hops and ``cores[c]`` / ``relay_cores[c]``
+    the unscaled inverses; candidates where either hop's channel was
+    singular have ``valid[c]`` False and identity placeholders so batched
+    linear algebra stays finite. Row ``c`` belongs to ``combinations[c]``
+    (``position`` maps back), and the same rows serve both selection and
+    :func:`relaysec.secrecy.secrecy_rate`'s evaluation of the pick.
 
     Receiver noise ``s I`` enters every criterion only as an additive shift
     of a noise-free form, so one set serves every SNR point of a trial: the
@@ -177,30 +143,6 @@ class CandidateSet:
 
     def position(self, combination) -> int:
         return self._index[tuple(combination)]
-
-    def precoder_for(self, combination) -> Precoder | None:
-        """Source-side precoder of one candidate; None if it was singular."""
-        pos = self.position(combination)
-        if not self.valid[pos]:
-            return None
-        return Precoder(
-            matrix=self.precoders[pos],
-            core=self.cores[pos],
-            signal_power=self.config.signal_power,
-            user_antennas=self.config.user_antennas,
-        )
-
-    def relay_precoder_for(self, combination) -> Precoder | None:
-        """Coordinated relay-side precoder of one candidate."""
-        pos = self.position(combination)
-        if not self.valid[pos]:
-            return None
-        return Precoder(
-            matrix=self.relay_precoders[pos],
-            core=self.relay_cores[pos],
-            signal_power=self.config.signal_power,
-            user_antennas=self.config.user_antennas,
-        )
 
     def user_covariances(self) -> tuple:
         """Phase-1 ``(rd, ri)`` with shape ``(C, M, N_t, N_t)``, noise-free."""
@@ -270,188 +212,6 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig) ->
 
 
 # ---------------------------------------------------------------------------
-# rate kernels
-# ---------------------------------------------------------------------------
-
-
-def _logdet(matrices: np.ndarray) -> tuple:
-    """``(regular, log|det|)`` over a batch of square matrices."""
-    if matrices.shape[-1] == 1:
-        # A 1x1 determinant is the entry itself; this skips LAPACK's
-        # per-matrix overhead, which dominates for single-antenna nodes.
-        absdet = np.abs(matrices[..., 0, 0])
-        with np.errstate(divide="ignore"):
-            return absdet > 0, np.log(absdet)
-    sign, logdet = np.linalg.slogdet(matrices)
-    return np.abs(sign) > 0.5, logdet
-
-
-def _rate_bits(gram_num: np.ndarray, gram_den: np.ndarray) -> np.ndarray:
-    """``log2 det(I + gram_den^{-1} gram_num)`` over batches of PSD grams.
-
-    A singular denominator yields 0 when the numerator is also negligible
-    (dead link) and +inf otherwise (unbounded ratio).
-    """
-    ok_t, logdet_t = _logdet(gram_den + gram_num)
-    ok_d, logdet_d = _logdet(gram_den)
-    ok = ok_t & ok_d
-    if ok.all():
-        return (logdet_t - logdet_d) / _LN2
-    out = np.zeros(np.shape(ok))
-    np.subtract(logdet_t, logdet_d, out=out, where=ok)
-    out /= _LN2
-    num_scale = np.max(np.abs(gram_num), axis=(-2, -1))
-    den_scale = np.max(np.abs(gram_den), axis=(-2, -1))
-    dead = ~ok & (num_scale <= 1e-14 * (1.0 + den_scale))
-    out = np.where(~ok & ~dead, np.inf, out)
-    return out
-
-
-def secrecy_gamma(channel: np.ndarray, cov_num: np.ndarray, cov_den: np.ndarray,
-                  noise_power: float = 0.0) -> np.ndarray:
-    """Generalized SINR matrix ``(H R_den H^H + s I)^{-1} (H R_num H^H)``.
-
-    ``noise_power`` adds receiver noise outside the sandwich (set 0 for the
-    criterion-side form where noise already sits inside ``cov_den``).
-    """
-    channel = np.asarray(channel)
-    gram_den = channel @ cov_den @ channel.conj().T
-    if noise_power:
-        gram_den = gram_den + noise_power * np.eye(channel.shape[0])
-    cond = np.linalg.cond(gram_den)
-    if not np.isfinite(cond) or cond >= GRAM_CONDITION_LIMIT:
-        raise SingularGramError(
-            f"sandwiched covariance is numerically singular (cond {cond:.3e})"
-        )
-    gram_num = channel @ cov_num @ channel.conj().T
-    return np.linalg.solve(gram_den, gram_num)
-
-
-def gamma_rate_bits(channel, cov_num, cov_den, noise_power: float = 0.0) -> float:
-    """``log2 det(I + gamma)`` for one destination, via the stable det ratio."""
-    channel = np.asarray(channel)
-    gram_den = channel @ cov_den @ channel.conj().T
-    if noise_power:
-        gram_den = gram_den + noise_power * np.eye(channel.shape[0])
-    gram_num = channel @ cov_num @ channel.conj().T
-    return float(_rate_bits(gram_num[None], gram_den[None])[0])
-
-
-def ssr_eve_term(precoder: Precoder, own_user: int, interference: np.ndarray,
-                 symbol_covariance: np.ndarray | None = None) -> float:
-    """Eavesdropper-side log-det term computed without eavesdropper channels.
-
-    ``log2 det(I + U_u^H R^{-1} U_u S)`` where ``R`` is the interference
-    covariance seen by the eavesdroppers (plus noise, when the caller keeps
-    it) and ``S`` the symbol covariance (identity for unit-power streams).
-    Nearly singular ``R`` gets a trace-scaled ridge before giving up.
-    """
-    r = np.asarray(interference)
-    n_t = r.shape[0]
-    cond = np.linalg.cond(r)
-    if not np.isfinite(cond) or cond >= GRAM_CONDITION_LIMIT:
-        ridge = RIDGE_SCALE * np.real(np.trace(r)) / n_t
-        r = r + ridge * np.eye(n_t)
-        cond = np.linalg.cond(r)
-        if ridge <= 0 or not np.isfinite(cond) or cond >= GRAM_CONDITION_LIMIT:
-            raise SingularInterferenceError(
-                "interference covariance is singular and ridge loading failed; "
-                "include the noise term or pass a better-conditioned covariance"
-            )
-    u_u = precoder.user_block(own_user)
-    inner = u_u.conj().T @ np.linalg.solve(r, u_u)
-    if symbol_covariance is not None:
-        inner = inner @ symbol_covariance
-    sign, logdet = np.linalg.slogdet(np.eye(inner.shape[0]) + inner)
-    if np.abs(sign) < 0.5:
-        raise SingularInterferenceError("eavesdropper-side determinant vanished")
-    return float(logdet / _LN2)
-
-
-# ---------------------------------------------------------------------------
-# per-candidate stream metrics (operation surface)
-# ---------------------------------------------------------------------------
-
-
-def sinr_relay_metric(realization: ChannelRealization, precoder: Precoder,
-                      combination, config: SystemConfig) -> float:
-    """First-hop SINR metric of one candidate combination.
-
-    Per relay antenna ``l`` the SINR is ``(h^H R_d h) / (h^H R_I h + s_n^2)``
-    with ``h`` the antenna's channel row and the covariances taken for the
-    user whose stream the antenna carries. Antenna values are averaged per
-    relay, and the bottleneck (minimum) relay scores the candidate.
-    """
-    h = realization.stacked_source_channel(combination)
-    noise = config.noise_power
-    total = precoder.matrix @ precoder.matrix.conj().T
-    rd = [None] * config.num_users
-    per_stream = np.empty(h.shape[0])
-    for stream in range(h.shape[0]):
-        user = config.stream_user(stream)
-        if rd[user] is None:
-            u_u = precoder.user_block(user)
-            rd[user] = u_u @ u_u.conj().T
-        row = h[stream]
-        num = float(np.real(row @ rd[user] @ row.conj()))
-        den = float(np.real(row @ (total - rd[user]) @ row.conj())) + noise
-        if den <= 0:
-            warnings.warn("zero SINR denominator: noiseless stream with no "
-                          "interference projection", RuntimeWarning)
-            per_stream[stream] = np.inf
-        else:
-            per_stream[stream] = num / den
-    per_relay = per_stream.reshape(len(combination), config.relay_antennas).mean(axis=1)
-    return float(per_relay.min())
-
-
-def sinr_user_metric(realization: ChannelRealization, combination, config: SystemConfig,
-                     relay_output_covariance: np.ndarray | None = None) -> float:
-    """Second-hop SINR metric of one candidate combination.
-
-    By default the selected relays re-transmit through their coordinated
-    zero-forcing precoder, so the per-user covariances mirror the first hop.
-    Passing ``relay_output_covariance`` replaces the numerator covariance
-    with an explicit relay output covariance (the interference model stays).
-    """
-    noise = config.noise_power
-    stacked = realization.all_users_channel(combination)
-    v = zf_precoder(stacked, config.signal_power, config.user_antennas)
-    total = v.matrix @ v.matrix.conj().T
-    per_user = np.empty(config.num_users)
-    n_r = config.user_antennas
-    for user in range(config.num_users):
-        h2 = stacked[user * n_r:(user + 1) * n_r, :]
-        v_u = v.user_block(user)
-        own = v_u @ v_u.conj().T
-        ratios = np.empty(n_r)
-        for n in range(n_r):
-            row = h2[n]
-            if relay_output_covariance is None:
-                num = float(np.real(row @ own @ row.conj()))
-            else:
-                num = float(np.real(row @ relay_output_covariance @ row.conj()))
-            den = float(np.real(row @ (total - own) @ row.conj())) + noise
-            if den <= 0:
-                warnings.warn("zero SINR denominator on the second hop", RuntimeWarning)
-                ratios[n] = np.inf
-            else:
-                ratios[n] = num / den
-        per_user[user] = ratios.mean()
-    return float(per_user.min())
-
-
-def ssinr_metric(channel_block: np.ndarray) -> float:
-    """Weakest-stream squared gain: min over columns of the column norm^2.
-
-    Needs only the channel block itself; no interference covariance and no
-    eavesdropper information.
-    """
-    block = np.asarray(channel_block)
-    return float(np.min(np.sum(np.abs(block) ** 2, axis=0)))
-
-
-# ---------------------------------------------------------------------------
 # batched exhaustive scorers
 # ---------------------------------------------------------------------------
 
@@ -484,7 +244,7 @@ def _score_ssinr(cs: CandidateSet, config: SystemConfig, combine: str):
 def _eve_terms_full(cs: CandidateSet, eve_stack: np.ndarray, noise: float):
     """Eavesdropper log-det terms from the stacked eavesdropper channel."""
     num, den, eve_gram = cs.eve_grams(eve_stack)
-    return _rate_bits(num, den + noise * eve_gram)
+    return rate_bits(num, den + noise * eve_gram)
 
 
 def _eve_terms_reduced(cs: CandidateSet, config: SystemConfig):
@@ -492,7 +252,8 @@ def _eve_terms_reduced(cs: CandidateSet, config: SystemConfig):
 
     ``log2 det(I + U_u^H (R_I + s I)^{-1} U_u)`` for every candidate and
     user in one solve, with the same trace-scaled ridge as
-    :func:`ssr_eve_term` where ``cond(R_I + s I) >= GRAM_CONDITION_LIMIT``.
+    :func:`relaysec.reference.ssr_eve_term` where
+    ``cond(R_I + s I) >= GRAM_CONDITION_LIMIT``.
     A candidate the ridge cannot rescue gets an infinite term.
     """
     _, ri = cs.user_covariances()
@@ -516,8 +277,8 @@ def _eve_terms_reduced(cs: CandidateSet, config: SystemConfig):
         viable = ~failed
     blocks = cs.precoders.reshape(len(cs.combinations), n_t, config.num_users, n_r).swapaxes(1, 2)
     inner = blocks.conj().swapaxes(-1, -2) @ np.linalg.solve(r_in, blocks)
-    regular, logdet = _logdet(np.eye(n_r) + inner)
-    return np.where(viable & regular, logdet / _LN2, np.inf)
+    regular, value = logdet(np.eye(n_r) + inner)
+    return np.where(viable & regular, value / LN2, np.inf)
 
 
 def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str,
@@ -525,7 +286,7 @@ def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str,
     """Two-hop secrecy score; the legitimate rates use the same convention as
     the evaluation side (receiver noise added at the destination antennas)."""
     num, den = cs.legit_grams()
-    rates = _rate_bits(num, den + config.noise_power * np.eye(config.user_antennas))
+    rates = rate_bits(num, den + config.noise_power * np.eye(config.user_antennas))
     legit = rates.sum(axis=2)
     eve = eve_terms.sum(axis=1)
     eta1 = legit[0] - eve
@@ -646,52 +407,22 @@ def max_ratio_select(realization: ChannelRealization, config: SystemConfig,
     return tuple(sorted(picked.tolist())), CriterionScore(eta1, eta2, combined)
 
 
-def sinr_select(realization: ChannelRealization, config: SystemConfig,
-                candidates: CandidateSet | None = None, combine: str = "min"):
-    """Exhaustive selection on the two-hop SINR metrics."""
-    return _pick_best(*score_candidates(CriterionKind.SINR, realization, config,
-                                        candidates, combine))
-
-
-def ssinr_select(realization: ChannelRealization, config: SystemConfig,
-                 candidates: CandidateSet | None = None, combine: str = "min"):
-    """Exhaustive selection on weakest-stream channel norms (both hops)."""
-    return _pick_best(*score_candidates(CriterionKind.S_SINR, realization, config,
-                                        candidates, combine))
-
-
-def sr_select(realization: ChannelRealization, config: SystemConfig,
-              candidates: CandidateSet | None = None, combine: str = "min"):
-    """Exhaustive selection on the full-knowledge secrecy score."""
-    return _pick_best(*score_candidates(CriterionKind.SECRECY_RATE, realization,
-                                        config, candidates, combine))
-
-
-def ssr_select(realization: ChannelRealization, config: SystemConfig,
-               candidates: CandidateSet | None = None, combine: str = "min"):
-    """Exhaustive selection on the reduced secrecy score.
-
-    The realization is stripped of its eavesdropper channels before scoring,
-    so this code path cannot read them by construction.
-    """
-    blind = realization.without_eavesdroppers()
-    return _pick_best(*score_candidates(CriterionKind.S_SR, blind, config,
-                                        candidates, combine))
-
-
 def select(kind: CriterionKind, realization: ChannelRealization, config: SystemConfig,
            candidates: CandidateSet | None = None, combine: str = "min"):
-    """Run one selection criterion and return ``(combination, score)``."""
+    """Run one selection criterion and return ``(combination, score)``.
+
+    Only ``sr`` and ``max-ratio`` see the eavesdropper channels; every other
+    criterion gets ``realization.without_eavesdroppers()``, so it cannot read
+    them. The exhaustive criteria score every candidate of ``candidates``
+    (built from ``realization`` when None) and keep the best; ties go to the
+    candidate that enumerates first.
+    """
     if isinstance(kind, str):
         kind = CriterionKind.from_name(kind)
+    if kind not in (CriterionKind.SECRECY_RATE, CriterionKind.MAX_RATIO):
+        realization = realization.without_eavesdroppers()
     if kind is CriterionKind.CHANNEL_GAIN:
         return channel_gain_select(realization, config, combine)
     if kind is CriterionKind.MAX_RATIO:
         return max_ratio_select(realization, config, combine)
-    if kind is CriterionKind.SINR:
-        return sinr_select(realization, config, candidates, combine)
-    if kind is CriterionKind.S_SINR:
-        return ssinr_select(realization, config, candidates, combine)
-    if kind is CriterionKind.SECRECY_RATE:
-        return sr_select(realization, config, candidates, combine)
-    return ssr_select(realization, config, candidates, combine)
+    return _pick_best(*score_candidates(kind, realization, config, candidates, combine))

@@ -1,12 +1,13 @@
 """Two-hop multiuser MIMO wiretap network model.
 
-Network geometry, Rayleigh fading generation, zero-forcing precoding and the
-phase-1 / phase-2 received-signal composition. Channels are plain complex
-ndarrays; shapes follow the dimensions in :class:`SystemConfig`. A
-:class:`ChannelRealization` holds each link type as one dense array whose
-leading axes index the nodes: ``source_to_relay[i]``, ``relay_to_user[i, r]``,
-``source_to_eve[k]`` and ``relay_to_eve[i, k]`` are single blocks, and only
-its accessors know how a selected set's blocks are stacked.
+Network geometry, Rayleigh fading generation and batched zero-forcing
+precoder construction. Channels are plain complex ndarrays; shapes follow
+the dimensions in :class:`SystemConfig`. A :class:`ChannelRealization` holds
+each link type as one dense array whose leading axes index the nodes:
+``source_to_relay[i]``, ``relay_to_user[i, r]``, ``source_to_eve[k]`` and
+``relay_to_eve[i, k]`` are single blocks, and only its accessors know how a
+selected set's blocks are stacked. The one-precoder-at-a-time versions of
+the precoding and signal composition live in :mod:`relaysec.reference`.
 
 Conventions used throughout the package:
 
@@ -191,13 +192,6 @@ class ChannelRealization:
         blocks = self.source_to_relay[np.asarray(combination)]
         return blocks.reshape(*blocks.shape[:-3], -1, blocks.shape[-1])
 
-    def user_channel(self, combination, user: int) -> np.ndarray:
-        """Second-hop channel to ``user``, ``(..., N_r, T*N_i)``."""
-        num_users, n_r = self.relay_to_user.shape[1:3]
-        if not 0 <= user < num_users:
-            raise ValueError(f"unknown user index {user}")
-        return self.all_users_channel(combination)[..., user * n_r:(user + 1) * n_r, :]
-
     def all_users_channel(self, combination) -> np.ndarray:
         """Second-hop channels of every user stacked row-wise,
         ``(..., M*N_r, T*N_i)`` (square for a full selection)."""
@@ -259,31 +253,6 @@ def generate_realization(config: SystemConfig, trial: int = 0, seed: int | None 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Precoder:
-    """Column-scaled zero-forcing precoder.
-
-    ``core`` satisfies ``stacked_channel @ core ~= I``; ``matrix`` is ``core``
-    with every column normalized and rescaled to power ``signal_power``, so
-    the total transmit power is ``signal_power * N_t``.
-    """
-
-    matrix: np.ndarray
-    core: np.ndarray
-    signal_power: float
-    user_antennas: int
-
-    @property
-    def num_users(self) -> int:
-        return self.matrix.shape[1] // self.user_antennas
-
-    def user_block(self, user: int) -> np.ndarray:
-        if not 0 <= user < self.num_users:
-            raise ValueError(f"unknown user index {user}")
-        lo = user * self.user_antennas
-        return self.matrix[:, lo:lo + self.user_antennas]
-
-
 def zf_core_batch(stacked: np.ndarray, signal_power: float):
     """Vectorized ZF construction over a batch of square stacked channels.
 
@@ -312,127 +281,3 @@ def zf_core_batch(stacked: np.ndarray, signal_power: float):
     safe = np.where(col_norms > 0, col_norms, 1.0)
     matrix = np.sqrt(signal_power) * core / safe[:, None, :]
     return matrix, core, valid, residual
-
-
-def zf_precoder(stacked_channel: np.ndarray, signal_power: float = 1.0,
-                user_antennas: int = 1) -> Precoder:
-    """Zero-forcing precoder for a square stacked first-hop channel.
-
-    ``user_antennas`` sets the per-user column partition. Raises
-    :class:`SingularChannelError` when the inverse cannot reproduce the
-    identity within ``ZF_RESIDUAL_TOL``; the caller should redraw the
-    realization.
-    """
-    stacked_channel = np.asarray(stacked_channel)
-    if stacked_channel.ndim != 2 or stacked_channel.shape[0] != stacked_channel.shape[1]:
-        raise ValueError(f"stacked channel must be square, got {stacked_channel.shape}")
-    matrix, core, valid, residual = zf_core_batch(stacked_channel[None], signal_power)
-    if not valid[0]:
-        raise SingularChannelError(
-            f"stacked channel is numerically singular (ZF residual {residual[0]:.3e} "
-            f"exceeds {ZF_RESIDUAL_TOL:.0e}); redraw the realization"
-        )
-    return Precoder(matrix=matrix[0], core=core[0], signal_power=float(signal_power),
-                    user_antennas=user_antennas)
-
-
-# ---------------------------------------------------------------------------
-# signal composition
-# ---------------------------------------------------------------------------
-
-
-def relay_rx_signal(realization: ChannelRealization, combination, precoder: Precoder,
-                    symbols: np.ndarray, noise_power: float,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Phase-1 signal received across the selected relays' antennas.
-
-    Returns ``H_stacked @ U @ s + n`` with ``n ~ CN(0, noise_power I)``.
-    """
-    h = realization.stacked_source_channel(combination)
-    symbols = np.asarray(symbols)
-    expected = (precoder.matrix.shape[1], 1)
-    if symbols.shape != expected:
-        raise ValueError(f"symbols must have shape {expected}, got {symbols.shape}")
-    out = h @ (precoder.matrix @ symbols)
-    if noise_power > 0:
-        if rng is None:
-            raise ValueError("rng is required when noise_power > 0")
-        out = out + np.sqrt(noise_power) * complex_normal(rng, out.shape)
-    return out
-
-
-def user_rx_signal(realization: ChannelRealization, combination, relay_signal: np.ndarray,
-                   user: int, noise_power: float,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Phase-2 signal at ``user``: the concatenated relay->user channel applied
-    to the relay-side vector, plus receiver noise."""
-    h_r = realization.user_channel(combination, user)
-    relay_signal = np.asarray(relay_signal)
-    if relay_signal.shape != (h_r.shape[1], 1):
-        raise ValueError(
-            f"relay signal must have shape {(h_r.shape[1], 1)}, got {relay_signal.shape}"
-        )
-    out = h_r @ relay_signal
-    if noise_power > 0:
-        if rng is None:
-            raise ValueError("rng is required when noise_power > 0")
-        out = out + np.sqrt(noise_power) * complex_normal(rng, out.shape)
-    return out
-
-
-def relay_precoder(realization: ChannelRealization, combination,
-                   config: SystemConfig) -> Precoder:
-    """Coordinated zero-forcing precoder applied by the selected relays.
-
-    The selected relays jointly hold exactly ``N_t`` antennas, so stacking
-    every user's second-hop channel gives a square matrix and the relays can
-    re-transmit the decoded streams interference-free, mirroring the source
-    precoder. Column powers are normalized to ``signal_power`` each, keeping
-    the second-hop SNR governed by ``snr_db`` instead of the fading scale.
-    """
-    stacked = realization.all_users_channel(combination)
-    return zf_precoder(stacked, config.signal_power, config.user_antennas)
-
-
-# ---------------------------------------------------------------------------
-# signal covariances
-# ---------------------------------------------------------------------------
-
-
-def desired_covariance(precoder: Precoder, own_user: int,
-                       symbol_covariance: np.ndarray | None = None) -> np.ndarray:
-    """Transmit covariance of ``own_user``'s precoded streams.
-
-    With unit-power uncorrelated symbols this is ``U_u @ U_u^H``.
-    """
-    u_u = precoder.user_block(own_user)
-    if symbol_covariance is None:
-        return u_u @ u_u.conj().T
-    return u_u @ symbol_covariance @ u_u.conj().T
-
-
-def interference_covariance(precoder: Precoder, own_user: int, noise_power: float = 0.0,
-                            symbol_covariances=None, include_noise: bool = True) -> np.ndarray:
-    """Covariance of everything that interferes with ``own_user``.
-
-    Sum of the other users' precoded-signal covariances, plus
-    ``noise_power * I`` unless ``include_noise`` is False (the
-    interference-only variant used by the reduced secrecy criterion).
-    """
-    n_t = precoder.matrix.shape[0]
-    if not 0 <= own_user < precoder.num_users:
-        raise ValueError(f"unknown user index {own_user}")
-    acc = np.zeros((n_t, n_t), dtype=complex)
-    for j in range(precoder.num_users):
-        if j == own_user:
-            continue
-        cov = None if symbol_covariances is None else symbol_covariances[j]
-        acc += desired_covariance(precoder, j, cov)
-    if include_noise:
-        acc = acc + noise_power * np.eye(n_t)
-    return hermitize(acc)
-
-
-def hermitize(matrix: np.ndarray) -> np.ndarray:
-    """Symmetrize a nominally Hermitian matrix (batched over leading axes)."""
-    return 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))

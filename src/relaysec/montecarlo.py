@@ -7,10 +7,11 @@ noise changes, so each trial builds one :class:`CandidateSet`: the
 candidate precoders, and lazily the noise-free covariance splits and grams,
 are computed once and shared by every criterion and every SNR point. A
 selection at one SNR point then costs a noise shift, one batched log-det
-or division, and an argmax. Criteria that ignore the noise level select
-once per trial. Results are bit-identical for a given spec regardless of
-the worker count, because trials are keyed, independent work units and the
-reduction runs in fixed trial order.
+or division, and an argmax, and the achieved rate of the pick is evaluated
+from the pick's rows of the same set. Criteria that ignore the noise level
+select once per trial. Results are bit-identical for a given spec
+regardless of the worker count, because trials are keyed, independent work
+units and the reduction runs in fixed trial order.
 """
 
 from __future__ import annotations
@@ -167,25 +168,22 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
                     combo = _try_select(kind, realization, cfg, cands, spec)
                 if combo is None:
                     continue
+                pos = cands.position(combo)
+                if not cands.valid[pos]:
+                    continue
                 value = evaluated.get(combo)
                 if value is None:
-                    precoder = cands.precoder_for(combo)
-                    relay_pre = cands.relay_precoder_for(combo)
-                    if precoder is None or relay_pre is None:
-                        evaluated[combo] = np.nan
-                        continue
                     sample = secrecy_rate(
-                        realization, precoder, combo, cfg, criterion=kind.value,
+                        realization, cands, combo, cfg, criterion=kind.value,
                         half_duplex=spec.half_duplex, clamp=spec.clamp,
                         eve_model=spec.eve_model, eve_aggregate=spec.eve_aggregate,
-                        relay_pre=relay_pre,
                     )
                     value = sample.secrecy_rate
                     evaluated[combo] = value
                 if not np.isfinite(value):
                     continue
                 samples[c, s, b] = value
-                selections[c, s, b] = cands.position(combo)
+                selections[c, s, b] = pos
     return samples, selections
 
 

@@ -1,0 +1,318 @@
+"""Scalar reference implementations, one object at a time.
+
+These are the test oracles for the batched path: a :class:`Precoder` per
+candidate, signals and covariances composed by hand, and per-candidate
+criterion metrics written as plain loops. Only tests and ``relaysec verify``
+use this module; the sweep never imports it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .kernels import GRAM_CONDITION_LIMIT, LN2, RIDGE_SCALE, hermitize, rate_bits
+from .model import (
+    ZF_RESIDUAL_TOL,
+    ChannelRealization,
+    SingularChannelError,
+    SystemConfig,
+    complex_normal,
+    zf_core_batch,
+)
+
+
+class SingularGramError(RuntimeError):
+    """A sandwiched covariance was numerically singular."""
+
+
+class SingularInterferenceError(RuntimeError):
+    """Interference covariance stayed singular even after ridge loading."""
+
+
+# ---------------------------------------------------------------------------
+# zero-forcing precoders
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Precoder:
+    """Column-scaled zero-forcing precoder.
+
+    ``core`` satisfies ``stacked_channel @ core ~= I``; ``matrix`` is ``core``
+    with every column normalized and rescaled to power ``signal_power``, so
+    the total transmit power is ``signal_power * N_t``.
+    """
+
+    matrix: np.ndarray
+    core: np.ndarray
+    signal_power: float
+    user_antennas: int
+
+    @property
+    def num_users(self) -> int:
+        return self.matrix.shape[1] // self.user_antennas
+
+    def user_block(self, user: int) -> np.ndarray:
+        if not 0 <= user < self.num_users:
+            raise ValueError(f"unknown user index {user}")
+        lo = user * self.user_antennas
+        return self.matrix[:, lo:lo + self.user_antennas]
+
+
+def zf_precoder(stacked_channel: np.ndarray, signal_power: float = 1.0,
+                user_antennas: int = 1) -> Precoder:
+    """Zero-forcing precoder for a square stacked first-hop channel.
+
+    ``user_antennas`` sets the per-user column partition. Raises
+    :class:`SingularChannelError` when the inverse cannot reproduce the
+    identity within ``ZF_RESIDUAL_TOL``; the caller should redraw the
+    realization.
+    """
+    stacked_channel = np.asarray(stacked_channel)
+    if stacked_channel.ndim != 2 or stacked_channel.shape[0] != stacked_channel.shape[1]:
+        raise ValueError(f"stacked channel must be square, got {stacked_channel.shape}")
+    matrix, core, valid, residual = zf_core_batch(stacked_channel[None], signal_power)
+    if not valid[0]:
+        raise SingularChannelError(
+            f"stacked channel is numerically singular (ZF residual {residual[0]:.3e} "
+            f"exceeds {ZF_RESIDUAL_TOL:.0e}); redraw the realization"
+        )
+    return Precoder(matrix=matrix[0], core=core[0], signal_power=float(signal_power),
+                    user_antennas=user_antennas)
+
+
+def relay_precoder(realization: ChannelRealization, combination,
+                   config: SystemConfig) -> Precoder:
+    """Coordinated zero-forcing precoder applied by the selected relays.
+
+    The selected relays jointly hold exactly ``N_t`` antennas, so stacking
+    every user's second-hop channel gives a square matrix and the relays can
+    re-transmit the decoded streams interference-free, mirroring the source
+    precoder. Column powers are normalized to ``signal_power`` each, keeping
+    the second-hop SNR governed by ``snr_db`` instead of the fading scale.
+    """
+    stacked = realization.all_users_channel(combination)
+    return zf_precoder(stacked, config.signal_power, config.user_antennas)
+
+
+# ---------------------------------------------------------------------------
+# signal composition
+# ---------------------------------------------------------------------------
+
+
+def user_channel(realization: ChannelRealization, combination, user: int) -> np.ndarray:
+    """Second-hop channel to ``user``, ``(..., N_r, T*N_i)``."""
+    num_users, n_r = realization.relay_to_user.shape[1:3]
+    if not 0 <= user < num_users:
+        raise ValueError(f"unknown user index {user}")
+    return realization.all_users_channel(combination)[..., user * n_r:(user + 1) * n_r, :]
+
+
+def _add_noise(out: np.ndarray, noise_power: float, rng) -> np.ndarray:
+    if noise_power > 0:
+        if rng is None:
+            raise ValueError("rng is required when noise_power > 0")
+        out = out + np.sqrt(noise_power) * complex_normal(rng, out.shape)
+    return out
+
+
+def relay_rx_signal(realization: ChannelRealization, combination, precoder: Precoder,
+                    symbols: np.ndarray, noise_power: float,
+                    rng: np.random.Generator | None = None) -> np.ndarray:
+    """Phase-1 signal received across the selected relays' antennas.
+
+    Returns ``H_stacked @ U @ s + n`` with ``n ~ CN(0, noise_power I)``.
+    """
+    h = realization.stacked_source_channel(combination)
+    symbols = np.asarray(symbols)
+    expected = (precoder.matrix.shape[1], 1)
+    if symbols.shape != expected:
+        raise ValueError(f"symbols must have shape {expected}, got {symbols.shape}")
+    return _add_noise(h @ (precoder.matrix @ symbols), noise_power, rng)
+
+
+def user_rx_signal(realization: ChannelRealization, combination, relay_signal: np.ndarray,
+                   user: int, noise_power: float,
+                   rng: np.random.Generator | None = None) -> np.ndarray:
+    """Phase-2 signal at ``user``: the concatenated relay->user channel applied
+    to the relay-side vector, plus receiver noise."""
+    h_r = user_channel(realization, combination, user)
+    relay_signal = np.asarray(relay_signal)
+    if relay_signal.shape != (h_r.shape[1], 1):
+        raise ValueError(
+            f"relay signal must have shape {(h_r.shape[1], 1)}, got {relay_signal.shape}"
+        )
+    return _add_noise(h_r @ relay_signal, noise_power, rng)
+
+
+# ---------------------------------------------------------------------------
+# signal covariances and rates
+# ---------------------------------------------------------------------------
+
+
+def desired_covariance(precoder: Precoder, own_user: int,
+                       symbol_covariance: np.ndarray | None = None) -> np.ndarray:
+    """Transmit covariance of ``own_user``'s precoded streams.
+
+    With unit-power uncorrelated symbols this is ``U_u @ U_u^H``.
+    """
+    u_u = precoder.user_block(own_user)
+    if symbol_covariance is None:
+        return u_u @ u_u.conj().T
+    return u_u @ symbol_covariance @ u_u.conj().T
+
+
+def interference_covariance(precoder: Precoder, own_user: int, noise_power: float = 0.0,
+                            symbol_covariances=None, include_noise: bool = True) -> np.ndarray:
+    """Covariance of everything that interferes with ``own_user``.
+
+    Sum of the other users' precoded-signal covariances, plus
+    ``noise_power * I`` unless ``include_noise`` is False (the
+    interference-only variant used by the reduced secrecy criterion).
+    """
+    n_t = precoder.matrix.shape[0]
+    if not 0 <= own_user < precoder.num_users:
+        raise ValueError(f"unknown user index {own_user}")
+    acc = np.zeros((n_t, n_t), dtype=complex)
+    for j in range(precoder.num_users):
+        if j == own_user:
+            continue
+        cov = None if symbol_covariances is None else symbol_covariances[j]
+        acc += desired_covariance(precoder, j, cov)
+    if include_noise:
+        acc = acc + noise_power * np.eye(n_t)
+    return hermitize(acc)
+
+
+def secrecy_gamma(channel: np.ndarray, cov_num: np.ndarray, cov_den: np.ndarray,
+                  noise_power: float = 0.0) -> np.ndarray:
+    """Generalized SINR matrix ``(H R_den H^H + s I)^{-1} (H R_num H^H)``.
+
+    ``noise_power`` adds receiver noise outside the sandwich (set 0 for the
+    criterion-side form where noise already sits inside ``cov_den``).
+    """
+    channel = np.asarray(channel)
+    gram_den = channel @ cov_den @ channel.conj().T
+    if noise_power:
+        gram_den = gram_den + noise_power * np.eye(channel.shape[0])
+    cond = np.linalg.cond(gram_den)
+    if not np.isfinite(cond) or cond >= GRAM_CONDITION_LIMIT:
+        raise SingularGramError(
+            f"sandwiched covariance is numerically singular (cond {cond:.3e})"
+        )
+    gram_num = channel @ cov_num @ channel.conj().T
+    return np.linalg.solve(gram_den, gram_num)
+
+
+def gamma_rate_bits(channel, cov_num, cov_den, noise_power: float = 0.0) -> float:
+    """``log2 det(I + gamma)`` for one destination, via the stable det ratio."""
+    channel = np.asarray(channel)
+    gram_den = channel @ cov_den @ channel.conj().T
+    if noise_power:
+        gram_den = gram_den + noise_power * np.eye(channel.shape[0])
+    gram_num = channel @ cov_num @ channel.conj().T
+    return float(rate_bits(gram_num[None], gram_den[None])[0])
+
+
+def ssr_eve_term(precoder: Precoder, own_user: int, interference: np.ndarray,
+                 symbol_covariance: np.ndarray | None = None) -> float:
+    """Eavesdropper-side log-det term computed without eavesdropper channels.
+
+    ``log2 det(I + U_u^H R^{-1} U_u S)`` where ``R`` is the interference
+    covariance seen by the eavesdroppers (plus noise, when the caller keeps
+    it) and ``S`` the symbol covariance (identity for unit-power streams).
+    Nearly singular ``R`` gets a trace-scaled ridge before giving up.
+    """
+    r = np.asarray(interference)
+    n_t = r.shape[0]
+    cond = np.linalg.cond(r)
+    if not np.isfinite(cond) or cond >= GRAM_CONDITION_LIMIT:
+        ridge = RIDGE_SCALE * np.real(np.trace(r)) / n_t
+        r = r + ridge * np.eye(n_t)
+        cond = np.linalg.cond(r)
+        if ridge <= 0 or not np.isfinite(cond) or cond >= GRAM_CONDITION_LIMIT:
+            raise SingularInterferenceError(
+                "interference covariance is singular and ridge loading failed; "
+                "include the noise term or pass a better-conditioned covariance"
+            )
+    u_u = precoder.user_block(own_user)
+    inner = u_u.conj().T @ np.linalg.solve(r, u_u)
+    if symbol_covariance is not None:
+        inner = inner @ symbol_covariance
+    sign, logdet = np.linalg.slogdet(np.eye(inner.shape[0]) + inner)
+    if np.abs(sign) < 0.5:
+        raise SingularInterferenceError("eavesdropper-side determinant vanished")
+    return float(logdet / LN2)
+
+
+# ---------------------------------------------------------------------------
+# per-candidate criterion metrics
+# ---------------------------------------------------------------------------
+
+
+def _stream_sinr(row: np.ndarray, own: np.ndarray, others: np.ndarray, noise: float) -> float:
+    """``(h R_d h^H) / (max(h R_I h^H, 0) + s)`` for one receive antenna.
+
+    Zero forcing makes the interference form vanish in exact arithmetic; its
+    rounding can be negative and, at high SNR, outweigh the noise.
+    """
+    num = float(np.real(row @ own @ row.conj()))
+    return num / (max(float(np.real(row @ others @ row.conj())), 0.0) + noise)
+
+
+def _user_terms(precoder: Precoder) -> tuple:
+    """Per-user desired covariances and the sums of the other users' terms."""
+    users = range(precoder.num_users)
+    return ([desired_covariance(precoder, u) for u in users],
+            [interference_covariance(precoder, u, include_noise=False) for u in users])
+
+
+def sinr_relay_metric(realization: ChannelRealization, precoder: Precoder,
+                      combination, config: SystemConfig) -> float:
+    """First-hop SINR metric of one candidate combination.
+
+    Per relay antenna ``l`` the SINR is ``(h^H R_d h) / (h^H R_I h + s_n^2)``
+    with ``h`` the antenna's channel row and the covariances taken for the
+    user whose stream the antenna carries; ``R_I`` sums the other users'
+    terms. Antenna values are averaged per relay, and the bottleneck
+    (minimum) relay scores the candidate.
+    """
+    h = realization.stacked_source_channel(combination)
+    own, others = _user_terms(precoder)
+    users = map(config.stream_user, range(h.shape[0]))
+    per_stream = np.array([_stream_sinr(row, own[u], others[u], config.noise_power)
+                           for row, u in zip(h, users)])
+    per_relay = per_stream.reshape(len(combination), config.relay_antennas).mean(axis=1)
+    return float(per_relay.min())
+
+
+def sinr_user_metric(realization: ChannelRealization, combination, config: SystemConfig,
+                     relay_output_covariance: np.ndarray | None = None) -> float:
+    """Second-hop SINR metric of one candidate combination.
+
+    By default the selected relays re-transmit through their coordinated
+    zero-forcing precoder, so the per-user covariances mirror the first hop.
+    Passing ``relay_output_covariance`` replaces the numerator covariance
+    with an explicit relay output covariance (the interference model stays).
+    """
+    stacked = realization.all_users_channel(combination)
+    own, others = _user_terms(zf_precoder(stacked, config.signal_power, config.user_antennas))
+    per_user = []
+    for user in range(config.num_users):
+        num_cov = own[user] if relay_output_covariance is None else relay_output_covariance
+        rows = stacked[config.user_streams(user)]
+        per_user.append(np.mean([_stream_sinr(row, num_cov, others[user], config.noise_power)
+                                 for row in rows]))
+    return float(min(per_user))
+
+
+def ssinr_metric(channel_block: np.ndarray) -> float:
+    """Weakest-stream squared gain: min over columns of the column norm^2.
+
+    Needs only the channel block itself; no interference covariance and no
+    eavesdropper information.
+    """
+    block = np.asarray(channel_block)
+    return float(np.min(np.sum(np.abs(block) ** 2, axis=0)))

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .criteria import _rate_bits, split_covariances
-from .model import ChannelRealization, Precoder, SystemConfig
+from .criteria import CandidateSet
+from .kernels import rate_bits, split_covariances
+from .model import ChannelRealization, SingularChannelError, SystemConfig
 
 EVE_MODELS = ("phase1", "both")
 EVE_AGGREGATES = ("sum", "max")
@@ -48,7 +48,7 @@ def _link_rates(channels: np.ndarray, rd: np.ndarray, ri: np.ndarray,
     channels_h = channels.conj().swapaxes(-1, -2)
     gram_num = channels @ rd @ channels_h
     gram_den = channels @ ri @ channels_h + noise * np.eye(channels.shape[-2])
-    return np.maximum(_rate_bits(gram_num, gram_den), 0.0)
+    return np.maximum(rate_bits(gram_num, gram_den), 0.0)
 
 
 def _check_eve_options(eve_model: str, eve_aggregate: str):
@@ -60,12 +60,17 @@ def _check_eve_options(eve_model: str, eve_aggregate: str):
         )
 
 
-def secrecy_rate(realization: ChannelRealization, precoder: Precoder, combination,
+def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, combination,
                  config: SystemConfig, criterion: str = "",
                  half_duplex: bool = True, clamp: bool = True,
-                 eve_model: str = "both", eve_aggregate: str = "sum",
-                 relay_pre: Precoder | None = None) -> SecrecySample:
-    """Achieved secrecy rate: legitimate rate minus eavesdropper rate.
+                 eve_model: str = "both", eve_aggregate: str = "sum") -> SecrecySample:
+    """Achieved secrecy rate of ``combination``: legitimate minus eavesdropper rate.
+
+    The pick's hop channels and both zero-forcing precoders are its rows of
+    ``candidates`` (the set its criterion chose from, built from the same
+    realization); the eavesdropper channels come from ``realization``.
+    ``config`` supplies the noise level. A pick whose candidate is not
+    ``valid`` raises :class:`SingularChannelError`.
 
     The legitimate rate sums the per-user log-det rates of each hop and takes
     the weaker hop. Every eavesdropper overhears phase 1 through its
@@ -81,17 +86,16 @@ def secrecy_rate(realization: ChannelRealization, precoder: Precoder, combinatio
     legitimate and the eavesdropper side.
     """
     _check_eve_options(eve_model, eve_aggregate)
-    if relay_pre is None:
-        relay_pre = model.relay_precoder(realization, combination, config)
+    pos = candidates.position(combination)
+    if not candidates.valid[pos]:
+        raise SingularChannelError(f"candidate {tuple(combination)} has a singular hop channel")
     m, n_r = config.num_users, config.user_antennas
     n_e, n_t = config.eve_antennas, config.transmit_antennas
     noise = config.noise_power
     # (rd, ri) of shape (2, M, N_t, N_t): source hop first, then relay hop.
-    rd, ri = split_covariances(np.array([precoder.matrix, relay_pre.matrix]), m, n_r)
-    hops = np.array([
-        realization.stacked_source_channel(combination),
-        realization.all_users_channel(combination),
-    ]).reshape(2, m, n_r, -1)
+    rd, ri = split_covariances(
+        np.array([candidates.precoders[pos], candidates.relay_precoders[pos]]), m, n_r)
+    hops = np.array([candidates.hop1[pos].reshape(m, n_r, -1), candidates.hop2[pos]])
     legit = float(_link_rates(hops, rd, ri, noise).sum(axis=1).min())
     phases = 2 if eve_model == "both" else 1
     channels = [realization.stacked_eve_channel().reshape(-1, n_e, n_t)]

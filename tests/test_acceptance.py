@@ -19,13 +19,9 @@ from relaysec.cli import (
     verify_zf,
 )
 from relaysec.criteria import CriterionKind, prepare_candidates
-from relaysec.model import (
-    SystemConfig,
-    generate_realization,
-    interference_covariance,
-    zf_precoder,
-)
+from relaysec.model import SystemConfig, generate_realization
 from relaysec.montecarlo import SweepSpec, run_sweep
+from relaysec.reference import interference_covariance, zf_precoder
 from relaysec.secrecy import secrecy_rate
 
 GRID = tuple(float(s) for s in range(0, 21, 2))
@@ -179,11 +175,9 @@ def test_acceptance_6_numerical_kernels(figure_sweep):
         real = generate_realization(cfg, trial=t)
         cands = prepare_candidates(real, cfg)
         combo = cands.combinations[int(rng.integers(len(cands.combinations)))]
-        pre = cands.precoder_for(combo)
-        if pre is None:
+        if not cands.valid[cands.position(combo)]:
             continue
-        sample = secrecy_rate(real, pre, combo, cfg.at_snr(float(rng.uniform(0, 20))),
-                              relay_pre=cands.relay_precoder_for(combo))
+        sample = secrecy_rate(real, cands, combo, cfg.at_snr(float(rng.uniform(0, 20))))
         if min(sample.secrecy_rate, sample.legit_rate, sample.eve_rate) < 0:
             problems.append("negative rate in direct evaluation")
             break

@@ -1,40 +1,40 @@
 """Criteria tests: per-candidate metrics against independent oracles, and the
 exhaustive selections against brute-force evaluation through the public ops."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from relaysec.criteria import (
     CriterionKind,
     NotSingleAntennaError,
-    SingularGramError,
     channel_gain_select,
     combine_metrics,
     enumerate_combinations,
-    gamma_rate_bits,
     max_ratio_select,
     prepare_candidates,
     score_candidates,
-    secrecy_gamma,
     select,
-    sinr_relay_metric,
-    sinr_select,
-    sinr_user_metric,
-    sr_select,
-    ssinr_metric,
-    ssinr_select,
-    ssr_eve_term,
-    ssr_select,
 )
 from relaysec.model import (
     EveChannelsUnavailableError,
-    Precoder,
     SystemConfig,
     complex_normal,
-    desired_covariance,
     generate_realization,
+)
+from relaysec.reference import (
+    Precoder,
+    SingularGramError,
+    desired_covariance,
+    gamma_rate_bits,
     interference_covariance,
     relay_precoder,
+    secrecy_gamma,
+    sinr_relay_metric,
+    sinr_user_metric,
+    ssinr_metric,
+    ssr_eve_term,
     zf_precoder,
 )
 from relaysec.montecarlo import SweepSpec, run_sweep
@@ -232,6 +232,28 @@ class TestSinrMetrics:
         got = sinr_user_metric(real, (0,), cfg, relay_output_covariance=r_out)
         assert got == pytest.approx(np.abs(h2[0, 0]) ** 2 * 4.0 / cfg.noise_power)
 
+    def test_oracles_match_batched_scores_at_200_db(self):
+        # At 200 dB the zero-forced interference forms are rounding noise far
+        # above the noise power; both sides must clamp them the same way.
+        cfg = single_antenna_config(snr_db=200.0)
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in range(40):
+                real = generate_realization(cfg, trial=t)
+                cs, eta1, eta2, _ = score_candidates(CriterionKind.SINR, real, cfg)
+                for pos, combo in enumerate(cs.combinations):
+                    if not cs.valid[pos]:
+                        continue
+                    pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
+                                      cfg.user_antennas)
+                    assert sinr_relay_metric(real, pre, combo, cfg) == pytest.approx(
+                        eta1[pos], rel=1e-9)
+                    assert sinr_user_metric(real, combo, cfg) == pytest.approx(
+                        eta2[pos], rel=1e-9)
+                    checked += 1
+        assert checked == 400
+
     def test_stronger_channels_raise_user_metric(self):
         cfg = scalar_config(num_users=1)
         real = generate_realization(cfg, trial=4)
@@ -320,7 +342,7 @@ class TestSsinr:
         cfg = scalar_config(num_users=1)
         for t in range(25):
             real = generate_realization(cfg, trial=t)
-            combo, score = ssinr_select(real, cfg)
+            combo, score = select(CriterionKind.S_SINR, real, cfg)
             # weakest-stream metric on both hops, combined by the bottleneck
             values = {}
             for i in range(cfg.pool_size):
@@ -338,13 +360,16 @@ class TestSsinr:
             real.source_to_relay[i] = np.ones((1, 2), dtype=complex)
             for r in range(cfg.num_users):
                 real.relay_to_user[(i, r)] = np.ones((1, 1), dtype=complex)
-        combo, _ = ssinr_select(real, cfg)
+        combo, _ = select(CriterionKind.S_SINR, real, cfg)
         assert combo == (0, 1)
 
-    def test_runs_without_eavesdropper_channels(self):
+    # select hands these criteria a stripped realization, so none may need
+    # the eavesdropper channels.
+    @pytest.mark.parametrize("kind", ["channel-gain", "sinr", "s-sinr", "s-sr"])
+    def test_runs_without_eavesdropper_channels(self, kind):
         cfg = single_antenna_config()
         real = generate_realization(cfg).without_eavesdroppers()
-        combo, _ = ssinr_select(real, cfg)
+        combo, _ = select(kind, real, cfg)
         assert len(combo) == 2
 
 
@@ -391,7 +416,7 @@ class TestSecrecySelection:
         for k in range(cfg.num_eves):
             real.source_to_eve[k] = np.zeros((1, 2), dtype=complex)
         cs = prepare_candidates(real, cfg)
-        combo, score = sr_select(real, cfg, candidates=cs)
+        combo, score = select(CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
         _, eta1, eta2, combined = score_candidates(
             CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
         # zero leakage: the secrecy score is the pure legitimate bottleneck
@@ -426,25 +451,26 @@ class TestSecrecySelection:
                 value = min(hop1 - eve, hop2 - eve)
                 if value > best_score:
                     best_combo, best_score = combo, value
-            combo, score = sr_select(real, cfg)
+            combo, score = select(CriterionKind.SECRECY_RATE, real, cfg)
             assert combo == best_combo
             assert score.combined == pytest.approx(best_score)
 
-    def test_ssr_never_reads_eavesdropper_channels(self):
+    @pytest.mark.parametrize("reader", ["sr", "max-ratio"])
+    def test_ssr_never_reads_eavesdropper_channels(self, reader):
         cfg = single_antenna_config()
         real = generate_realization(cfg, trial=2).without_eavesdroppers()
-        combo, _ = ssr_select(real, cfg)
+        combo, _ = select(CriterionKind.S_SR, real, cfg)
         assert len(combo) == 2
         with pytest.raises(EveChannelsUnavailableError):
-            sr_select(real, cfg)
+            select(reader, real, cfg)
 
     def test_ssr_matches_sr_on_square_eavesdropper_stack(self):
         cfg = single_antenna_config()  # K * N_e == N_t
         for t in range(30):
             real = generate_realization(cfg, trial=t)
             cs = prepare_candidates(real, cfg)
-            a, sa = sr_select(real, cfg, candidates=cs)
-            b, sb = ssr_select(real, cfg, candidates=cs)
+            a, sa = select(CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
+            b, sb = select(CriterionKind.S_SR, real, cfg, candidates=cs)
             assert a == b
             assert sa.combined == pytest.approx(sb.combined, rel=1e-8)
 
@@ -461,7 +487,7 @@ class TestSecrecySelection:
                 value = min(eta1, eta2)
                 if value > best_score:
                     best_combo, best_score = combo, value
-            combo, score = sinr_select(real, cfg)
+            combo, score = select(CriterionKind.SINR, real, cfg)
             assert combo == best_combo
             assert score.combined == pytest.approx(best_score)
 
@@ -472,7 +498,7 @@ class TestSecrecySelection:
             scale = 3.0 if i == 1 else 0.3
             real.source_to_relay[i] = np.array([[scale + 0j]])
             real.relay_to_user[(i, 0)] = np.array([[scale + 0j]])
-        combo, _ = sinr_select(real, cfg)
+        combo, _ = select(CriterionKind.SINR, real, cfg)
         assert combo == (1,)
 
     def test_forced_single_candidate(self):
@@ -506,8 +532,8 @@ class TestSecrecySelection:
         cfg = scalar_config(num_users=1)
         for t in range(50):
             real = generate_realization(cfg, trial=t)
-            a, _ = sinr_select(real, cfg)
-            b, _ = ssinr_select(real, cfg)
+            a, _ = select(CriterionKind.SINR, real, cfg)
+            b, _ = select(CriterionKind.S_SINR, real, cfg)
             assert a == b
 
     def test_select_accepts_names(self):

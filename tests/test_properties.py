@@ -1,0 +1,79 @@
+"""Property tests: the batched evaluation equals the scalar reference oracles."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from relaysec.criteria import prepare_candidates  # noqa: E402
+from relaysec.model import SystemConfig, generate_realization  # noqa: E402
+from relaysec.reference import (  # noqa: E402
+    desired_covariance,
+    gamma_rate_bits,
+    interference_covariance,
+    relay_precoder,
+    zf_precoder,
+)
+from relaysec.secrecy import secrecy_rate  # noqa: E402
+
+
+@st.composite
+def configs(draw):
+    """Small valid scenarios: T divides N_t = M * N_r, so T * N_i = N_t."""
+    users = draw(st.integers(1, 2))
+    user_antennas = draw(st.integers(1, 2))
+    n_t = users * user_antennas
+    selected = draw(st.sampled_from([t for t in (1, 2, 4) if n_t % t == 0]))
+    return SystemConfig(
+        num_users=users, user_antennas=user_antennas, relay_antennas=n_t // selected,
+        pool_size=draw(st.integers(selected, selected + 2)), selected_relays=selected,
+        num_eves=draw(st.integers(1, 3)), eve_antennas=draw(st.integers(1, 2)),
+        snr_db=draw(st.floats(0.0, 40.0)), seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def hand_rates(real, combo, cfg, eve_model, eve_aggregate):
+    """(legit, eve) composed from one scalar precoder pair, as in the paper."""
+    u = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power, cfg.user_antennas)
+    v = relay_precoder(real, combo, cfg)
+    users = range(cfg.num_users)
+
+    def rate(channel, precoder, user):
+        rd = desired_covariance(precoder, user)
+        ri = interference_covariance(precoder, user, include_noise=False)
+        return max(gamma_rate_bits(channel, rd, ri, cfg.noise_power), 0.0)
+
+    h1 = real.stacked_source_channel(combo)
+    h2 = real.all_users_channel(combo)
+    legit = min(sum(rate(h1[cfg.user_streams(r)], u, r) for r in users),
+                sum(rate(h2[cfg.user_streams(r)], v, r) for r in users))
+    per_eve = []
+    for k in range(cfg.num_eves):
+        leak = sum(rate(real.source_to_eve[k], u, r) for r in users)
+        if eve_model == "both":
+            e2 = np.hstack([real.relay_to_eve[i, k] for i in combo])
+            leak += sum(rate(e2, v, r) for r in users)
+        per_eve.append(leak)
+    eve = sum(per_eve) if eve_aggregate == "sum" else max(per_eve)
+    return 0.5 * legit, 0.5 * eve
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(cfg=configs(), trial=st.integers(0, 50),
+       eve_model=st.sampled_from(["phase1", "both"]),
+       eve_aggregate=st.sampled_from(["sum", "max"]))
+def test_every_candidate_matches_hand_composition(cfg, trial, eve_model, eve_aggregate):
+    real = generate_realization(cfg, trial=trial)
+    cands = prepare_candidates(real, cfg)
+    for pos, combo in enumerate(cands.combinations):
+        if not cands.valid[pos]:
+            continue
+        sample = secrecy_rate(real, cands, combo, cfg, eve_model=eve_model,
+                              eve_aggregate=eve_aggregate)
+        legit, eve = hand_rates(real, combo, cfg, eve_model, eve_aggregate)
+        assert sample.legit_rate == pytest.approx(legit, rel=1e-9)
+        assert sample.eve_rate == pytest.approx(eve, rel=1e-9)
+        assert sample.secrecy_rate == pytest.approx(max(legit - eve, 0.0), rel=1e-9,
+                                                    abs=1e-9 * (legit + eve))
+        assert min(sample.secrecy_rate, sample.legit_rate, sample.eve_rate) >= 0.0

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from relaysec.criteria import channel_gain_select, gamma_rate_bits, sr_select, ssinr_select
-from relaysec.model import (
-    SystemConfig,
+from relaysec.criteria import CriterionKind, prepare_candidates, select
+from relaysec.model import SingularChannelError, SystemConfig, generate_realization
+from relaysec.reference import (
     desired_covariance,
-    generate_realization,
+    gamma_rate_bits,
     interference_covariance,
     relay_precoder,
     zf_precoder,
@@ -32,46 +32,44 @@ def pair_config(**kw):
 def build(cfg, trial=0):
     real = generate_realization(cfg, trial=trial)
     combo = tuple(range(cfg.selected_relays))
-    pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                      cfg.user_antennas)
-    return real, combo, pre
+    return real, combo, prepare_candidates(real, cfg)
 
 
 class TestScalarClosedForms:
     def test_legit_rate_matches_hand_formula(self):
         cfg = scalar_config()
-        real, combo, pre = build(cfg)
+        real, combo, cands = build(cfg)
         h1 = abs(real.source_to_relay[0][0, 0]) ** 2
         h2 = abs(real.relay_to_user[(0, 0)][0, 0]) ** 2
         snr = cfg.signal_power / cfg.noise_power
         want = 0.5 * min(np.log2(1 + h1 * snr), np.log2(1 + h2 * snr))
-        assert secrecy_rate(real, pre, combo, cfg).legit_rate == pytest.approx(want)
+        assert secrecy_rate(real, cands, combo, cfg).legit_rate == pytest.approx(want)
 
     def test_eve_rate_matches_hand_formula_phase1(self):
         cfg = scalar_config()
-        real, combo, pre = build(cfg)
+        real, combo, cands = build(cfg)
         he = abs(real.source_to_eve[0][0, 0]) ** 2
         snr = cfg.signal_power / cfg.noise_power
         want = 0.5 * np.log2(1 + he * snr)
-        got = secrecy_rate(real, pre, combo, cfg, eve_model="phase1").eve_rate
+        got = secrecy_rate(real, cands, combo, cfg, eve_model="phase1").eve_rate
         assert got == pytest.approx(want)
 
     def test_both_phases_adds_relay_leakage(self):
         cfg = scalar_config()
-        real, combo, pre = build(cfg)
+        real, combo, cands = build(cfg)
         he1 = abs(real.source_to_eve[0][0, 0]) ** 2
         he2 = abs(real.relay_to_eve[(0, 0)][0, 0]) ** 2
         snr = cfg.signal_power / cfg.noise_power
         want = 0.5 * (np.log2(1 + he1 * snr) + np.log2(1 + he2 * snr))
-        got = secrecy_rate(real, pre, combo, cfg, eve_model="both").eve_rate
+        got = secrecy_rate(real, cands, combo, cfg, eve_model="both").eve_rate
         assert got == pytest.approx(want)
 
     def test_secrecy_rate_is_clamped_difference(self):
         cfg = scalar_config()
-        real, combo, pre = build(cfg)
-        sample = secrecy_rate(real, pre, combo, cfg, criterion="sr")
-        want = max(secrecy_rate(real, pre, combo, cfg).legit_rate
-                   - secrecy_rate(real, pre, combo, cfg).eve_rate, 0.0)
+        real, combo, cands = build(cfg)
+        sample = secrecy_rate(real, cands, combo, cfg, criterion="sr")
+        want = max(secrecy_rate(real, cands, combo, cfg).legit_rate
+                   - secrecy_rate(real, cands, combo, cfg).eve_rate, 0.0)
         assert sample.secrecy_rate == pytest.approx(want)
         assert sample.combination == combo
         assert sample.snr_db == cfg.snr_db
@@ -80,39 +78,48 @@ class TestScalarClosedForms:
 class TestEdgeCases:
     def test_zero_eavesdropper_channels_leak_nothing(self):
         cfg = pair_config()
-        real, combo, pre = build(cfg)
+        real, combo, cands = build(cfg)
         for k in range(cfg.num_eves):
             real.source_to_eve[k] = np.zeros((1, 2), dtype=complex)
             for i in range(cfg.pool_size):
                 real.relay_to_eve[(i, k)] = np.zeros((1, 1), dtype=complex)
-        assert secrecy_rate(real, pre, combo, cfg).eve_rate == 0.0
-        sample = secrecy_rate(real, pre, combo, cfg)
+        assert secrecy_rate(real, cands, combo, cfg).eve_rate == 0.0
+        sample = secrecy_rate(real, cands, combo, cfg)
         assert sample.secrecy_rate == pytest.approx(sample.legit_rate)
 
     def test_clamp_when_eavesdropper_dominates(self):
         cfg = pair_config()
-        real, combo, pre = build(cfg)
+        real, combo, cands = build(cfg)
         for k in range(cfg.num_eves):
             real.source_to_eve[k] = 40.0 * real.source_to_eve[k]
-        sample = secrecy_rate(real, pre, combo, cfg)
+        sample = secrecy_rate(real, cands, combo, cfg)
         assert sample.secrecy_rate == 0.0
-        signed = secrecy_rate(real, pre, combo, cfg, clamp=False)
+        signed = secrecy_rate(real, cands, combo, cfg, clamp=False)
         assert signed.secrecy_rate < 0.0
         assert signed.secrecy_rate == pytest.approx(
             signed.legit_rate - signed.eve_rate)
 
     def test_half_duplex_factor_flag(self):
         cfg = scalar_config()
-        real, combo, pre = build(cfg)
-        half = secrecy_rate(real, pre, combo, cfg, half_duplex=True).legit_rate
-        full = secrecy_rate(real, pre, combo, cfg, half_duplex=False).legit_rate
+        real, combo, cands = build(cfg)
+        half = secrecy_rate(real, cands, combo, cfg, half_duplex=True).legit_rate
+        full = secrecy_rate(real, cands, combo, cfg, half_duplex=False).legit_rate
         assert full == pytest.approx(2.0 * half)
+
+    def test_singular_pick_raises(self):
+        cfg = pair_config()
+        real = generate_realization(cfg)
+        real.source_to_relay[1] = real.source_to_relay[0]  # rank-one first hop
+        cands = prepare_candidates(real, cfg)
+        assert not cands.valid[cands.position((0, 1))]
+        with pytest.raises(SingularChannelError):
+            secrecy_rate(real, cands, (0, 1), cfg)
 
     def test_rates_nonnegative(self):
         cfg = pair_config()
         for t in range(50):
-            real, combo, pre = build(cfg, trial=t)
-            sample = secrecy_rate(real, pre, combo, cfg)
+            real, combo, cands = build(cfg, trial=t)
+            sample = secrecy_rate(real, cands, combo, cfg)
             assert sample.secrecy_rate >= 0.0
             assert sample.legit_rate >= 0.0
             assert sample.eve_rate >= 0.0
@@ -125,10 +132,10 @@ class TestMonotonicity:
             real, combo, _ = build(cfg, trial=t)
             low_cfg = cfg
             high_cfg = SystemConfig(**{**low_cfg.__dict__, "signal_power": 2.0})
-            low = secrecy_rate(real, zf_precoder(
-                real.stacked_source_channel(combo), 1.0, 1), combo, low_cfg).legit_rate
-            high = secrecy_rate(real, zf_precoder(
-                real.stacked_source_channel(combo), 2.0, 1), combo, high_cfg).legit_rate
+            low = secrecy_rate(real, prepare_candidates(real, low_cfg), combo,
+                               low_cfg).legit_rate
+            high = secrecy_rate(real, prepare_candidates(real, high_cfg), combo,
+                                high_cfg).legit_rate
             assert high >= low - 1e-12
 
     def test_extra_eavesdropper_never_lowers_eve_rate(self):
@@ -137,33 +144,33 @@ class TestMonotonicity:
         for t in range(20):
             real_l = generate_realization(large, trial=t)
             combo = (0, 1)
-            pre = zf_precoder(real_l.stacked_source_channel(combo), 1.0, 1)
+            cands = prepare_candidates(real_l, large)
             # keyed draws make the first eavesdropper identical in both
             real_s = generate_realization(small, trial=t)
             assert np.array_equal(real_s.source_to_eve[0], real_l.source_to_eve[0])
-            low = secrecy_rate(real_s, pre, combo, small).eve_rate
-            high = secrecy_rate(real_l, pre, combo, large).eve_rate
+            low = secrecy_rate(real_s, cands, combo, small).eve_rate
+            high = secrecy_rate(real_l, cands, combo, large).eve_rate
             assert high >= low - 1e-12
 
     def test_both_phases_at_least_phase1(self):
         cfg = pair_config()
         for t in range(20):
-            real, combo, pre = build(cfg, trial=t)
-            p1 = secrecy_rate(real, pre, combo, cfg, eve_model="phase1").eve_rate
-            both = secrecy_rate(real, pre, combo, cfg, eve_model="both").eve_rate
+            real, combo, cands = build(cfg, trial=t)
+            p1 = secrecy_rate(real, cands, combo, cfg, eve_model="phase1").eve_rate
+            both = secrecy_rate(real, cands, combo, cfg, eve_model="both").eve_rate
             assert both >= p1 - 1e-12
 
     def test_worstcase_aggregate_bounded_by_sum(self):
         cfg = pair_config()
-        real, combo, pre = build(cfg, trial=3)
-        worst = secrecy_rate(real, pre, combo, cfg, eve_aggregate="max").eve_rate
-        total = secrecy_rate(real, pre, combo, cfg, eve_aggregate="sum").eve_rate
+        real, combo, cands = build(cfg, trial=3)
+        worst = secrecy_rate(real, cands, combo, cfg, eve_aggregate="max").eve_rate
+        total = secrecy_rate(real, cands, combo, cfg, eve_aggregate="sum").eve_rate
         assert worst <= total + 1e-12
 
     def test_vanishing_eavesdropper_scale_recovers_legit(self):
         cfg = pair_config()
-        real, combo, pre = build(cfg, trial=4)
-        legit = secrecy_rate(real, pre, combo, cfg).legit_rate
+        real, combo, cands = build(cfg, trial=4)
+        legit = secrecy_rate(real, cands, combo, cfg).legit_rate
         gaps = []
         for scale in (1e-3, 1e-6):
             scaled = generate_realization(cfg, trial=4)
@@ -171,7 +178,7 @@ class TestMonotonicity:
                 scaled.source_to_eve[k] = scale * scaled.source_to_eve[k]
                 for i in range(cfg.pool_size):
                     scaled.relay_to_eve[(i, k)] = scale * scaled.relay_to_eve[(i, k)]
-            sample = secrecy_rate(scaled, pre, combo, cfg)
+            sample = secrecy_rate(scaled, cands, combo, cfg)
             gaps.append(abs(sample.secrecy_rate - legit))
         assert gaps[0] < 1e-3
         assert gaps[1] < 1e-9
@@ -184,23 +191,24 @@ class TestCriterionAgnostic:
         real = generate_realization(cfg, trial=6)
         picks = set()
         samples = {}
-        for select_fn in (channel_gain_select, ssinr_select, sr_select):
-            combo, _ = select_fn(real, cfg)
-            pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                              cfg.user_antennas)
-            sample = secrecy_rate(real, pre, combo, cfg)
+        cands = prepare_candidates(real, cfg)
+        for kind in (CriterionKind.CHANNEL_GAIN, CriterionKind.S_SINR,
+                     CriterionKind.SECRECY_RATE):
+            combo, _ = select(kind, real, cfg)
+            sample = secrecy_rate(real, cands, combo, cfg)
             picks.add(combo)
             samples.setdefault(combo, []).append(sample.secrecy_rate)
         for combo, values in samples.items():
             assert len(set(values)) == 1
 
     def test_explicit_relay_precoder_matches_internal(self):
+        # The evaluation reads the relay precoder from the candidate set; it
+        # must be the scalar oracle's matrix, bit for bit.
         cfg = pair_config()
-        real, combo, pre = build(cfg, trial=7)
-        v = relay_precoder(real, combo, cfg)
-        a = secrecy_rate(real, pre, combo, cfg)
-        b = secrecy_rate(real, pre, combo, cfg, relay_pre=v)
-        assert a.secrecy_rate == b.secrecy_rate
+        real, _, cands = build(cfg, trial=7)
+        for pos, combo in enumerate(cands.combinations):
+            v = relay_precoder(real, combo, cfg)
+            assert np.array_equal(cands.relay_precoders[pos], v.matrix)
 
 
 class TestMimoAgainstComposedCovariances:
@@ -216,7 +224,9 @@ class TestMimoAgainstComposedCovariances:
             return max(gamma_rate_bits(channel, rd, ri, cfg.noise_power), 0.0)
 
         for t in range(5):
-            real, combo, u = build(cfg, trial=t)
+            real, combo, cands = build(cfg, trial=t)
+            u = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
+                            cfg.user_antennas)
             v = relay_precoder(real, combo, cfg)
             h1 = real.stacked_source_channel(combo)
             h2 = real.all_users_channel(combo)
@@ -231,9 +241,9 @@ class TestMimoAgainstComposedCovariances:
                 per_eve.append(leak)
             eve = 0.5 * (sum(per_eve) if eve_aggregate == "sum" else max(per_eve))
             options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate)
-            signed = secrecy_rate(real, u, combo, cfg, clamp=False, **options)
+            signed = secrecy_rate(real, cands, combo, cfg, clamp=False, **options)
             assert signed.legit_rate == pytest.approx(legit, rel=1e-9)
             assert signed.eve_rate == pytest.approx(eve, rel=1e-9)
             assert signed.secrecy_rate == pytest.approx(legit - eve, rel=1e-9)
-            clamped = secrecy_rate(real, u, combo, cfg, **options)
+            clamped = secrecy_rate(real, cands, combo, cfg, **options)
             assert clamped.secrecy_rate == pytest.approx(max(legit - eve, 0.0), rel=1e-9)
