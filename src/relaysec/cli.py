@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,19 +63,6 @@ PRESETS = {
     "custom": {},
 }
 
-_DEFAULTS = {
-    "users": 2, "user-antennas": 1, "relay-antennas": 1, "relays": 5,
-    "select": 2, "eves": 2, "eve-antennas": 1, "seed": 0, "trials": 2000,
-    "snr": "0:2:20", "criteria": "channel-gain,sinr,sr,s-sinr,s-sr",
-    "combine": "min", "eve-model": "both", "eve-aggregate": "sum",
-    "half-duplex": "true", "clamp": "true", "workers": 1,
-}
-
-_INT_KEYS = ("users", "user-antennas", "relay-antennas", "relays", "select",
-             "eves", "eve-antennas", "seed", "trials", "workers")
-_BOOL_KEYS = ("half-duplex", "clamp")
-_KNOWN_KEYS = tuple(_DEFAULTS) + ("out",)
-
 
 class UsageError(ValueError):
     """Bad flag value or config-file entry; maps to exit code 2."""
@@ -103,24 +92,81 @@ def parse_snr_grid(text: str) -> tuple:
 
 
 def _format_snr_grid(grid) -> str:
-    grid = tuple(grid)
     if len(grid) == 1:
         return f"{grid[0]:g}"
     step = grid[1] - grid[0]
     return f"{grid[0]:g}:{step:g}:{grid[-1]:g}"
 
 
-def _parse_bool(key, value):
-    text = str(value).strip().lower()
-    if text in ("true", "1", "yes", "on"):
-        return True
-    if text in ("false", "0", "no", "off"):
-        return False
-    raise UsageError(f"invalid boolean for '{key}': {value!r}")
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
+def _read_bool(value) -> bool:
+    try:
+        return _BOOLS[str(value).strip().lower()]
+    except KeyError:
+        raise ValueError(f"invalid boolean {value!r}") from None
+
+
+def _write_bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _read_criteria(value) -> tuple:
+    names = (name.strip() for name in str(value).split(","))
+    return tuple(CriterionKind.from_name(name) for name in names if name)
+
+
+class Setting(NamedTuple):
+    """One ``relaysec run`` setting; ``key`` is its config-file key and ``--key`` flag.
+
+    ``field`` is the :class:`SystemConfig` or :class:`SweepSpec` field it
+    fills (None for a setting outside the spec). ``read`` turns config-file
+    text (or an equivalent Python value) into the field value and raises
+    ``ValueError`` on a bad one; ``write`` turns the field value back into
+    config-file text.
+    """
+
+    key: str
+    field: str | None
+    default: str
+    read: Callable = str
+    write: Callable = str
+    help: str = ""
+
+
+SETTINGS = (
+    Setting("users", "num_users", "2", int, help="number of users M"),
+    Setting("user-antennas", "user_antennas", "1", int, help="antennas per user N_r"),
+    Setting("relay-antennas", "relay_antennas", "1", int, help="antennas per relay N_i"),
+    Setting("relays", "pool_size", "5", int, help="relay pool size"),
+    Setting("select", "selected_relays", "2", int, help="number of selected relays"),
+    Setting("eves", "num_eves", "2", int, help="number of eavesdroppers K"),
+    Setting("eve-antennas", "eve_antennas", "1", int, help="antennas per eavesdropper"),
+    Setting("seed", "seed", "0", int, help="channel-draw seed"),
+    Setting("trials", "trials", "2000", int, help="Monte Carlo trials"),
+    Setting("snr", "snr_grid_db", "0:2:20", parse_snr_grid, _format_snr_grid,
+            "START:STEP:STOP in dB, or one value"),
+    Setting("criteria", "criteria", "channel-gain,sinr,sr,s-sinr,s-sr", _read_criteria,
+            lambda kinds: ",".join(k.value for k in kinds),
+            "comma-separated criterion names: " + ", ".join(CRITERION_NAMES)),
+    Setting("combine", "combine", "min", help="hop metrics combine by min or sum"),
+    Setting("eve-model", "eve_model", "both", help="phase1 or both"),
+    Setting("eve-aggregate", "eve_aggregate", "sum", help="sum or max"),
+    Setting("half-duplex", "half_duplex", "true", _read_bool, _write_bool,
+            "two-slot factor 1/2"),
+    Setting("clamp", "clamp", "true", _read_bool, _write_bool, "clamp secrecy rates at 0"),
+    Setting("workers", "workers", "1", int, help="worker processes"),
+    Setting("out", None, "results.csv", help="CSV output path"),
+)
+
+_CONFIG_FIELDS = {f.name for f in fields(SystemConfig)}
 
 
 def read_config_file(path: str) -> dict:
     """Flat ``key = value`` configuration file; unknown keys are rejected."""
+    known = {s.key for s in SETTINGS}
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -134,7 +180,7 @@ def read_config_file(path: str) -> dict:
                     )
                 key, value = line.split("=", 1)
                 key = key.strip()
-                if key not in _KNOWN_KEYS:
+                if key not in known:
                     raise UsageError(f"{path}:{line_no}: unknown configuration key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
@@ -144,96 +190,53 @@ def read_config_file(path: str) -> dict:
 
 def format_config(spec: SweepSpec) -> str:
     """Render a sweep spec in the flat config-file format (round-trips)."""
-    cfg = spec.config
-    pairs = [
-        ("users", cfg.num_users),
-        ("user-antennas", cfg.user_antennas),
-        ("relay-antennas", cfg.relay_antennas),
-        ("relays", cfg.pool_size),
-        ("select", cfg.selected_relays),
-        ("eves", cfg.num_eves),
-        ("eve-antennas", cfg.eve_antennas),
-        ("seed", cfg.seed),
-        ("trials", spec.trials),
-        ("snr", _format_snr_grid(spec.snr_grid_db)),
-        ("criteria", ",".join(k.value for k in spec.criteria)),
-        ("combine", spec.combine),
-        ("eve-model", spec.eve_model),
-        ("eve-aggregate", spec.eve_aggregate),
-        ("half-duplex", "true" if spec.half_duplex else "false"),
-        ("clamp", "true" if spec.clamp else "false"),
-        ("workers", spec.workers),
-    ]
-    return "\n".join(f"{key} = {value}" for key, value in pairs) + "\n"
+    lines = []
+    for s in SETTINGS:
+        if s.field:
+            owner = spec.config if s.field in _CONFIG_FIELDS else spec
+            lines.append(f"{s.key} = {s.write(getattr(owner, s.field))}\n")
+    return "".join(lines)
+
+
+def _with_defaults(values: dict) -> dict:
+    """Every setting's value: from ``values`` where given and not None, else its default."""
+    resolved = {s.key: s.default for s in SETTINGS}
+    resolved.update((k, v) for k, v in values.items() if v is not None)
+    return resolved
 
 
 def build_spec(values: dict) -> SweepSpec:
-    """Build a validated sweep spec from resolved key/value settings."""
-    merged = dict(_DEFAULTS)
-    merged.update({k: v for k, v in values.items() if v is not None})
-    for key in _INT_KEYS:
+    """Build a validated sweep spec from key/value settings; defaults fill the rest."""
+    resolved = _with_defaults(values)
+    config, sweep = {}, {}
+    for s in SETTINGS:
+        if s.field is None:
+            continue
         try:
-            merged[key] = int(merged[key])
-        except (TypeError, ValueError):
-            raise UsageError(f"invalid integer for '{key}': {merged[key]!r}") from None
-    for key in _BOOL_KEYS:
-        if isinstance(merged[key], str):
-            merged[key] = _parse_bool(key, merged[key])
-    grid = merged["snr"]
-    if isinstance(grid, str):
-        grid = parse_snr_grid(grid)
-    names = merged["criteria"]
-    if isinstance(names, str):
-        names = [n.strip() for n in names.split(",") if n.strip()]
-    try:
-        kinds = tuple(CriterionKind.from_name(n) for n in names)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    config = SystemConfig(
-        num_users=merged["users"],
-        user_antennas=merged["user-antennas"],
-        relay_antennas=merged["relay-antennas"],
-        pool_size=merged["relays"],
-        selected_relays=merged["select"],
-        num_eves=merged["eves"],
-        eve_antennas=merged["eve-antennas"],
-        snr_db=float(grid[0]),
-        seed=merged["seed"],
-    )
-    return SweepSpec(
-        config=config,
-        snr_grid_db=grid,
-        trials=merged["trials"],
-        criteria=kinds,
-        eve_model=merged["eve-model"],
-        eve_aggregate=merged["eve-aggregate"],
-        combine=merged["combine"],
-        half_duplex=merged["half-duplex"],
-        clamp=merged["clamp"],
-        workers=merged["workers"],
-    )
+            value = s.read(resolved[s.key])
+        except ValueError as exc:
+            raise UsageError(f"{s.key}: {exc}") from None
+        (config if s.field in _CONFIG_FIELDS else sweep)[s.field] = value
+    config = SystemConfig(snr_db=sweep["snr_grid_db"][0], **config)
+    return SweepSpec(config=config, **sweep)
 
 
 def _run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--preset", choices=sorted(PRESETS), default="custom")
-    parser.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--snr", metavar="START:STEP:STOP")
-    parser.add_argument("--relays", type=int, help="relay pool size")
-    parser.add_argument("--select", type=int, help="number of selected relays")
-    parser.add_argument("--users", type=int)
-    parser.add_argument("--user-antennas", type=int)
-    parser.add_argument("--relay-antennas", type=int)
-    parser.add_argument("--eves", type=int)
-    parser.add_argument("--eve-antennas", type=int)
-    parser.add_argument("--criteria", help="comma-separated criterion names: "
-                        + ", ".join(CRITERION_NAMES))
-    parser.add_argument("--combine", choices=("min", "sum"))
-    parser.add_argument("--eve-model", choices=("phase1", "both"))
-    parser.add_argument("--eve-aggregate", choices=("sum", "max"))
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--out", metavar="PATH", default="results.csv")
+    parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
+    for s in SETTINGS:
+        parser.add_argument(f"--{s.key}", dest=s.key,
+                            help=f"{s.help} (default: {s.default})")
+
+
+def _resolve_namespace(ns) -> dict:
+    """Preset values, overridden by the config file, overridden by flags."""
+    values = dict(PRESETS[ns.preset])
+    if ns.config:
+        values.update(read_config_file(ns.config))
+    values.update((s.key, getattr(ns, s.key)) for s in SETTINGS
+                  if getattr(ns, s.key) is not None)
+    return _with_defaults(values)
 
 
 def parse_config(argv) -> SweepSpec:
@@ -243,24 +246,7 @@ def parse_config(argv) -> SweepSpec:
     """
     parser = argparse.ArgumentParser(prog="relaysec run", add_help=False)
     _run_flags(parser)
-    ns = parser.parse_args(argv)
-    return _spec_from_namespace(ns)
-
-
-def _spec_from_namespace(ns) -> SweepSpec:
-    values = dict(PRESETS[ns.preset])
-    if ns.config:
-        values.update(read_config_file(ns.config))
-    cli = {
-        "seed": ns.seed, "trials": ns.trials, "snr": ns.snr, "relays": ns.relays,
-        "select": ns.select, "users": ns.users, "user-antennas": ns.user_antennas,
-        "relay-antennas": ns.relay_antennas, "eves": ns.eves,
-        "eve-antennas": ns.eve_antennas, "criteria": ns.criteria,
-        "combine": ns.combine, "eve-model": ns.eve_model,
-        "eve-aggregate": ns.eve_aggregate, "workers": ns.workers,
-    }
-    values.update({k: v for k, v in cli.items() if v is not None})
-    return build_spec(values)
+    return build_spec(_resolve_namespace(parser.parse_args(argv)))
 
 
 def emit_csv(result, path: str) -> str:
@@ -408,9 +394,10 @@ VERIFY_SUITES = {
 
 
 def _cmd_run(ns) -> int:
-    spec = _spec_from_namespace(ns)
+    values = _resolve_namespace(ns)
+    spec = build_spec(values)
     result = run_sweep(spec)
-    path = emit_csv(result, ns.out)
+    path = emit_csv(result, values["out"])
     print(f"wrote {path} ({spec.trials} trials, {len(spec.snr_grid_db)} SNR points, "
           f"{result.meta['elapsed_s']:.1f} s)")
     print(compare_criteria(result).render())

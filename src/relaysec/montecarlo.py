@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -73,9 +73,10 @@ class SweepSpec:
         if self.combine not in ("min", "sum"):
             raise ConfigError(f"combine must be 'min' or 'sum', got {self.combine!r}")
         if self.eve_model not in EVE_MODELS:
-            raise ConfigError(f"eve_model must be one of {EVE_MODELS}")
+            raise ConfigError(f"eve_model must be one of {EVE_MODELS}, got {self.eve_model!r}")
         if self.eve_aggregate not in EVE_AGGREGATES:
-            raise ConfigError(f"eve_aggregate must be one of {EVE_AGGREGATES}")
+            raise ConfigError(f"eve_aggregate must be one of {EVE_AGGREGATES}, "
+                              f"got {self.eve_aggregate!r}")
         multi = (self.config.relay_antennas, self.config.user_antennas,
                  self.config.eve_antennas) != (1, 1, 1)
         if CriterionKind.MAX_RATIO in self.criteria and multi:
@@ -85,11 +86,30 @@ class SweepSpec:
             )
 
     def digest(self) -> str:
-        payload = repr((self.config, self.snr_grid_db, self.trials,
-                        tuple(k.value for k in self.criteria), self.eve_model,
-                        self.eve_aggregate, self.combine, self.half_duplex,
-                        self.clamp)).encode()
+        """Hash of every field but ``workers``, which cannot change the results."""
+        payload = repr([(f.name, getattr(self, f.name)) for f in fields(self)
+                        if f.name != "workers"]).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _nan_mean_stderr(samples: np.ndarray) -> tuple:
+    """Mean and standard error of the mean over the last axis, skipping NaNs.
+
+    The mean is NaN where no sample is finite; the standard error is 0 where
+    fewer than two are.
+    """
+    counts = np.sum(~np.isnan(samples), axis=-1)
+    with np.errstate(invalid="ignore"):
+        sums = np.nansum(samples, axis=-1)
+    mean = np.full(counts.shape, np.nan)
+    np.divide(sums, counts, out=mean, where=counts > 0)
+    dev = samples - mean[..., None]
+    with np.errstate(invalid="ignore"):
+        ss = np.nansum(dev * dev, axis=-1)
+    stderr = np.zeros(counts.shape)
+    good = counts > 1
+    stderr[good] = np.sqrt(ss[good] / (counts[good] - 1) / counts[good])
+    return mean, stderr
 
 
 @dataclass
@@ -119,24 +139,11 @@ class SweepResult:
 
     @property
     def mean(self) -> np.ndarray:
-        out = np.full(self.samples.shape[:2], np.nan)
-        counts = self.n_samples
-        with np.errstate(invalid="ignore"):
-            sums = np.nansum(self.samples, axis=2)
-        np.divide(sums, counts, out=out, where=counts > 0)
-        return out
+        return _nan_mean_stderr(self.samples)[0]
 
     @property
     def stderr(self) -> np.ndarray:
-        counts = self.n_samples
-        mean = self.mean
-        dev = self.samples - mean[:, :, None]
-        with np.errstate(invalid="ignore"):
-            ss = np.nansum(dev * dev, axis=2)
-        out = np.zeros(self.samples.shape[:2])
-        good = counts > 1
-        out[good] = np.sqrt(ss[good] / (counts[good] - 1) / counts[good])
-        return out
+        return _nan_mean_stderr(self.samples)[1]
 
     def curve(self, criterion) -> tuple:
         """(snr_grid, mean, stderr) arrays for one criterion."""
@@ -288,16 +295,7 @@ def compare_criteria(result: SweepResult) -> ComparisonReport:
     pairs = []
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
-            diff = result.samples[a] - result.samples[b]
-            counts = np.sum(~np.isnan(diff), axis=1)
-            sums = np.nansum(diff, axis=1)
-            mean_gap = np.full(counts.shape, np.nan)
-            np.divide(sums, counts, out=mean_gap, where=counts > 0)
-            dev = diff - mean_gap[:, None]
-            ss = np.nansum(dev * dev, axis=1)
-            gap_se = np.zeros(counts.shape)
-            good = counts > 1
-            gap_se[good] = np.sqrt(ss[good] / (counts[good] - 1) / counts[good])
+            mean_gap, gap_se = _nan_mean_stderr(result.samples[a] - result.samples[b])
             pairs.append(PairGap(names[a], names[b], mean_gap, gap_se))
     return ComparisonReport(
         criteria=result.criteria,

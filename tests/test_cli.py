@@ -4,6 +4,7 @@ import pytest
 
 from relaysec.cli import (
     PRESETS,
+    SETTINGS,
     UsageError,
     build_spec,
     emit_csv,
@@ -84,6 +85,41 @@ class TestParseConfig:
             spec = build_spec(dict(PRESETS[name]))
             assert spec.trials >= 1
             assert spec.snr_grid_db[0] == 0.0
+
+
+# A non-default value for every setting that fills a spec field, with the
+# companion flags that keep the antenna budget T*N_i = M*N_r when it changes.
+NON_DEFAULT = {
+    "users": ("1", {"select": "1"}),
+    "user-antennas": ("2", {"select": "4"}),
+    "relay-antennas": ("2", {"select": "1"}),
+    "relays": ("6", {}),
+    "select": ("1", {"users": "1"}),
+    "eves": ("3", {}),
+    "eve-antennas": ("2", {}),
+    "seed": ("9", {}),
+    "trials": ("7", {}),
+    "snr": ("5:5:15", {}),
+    "criteria": ("sr,s-sr", {}),
+    "combine": ("sum", {}),
+    "eve-model": ("phase1", {}),
+    "eve-aggregate": ("max", {}),
+    "half-duplex": ("false", {}),
+    "clamp": ("false", {}),
+    "workers": ("2", {}),
+}
+
+
+@pytest.mark.parametrize("setting", [s for s in SETTINGS if s.field], ids=lambda s: s.key)
+def test_setting_from_flag_equals_setting_from_file(setting, tmp_path):
+    value, companions = NON_DEFAULT[setting.key]
+    assert value != setting.default
+    base = [f"--{key}={v}" for key, v in companions.items()]
+    path = tmp_path / "one.cfg"
+    path.write_text(f"{setting.key} = {value}\n", encoding="utf-8")
+    from_flag = parse_config(base + [f"--{setting.key}", value])
+    assert parse_config(base + ["--config", str(path)]) == from_flag
+    assert f"{setting.key} = {value}" in format_config(from_flag).splitlines()
 
 
 class TestConfigFile:
@@ -199,6 +235,29 @@ class TestMainExitCodes:
         assert code == 2
         assert "snr" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("seed", "abc"), ("combine", "prod"),
+                                            ("clamp", "maybe")])
+    def test_bad_flag_value_exits_2_naming_key(self, tmp_path, key, value, capsys):
+        code = main(["run", f"--{key}", value, "--trials", "2", "--criteria", "s-sr",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_out_flag_beats_file_beats_default(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("trials = 2\nsnr = 10\ncriteria = s-sr\n", encoding="utf-8")
+        with_out = tmp_path / "with-out.cfg"
+        with_out.write_text(plain.read_text(encoding="utf-8") + "out = mine.csv\n",
+                            encoding="utf-8")
+        assert main(["run", "--config", str(with_out)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["mine.csv"]
+        assert main(["run", "--config", str(with_out), "--out", "flag.csv"]) == 0
+        assert main(["run", "--config", str(plain)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "flag.csv", "mine.csv", "results.csv"]
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
