@@ -32,8 +32,8 @@ from .reference import (
 from .montecarlo import SweepSpec, compare_criteria, run_sweep
 
 # Scenario presets. Antenna and eavesdropper counts are reconstructions
-# chosen so the reduced secrecy rule is exact (square stacked eavesdropper
-# channel) except in the deliberately rank-deficient scenario.
+# chosen so the stacked eavesdropper channel has rank N_t, where sr and s-sr
+# are one computation, except in the deliberately rank-deficient fig3-rank.
 PRESETS = {
     "fig2-single": {
         "users": 2, "user-antennas": 1, "relay-antennas": 1, "relays": 5,

@@ -12,6 +12,10 @@ Six selection rules are provided:
 * ``s-sr``: reduced secrecy rule whose eavesdropper term is computed from the
   precoders alone; eavesdropper channels are never read on this path.
 
+``sr`` and ``s-sr`` share one eavesdropper term: ``sr``'s is ``s-sr``'s
+restricted to the row space of the stacked eavesdropper channel, so the two
+are the same computation whenever that channel has full column rank.
+
 Exhaustive rules score every T-combination of the relay pool. Each candidate
 is scored under its own pair of zero-forcing precoders (source side for
 phase 1, coordinated relay side for phase 2); :class:`CandidateSet` caches
@@ -29,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .kernels import GRAM_CONDITION_LIMIT, LN2, RIDGE_SCALE, logdet, rate_bits, split_covariances
-from .model import ChannelRealization, SystemConfig, zf_core_batch
+from .model import ChannelRealization, ConfigError, SystemConfig, zf_core_batch
 
 
 class NotSingleAntennaError(ValueError):
@@ -54,7 +58,7 @@ class CriterionKind(Enum):
             if kind.value == name:
                 return kind
         names = ", ".join(k.value for k in cls)
-        raise ValueError(f"unknown criterion {name!r}; expected one of: {names}")
+        raise ConfigError(f"unknown criterion {name!r}; expected one of: {names}")
 
 
 CRITERION_NAMES = tuple(kind.value for kind in CriterionKind)
@@ -118,10 +122,11 @@ class CandidateSet:
 
     Receiver noise ``s I`` enters every criterion only as an additive shift
     of a noise-free form, so one set serves every SNR point of a trial: the
-    covariance splits and the grams below are filled lazily, once, and a
-    selection at one noise level adds ``s`` and takes one batched log-det or
-    division. ``config`` supplies dimensions and signal power only; the
-    noise level comes from the config passed to each selection.
+    covariance split of both hops and the legitimate grams are filled
+    lazily, once, and a selection at one noise level adds ``s`` and takes
+    one batched log-det or division. Nothing here is derived from the
+    eavesdropper channels. ``config`` supplies dimensions and signal power
+    only; the noise level comes from the config passed to each selection.
     """
 
     config: SystemConfig
@@ -134,9 +139,8 @@ class CandidateSet:
     relay_cores: np.ndarray
     valid: np.ndarray
     _index: dict = field(default_factory=dict, repr=False)
-    _cov1: tuple | None = field(default=None, repr=False)
+    _split: tuple | None = field(default=None, repr=False)
     _legit: tuple | None = field(default=None, repr=False)
-    _eve: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self._index = {combo: pos for pos, combo in enumerate(self.combinations)}
@@ -144,12 +148,16 @@ class CandidateSet:
     def position(self, combination) -> int:
         return self._index[tuple(combination)]
 
-    def user_covariances(self) -> tuple:
-        """Phase-1 ``(rd, ri)`` with shape ``(C, M, N_t, N_t)``, noise-free."""
-        if self._cov1 is None:
-            self._cov1 = split_covariances(self.precoders, self.config.num_users,
-                                           self.config.user_antennas)
-        return self._cov1
+    def covariances(self) -> tuple:
+        """Noise-free ``(rd, ri)`` of both hops' precoders.
+
+        Shape ``(2, C, M, N_t, N_t)``, source hop first; see
+        :func:`relaysec.kernels.split_covariances`.
+        """
+        if self._split is None:
+            self._split = split_covariances(np.stack([self.precoders, self.relay_precoders]),
+                                            self.config.num_users, self.config.user_antennas)
+        return self._split
 
     def legit_grams(self) -> tuple:
         """``(H_u R_d H_u^H, H_u R_I H_u^H)`` per hop, candidate and user.
@@ -158,29 +166,11 @@ class CandidateSet:
         the per-stream SINR numerators and denominators.
         """
         if self._legit is None:
-            # Only these grams read the relay-side split, so it is not kept.
-            relay_split = split_covariances(self.relay_precoders, self.config.num_users,
-                                            self.config.user_antennas)
-            pairs = []
-            for rows, (rd, ri) in ((self.hop1.reshape(self.hop2.shape), self.user_covariances()),
-                                   (self.hop2, relay_split)):
-                rows_h = rows.conj().swapaxes(-1, -2)
-                pairs.append((rows @ rd @ rows_h, rows @ ri @ rows_h))
-            self._legit = tuple(np.stack(grams) for grams in zip(*pairs))
+            rows = np.stack([self.hop1.reshape(self.hop2.shape), self.hop2])
+            rows_h = rows.conj().swapaxes(-1, -2)
+            rd, ri = self.covariances()
+            self._legit = (rows @ rd @ rows_h, rows @ ri @ rows_h)
         return self._legit
-
-    def eve_grams(self, eve_stack: np.ndarray) -> tuple:
-        """``(E R_d E^H, E R_I E^H, E E^H)`` of the phase-1 covariances.
-
-        ``E`` is the stacked eavesdropper channel; the first two have shape
-        ``(C, M, K N_e, K N_e)``. Noise inside the sandwich is then
-        ``E (R_I + s I) E^H = E R_I E^H + s E E^H``.
-        """
-        if self._eve is None:
-            rd, ri = self.user_covariances()
-            eve_h = eve_stack.conj().T
-            self._eve = (eve_stack @ rd @ eve_h, eve_stack @ ri @ eve_h, eve_stack @ eve_h)
-        return self._eve
 
 
 def prepare_candidates(realization: ChannelRealization, config: SystemConfig) -> CandidateSet:
@@ -241,41 +231,58 @@ def _score_ssinr(cs: CandidateSet, config: SystemConfig, combine: str):
     return eta1, eta2, combined
 
 
-def _eve_terms_full(cs: CandidateSet, eve_stack: np.ndarray, noise: float):
-    """Eavesdropper log-det terms from the stacked eavesdropper channel."""
-    num, den, eve_gram = cs.eve_grams(eve_stack)
-    return rate_bits(num, den + noise * eve_gram)
+def _eve_row_space(eve_stack: np.ndarray):
+    """Orthonormal basis ``(N_t, r)`` of the stacked eavesdropper channel's
+    row space, or None when its rank is N_t (the whole space).
 
-
-def _eve_terms_reduced(cs: CandidateSet, config: SystemConfig):
-    """Eavesdropper log-det terms from precoders and symbol statistics alone.
-
-    ``log2 det(I + U_u^H (R_I + s I)^{-1} U_u)`` for every candidate and
-    user in one solve, with the same trace-scaled ridge as
-    :func:`relaysec.reference.ssr_eve_term` where
-    ``cond(R_I + s I) >= GRAM_CONDITION_LIMIT``.
-    A candidate the ridge cannot rescue gets an infinite term.
+    The rank uses ``np.linalg.matrix_rank``'s default tolerance.
     """
-    _, ri = cs.user_covariances()
+    _, sv, vh = np.linalg.svd(eve_stack)
+    tol = sv.max(initial=0.0) * max(eve_stack.shape) * np.finfo(float).eps
+    rank = int(np.count_nonzero(sv > tol))
+    return None if rank == eve_stack.shape[1] else vh[:rank].conj().T
+
+
+def _eve_terms(cs: CandidateSet, config: SystemConfig, basis: np.ndarray | None):
+    """Eavesdropper log-det terms from the precoders, on a subspace.
+
+    ``log2 det(I + U_u^H V (V^H (R_I + s I) V)^{-1} V^H U_u)`` for every
+    candidate and user in one solve. ``s-sr`` passes no basis (V = I); ``sr``
+    passes the basis of the eavesdropper row space, where the term equals
+    ``log2 det(E (R_I + R_d + s I) E^H) / det(E (R_I + s I) E^H)`` by the
+    pseudo-determinant and Sylvester's identity, and stays defined when
+    ``E E^H`` is singular. Where ``cond(V^H (R_I + s I) V) >=
+    GRAM_CONDITION_LIMIT`` the same trace-scaled ridge as
+    :func:`relaysec.reference.ssr_eve_term` is added; a candidate the ridge
+    cannot rescue gets an infinite term.
+    """
     noise = config.noise_power
     n_t, n_r = config.transmit_antennas, config.user_antennas
-    eye = np.eye(n_t)
-    r_in = ri + noise * eye
+    r_in = cs.covariances()[1][0] + noise * np.eye(n_t)
+    blocks = cs.precoders.reshape(len(cs.combinations), n_t, config.num_users, n_r).swapaxes(1, 2)
+    if basis is not None:
+        basis_h = basis.conj().T
+        r_in = basis_h @ r_in @ basis
+        blocks = basis_h @ blocks
+    n = r_in.shape[-1]
+    if n == 0:
+        return np.zeros(blocks.shape[:2])  # the eavesdroppers receive nothing
+    eye = np.eye(n)
     viable = True
-    # cond(R_I + s I) <= (tr R_I + s) / s, and tr R_I is at most the total
-    # transmit power N_t P of a column-normalized precoder, so the exact
-    # check runs only within a factor 100 of the limit by that bound.
+    # cond(R_I + s I) <= (tr R_I + s) / s, tr R_I is at most the total
+    # transmit power N_t P of a column-normalized precoder, and projecting
+    # onto V can only tighten the eigenvalue spread; so the exact check runs
+    # only within a factor 100 of the limit by that bound.
     if n_t * config.signal_power + noise >= 1e-2 * GRAM_CONDITION_LIMIT * noise:
         trace = np.real(np.trace(r_in, axis1=-2, axis2=-1))
         cond = np.linalg.cond(r_in)
         singular = ~np.isfinite(cond) | (cond >= GRAM_CONDITION_LIMIT)
-        ridge = np.where(singular, RIDGE_SCALE * trace / n_t, 0.0)
+        ridge = np.where(singular, RIDGE_SCALE * trace / n, 0.0)
         r_in = r_in + ridge[..., None, None] * eye
         cond = np.linalg.cond(r_in)
         failed = singular & ((ridge <= 0) | ~np.isfinite(cond) | (cond >= GRAM_CONDITION_LIMIT))
         r_in[failed] = eye
         viable = ~failed
-    blocks = cs.precoders.reshape(len(cs.combinations), n_t, config.num_users, n_r).swapaxes(1, 2)
     inner = blocks.conj().swapaxes(-1, -2) @ np.linalg.solve(r_in, blocks)
     regular, value = logdet(np.eye(n_r) + inner)
     return np.where(viable & regular, value / LN2, np.inf)
@@ -297,19 +304,6 @@ def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str,
     return eta1, eta2, combined
 
 
-def _score_sr(cs: CandidateSet, realization: ChannelRealization,
-              config: SystemConfig, combine: str):
-    # Read on every call, so a stripped realization fails even once the
-    # eavesdropper grams are cached.
-    eve_stack = realization.stacked_eve_channel()
-    return _score_secrecy(cs, config, combine,
-                          _eve_terms_full(cs, eve_stack, config.noise_power))
-
-
-def _score_ssr(cs: CandidateSet, config: SystemConfig, combine: str):
-    return _score_secrecy(cs, config, combine, _eve_terms_reduced(cs, config))
-
-
 def score_candidates(kind: CriterionKind, realization: ChannelRealization,
                      config: SystemConfig, candidates: CandidateSet | None = None,
                      combine: str = "min"):
@@ -326,10 +320,11 @@ def score_candidates(kind: CriterionKind, realization: ChannelRealization,
         eta1, eta2, combined = _score_sinr(cs, config, combine)
     elif kind is CriterionKind.S_SINR:
         eta1, eta2, combined = _score_ssinr(cs, config, combine)
-    elif kind is CriterionKind.SECRECY_RATE:
-        eta1, eta2, combined = _score_sr(cs, realization, config, combine)
     else:
-        eta1, eta2, combined = _score_ssr(cs, config, combine)
+        basis = (_eve_row_space(realization.stacked_eve_channel())
+                 if kind is CriterionKind.SECRECY_RATE else None)
+        eta1, eta2, combined = _score_secrecy(cs, config, combine,
+                                              _eve_terms(cs, config, basis))
     return cs, eta1, eta2, combined
 
 

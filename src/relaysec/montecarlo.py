@@ -4,14 +4,15 @@ Each trial draws one channel realization from a sub-stream keyed by
 ``(seed, trial)`` and evaluates every requested criterion on that same
 realization (paired comparison). Between two SNR points only the receiver
 noise changes, so each trial builds one :class:`CandidateSet`: the
-candidate precoders, and lazily the noise-free covariance splits and grams,
-are computed once and shared by every criterion and every SNR point. A
-selection at one SNR point then costs a noise shift, one batched log-det
-or division, and an argmax, and the achieved rate of the pick is evaluated
-from the pick's rows of the same set. Criteria that ignore the noise level
-select once per trial. Results are bit-identical for a given spec
-regardless of the worker count, because trials are keyed, independent work
-units and the reduction runs in fixed trial order.
+candidate precoders, and lazily one noise-free covariance split of both
+hops and the legitimate grams, are computed once and shared by every
+criterion, every SNR point and the evaluation of each pick. A selection at
+one SNR point then costs a noise shift, one batched log-det or division
+(``sr`` adds one SVD of the eavesdropper stack), and an argmax. Criteria
+that ignore the noise level select once per trial. Results are
+bit-identical for a given spec regardless of the worker count, because
+trials are keyed, independent work units and the reduction runs in fixed
+trial order.
 """
 
 from __future__ import annotations
@@ -66,10 +67,11 @@ class SweepSpec:
             raise ConfigError(f"snr_grid_db values must be finite, got {self.snr_grid_db}")
         if not self.criteria:
             raise ConfigError("criteria must not be empty")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        for name in ("trials", "workers"):
+            value = getattr(self, name)
+            if int(value) != value or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.combine not in ("min", "sum"):
             raise ConfigError(f"combine must be 'min' or 'sum', got {self.combine!r}")
         if self.eve_model not in EVE_MODELS:
@@ -211,9 +213,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     selections = np.full((n_c, n_s, spec.trials), -1, dtype=np.int32)
     all_trials = np.arange(spec.trials)
     if spec.workers == 1 or spec.trials < 4:
-        block_samples, block_selections = _run_trials(spec, all_trials)
-        samples[:] = block_samples
-        selections[:] = block_selections
+        samples[:], selections[:] = _run_trials(spec, all_trials)
     else:
         chunks = [c for c in np.array_split(all_trials, spec.workers * 4) if c.size]
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import CandidateSet
-from .kernels import rate_bits, split_covariances
+from .kernels import rate_bits
 from .model import ChannelRealization, SingularChannelError, SystemConfig
 
 EVE_MODELS = ("phase1", "both")
@@ -40,7 +40,7 @@ class SecrecySample:
 
 def _link_rates(channels: np.ndarray, rd: np.ndarray, ri: np.ndarray,
                 noise: float) -> np.ndarray:
-    """Clamped log-det rates of receivers against covariance pairs.
+    """Clamped log-det rates of eavesdroppers against covariance pairs.
 
     ``channels`` is ``(..., k, n)``, broadcast against ``rd``/``ri`` of shape
     ``(..., n, n)``; receiver noise enters outside the sandwich.
@@ -66,9 +66,10 @@ def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, comb
                  eve_model: str = "both", eve_aggregate: str = "sum") -> SecrecySample:
     """Achieved secrecy rate of ``combination``: legitimate minus eavesdropper rate.
 
-    The pick's hop channels and both zero-forcing precoders are its rows of
+    The pick's covariance split and legitimate grams are its rows of
     ``candidates`` (the set its criterion chose from, built from the same
-    realization); the eavesdropper channels come from ``realization``.
+    realization), so selection and evaluation share them; the eavesdropper
+    channels come from ``realization``.
     ``config`` supplies the noise level. A pick whose candidate is not
     ``valid`` raises :class:`SingularChannelError`.
 
@@ -81,29 +82,26 @@ def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, comb
     ``half_duplex`` is False, and both are reported on the sample.
 
     The secrecy rate is clamped at zero by default (an overheard link conveys
-    no secret bits); set ``clamp=False`` for the signed difference. Each
-    precoder is split into per-user covariances once, for both the
-    legitimate and the eavesdropper side.
+    no secret bits); set ``clamp=False`` for the signed difference.
     """
     _check_eve_options(eve_model, eve_aggregate)
     pos = candidates.position(combination)
     if not candidates.valid[pos]:
         raise SingularChannelError(f"candidate {tuple(combination)} has a singular hop channel")
-    m, n_r = config.num_users, config.user_antennas
     n_e, n_t = config.eve_antennas, config.transmit_antennas
     noise = config.noise_power
-    # (rd, ri) of shape (2, M, N_t, N_t): source hop first, then relay hop.
-    rd, ri = split_covariances(
-        np.array([candidates.precoders[pos], candidates.relay_precoders[pos]]), m, n_r)
-    hops = np.array([candidates.hop1[pos].reshape(m, n_r, -1), candidates.hop2[pos]])
-    legit = float(_link_rates(hops, rd, ri, noise).sum(axis=1).min())
+    # Grams (2, C, M, N_r, N_r) and covariances (2, C, M, N_t, N_t), source hop first.
+    num, den = candidates.legit_grams()
+    rd, ri = candidates.covariances()
+    rates = rate_bits(num[:, pos], den[:, pos] + noise * np.eye(config.user_antennas))
+    legit = float(np.maximum(rates, 0.0).sum(axis=1).min())
     phases = 2 if eve_model == "both" else 1
     channels = [realization.stacked_eve_channel().reshape(-1, n_e, n_t)]
     if phases == 2:
         channels.append(realization.relay_eve_channels(combination))
     # (P, K, 1, N_e, N_t) against (P, 1, M, N_t, N_t): rates (P, K, M)
-    rates = _link_rates(np.array(channels)[:, :, None], rd[:phases, None], ri[:phases, None],
-                        noise)
+    rates = _link_rates(np.array(channels)[:, :, None], rd[:phases, pos, None],
+                        ri[:phases, pos, None], noise)
     per_eve = rates.sum(axis=(0, 2))
     eve = float(per_eve.sum() if eve_aggregate == "sum" else per_eve.max())
     if half_duplex:

@@ -411,18 +411,20 @@ class TestSsrEveTerm:
 
 class TestSecrecySelection:
     def test_degenerate_eavesdropper_reduces_to_legit_argmax(self):
-        cfg = single_antenna_config()
-        real = generate_realization(cfg, trial=1)
-        for k in range(cfg.num_eves):
+        cfg0 = single_antenna_config()
+        real = generate_realization(cfg0, trial=1)
+        for k in range(cfg0.num_eves):
             real.source_to_eve[k] = np.zeros((1, 2), dtype=complex)
-        cs = prepare_candidates(real, cfg)
-        combo, score = select(CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
-        _, eta1, eta2, combined = score_candidates(
-            CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
-        # zero leakage: the secrecy score is the pure legitimate bottleneck
-        assert score.combined == pytest.approx(min(score.eta1, score.eta2))
-        assert score.combined >= 0.0
-        assert combined.max() == pytest.approx(score.combined)
+        cs = prepare_candidates(real, cfg0)
+        # E = 0 has rank 0; at 200 dB the ridge check runs as well.
+        for cfg in (cfg0, cfg0.at_snr(200.0)):
+            combo, score = select(CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
+            _, eta1, eta2, combined = score_candidates(
+                CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
+            # zero leakage: the secrecy score is the pure legitimate bottleneck
+            assert score.combined == pytest.approx(min(score.eta1, score.eta2))
+            assert score.combined >= 0.0
+            assert combined.max() == pytest.approx(score.combined)
 
     def test_sr_matches_bruteforce_through_public_ops(self):
         cfg = single_antenna_config()
@@ -570,7 +572,10 @@ def scalar_scores(kind, real, cfg):
                                     cfg.noise_power)
             r_in = interference_covariance(u, user, cfg.noise_power)
             if kind is CriterionKind.SECRECY_RATE:
-                eve += gamma_rate_bits(real.stacked_eve_channel(), rd, r_in)
+                # E's triangular QR factor has E's gram, and stays square
+                # (so defined) for tall stacks.
+                eve += gamma_rate_bits(np.linalg.qr(real.stacked_eve_channel(), mode="r"),
+                                       rd, r_in)
             else:
                 eve += ssr_eve_term(u, user, r_in)
         scores.append(min(hop1 - eve, hop2 - eve))
@@ -578,12 +583,11 @@ def scalar_scores(kind, real, cfg):
 
 
 class TestCandidateSetAcrossSnr:
-    # sr with K * N_e > N_t is left out: its eavesdropper gram is singular
-    # there, so its score is set by rounding error.
     CONFIGS = {
         "single-antenna": single_antenna_config(),
         "two-antenna-users": mimo_config(),
         "fewer-eve-antennas": single_antenna_config(num_eves=1),
+        "more-eve-antennas": single_antenna_config(num_eves=3),
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -37,6 +37,20 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="finite"):
             SweepSpec(config=pair_config(), snr_grid_db=(0.0, bad), trials=1)
 
+    @pytest.mark.parametrize("field", ["trials", "workers"])
+    @pytest.mark.parametrize("bad", [2.5, 0])
+    def test_non_integer_or_small_counts_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be a positive integer"):
+            small_spec(**{field: bad})
+
+    def test_integral_float_count_runs(self):
+        result = run_sweep(small_spec(trials=2.0, workers=1.0, criteria=("s-sr",)))
+        assert result.samples.shape == (1, 3, 2)
+
+    def test_unknown_criterion_rejected_with_names(self):
+        with pytest.raises(ConfigError, match="unknown criterion 'bogus'; expected one of: .*s-sr"):
+            small_spec(criteria=("s-sr", "bogus"))
+
     def test_criteria_accept_names(self):
         spec = SweepSpec(config=pair_config(), snr_grid_db=(0.0,), trials=1,
                          criteria=("sr", "s-sinr"))

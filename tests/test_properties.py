@@ -1,4 +1,5 @@
-"""Property tests: the batched evaluation equals the scalar reference oracles."""
+"""Property tests: the batched evaluation equals the scalar reference oracles,
+and ``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from relaysec.criteria import prepare_candidates  # noqa: E402
+from relaysec.criteria import CriterionKind, prepare_candidates, score_candidates, select  # noqa: E402
 from relaysec.model import SystemConfig, generate_realization  # noqa: E402
 from relaysec.reference import (  # noqa: E402
     desired_covariance,
@@ -77,3 +78,20 @@ def test_every_candidate_matches_hand_composition(cfg, trial, eve_model, eve_agg
         assert sample.secrecy_rate == pytest.approx(max(legit - eve, 0.0), rel=1e-9,
                                                     abs=1e-9 * (legit + eve))
         assert min(sample.secrecy_rate, sample.legit_rate, sample.eve_rate) >= 0.0
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(cfg=configs().filter(lambda c: c.num_eves * c.eve_antennas >= c.transmit_antennas),
+       snr_db=st.floats(0.0, 200.0), trial=st.integers(0, 50))
+def test_sr_equals_ssr_on_full_rank_eve_stack(cfg, snr_db, trial):
+    # A Gaussian K*N_e x N_t stack with K*N_e >= N_t has rank N_t, where sr's
+    # eavesdropper term is s-sr's term: same picks, same bits, at any SNR.
+    cfg = cfg.at_snr(snr_db)
+    real = generate_realization(cfg, trial=trial)
+    cands = prepare_candidates(real, cfg)
+    scores = [score_candidates(kind, real, cfg, candidates=cands)[1:]
+              for kind in (CriterionKind.SECRECY_RATE, CriterionKind.S_SR)]
+    for sr_array, ssr_array in zip(*scores):
+        assert np.array_equal(sr_array, ssr_array)
+    assert (select(CriterionKind.SECRECY_RATE, real, cfg, candidates=cands)
+            == select(CriterionKind.S_SR, real, cfg, candidates=cands))
