@@ -71,6 +71,11 @@ EXHAUSTIVE_KINDS = (
     CriterionKind.S_SR,
 )
 
+# Bytes the largest (S, C, M, n, n) array of one scoring pass may take; a
+# longer SNR grid is scored in chunks of points. At C(12, 4) = 495 candidates
+# of four single-antenna users one point takes ~0.5 MB.
+SNR_CHUNK_BYTES = 4 * 2**20
+
 
 @dataclass(frozen=True)
 class CriterionScore:
@@ -123,10 +128,12 @@ class CandidateSet:
     Receiver noise ``s I`` enters every criterion only as an additive shift
     of a noise-free form, so one set serves every SNR point of a trial: the
     covariance split of both hops and the legitimate grams are filled
-    lazily, once, and a selection at one noise level adds ``s`` and takes
-    one batched log-det or division. Nothing here is derived from the
+    lazily, once, and a selection over a grid of noise levels adds each
+    ``s`` along a leading axis and takes one batched log-det or division.
+    ``s-sr``'s scores are kept per grid and ``combine`` rule, for ``sr`` to
+    reuse where its score is the same. Nothing here is derived from the
     eavesdropper channels. ``config`` supplies dimensions and signal power
-    only; the noise level comes from the config passed to each selection.
+    only; the noise levels come from each selection.
     """
 
     config: SystemConfig
@@ -141,6 +148,7 @@ class CandidateSet:
     _index: dict = field(default_factory=dict, repr=False)
     _split: tuple | None = field(default=None, repr=False)
     _legit: tuple | None = field(default=None, repr=False)
+    _basis_free: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._index = {combo: pos for pos, combo in enumerate(self.combinations)}
@@ -206,29 +214,32 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig) ->
 # ---------------------------------------------------------------------------
 
 
-def _score_sinr(cs: CandidateSet, config: SystemConfig, combine: str):
+def _score_sinr(cs: CandidateSet, config: SystemConfig, combine: str, noise: np.ndarray):
     num, den = cs.legit_grams()
     num = np.real(np.diagonal(num, axis1=-2, axis2=-1))
     # Zero forcing makes the interference form vanish in exact arithmetic; its
     # rounding can be negative and, at high SNR, outweigh the noise.
-    den = np.maximum(np.real(np.diagonal(den, axis1=-2, axis2=-1)), 0.0) + config.noise_power
+    den = (np.maximum(np.real(np.diagonal(den, axis1=-2, axis2=-1)), 0.0)
+           + noise[:, None, None, None, None])
     sinr = num / den
     c = len(cs.combinations)
-    per_relay = sinr[0].reshape(c, config.selected_relays, config.relay_antennas).mean(axis=2)
-    per_user = sinr[1].mean(axis=2)
-    eta1 = np.min(per_relay, axis=1)
-    eta2 = np.min(per_user, axis=1)
+    per_relay = sinr[:, 0].reshape(-1, c, config.selected_relays,
+                                   config.relay_antennas).mean(axis=3)
+    per_user = sinr[:, 1].mean(axis=3)
+    eta1 = np.min(per_relay, axis=2)
+    eta2 = np.min(per_user, axis=2)
     combined = combine_metrics(eta1, eta2, combine)
     combined = np.where(cs.valid, combined, -np.inf)
     return eta1, eta2, combined
 
 
-def _score_ssinr(cs: CandidateSet, config: SystemConfig, combine: str):
-    # Channel-norm metrics only; precoder validity does not constrain them.
+def _score_ssinr(cs: CandidateSet, config: SystemConfig, combine: str, noise: np.ndarray):
+    # Channel-norm metrics only: no noise level, and precoder validity does
+    # not constrain them.
     eta1 = np.min(np.sum(np.abs(cs.hop1) ** 2, axis=2), axis=1)
     eta2 = np.min(np.sum(np.abs(cs.hop2) ** 2, axis=3), axis=(1, 2))
     combined = combine_metrics(eta1, eta2, combine)
-    return eta1, eta2, combined
+    return tuple(np.broadcast_to(a, (len(noise), len(a))) for a in (eta1, eta2, combined))
 
 
 def _eve_row_space(eve_stack: np.ndarray):
@@ -243,12 +254,14 @@ def _eve_row_space(eve_stack: np.ndarray):
     return None if rank == eve_stack.shape[1] else vh[:rank].conj().T
 
 
-def _eve_terms(cs: CandidateSet, config: SystemConfig, basis: np.ndarray | None):
+def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
+               basis: np.ndarray | None):
     """Eavesdropper log-det terms from the precoders, on a subspace.
 
     ``log2 det(I + U_u^H V (V^H (R_I + s I) V)^{-1} V^H U_u)`` for every
-    candidate and user in one solve. ``s-sr`` passes no basis (V = I); ``sr``
-    passes the basis of the eavesdropper row space, where the term equals
+    noise level ``s`` in ``noise``, candidate and user in one solve, shape
+    ``(S, C, M)``. ``s-sr`` passes no basis (V = I); ``sr`` passes the basis
+    of the eavesdropper row space, where the term equals
     ``log2 det(E (R_I + R_d + s I) E^H) / det(E (R_I + s I) E^H)`` by the
     pseudo-determinant and Sylvester's identity, and stays defined when
     ``E E^H`` is singular. Where ``cond(V^H (R_I + s I) V) >=
@@ -256,9 +269,8 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, basis: np.ndarray | None)
     :func:`relaysec.reference.ssr_eve_term` is added; a candidate the ridge
     cannot rescue gets an infinite term.
     """
-    noise = config.noise_power
     n_t, n_r = config.transmit_antennas, config.user_antennas
-    r_in = cs.covariances()[1][0] + noise * np.eye(n_t)
+    r_in = cs.covariances()[1][0] + noise[:, None, None, None, None] * np.eye(n_t)
     blocks = cs.precoders.reshape(len(cs.combinations), n_t, config.num_users, n_r).swapaxes(1, 2)
     if basis is not None:
         basis_h = basis.conj().T
@@ -266,76 +278,120 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, basis: np.ndarray | None)
         blocks = basis_h @ blocks
     n = r_in.shape[-1]
     if n == 0:
-        return np.zeros(blocks.shape[:2])  # the eavesdroppers receive nothing
+        return np.zeros(r_in.shape[:3])  # the eavesdroppers receive nothing
     eye = np.eye(n)
     viable = True
     # cond(R_I + s I) <= (tr R_I + s) / s, tr R_I is at most the total
     # transmit power N_t P of a column-normalized precoder, and projecting
     # onto V can only tighten the eigenvalue spread; so the exact check runs
-    # only within a factor 100 of the limit by that bound.
-    if n_t * config.signal_power + noise >= 1e-2 * GRAM_CONDITION_LIMIT * noise:
-        trace = np.real(np.trace(r_in, axis1=-2, axis2=-1))
-        cond = np.linalg.cond(r_in)
+    # only at noise levels within a factor 100 of the limit by that bound.
+    near = n_t * config.signal_power + noise >= 1e-2 * GRAM_CONDITION_LIMIT * noise
+    if near.any():
+        hot = r_in[near]
+        trace = np.real(np.trace(hot, axis1=-2, axis2=-1))
+        cond = np.linalg.cond(hot)
         singular = ~np.isfinite(cond) | (cond >= GRAM_CONDITION_LIMIT)
         ridge = np.where(singular, RIDGE_SCALE * trace / n, 0.0)
-        r_in = r_in + ridge[..., None, None] * eye
-        cond = np.linalg.cond(r_in)
+        hot = hot + ridge[..., None, None] * eye
+        cond = np.linalg.cond(hot)
         failed = singular & ((ridge <= 0) | ~np.isfinite(cond) | (cond >= GRAM_CONDITION_LIMIT))
-        r_in[failed] = eye
-        viable = ~failed
-    inner = blocks.conj().swapaxes(-1, -2) @ np.linalg.solve(r_in, blocks)
+        hot[failed] = eye
+        r_in[near] = hot
+        viable = np.ones(r_in.shape[:3], dtype=bool)
+        viable[near] = ~failed
+    inner = blocks.conj().swapaxes(-1, -2) @ np.linalg.solve(
+        r_in, np.broadcast_to(blocks, (*r_in.shape[:-1], n_r)))
     regular, value = logdet(np.eye(n_r) + inner)
     return np.where(viable & regular, value / LN2, np.inf)
 
 
-def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str,
-                   eve_terms: np.ndarray):
+def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str, noise: np.ndarray,
+                   basis: np.ndarray | None):
     """Two-hop secrecy score; the legitimate rates use the same convention as
     the evaluation side (receiver noise added at the destination antennas)."""
     num, den = cs.legit_grams()
-    rates = rate_bits(num, den + config.noise_power * np.eye(config.user_antennas))
-    legit = rates.sum(axis=2)
-    eve = eve_terms.sum(axis=1)
-    eta1 = legit[0] - eve
-    eta2 = legit[1] - eve
+    rates = rate_bits(num, den + noise[:, None, None, None, None, None]
+                      * np.eye(config.user_antennas))
+    legit = rates.sum(axis=3)
+    eve = _eve_terms(cs, config, noise, basis).sum(axis=2)
+    eta1 = legit[:, 0] - eve
+    eta2 = legit[:, 1] - eve
     combined = combine_metrics(eta1, eta2, combine)
-    bad = ~np.isfinite(legit).all(axis=0) | ~cs.valid
+    bad = ~np.isfinite(legit).all(axis=1) | ~cs.valid
     combined = np.where(bad, -np.inf, combined)
     return eta1, eta2, combined
 
 
+def _score_grid(scorer, cs: CandidateSet, config: SystemConfig, combine: str,
+                noise: np.ndarray, *extra) -> tuple:
+    """``scorer``'s ``(eta1, eta2, combined)``, each ``(S, C)``, taken over
+    chunks of the noise grid so that no ``(S, C, M, n, n)`` array exceeds
+    ``SNR_CHUNK_BYTES``; every score depends on its own noise level only."""
+    # The largest per-point arrays are the (C, M, N_t, N_t) interference
+    # covariances and the (2, C, M, N_r, N_r) legitimate grams.
+    step = max(1, SNR_CHUNK_BYTES // (max(config.num_users, 2) * cs.precoders.nbytes))
+    parts = [scorer(cs, config, combine, noise[i:i + step], *extra)
+             for i in range(0, len(noise), step)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def score_candidates(kind: CriterionKind, realization: ChannelRealization,
                      config: SystemConfig, candidates: CandidateSet | None = None,
-                     combine: str = "min"):
+                     combine: str = "min", noise=None):
     """Score every candidate under an exhaustive criterion.
 
     Returns ``(candidate_set, eta1, eta2, combined)`` arrays aligned with
-    ``candidate_set.combinations``. Greedy criteria (channel-gain, max-ratio)
+    ``candidate_set.combinations``: ``(C,)`` at ``config``'s noise level, or
+    ``(S, C)`` with row ``s`` at noise power ``noise[s]`` when an ``(S,)``
+    ``noise`` grid is given (see :meth:`SystemConfig.noise_powers`); the
+    former is the one-point grid. Greedy criteria (channel-gain, max-ratio)
     do not enumerate candidates and are rejected here.
+
+    ``s-sr``'s scores, which read no eavesdropper channel, are kept on the
+    candidate set per grid and ``combine`` rule; ``sr`` returns the same
+    arrays when the stacked eavesdropper channel has rank N_t, where its
+    score is ``s-sr``'s. The returned arrays are read-only.
     """
     if kind not in EXHAUSTIVE_KINDS:
         raise ValueError(f"{kind.value} does not score the full candidate list")
     cs = candidates if candidates is not None else prepare_candidates(realization, config)
+    grid = np.array([config.noise_power]) if noise is None else np.asarray(noise, dtype=float)
     if kind is CriterionKind.SINR:
-        eta1, eta2, combined = _score_sinr(cs, config, combine)
+        scores = _score_grid(_score_sinr, cs, config, combine, grid)
     elif kind is CriterionKind.S_SINR:
-        eta1, eta2, combined = _score_ssinr(cs, config, combine)
+        scores = _score_ssinr(cs, config, combine, grid)
     else:
         basis = (_eve_row_space(realization.stacked_eve_channel())
                  if kind is CriterionKind.SECRECY_RATE else None)
-        eta1, eta2, combined = _score_secrecy(cs, config, combine,
-                                              _eve_terms(cs, config, basis))
-    return cs, eta1, eta2, combined
+        if basis is not None:
+            scores = _score_grid(_score_secrecy, cs, config, combine, grid, basis)
+        else:
+            key = (grid.tobytes(), combine)
+            scores = cs._basis_free.get(key)
+            if scores is None:
+                scores = _score_grid(_score_secrecy, cs, config, combine, grid, None)
+                cs._basis_free[key] = scores
+    for array in scores:
+        array.flags.writeable = False
+    if noise is None:
+        scores = tuple(array[0] for array in scores)
+    return (cs, *scores)
 
 
-def _pick_best(cs: CandidateSet, eta1, eta2, combined):
-    best = int(np.argmax(combined))
-    if not np.isfinite(combined[best]):
-        raise NoViableCandidateError(
-            "all candidate combinations were numerically singular; redraw"
-        )
-    score = CriterionScore(float(eta1[best]), float(eta2[best]), float(combined[best]))
-    return cs.combinations[best], score
+def _pick_best(eta1, eta2, combined) -> tuple:
+    """Row-wise argmax of ``(S, C)`` scores: ``(positions, CriterionScore)``.
+
+    ``np.argmax`` keeps the first maximum, the candidate that enumerates
+    first; a row whose best score is not finite picks -1 with NaN scores.
+    """
+    rows = np.arange(len(combined))
+    best = np.argmax(combined, axis=1)
+    viable = np.isfinite(combined[rows, best])
+    score = CriterionScore(*(np.where(viable, a[rows, best], np.nan)
+                             for a in (eta1, eta2, combined)))
+    return np.where(viable, best, -1), score
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +459,7 @@ def max_ratio_select(realization: ChannelRealization, config: SystemConfig,
 
 
 def select(kind: CriterionKind, realization: ChannelRealization, config: SystemConfig,
-           candidates: CandidateSet | None = None, combine: str = "min"):
+           candidates: CandidateSet | None = None, combine: str = "min", noise=None):
     """Run one selection criterion and return ``(combination, score)``.
 
     Only ``sr`` and ``max-ratio`` see the eavesdropper channels; every other
@@ -411,13 +467,33 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
     them. The exhaustive criteria score every candidate of ``candidates``
     (built from ``realization`` when None) and keep the best; ties go to the
     candidate that enumerates first.
+
+    Given an ``(S,)`` ``noise`` grid, an exhaustive criterion picks at every
+    noise level in one pass and returns ``(positions, score)``:
+    ``positions[s]`` is the row of the candidate set picked at ``noise[s]``,
+    or -1 where no candidate is viable, and ``score`` holds ``(S,)`` arrays
+    (NaN at -1). Without a grid the pick is the one-point grid at
+    ``config``'s noise level, and no viable candidate raises
+    :class:`NoViableCandidateError`.
     """
     if isinstance(kind, str):
         kind = CriterionKind.from_name(kind)
     if kind not in (CriterionKind.SECRECY_RATE, CriterionKind.MAX_RATIO):
         realization = realization.without_eavesdroppers()
+    if kind not in EXHAUSTIVE_KINDS and noise is not None:
+        raise ValueError(f"{kind.value} does not depend on the noise level; select without a grid")
     if kind is CriterionKind.CHANNEL_GAIN:
         return channel_gain_select(realization, config, combine)
     if kind is CriterionKind.MAX_RATIO:
         return max_ratio_select(realization, config, combine)
-    return _pick_best(*score_candidates(kind, realization, config, candidates, combine))
+    grid = np.array([config.noise_power]) if noise is None else noise
+    cs, *scores = score_candidates(kind, realization, config, candidates, combine, grid)
+    positions, score = _pick_best(*scores)
+    if noise is not None:
+        return positions, score
+    if positions[0] < 0:
+        raise NoViableCandidateError(
+            "all candidate combinations were numerically singular; redraw"
+        )
+    return cs.combinations[positions[0]], CriterionScore(
+        float(score.eta1[0]), float(score.eta2[0]), float(score.combined[0]))

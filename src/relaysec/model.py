@@ -111,6 +111,14 @@ class SystemConfig:
     def at_snr(self, snr_db: float) -> "SystemConfig":
         return replace(self, snr_db=float(snr_db))
 
+    def noise_powers(self, snr_grid_db) -> np.ndarray:
+        """``(S,)`` noise power at each grid point, ``at_snr(s).noise_power``.
+
+        One scalar power per point: numpy's vectorized ``10**x`` differs from
+        it in the last bit at some grid points.
+        """
+        return np.array([self.at_snr(s).noise_power for s in snr_grid_db])
+
     def stream_user(self, stream: int) -> int:
         """User index served by global stream ``stream``."""
         return stream // self.user_antennas

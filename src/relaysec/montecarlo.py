@@ -3,13 +3,15 @@
 Each trial draws one channel realization from a sub-stream keyed by
 ``(seed, trial)`` and evaluates every requested criterion on that same
 realization (paired comparison). Between two SNR points only the receiver
-noise changes, so each trial builds one :class:`CandidateSet`: the
-candidate precoders, and lazily one noise-free covariance split of both
-hops and the legitimate grams, are computed once and shared by every
-criterion, every SNR point and the evaluation of each pick. A selection at
-one SNR point then costs a noise shift, one batched log-det or division
-(``sr`` adds one SVD of the eavesdropper stack), and an argmax. Criteria
-that ignore the noise level select once per trial. Results are
+noise changes, so the SNR grid is an array axis rather than a loop: each
+trial builds one :class:`CandidateSet` (the candidate precoders, and lazily
+one noise-free covariance split of both hops and the legitimate grams), and
+each criterion makes one ``select`` call that scores every candidate at
+every grid point and takes a row-wise argmax (``sr`` adds one SVD of the
+eavesdropper stack, and reuses ``s-sr``'s scores when that stack has full
+rank). Criteria that ignore the noise level select once. The distinct
+(candidate, SNR point) pairs that the criteria picked are then evaluated by
+one ``secrecy_rate`` call, and each sample is gathered from it. Results are
 bit-identical for a given spec regardless of the worker count, because
 trials are keyed, independent work units and the reduction runs in fixed
 trial order.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 
@@ -157,52 +158,49 @@ class SweepResult:
 def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
     """Evaluate a block of trials; pure function of (spec, indices)."""
     cfg0 = spec.config
-    configs = [cfg0.at_snr(snr) for snr in spec.snr_grid_db]
-    kinds = spec.criteria
-    n_c, n_s = len(kinds), len(configs)
+    noise = cfg0.noise_powers(spec.snr_grid_db)
+    n_c, n_s = len(spec.criteria), len(noise)
     block = len(trial_indices)
     samples = np.full((n_c, n_s, block), np.nan)
     selections = np.full((n_c, n_s, block), -1, dtype=np.int32)
+    points = np.broadcast_to(np.arange(n_s), (n_c, n_s))
     for b, trial in enumerate(trial_indices):
         realization = generate_realization(cfg0, trial=int(trial))
         cands = crit.prepare_candidates(realization, cfg0)
-        fixed_choice = {kind: _try_select(kind, realization, cfg0, cands, spec)
-                        for kind in kinds if kind in _SNR_FREE}
-        for s, cfg in enumerate(configs):
-            evaluated = {}
-            for c, kind in enumerate(kinds):
-                if kind in _SNR_FREE:
-                    combo = fixed_choice[kind]
-                else:
-                    combo = _try_select(kind, realization, cfg, cands, spec)
-                if combo is None:
-                    continue
-                pos = cands.position(combo)
-                if not cands.valid[pos]:
-                    continue
-                value = evaluated.get(combo)
-                if value is None:
-                    sample = secrecy_rate(
-                        realization, cands, combo, cfg, criterion=kind.value,
-                        half_duplex=spec.half_duplex, clamp=spec.clamp,
-                        eve_model=spec.eve_model, eve_aggregate=spec.eve_aggregate,
-                    )
-                    value = sample.secrecy_rate
-                    evaluated[combo] = value
-                if not np.isfinite(value):
-                    continue
-                samples[c, s, b] = value
-                selections[c, s, b] = pos
+        picks = np.stack([_picks(kind, realization, cands, noise, spec)
+                          for kind in spec.criteria])
+        usable = picks >= 0
+        usable[usable] = cands.valid[picks[usable]]
+        # Each distinct (candidate, SNR point) pair is evaluated once.
+        wanted = np.zeros((len(cands.combinations), n_s), dtype=bool)
+        wanted[picks[usable], points[usable]] = True
+        rows, cols = np.nonzero(wanted)
+        if not rows.size:
+            continue
+        rates = np.full(wanted.shape, np.nan)
+        rates[rows, cols] = secrecy_rate(
+            realization, cands, rows, cfg0, half_duplex=spec.half_duplex, clamp=spec.clamp,
+            eve_model=spec.eve_model, eve_aggregate=spec.eve_aggregate, noise=noise[cols],
+        ).secrecy_rate
+        values = np.where(usable, rates[picks, points], np.nan)
+        kept = np.isfinite(values)
+        samples[:, :, b] = np.where(kept, values, np.nan)
+        selections[:, :, b] = np.where(kept, picks, -1)
     return samples, selections
 
 
-def _try_select(kind, realization, cfg, cands, spec):
+def _picks(kind, realization, cands, noise, spec) -> np.ndarray:
+    """Row of ``cands`` that ``kind`` picks at each noise level, -1 where none
+    is viable. A criterion that ignores the noise level selects once."""
+    if kind not in _SNR_FREE:
+        return crit.select(kind, realization, spec.config, candidates=cands,
+                           combine=spec.combine, noise=noise)[0]
     try:
-        combo, _ = crit.select(kind, realization, cfg, candidates=cands,
+        combo, _ = crit.select(kind, realization, spec.config, candidates=cands,
                                combine=spec.combine)
-        return combo
     except NoViableCandidateError:
-        return None
+        return np.full(len(noise), -1)
+    return np.full(len(noise), cands.position(combo))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -215,6 +213,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.workers == 1 or spec.trials < 4:
         samples[:], selections[:] = _run_trials(spec, all_trials)
     else:
+        # Imported here: serial sweeps never need it, and it costs every
+        # `relaysec` start-up ~2 MB and ~30 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [c for c in np.array_split(all_trials, spec.workers * 4) if c.size]
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             for indices, (s_blk, sel_blk) in zip(

@@ -28,7 +28,8 @@ EVE_AGGREGATES = ("sum", "max")
 
 @dataclass(frozen=True)
 class SecrecySample:
-    """Achieved rates of one (realization, combination) evaluation."""
+    """Achieved rates of one (realization, combination) evaluation, or
+    ``(J,)`` arrays of them for a batch of pairs."""
 
     criterion: str
     snr_db: float
@@ -39,11 +40,12 @@ class SecrecySample:
 
 
 def _link_rates(channels: np.ndarray, rd: np.ndarray, ri: np.ndarray,
-                noise: float) -> np.ndarray:
+                noise: np.ndarray) -> np.ndarray:
     """Clamped log-det rates of eavesdroppers against covariance pairs.
 
     ``channels`` is ``(..., k, n)``, broadcast against ``rd``/``ri`` of shape
-    ``(..., n, n)``; receiver noise enters outside the sandwich.
+    ``(..., n, n)`` and ``noise`` of shape ``(..., 1, 1)``; receiver noise
+    enters outside the sandwich.
     """
     channels_h = channels.conj().swapaxes(-1, -2)
     gram_num = channels @ rd @ channels_h
@@ -63,15 +65,24 @@ def _check_eve_options(eve_model: str, eve_aggregate: str):
 def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, combination,
                  config: SystemConfig, criterion: str = "",
                  half_duplex: bool = True, clamp: bool = True,
-                 eve_model: str = "both", eve_aggregate: str = "sum") -> SecrecySample:
+                 eve_model: str = "both", eve_aggregate: str = "sum",
+                 noise=None) -> SecrecySample:
     """Achieved secrecy rate of ``combination``: legitimate minus eavesdropper rate.
 
     The pick's covariance split and legitimate grams are its rows of
     ``candidates`` (the set its criterion chose from, built from the same
     realization), so selection and evaluation share them; the eavesdropper
     channels come from ``realization``.
-    ``config`` supplies the noise level. A pick whose candidate is not
-    ``valid`` raises :class:`SingularChannelError`.
+    ``config`` supplies the dimensions and, for a single combination, the
+    noise level. A pick whose candidate is not ``valid`` raises
+    :class:`SingularChannelError`.
+
+    Batched form: given a ``(J,)`` ``noise`` array, ``combination`` is a
+    ``(J,)`` array of candidate positions (rows of ``candidates``) and pair
+    ``j`` is evaluated at noise power ``noise[j]``; the sample's three rates
+    are then ``(J,)`` arrays, its ``combination`` the positions and its
+    ``snr_db`` None. A single combination is the one-pair batch at
+    ``config``'s noise level.
 
     The legitimate rate sums the per-user log-det rates of each hop and takes
     the weaker hop. Every eavesdropper overhears phase 1 through its
@@ -85,35 +96,49 @@ def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, comb
     no secret bits); set ``clamp=False`` for the signed difference.
     """
     _check_eve_options(eve_model, eve_aggregate)
-    pos = candidates.position(combination)
-    if not candidates.valid[pos]:
-        raise SingularChannelError(f"candidate {tuple(combination)} has a singular hop channel")
+    if noise is None:
+        positions = np.array([candidates.position(combination)])
+        levels = np.array([config.noise_power])
+    else:
+        positions = np.asarray(combination, dtype=np.intp)
+        levels = np.asarray(noise, dtype=float)
+    singular = ~candidates.valid[positions]
+    if singular.any():
+        combo = candidates.combinations[positions[singular][0]]
+        raise SingularChannelError(f"candidate {combo} has a singular hop channel")
     n_e, n_t = config.eve_antennas, config.transmit_antennas
-    noise = config.noise_power
     # Grams (2, C, M, N_r, N_r) and covariances (2, C, M, N_t, N_t), source hop first.
     num, den = candidates.legit_grams()
     rd, ri = candidates.covariances()
-    rates = rate_bits(num[:, pos], den[:, pos] + noise * np.eye(config.user_antennas))
-    legit = float(np.maximum(rates, 0.0).sum(axis=1).min())
+    rates = rate_bits(num[:, positions],
+                      den[:, positions] + levels[:, None, None, None] * np.eye(config.user_antennas))
+    legit = np.maximum(rates, 0.0).sum(axis=2).min(axis=0)
     phases = 2 if eve_model == "both" else 1
-    channels = [realization.stacked_eve_channel().reshape(-1, n_e, n_t)]
+    source_eve = realization.stacked_eve_channel().reshape(-1, n_e, n_t)
+    channels = [np.broadcast_to(source_eve, (len(positions), *source_eve.shape))]
     if phases == 2:
-        channels.append(realization.relay_eve_channels(combination))
-    # (P, K, 1, N_e, N_t) against (P, 1, M, N_t, N_t): rates (P, K, M)
-    rates = _link_rates(np.array(channels)[:, :, None], rd[:phases, pos, None],
-                        ri[:phases, pos, None], noise)
-    per_eve = rates.sum(axis=(0, 2))
-    eve = float(per_eve.sum() if eve_aggregate == "sum" else per_eve.max())
+        members = np.array(candidates.combinations)[positions]
+        channels.append(realization.relay_eve_channels(members))
+    # (P, J, K, 1, N_e, N_t) against (P, J, 1, M, N_t, N_t): rates (P, J, K, M)
+    rates = _link_rates(np.array(channels)[:, :, :, None], rd[:phases, positions, None],
+                        ri[:phases, positions, None], levels[:, None, None, None, None])
+    # Users, then phases, in that order whatever the batch size: a multi-axis
+    # sum may fuse axes, and so change the order, when K = 1.
+    per_eve = rates.sum(axis=3).sum(axis=0)
+    eve = per_eve.sum(axis=1) if eve_aggregate == "sum" else per_eve.max(axis=1)
     if half_duplex:
         legit, eve = 0.5 * legit, 0.5 * eve
     diff = legit - eve
     if clamp:
-        diff = max(diff, 0.0)
+        diff = np.maximum(diff, 0.0)
+    if noise is not None:
+        return SecrecySample(criterion=str(criterion), snr_db=None, secrecy_rate=diff,
+                             legit_rate=legit, eve_rate=eve, combination=positions)
     return SecrecySample(
         criterion=str(criterion),
         snr_db=config.snr_db,
-        secrecy_rate=float(diff),
-        legit_rate=float(legit),
-        eve_rate=float(eve),
+        secrecy_rate=float(diff[0]),
+        legit_rate=float(legit[0]),
+        eve_rate=float(eve[0]),
         combination=tuple(combination),
     )

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from relaysec import criteria
 from relaysec.criteria import (
     CriterionKind,
     NotSingleAntennaError,
@@ -426,6 +427,22 @@ class TestSecrecySelection:
             assert score.combined >= 0.0
             assert combined.max() == pytest.approx(score.combined)
 
+    def test_kept_ssr_scores_follow_grid_and_combine(self):
+        # The set keeps s-sr's scores for sr to reuse; a kept result must
+        # never answer a call with another grid or combine rule.
+        cfg = single_antenna_config()
+        real = generate_realization(cfg, trial=2)
+        shared = prepare_candidates(real, cfg)
+        for combine in ("min", "sum"):
+            for grid in ((0.0, 10.0), (10.0,), (10.0, 0.0)):
+                noise = cfg.noise_powers(grid)
+                for kind in (CriterionKind.S_SR, CriterionKind.SECRECY_RATE):
+                    got = score_candidates(kind, real, cfg, candidates=shared,
+                                           combine=combine, noise=noise)[1:]
+                    want = score_candidates(kind, real, cfg, combine=combine, noise=noise)[1:]
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a, b)
+
     def test_sr_matches_bruteforce_through_public_ops(self):
         cfg = single_antenna_config()
         for t in range(10):
@@ -600,7 +617,9 @@ class TestCandidateSetAcrossSnr:
             shared = prepare_candidates(real, cfg0)
             # 0 dB again last: the noise-free terms filled at other points
             # must not carry a noise level over.
-            for snr in (0.0, 20.0, 7.5, 0.0):
+            grid = (0.0, 20.0, 7.5, 0.0)
+            picks = []
+            for snr in grid:
                 cfg = cfg0.at_snr(snr)
                 fresh = prepare_candidates(real, cfg)
                 _, _, _, reused_scores = score_candidates(kind, real, cfg, candidates=shared)
@@ -611,6 +630,53 @@ class TestCandidateSetAcrossSnr:
                 pick, _ = select(kind, real, cfg, candidates=shared)
                 assert pick == select(kind, real, cfg, candidates=fresh)[0]
                 assert pick == shared.combinations[int(np.argmax(oracle))]
+                picks.append(shared.position(pick))
+            # The whole grid at once, on a fresh set and on the shared one.
+            for cands in (prepare_candidates(real, cfg0), shared):
+                noise = cfg0.noise_powers(grid)
+                _, _, _, grid_scores = score_candidates(kind, real, cfg0, candidates=cands,
+                                                        noise=noise)
+                for s, snr in enumerate(grid):
+                    np.testing.assert_allclose(grid_scores[s],
+                                               scalar_scores(kind, real, cfg0.at_snr(snr)),
+                                               rtol=1e-9, atol=1e-12)
+                positions, _ = select(kind, real, cfg0, candidates=cands, noise=noise)
+                assert positions.tolist() == picks
+
+    @pytest.mark.parametrize("kind", [CriterionKind.SINR, CriterionKind.SECRECY_RATE,
+                                      CriterionKind.S_SR])
+    def test_chunked_grid_gives_same_picks_and_scores(self, kind, monkeypatch):
+        cfg = single_antenna_config(num_eves=1)
+        grid = (0.0, 5.0, 20.0, 60.0, 150.0, 200.0, 3.0)
+        noise = cfg.noise_powers(grid)
+        for trial in range(3):
+            real = generate_realization(cfg, trial=trial)
+            whole = select(kind, real, cfg, candidates=prepare_candidates(real, cfg), noise=noise)
+            cands = prepare_candidates(real, cfg)
+            scorer = "_score_sinr" if kind is CriterionKind.SINR else "_score_secrecy"
+            chunks = []
+            original = getattr(criteria, scorer)
+
+            def spy(cs, config, combine, part, *extra):
+                chunks.append(len(part))
+                return original(cs, config, combine, part, *extra)
+
+            # Room for two points per chunk: four chunks, the last one short.
+            monkeypatch.setattr(criteria, "SNR_CHUNK_BYTES", 2 * 2 * cands.precoders.nbytes)
+            monkeypatch.setattr(criteria, scorer, spy)
+            chunked = select(kind, real, cfg, candidates=cands, noise=noise)
+            monkeypatch.undo()
+            assert chunks == [2, 2, 2, 1]
+            assert np.array_equal(whole[0], chunked[0])
+            for a, b in zip(vars(whole[1]).values(), vars(chunked[1]).values()):
+                assert np.array_equal(a, b, equal_nan=True)
+
+    def test_greedy_criteria_take_no_grid(self):
+        cfg = single_antenna_config()
+        real = generate_realization(cfg)
+        for kind in ("channel-gain", "max-ratio"):
+            with pytest.raises(ValueError, match="does not depend on the noise level"):
+                select(kind, real, cfg, noise=cfg.noise_powers((0.0, 10.0)))
 
     def test_ssr_sweep_at_200_db_matches_scalar_oracle(self):
         # cond(R_I + s I) ~ 1e20 here, so every candidate takes the ridge.

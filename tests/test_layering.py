@@ -1,6 +1,9 @@
-"""Layering: the sweep path never reaches the scalar reference oracles."""
+"""Layering: the sweep path never reaches the scalar reference oracles, and
+importing the CLI loads no module that only some runs need."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,13 @@ def test_checker_flags_reference_uses():
     assert reference_uses(tree) == ["line 1: imports from reference", "line 2: names Precoder"]
     source = (PACKAGE / "reference.py").read_text(encoding="utf-8")
     assert any(hit.endswith("defines Precoder") for hit in reference_uses(ast.parse(source)))
+
+
+def test_cli_import_leaves_out_pool_and_masked_arrays():
+    # concurrent.futures serves only multi-worker sweeps and numpy.ma (which
+    # np.unique imports) no sweep at all; each adds to every start-up.
+    code = ("import sys, relaysec.cli; "
+            "print(sorted({'concurrent.futures', 'numpy.ma'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from relaysec import criteria, montecarlo
 from relaysec.criteria import CriterionKind
 from relaysec.model import ConfigError, SystemConfig
 from relaysec.montecarlo import SweepSpec, compare_criteria, run_sweep
@@ -113,6 +114,27 @@ class TestPairing:
         assert np.all(stderr >= 0)
         with pytest.raises(ValueError):
             res.curve("max-ratio")
+
+
+class TestCallsPerTrial:
+    def test_one_select_per_criterion_and_one_evaluation_per_trial(self, monkeypatch):
+        calls = []
+        for module, name in ((criteria, "select"), (montecarlo, "secrecy_rate"),
+                             (montecarlo, "generate_realization")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        kinds = ("channel-gain", "max-ratio", "sinr", "sr", "s-sinr", "s-sr")
+        spec = small_spec(trials=5, snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0), criteria=kinds)
+        result = run_sweep(spec)
+        assert calls.count("generate_realization") == 5
+        assert calls.count("select") == 5 * len(kinds)
+        assert calls.count("secrecy_rate") == 5
+        assert np.all(result.n_discarded == 0)
 
 
 class TestStatistics:

@@ -1,5 +1,6 @@
 """Property tests: the batched evaluation equals the scalar reference oracles,
-and ``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank."""
+``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank, and
+selection and evaluation over an SNR grid equal their one-point calls."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from relaysec.criteria import CriterionKind, prepare_candidates, score_candidates, select  # noqa: E402
+from relaysec.criteria import (  # noqa: E402
+    CriterionKind,
+    NoViableCandidateError,
+    prepare_candidates,
+    score_candidates,
+    select,
+)
 from relaysec.model import SystemConfig, generate_realization  # noqa: E402
 from relaysec.reference import (  # noqa: E402
     desired_covariance,
@@ -93,5 +100,61 @@ def test_sr_equals_ssr_on_full_rank_eve_stack(cfg, snr_db, trial):
               for kind in (CriterionKind.SECRECY_RATE, CriterionKind.S_SR)]
     for sr_array, ssr_array in zip(*scores):
         assert np.array_equal(sr_array, ssr_array)
+        assert np.shares_memory(sr_array, ssr_array)  # s-sr reused sr's scores
     assert (select(CriterionKind.SECRECY_RATE, real, cfg, candidates=cands)
             == select(CriterionKind.S_SR, real, cfg, candidates=cands))
+
+
+# Grids over 0-200 dB that always reach the ridge regime (>= 150 dB), where
+# the eavesdropper term loads nearly singular interference covariances.
+snr_grids = st.tuples(
+    st.lists(st.floats(0.0, 200.0), min_size=0, max_size=6),
+    st.floats(150.0, 200.0),
+).map(lambda parts: tuple(parts[0]) + (parts[1],))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cfg=configs(), grid=snr_grids, trial=st.integers(0, 50),
+       combine=st.sampled_from(["min", "sum"]))
+def test_grid_select_equals_per_point_select(cfg, grid, trial, combine):
+    real = generate_realization(cfg, trial=trial)
+    cands = prepare_candidates(real, cfg)
+    noise = cfg.noise_powers(grid)
+    for kind in (CriterionKind.SINR, CriterionKind.SECRECY_RATE, CriterionKind.S_SR):
+        positions, score = select(kind, real, cfg, candidates=cands, combine=combine,
+                                  noise=noise)
+        for s, snr in enumerate(grid):
+            try:
+                combo, want = select(kind, real, cfg.at_snr(snr), candidates=cands,
+                                     combine=combine)
+            except NoViableCandidateError:
+                assert positions[s] == -1
+                continue
+            assert cands.combinations[positions[s]] == combo
+            for got, expected in zip((score.eta1, score.eta2, score.combined),
+                                     (want.eta1, want.eta2, want.combined)):
+                assert np.array_equal(got[s], expected)  # same bits
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cfg=configs(), grid=snr_grids, trial=st.integers(0, 50),
+       eve_model=st.sampled_from(["phase1", "both"]),
+       eve_aggregate=st.sampled_from(["sum", "max"]), clamp=st.booleans())
+def test_batched_secrecy_rate_equals_per_pair_calls(cfg, grid, trial, eve_model,
+                                                    eve_aggregate, clamp):
+    real = generate_realization(cfg, trial=trial)
+    cands = prepare_candidates(real, cfg)
+    positions = np.flatnonzero(cands.valid)
+    rows = np.repeat(positions, len(grid))
+    points = np.tile(np.arange(len(grid)), len(positions))
+    options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate, clamp=clamp)
+    batch = secrecy_rate(real, cands, rows, cfg, noise=cfg.noise_powers(grid)[points],
+                         **options)
+    for j, (row, s) in enumerate(zip(rows, points)):
+        one = secrecy_rate(real, cands, cands.combinations[row], cfg.at_snr(grid[s]),
+                           **options)
+        assert batch.legit_rate[j] == pytest.approx(one.legit_rate, rel=1e-12, abs=0)
+        assert batch.eve_rate[j] == pytest.approx(one.eve_rate, rel=1e-12, abs=0)
+        # The difference of the two rates, relative to their size.
+        assert batch.secrecy_rate[j] == pytest.approx(
+            one.secrecy_rate, rel=1e-12, abs=1e-12 * (one.legit_rate + one.eve_rate))
