@@ -12,16 +12,27 @@ Six selection rules are provided:
 * ``s-sr``: reduced secrecy rule whose eavesdropper term is computed from the
   precoders alone; eavesdropper channels are never read on this path.
 
-``sr`` and ``s-sr`` share one eavesdropper term: ``sr``'s is ``s-sr``'s
-restricted to the row space of the stacked eavesdropper channel, so the two
-are the same computation whenever that channel has full column rank.
+Both hops are square zero forcing (ZF). With ``d`` the column norms of a
+core ``H^{-1}`` and ``D = diag(d)``, the precoder is ``W = sqrt(P) H^{-1} D^{-1}``,
+so ``H W = sqrt(P) D^{-1}``: stream ``l`` arrives with power ``P / d_l^2`` and
+no interference, every legitimate rate is ``sum_l log2(1 + P / (d_l^2 s))``
+and every stream SINR ``P / (d_l^2 s)`` at noise power ``s``. So ``sinr``'s
+pick does not depend on the noise level.
+
+``sr`` and ``s-sr`` share one eavesdropper term. By the determinant lemma and
+Jacobi's complementary-minor identity, with ``G = A^H A = Q diag(lam) Q^H``
+and ``Q_u`` user ``u``'s rows of ``Q``, it is
+``-log2 det(Q_u diag(s / (lam + s)) Q_u^H)``: ``A = W`` for ``s-sr``, and
+``A = V^H W`` for ``sr``, with ``V`` a basis of the row space of the stacked
+eavesdropper channel. One eigendecomposition per candidate therefore serves
+every noise level, and the two criteria are the same computation whenever
+that channel has full column rank.
 
 Exhaustive rules score every T-combination of the relay pool. Each candidate
-is scored under its own pair of zero-forcing precoders (source side for
-phase 1, coordinated relay side for phase 2); :class:`CandidateSet` caches
-the per-candidate channels, precoders and rate terms so several criteria can
-share them on one realization (paired comparisons). Ties break toward the
-candidate that enumerates first (lexicographic order).
+is scored under its own pair of ZF precoders (source side for phase 1,
+coordinated relay side for phase 2), held by a :class:`CandidateSet` that
+several criteria share on one realization (paired comparisons). Ties break
+toward the candidate that enumerates first (lexicographic order).
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import GRAM_CONDITION_LIMIT, LN2, RIDGE_SCALE, logdet, rate_bits, split_covariances
+from .kernels import LN2, logdet
 from .model import ChannelRealization, ConfigError, SystemConfig, zf_core_batch
 
 
@@ -71,11 +82,6 @@ EXHAUSTIVE_KINDS = (
     CriterionKind.S_SR,
 )
 
-# Bytes the largest (S, C, M, n, n) array of one scoring pass may take; a
-# longer SNR grid is scored in chunks of points. At C(12, 4) = 495 candidates
-# of four single-antenna users one point takes ~0.5 MB.
-SNR_CHUNK_BYTES = 4 * 2**20
-
 
 @dataclass(frozen=True)
 class CriterionScore:
@@ -112,8 +118,7 @@ def enumerate_combinations(pool_size: int, selected: int) -> list:
 
 @dataclass
 class CandidateSet:
-    """Per-candidate channels and precoders of one realization, plus the
-    noise-free terms every SNR point shares.
+    """Per-candidate channels and precoders of one realization.
 
     ``hop1[c]`` stacks the members' source->relay blocks (square, N_t x N_t);
     ``hop2[c, u]`` concatenates the members' relay->user blocks for user
@@ -125,15 +130,15 @@ class CandidateSet:
     (``position`` maps back), and the same rows serve both selection and
     :func:`relaysec.secrecy.secrecy_rate`'s evaluation of the pick.
 
-    Receiver noise ``s I`` enters every criterion only as an additive shift
-    of a noise-free form, so one set serves every SNR point of a trial: the
-    covariance split of both hops and the legitimate grams are filled
-    lazily, once, and a selection over a grid of noise levels adds each
-    ``s`` along a leading axis and takes one batched log-det or division.
-    ``s-sr``'s scores are kept per grid and ``combine`` rule, for ``sr`` to
-    reuse where its score is the same. Nothing here is derived from the
-    eavesdropper channels. ``config`` supplies dimensions and signal power
-    only; the noise levels come from each selection.
+    Receiver noise enters no stored array. ZF makes ``H W = sqrt(P) D^{-1}``
+    with ``D`` the diagonal of a core's column norms ``d``, so stream ``l``
+    of either hop is received with the noise-free power ``P / d_l^2``
+    (:meth:`stream_gains`) and its rate at noise power ``s`` is
+    ``log2(1 + P / (d_l^2 s))`` (:func:`legit_rates`). ``s-sr``'s scores are
+    kept per grid and ``combine`` rule, for ``sr`` to reuse where its score
+    is the same. Nothing here is derived from the eavesdropper channels.
+    ``config`` supplies dimensions and signal power only; the noise levels
+    come from each selection.
     """
 
     config: SystemConfig
@@ -146,8 +151,6 @@ class CandidateSet:
     relay_cores: np.ndarray
     valid: np.ndarray
     _index: dict = field(default_factory=dict, repr=False)
-    _split: tuple | None = field(default=None, repr=False)
-    _legit: tuple | None = field(default=None, repr=False)
     _basis_free: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -156,29 +159,18 @@ class CandidateSet:
     def position(self, combination) -> int:
         return self._index[tuple(combination)]
 
-    def covariances(self) -> tuple:
-        """Noise-free ``(rd, ri)`` of both hops' precoders.
+    def stream_gains(self, positions=slice(None)) -> np.ndarray:
+        """Noise-free received power ``P / d_l^2`` of every stream of the
+        candidates at ``positions``, ``(2, J, N_t)``, source hop first."""
+        cores = np.stack([self.cores[positions], self.relay_cores[positions]])
+        return self.config.signal_power / np.sum(np.abs(cores) ** 2, axis=-2)
 
-        Shape ``(2, C, M, N_t, N_t)``, source hop first; see
-        :func:`relaysec.kernels.split_covariances`.
-        """
-        if self._split is None:
-            self._split = split_covariances(np.stack([self.precoders, self.relay_precoders]),
-                                            self.config.num_users, self.config.user_antennas)
-        return self._split
 
-    def legit_grams(self) -> tuple:
-        """``(H_u R_d H_u^H, H_u R_I H_u^H)`` per hop, candidate and user.
-
-        Shape ``(2, C, M, N_r, N_r)``, source hop first. Their diagonals are
-        the per-stream SINR numerators and denominators.
-        """
-        if self._legit is None:
-            rows = np.stack([self.hop1.reshape(self.hop2.shape), self.hop2])
-            rows_h = rows.conj().swapaxes(-1, -2)
-            rd, ri = self.covariances()
-            self._legit = (rows @ rd @ rows_h, rows @ ri @ rows_h)
-        return self._legit
+def legit_rates(gains: np.ndarray, noise) -> np.ndarray:
+    """``sum_l log2(1 + g_l / s)``: the rate of ZF streams with noise-free
+    received powers ``g`` (last axis) at noise power ``s``, which broadcasts
+    against ``gains[..., 0]``."""
+    return np.log1p(gains / np.asarray(noise)[..., None]).sum(axis=-1) / LN2
 
 
 def prepare_candidates(realization: ChannelRealization, config: SystemConfig) -> CandidateSet:
@@ -188,8 +180,8 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig) ->
     hop1 = realization.stacked_source_channel(members)
     # All users' antennas stacked give a square phase-2 channel as well.
     hop2_all = realization.all_users_channel(members)
-    matrix1, core1, valid1, _ = zf_core_batch(hop1, config.signal_power)
-    matrix2, core2, valid2, _ = zf_core_batch(hop2_all, config.signal_power)
+    matrix1, core1, valid1 = zf_core_batch(hop1, config.signal_power)
+    matrix2, core2, valid2 = zf_core_batch(hop2_all, config.signal_power)
     valid = valid1 & valid2
     eye = np.eye(config.transmit_antennas, dtype=complex)
     matrix1 = np.where(valid[:, None, None], matrix1, eye)
@@ -214,32 +206,23 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig) ->
 # ---------------------------------------------------------------------------
 
 
-def _score_sinr(cs: CandidateSet, config: SystemConfig, combine: str, noise: np.ndarray):
-    num, den = cs.legit_grams()
-    num = np.real(np.diagonal(num, axis1=-2, axis2=-1))
-    # Zero forcing makes the interference form vanish in exact arithmetic; its
-    # rounding can be negative and, at high SNR, outweigh the noise.
-    den = (np.maximum(np.real(np.diagonal(den, axis1=-2, axis2=-1)), 0.0)
-           + noise[:, None, None, None, None])
-    sinr = num / den
+def _score_sinr(cs: CandidateSet, config: SystemConfig, combine: str):
+    """``sinr``'s ``(eta1, eta2, combined)`` times the noise power, each ``(C,)``."""
+    gains = cs.stream_gains()
     c = len(cs.combinations)
-    per_relay = sinr[:, 0].reshape(-1, c, config.selected_relays,
-                                   config.relay_antennas).mean(axis=3)
-    per_user = sinr[:, 1].mean(axis=3)
-    eta1 = np.min(per_relay, axis=2)
-    eta2 = np.min(per_user, axis=2)
-    combined = combine_metrics(eta1, eta2, combine)
-    combined = np.where(cs.valid, combined, -np.inf)
-    return eta1, eta2, combined
+    per_relay = gains[0].reshape(c, config.selected_relays, config.relay_antennas).mean(axis=2)
+    per_user = gains[1].reshape(c, config.num_users, config.user_antennas).mean(axis=2)
+    eta1 = np.min(per_relay, axis=1)
+    eta2 = np.min(per_user, axis=1)
+    return eta1, eta2, np.where(cs.valid, combine_metrics(eta1, eta2, combine), -np.inf)
 
 
-def _score_ssinr(cs: CandidateSet, config: SystemConfig, combine: str, noise: np.ndarray):
+def _score_ssinr(cs: CandidateSet, combine: str):
     # Channel-norm metrics only: no noise level, and precoder validity does
     # not constrain them.
     eta1 = np.min(np.sum(np.abs(cs.hop1) ** 2, axis=2), axis=1)
     eta2 = np.min(np.sum(np.abs(cs.hop2) ** 2, axis=3), axis=(1, 2))
-    combined = combine_metrics(eta1, eta2, combine)
-    return tuple(np.broadcast_to(a, (len(noise), len(a))) for a in (eta1, eta2, combined))
+    return eta1, eta2, combine_metrics(eta1, eta2, combine)
 
 
 def _eve_row_space(eve_stack: np.ndarray):
@@ -259,82 +242,70 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
     """Eavesdropper log-det terms from the precoders, on a subspace.
 
     ``log2 det(I + U_u^H V (V^H (R_I + s I) V)^{-1} V^H U_u)`` for every
-    noise level ``s`` in ``noise``, candidate and user in one solve, shape
-    ``(S, C, M)``. ``s-sr`` passes no basis (V = I); ``sr`` passes the basis
-    of the eavesdropper row space, where the term equals
+    noise level ``s`` in ``noise``, candidate and user, shape ``(S, C, M)``,
+    where ``U_u`` is user ``u``'s columns of the precoder ``W`` and ``R_I``
+    the other users' covariance. ``s-sr`` passes no basis (V = I); ``sr``
+    passes the basis of the eavesdropper row space, where the term equals
     ``log2 det(E (R_I + R_d + s I) E^H) / det(E (R_I + s I) E^H)`` by the
     pseudo-determinant and Sylvester's identity, and stays defined when
-    ``E E^H`` is singular. Where ``cond(V^H (R_I + s I) V) >=
-    GRAM_CONDITION_LIMIT`` the same trace-scaled ridge as
-    :func:`relaysec.reference.ssr_eve_term` is added; a candidate the ridge
-    cannot rescue gets an infinite term.
+    ``E E^H`` is singular.
+
+    The term is ``-log2 det(Q_u diag(s / (lam + s)) Q_u^H)`` with
+    ``A^H A = Q diag(lam) Q^H``, ``A = V^H W``: one ``eigh`` per candidate,
+    then one ``N_r x N_r`` determinant per noise level. The ``N_t - r``
+    null eigenvalues of a rank-``r`` basis are exactly 0.
     """
-    n_t, n_r = config.transmit_antennas, config.user_antennas
-    r_in = cs.covariances()[1][0] + noise[:, None, None, None, None] * np.eye(n_t)
-    blocks = cs.precoders.reshape(len(cs.combinations), n_t, config.num_users, n_r).swapaxes(1, 2)
-    if basis is not None:
-        basis_h = basis.conj().T
-        r_in = basis_h @ r_in @ basis
-        blocks = basis_h @ blocks
-    n = r_in.shape[-1]
-    if n == 0:
-        return np.zeros(r_in.shape[:3])  # the eavesdroppers receive nothing
-    eye = np.eye(n)
-    viable = True
-    # cond(R_I + s I) <= (tr R_I + s) / s, tr R_I is at most the total
-    # transmit power N_t P of a column-normalized precoder, and projecting
-    # onto V can only tighten the eigenvalue spread; so the exact check runs
-    # only at noise levels within a factor 100 of the limit by that bound.
-    near = n_t * config.signal_power + noise >= 1e-2 * GRAM_CONDITION_LIMIT * noise
-    if near.any():
-        hot = r_in[near]
-        trace = np.real(np.trace(hot, axis1=-2, axis2=-1))
-        cond = np.linalg.cond(hot)
-        singular = ~np.isfinite(cond) | (cond >= GRAM_CONDITION_LIMIT)
-        ridge = np.where(singular, RIDGE_SCALE * trace / n, 0.0)
-        hot = hot + ridge[..., None, None] * eye
-        cond = np.linalg.cond(hot)
-        failed = singular & ((ridge <= 0) | ~np.isfinite(cond) | (cond >= GRAM_CONDITION_LIMIT))
-        hot[failed] = eye
-        r_in[near] = hot
-        viable = np.ones(r_in.shape[:3], dtype=bool)
-        viable[near] = ~failed
-    inner = blocks.conj().swapaxes(-1, -2) @ np.linalg.solve(
-        r_in, np.broadcast_to(blocks, (*r_in.shape[:-1], n_r)))
-    regular, value = logdet(np.eye(n_r) + inner)
-    return np.where(viable & regular, value / LN2, np.inf)
+    n_t, n_r, m = config.transmit_antennas, config.user_antennas, config.num_users
+    a = cs.precoders if basis is None else basis.conj().T @ cs.precoders
+    lam, q = np.linalg.eigh(a.conj().swapaxes(-1, -2) @ a)
+    lam = np.maximum(lam, 0.0)
+    lam[:, :n_t - a.shape[-2]] = 0.0  # ascending: the null directions come first
+    rows = q.reshape(len(q), m, n_r, n_t)
+    # (C, M, N_t, N_r * N_r): eigenvector k's outer product on user u's rows.
+    outer = (rows[:, :, :, None, :] * rows[:, :, None, :, :].conj()).reshape(
+        len(q), m, n_r * n_r, n_t).swapaxes(-1, -2)
+    if n_r == 1:
+        outer = outer.real
+    ratio = noise[:, None, None] / (lam + noise[:, None, None])
+    mixed = ratio[:, :, None, None, :] @ outer
+    regular, value = logdet(mixed.reshape(*mixed.shape[:3], n_r, n_r))
+    return np.where(regular, -value / LN2, np.inf)
 
 
 def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str, noise: np.ndarray,
                    basis: np.ndarray | None):
-    """Two-hop secrecy score; the legitimate rates use the same convention as
-    the evaluation side (receiver noise added at the destination antennas)."""
-    num, den = cs.legit_grams()
-    rates = rate_bits(num, den + noise[:, None, None, None, None, None]
-                      * np.eye(config.user_antennas))
-    legit = rates.sum(axis=3)
+    """Two-hop secrecy score; the legitimate rates are the ones the
+    evaluation side takes (receiver noise at the destination antennas)."""
+    legit = legit_rates(cs.stream_gains(), noise[:, None, None])
     eve = _eve_terms(cs, config, noise, basis).sum(axis=2)
     eta1 = legit[:, 0] - eve
     eta2 = legit[:, 1] - eve
-    combined = combine_metrics(eta1, eta2, combine)
-    bad = ~np.isfinite(legit).all(axis=1) | ~cs.valid
-    combined = np.where(bad, -np.inf, combined)
-    return eta1, eta2, combined
+    return eta1, eta2, np.where(cs.valid, combine_metrics(eta1, eta2, combine), -np.inf)
 
 
-def _score_grid(scorer, cs: CandidateSet, config: SystemConfig, combine: str,
-                noise: np.ndarray, *extra) -> tuple:
-    """``scorer``'s ``(eta1, eta2, combined)``, each ``(S, C)``, taken over
-    chunks of the noise grid so that no ``(S, C, M, n, n)`` array exceeds
-    ``SNR_CHUNK_BYTES``; every score depends on its own noise level only."""
-    # The largest per-point arrays are the (C, M, N_t, N_t) interference
-    # covariances and the (2, C, M, N_r, N_r) legitimate grams.
-    step = max(1, SNR_CHUNK_BYTES // (max(config.num_users, 2) * cs.precoders.nbytes))
-    parts = [scorer(cs, config, combine, noise[i:i + step], *extra)
-             for i in range(0, len(noise), step)]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+def _grid_scores(kind: CriterionKind, realization: ChannelRealization, cs: CandidateSet,
+                 config: SystemConfig, combine: str, grid: np.ndarray) -> tuple:
+    """``(eta1, eta2, combined)``, each ``(S, C)`` with row ``s`` at noise
+    power ``grid[s]``, and the ranking whose row-wise argmax is the pick:
+    ``combined`` itself, or for ``sinr`` and ``s-sinr``, whose picks do not
+    depend on the noise level, their one noise-free row."""
+    if kind is CriterionKind.SINR:
+        free = _score_sinr(cs, config, combine)
+        return tuple(a / grid[:, None] for a in free), free[2][None]
+    if kind is CriterionKind.S_SINR:
+        free = _score_ssinr(cs, combine)
+        return tuple(np.broadcast_to(a, (len(grid), len(a))) for a in free), free[2][None]
+    basis = (_eve_row_space(realization.stacked_eve_channel())
+             if kind is CriterionKind.SECRECY_RATE else None)
+    if basis is not None:
+        scores = _score_secrecy(cs, config, combine, grid, basis)
+    else:
+        key = (grid.tobytes(), combine)
+        scores = cs._basis_free.get(key)
+        if scores is None:
+            scores = _score_secrecy(cs, config, combine, grid, None)
+            cs._basis_free[key] = scores
+    return scores, scores[2]
 
 
 def score_candidates(kind: CriterionKind, realization: ChannelRealization,
@@ -358,21 +329,7 @@ def score_candidates(kind: CriterionKind, realization: ChannelRealization,
         raise ValueError(f"{kind.value} does not score the full candidate list")
     cs = candidates if candidates is not None else prepare_candidates(realization, config)
     grid = np.array([config.noise_power]) if noise is None else np.asarray(noise, dtype=float)
-    if kind is CriterionKind.SINR:
-        scores = _score_grid(_score_sinr, cs, config, combine, grid)
-    elif kind is CriterionKind.S_SINR:
-        scores = _score_ssinr(cs, config, combine, grid)
-    else:
-        basis = (_eve_row_space(realization.stacked_eve_channel())
-                 if kind is CriterionKind.SECRECY_RATE else None)
-        if basis is not None:
-            scores = _score_grid(_score_secrecy, cs, config, combine, grid, basis)
-        else:
-            key = (grid.tobytes(), combine)
-            scores = cs._basis_free.get(key)
-            if scores is None:
-                scores = _score_grid(_score_secrecy, cs, config, combine, grid, None)
-                cs._basis_free[key] = scores
+    scores, _ = _grid_scores(kind, realization, cs, config, combine, grid)
     for array in scores:
         array.flags.writeable = False
     if noise is None:
@@ -380,14 +337,16 @@ def score_candidates(kind: CriterionKind, realization: ChannelRealization,
     return (cs, *scores)
 
 
-def _pick_best(eta1, eta2, combined) -> tuple:
-    """Row-wise argmax of ``(S, C)`` scores: ``(positions, CriterionScore)``.
+def _pick_best(eta1, eta2, combined, ranking) -> tuple:
+    """Row-wise pick from ``(S, C)`` scores: ``(positions, CriterionScore)``.
 
-    ``np.argmax`` keeps the first maximum, the candidate that enumerates
-    first; a row whose best score is not finite picks -1 with NaN scores.
+    The pick is the argmax of each row of ``ranking``, ``(S, C)`` or one
+    ``(1, C)`` row for every point. ``np.argmax`` keeps the first maximum,
+    the candidate that enumerates first; a row whose picked score is not
+    finite picks -1 with NaN scores.
     """
     rows = np.arange(len(combined))
-    best = np.argmax(combined, axis=1)
+    best = np.broadcast_to(np.argmax(ranking, axis=1), rows.shape)
     viable = np.isfinite(combined[rows, best])
     score = CriterionScore(*(np.where(viable, a[rows, best], np.nan)
                              for a in (eta1, eta2, combined)))
@@ -472,8 +431,9 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
     noise level in one pass and returns ``(positions, score)``:
     ``positions[s]`` is the row of the candidate set picked at ``noise[s]``,
     or -1 where no candidate is viable, and ``score`` holds ``(S,)`` arrays
-    (NaN at -1). Without a grid the pick is the one-point grid at
-    ``config``'s noise level, and no viable candidate raises
+    (NaN at -1); ``sinr`` and ``s-sinr`` pick from their noise-free scores,
+    so the same row at every point. Without a grid the pick is the one-point
+    grid at ``config``'s noise level, and no viable candidate raises
     :class:`NoViableCandidateError`.
     """
     if isinstance(kind, str):
@@ -486,9 +446,10 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
         return channel_gain_select(realization, config, combine)
     if kind is CriterionKind.MAX_RATIO:
         return max_ratio_select(realization, config, combine)
-    grid = np.array([config.noise_power]) if noise is None else noise
-    cs, *scores = score_candidates(kind, realization, config, candidates, combine, grid)
-    positions, score = _pick_best(*scores)
+    cs = candidates if candidates is not None else prepare_candidates(realization, config)
+    grid = np.array([config.noise_power]) if noise is None else np.asarray(noise, dtype=float)
+    scores, ranking = _grid_scores(kind, realization, cs, config, combine, grid)
+    positions, score = _pick_best(*scores, ranking)
     if noise is not None:
         return positions, score
     if positions[0] < 0:

@@ -2,8 +2,8 @@
 
 Every function works over leading batch axes, so one call covers all
 candidates, users or receivers at once. ``criteria`` scores candidates with
-them, ``secrecy`` evaluates the picked one with the same code, and the
-scalar oracles in ``reference`` use the same rate kernel and limits.
+them, ``secrecy`` evaluates the picked one, and the scalar oracles in
+``reference`` use the same rate kernel.
 """
 
 from __future__ import annotations
@@ -13,11 +13,6 @@ import math
 import numpy as np
 
 LN2 = math.log(2.0)
-# A Hermitian matrix with a larger condition number counts as singular; a
-# nearly singular interference covariance is first loaded with a ridge of
-# RIDGE_SCALE times its mean eigenvalue.
-GRAM_CONDITION_LIMIT = 1e12
-RIDGE_SCALE = 1e-10
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
@@ -26,12 +21,13 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
 
 
 def split_covariances(matrices: np.ndarray, num_users: int, user_antennas: int) -> tuple:
-    """Per-user desired and interference covariances of precoder batches.
+    """Per-user desired and interference grams of batches of column blocks.
 
-    ``matrices`` is ``(..., N_t, N_t)`` with user ``u``'s columns at
-    ``u * user_antennas``. Returns Hermitian ``(rd, ri)`` of shape
-    ``(..., M, N_t, N_t)``: ``rd[..., u] = U_u U_u^H`` and ``ri[..., u]`` the
-    sum of the other users' terms. Both are noise-free.
+    ``matrices`` is ``(..., n, N_t)`` with user ``u``'s columns ``U_u`` at
+    ``u * user_antennas``: precoders, or an eavesdropper's received blocks
+    ``E W``. Returns Hermitian ``(rd, ri)`` of shape ``(..., M, n, n)``:
+    ``rd[..., u] = U_u U_u^H`` and ``ri[..., u]`` the sum of the other users'
+    terms. Both are noise-free.
     """
     blocks = matrices.reshape(*matrices.shape[:-1], num_users, user_antennas).swapaxes(-2, -3)
     rd = hermitize(blocks @ blocks.conj().swapaxes(-1, -2))

@@ -273,19 +273,20 @@ def zf_core_batch(stacked: np.ndarray, signal_power: float):
     -------
     matrix : (C, n, n) scaled precoders (garbage where invalid).
     core : (C, n, n) raw inverses.
-    valid : (C,) bool, True where the ZF residual meets ``ZF_RESIDUAL_TOL``.
-    residual : (C,) Frobenius norms of ``stacked @ core - I``.
+    valid : (C,) bool, True where the Frobenius norm of ``stacked @ core - I``
+        is below ``ZF_RESIDUAL_TOL``.
     """
-    c, n, _ = stacked.shape
-    u, s, vh = np.linalg.svd(stacked)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_s = np.where(s > 0, 1.0 / s, 0.0)
-    core = vh.conj().transpose(0, 2, 1) @ (inv_s[:, :, None] * u.conj().transpose(0, 2, 1))
-    eye = np.eye(n)
-    residual = np.linalg.norm(stacked @ core - eye, axis=(1, 2))
+    n = stacked.shape[-1]
+    try:
+        core = np.linalg.inv(stacked)
+    except np.linalg.LinAlgError:
+        # Some member is exactly singular. The batch takes the SVD-based
+        # pseudo-inverse instead, and that member fails the residual check.
+        core = np.linalg.pinv(stacked)
+    residual = np.linalg.norm(stacked @ core - np.eye(n), axis=(1, 2))
     valid = np.isfinite(residual) & (residual < ZF_RESIDUAL_TOL)
     col_norms = np.linalg.norm(core, axis=1)
     valid &= np.all(col_norms > 0, axis=1)
     safe = np.where(col_norms > 0, col_norms, 1.0)
     matrix = np.sqrt(signal_power) * core / safe[:, None, :]
-    return matrix, core, valid, residual
+    return matrix, core, valid

@@ -3,18 +3,21 @@
 Each trial draws one channel realization from a sub-stream keyed by
 ``(seed, trial)`` and evaluates every requested criterion on that same
 realization (paired comparison). Between two SNR points only the receiver
-noise changes, so the SNR grid is an array axis rather than a loop: each
-trial builds one :class:`CandidateSet` (the candidate precoders, and lazily
-one noise-free covariance split of both hops and the legitimate grams), and
-each criterion makes one ``select`` call that scores every candidate at
-every grid point and takes a row-wise argmax (``sr`` adds one SVD of the
-eavesdropper stack, and reuses ``s-sr``'s scores when that stack has full
-rank). Criteria that ignore the noise level select once. The distinct
-(candidate, SNR point) pairs that the criteria picked are then evaluated by
-one ``secrecy_rate`` call, and each sample is gathered from it. Results are
-bit-identical for a given spec regardless of the worker count, because
-trials are keyed, independent work units and the reduction runs in fixed
-trial order.
+noise ``s`` changes, and every criterion takes it from noise-free terms of
+the trial's one :class:`CandidateSet`: zero forcing makes each stream's
+received power ``P / d_l^2`` (``d`` the ZF cores' column norms), so a
+legitimate rate is ``sum_l log2(1 + P / (d_l^2 s))`` and an SINR
+``P / (d_l^2 s)``, and the eavesdropper term of ``sr`` and ``s-sr`` is a
+function of one eigendecomposition per candidate. So the SNR grid is an
+array axis rather than a loop: each criterion makes one ``select`` call
+that scores every candidate at every grid point and takes a row-wise argmax
+(``sr`` adds one SVD of the eavesdropper stack, and reuses ``s-sr``'s
+scores when that stack has full rank). Criteria whose pick ignores the
+noise level select once. The distinct (candidate, SNR point) pairs that
+the criteria picked are then evaluated by one ``secrecy_rate`` call, and
+each sample is gathered from it. Results are bit-identical for a given spec
+regardless of the worker count, because trials are keyed, independent work
+units and the reduction runs in fixed trial order.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from .model import ConfigError, SystemConfig, generate_realization
 from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 
 # Criteria whose choice does not depend on the noise level; selected once per
-# trial instead of once per SNR point.
-_SNR_FREE = (CriterionKind.CHANNEL_GAIN, CriterionKind.MAX_RATIO, CriterionKind.S_SINR)
+# trial instead of once per SNR point. ``sinr``'s stream SINRs all scale by 1/s.
+_SNR_FREE = (CriterionKind.CHANNEL_GAIN, CriterionKind.MAX_RATIO, CriterionKind.SINR,
+             CriterionKind.S_SINR)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GRAM_CONDITION_LIMIT, LN2, RIDGE_SCALE, hermitize, rate_bits
+from .kernels import LN2, hermitize, rate_bits
 from .model import (
     ZF_RESIDUAL_TOL,
     ChannelRealization,
@@ -21,6 +21,13 @@ from .model import (
     complex_normal,
     zf_core_batch,
 )
+
+
+# A Hermitian matrix with a larger condition number counts as singular; a
+# nearly singular interference covariance is first loaded with a ridge of
+# RIDGE_SCALE times its mean eigenvalue.
+GRAM_CONDITION_LIMIT = 1e12
+RIDGE_SCALE = 1e-10
 
 
 class SingularGramError(RuntimeError):
@@ -73,14 +80,33 @@ def zf_precoder(stacked_channel: np.ndarray, signal_power: float = 1.0,
     stacked_channel = np.asarray(stacked_channel)
     if stacked_channel.ndim != 2 or stacked_channel.shape[0] != stacked_channel.shape[1]:
         raise ValueError(f"stacked channel must be square, got {stacked_channel.shape}")
-    matrix, core, valid, residual = zf_core_batch(stacked_channel[None], signal_power)
+    matrix, core, valid = zf_core_batch(stacked_channel[None], signal_power)
     if not valid[0]:
+        residual = np.linalg.norm(stacked_channel @ core[0] - np.eye(len(stacked_channel)))
         raise SingularChannelError(
-            f"stacked channel is numerically singular (ZF residual {residual[0]:.3e} "
+            f"stacked channel is numerically singular (ZF residual {residual:.3e} "
             f"exceeds {ZF_RESIDUAL_TOL:.0e}); redraw the realization"
         )
     return Precoder(matrix=matrix[0], core=core[0], signal_power=float(signal_power),
                     user_antennas=user_antennas)
+
+
+def svd_zf_valid(stacked: np.ndarray) -> np.ndarray:
+    """``(C,)`` ZF admission of a batch of square channels, from the SVD.
+
+    The core is ``V diag(1/sigma) U^H`` (0 for a zero singular value); a
+    channel is admitted when ``stacked @ core`` is within
+    ``ZF_RESIDUAL_TOL`` of the identity (Frobenius) and no column of the
+    core is zero, the rule :func:`relaysec.model.zf_core_batch` applies to
+    its batched inverse.
+    """
+    u, sv, vh = np.linalg.svd(stacked)
+    with np.errstate(divide="ignore"):
+        inv_sv = np.where(sv > 0, 1.0 / sv, 0.0)
+    core = vh.conj().swapaxes(-1, -2) @ (inv_sv[..., None] * u.conj().swapaxes(-1, -2))
+    residual = np.linalg.norm(stacked @ core - np.eye(stacked.shape[-1]), axis=(-2, -1))
+    columns = np.linalg.norm(core, axis=-2)
+    return np.isfinite(residual) & (residual < ZF_RESIDUAL_TOL) & np.all(columns > 0, axis=-1)
 
 
 def relay_precoder(realization: ChannelRealization, combination,

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CandidateSet
-from .kernels import rate_bits
+from .criteria import CandidateSet, legit_rates
+from .kernels import rate_bits, split_covariances
 from .model import ChannelRealization, SingularChannelError, SystemConfig
 
 EVE_MODELS = ("phase1", "both")
@@ -39,20 +39,6 @@ class SecrecySample:
     combination: tuple
 
 
-def _link_rates(channels: np.ndarray, rd: np.ndarray, ri: np.ndarray,
-                noise: np.ndarray) -> np.ndarray:
-    """Clamped log-det rates of eavesdroppers against covariance pairs.
-
-    ``channels`` is ``(..., k, n)``, broadcast against ``rd``/``ri`` of shape
-    ``(..., n, n)`` and ``noise`` of shape ``(..., 1, 1)``; receiver noise
-    enters outside the sandwich.
-    """
-    channels_h = channels.conj().swapaxes(-1, -2)
-    gram_num = channels @ rd @ channels_h
-    gram_den = channels @ ri @ channels_h + noise * np.eye(channels.shape[-2])
-    return np.maximum(rate_bits(gram_num, gram_den), 0.0)
-
-
 def _check_eve_options(eve_model: str, eve_aggregate: str):
     if eve_model not in EVE_MODELS:
         raise ValueError(f"eve_model must be one of {EVE_MODELS}, got {eve_model!r}")
@@ -69,10 +55,9 @@ def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, comb
                  noise=None) -> SecrecySample:
     """Achieved secrecy rate of ``combination``: legitimate minus eavesdropper rate.
 
-    The pick's covariance split and legitimate grams are its rows of
-    ``candidates`` (the set its criterion chose from, built from the same
-    realization), so selection and evaluation share them; the eavesdropper
-    channels come from ``realization``.
+    The pick's precoders are its rows of ``candidates`` (the set its
+    criterion chose from, built from the same realization); the eavesdropper
+    channels come from ``realization``. Nothing is built for the other rows.
     ``config`` supplies the dimensions and, for a single combination, the
     noise level. A pick whose candidate is not ``valid`` raises
     :class:`SingularChannelError`.
@@ -84,8 +69,9 @@ def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, comb
     ``snr_db`` None. A single combination is the one-pair batch at
     ``config``'s noise level.
 
-    The legitimate rate sums the per-user log-det rates of each hop and takes
-    the weaker hop. Every eavesdropper overhears phase 1 through its
+    The legitimate rate of each hop is the ZF closed form
+    ``sum_l log2(1 + P / (d_l^2 s))`` (see :class:`CandidateSet`), and the
+    weaker hop counts. Every eavesdropper overhears phase 1 through its
     source-side channel; with ``eve_model="both"`` it also overhears the
     relays' phase-2 transmission. Per eavesdropper the per-user intercept
     rates accumulate, and eavesdroppers combine by ``sum`` (default) or
@@ -107,21 +93,19 @@ def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, comb
         combo = candidates.combinations[positions[singular][0]]
         raise SingularChannelError(f"candidate {combo} has a singular hop channel")
     n_e, n_t = config.eve_antennas, config.transmit_antennas
-    # Grams (2, C, M, N_r, N_r) and covariances (2, C, M, N_t, N_t), source hop first.
-    num, den = candidates.legit_grams()
-    rd, ri = candidates.covariances()
-    rates = rate_bits(num[:, positions],
-                      den[:, positions] + levels[:, None, None, None] * np.eye(config.user_antennas))
-    legit = np.maximum(rates, 0.0).sum(axis=2).min(axis=0)
-    phases = 2 if eve_model == "both" else 1
+    legit = legit_rates(candidates.stream_gains(positions), levels).min(axis=0)
+    # Every eavesdropper's received blocks B = E W of the picked precoders,
+    # (P, J, K, N_e, N_t), phase 1 first.
     source_eve = realization.stacked_eve_channel().reshape(-1, n_e, n_t)
-    channels = [np.broadcast_to(source_eve, (len(positions), *source_eve.shape))]
-    if phases == 2:
-        members = np.array(candidates.combinations)[positions]
-        channels.append(realization.relay_eve_channels(members))
-    # (P, J, K, 1, N_e, N_t) against (P, J, 1, M, N_t, N_t): rates (P, J, K, M)
-    rates = _link_rates(np.array(channels)[:, :, :, None], rd[:phases, positions, None],
-                        ri[:phases, positions, None], levels[:, None, None, None, None])
+    received = [source_eve @ candidates.precoders[positions, None]]
+    if eve_model == "both":
+        members = np.array([candidates.combinations[p] for p in positions])
+        received.append(realization.relay_eve_channels(members)
+                        @ candidates.relay_precoders[positions, None])
+    # Per-user grams (P, J, K, M, N_e, N_e): B_u B_u^H and the other users' sum.
+    own, others = split_covariances(np.array(received), config.num_users, config.user_antennas)
+    noise_in = others + levels[:, None, None, None, None] * np.eye(n_e)
+    rates = np.maximum(rate_bits(own, noise_in), 0.0)
     # Users, then phases, in that order whatever the batch size: a multi-axis
     # sum may fuse axes, and so change the order, when K = 1.
     per_eve = rates.sum(axis=3).sum(axis=0)

@@ -1,12 +1,12 @@
 """Criteria tests: per-candidate metrics against independent oracles, and the
 exhaustive selections against brute-force evaluation through the public ops."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from relaysec import criteria
 from relaysec.criteria import (
     CriterionKind,
     NotSingleAntennaError,
@@ -39,6 +39,7 @@ from relaysec.reference import (
     zf_precoder,
 )
 from relaysec.montecarlo import SweepSpec, run_sweep
+from relaysec.secrecy import secrecy_rate
 
 
 def single_antenna_config(**kw):
@@ -233,28 +234,6 @@ class TestSinrMetrics:
         got = sinr_user_metric(real, (0,), cfg, relay_output_covariance=r_out)
         assert got == pytest.approx(np.abs(h2[0, 0]) ** 2 * 4.0 / cfg.noise_power)
 
-    def test_oracles_match_batched_scores_at_200_db(self):
-        # At 200 dB the zero-forced interference forms are rounding noise far
-        # above the noise power; both sides must clamp them the same way.
-        cfg = single_antenna_config(snr_db=200.0)
-        checked = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for t in range(40):
-                real = generate_realization(cfg, trial=t)
-                cs, eta1, eta2, _ = score_candidates(CriterionKind.SINR, real, cfg)
-                for pos, combo in enumerate(cs.combinations):
-                    if not cs.valid[pos]:
-                        continue
-                    pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                                      cfg.user_antennas)
-                    assert sinr_relay_metric(real, pre, combo, cfg) == pytest.approx(
-                        eta1[pos], rel=1e-9)
-                    assert sinr_user_metric(real, combo, cfg) == pytest.approx(
-                        eta2[pos], rel=1e-9)
-                    checked += 1
-        assert checked == 400
-
     def test_stronger_channels_raise_user_metric(self):
         cfg = scalar_config(num_users=1)
         real = generate_realization(cfg, trial=4)
@@ -417,7 +396,7 @@ class TestSecrecySelection:
         for k in range(cfg0.num_eves):
             real.source_to_eve[k] = np.zeros((1, 2), dtype=complex)
         cs = prepare_candidates(real, cfg0)
-        # E = 0 has rank 0; at 200 dB the ridge check runs as well.
+        # E = 0 has rank 0, at 10 dB and at 200 dB.
         for cfg in (cfg0, cfg0.at_snr(200.0)):
             combo, score = select(CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
             _, eta1, eta2, combined = score_candidates(
@@ -643,34 +622,6 @@ class TestCandidateSetAcrossSnr:
                 positions, _ = select(kind, real, cfg0, candidates=cands, noise=noise)
                 assert positions.tolist() == picks
 
-    @pytest.mark.parametrize("kind", [CriterionKind.SINR, CriterionKind.SECRECY_RATE,
-                                      CriterionKind.S_SR])
-    def test_chunked_grid_gives_same_picks_and_scores(self, kind, monkeypatch):
-        cfg = single_antenna_config(num_eves=1)
-        grid = (0.0, 5.0, 20.0, 60.0, 150.0, 200.0, 3.0)
-        noise = cfg.noise_powers(grid)
-        for trial in range(3):
-            real = generate_realization(cfg, trial=trial)
-            whole = select(kind, real, cfg, candidates=prepare_candidates(real, cfg), noise=noise)
-            cands = prepare_candidates(real, cfg)
-            scorer = "_score_sinr" if kind is CriterionKind.SINR else "_score_secrecy"
-            chunks = []
-            original = getattr(criteria, scorer)
-
-            def spy(cs, config, combine, part, *extra):
-                chunks.append(len(part))
-                return original(cs, config, combine, part, *extra)
-
-            # Room for two points per chunk: four chunks, the last one short.
-            monkeypatch.setattr(criteria, "SNR_CHUNK_BYTES", 2 * 2 * cands.precoders.nbytes)
-            monkeypatch.setattr(criteria, scorer, spy)
-            chunked = select(kind, real, cfg, candidates=cands, noise=noise)
-            monkeypatch.undo()
-            assert chunks == [2, 2, 2, 1]
-            assert np.array_equal(whole[0], chunked[0])
-            for a, b in zip(vars(whole[1]).values(), vars(chunked[1]).values()):
-                assert np.array_equal(a, b, equal_nan=True)
-
     def test_greedy_criteria_take_no_grid(self):
         cfg = single_antenna_config()
         real = generate_realization(cfg)
@@ -678,22 +629,103 @@ class TestCandidateSetAcrossSnr:
             with pytest.raises(ValueError, match="does not depend on the noise level"):
                 select(kind, real, cfg, noise=cfg.noise_powers((0.0, 10.0)))
 
-    def test_ssr_sweep_at_200_db_matches_scalar_oracle(self):
-        # cond(R_I + s I) ~ 1e20 here, so every candidate takes the ridge.
-        cfg = single_antenna_config(snr_db=200.0)
-        result = run_sweep(SweepSpec(config=cfg, snr_grid_db=(200.0,), trials=8,
-                                     criteria=("s-sr",)))
-        assert np.all(np.isfinite(result.samples))
-        for trial in range(8):
-            real = generate_realization(cfg, trial=trial)
-            oracle = scalar_scores(CriterionKind.S_SR, real, cfg)
-            picked = result.combinations[result.selections[0, 0, trial]]
-            assert picked == result.combinations[int(np.argmax(oracle))]
-
     def test_sinr_sweep_at_200_db_discards_nothing(self):
-        # The zero-forced interference form rounds to about -2e-16, far more
-        # than the noise 1e-20; a negative denominator must not void a trial.
+        # The noise 1e-20 is far below the rounding of any unit-sized gram;
+        # no score may depend on that rounding, nor void a trial.
         cfg = single_antenna_config(snr_db=200.0)
         result = run_sweep(SweepSpec(config=cfg, snr_grid_db=(200.0,), trials=40,
                                      criteria=("sinr",)))
         assert np.all(result.n_discarded == 0)
+
+
+def exact_realization(cfg, trial):
+    """A draw whose stacked hop channels are all scaled permutations or singular.
+
+    Relay ``i``'s antenna ``a`` serves stream ``(i * N_i + a) mod N_t`` on both
+    hops, with a gain ``2^k`` times a phase in {1, -1, 1j, -1j}: a candidate
+    whose streams are distinct has permutation channels, whose float64
+    inverses are exact, and any other candidate is exactly singular. Returns
+    the realization and the ``(pool, N_i, 2)`` power gains ``|g|^2`` of each
+    relay antenna on the two hops. The eavesdropper channels stay Gaussian.
+    """
+    real = generate_realization(cfg, trial=trial)
+    rng = np.random.default_rng(trial)
+    n_t, n_i, n_r = cfg.transmit_antennas, cfg.relay_antennas, cfg.user_antennas
+    gains = np.zeros((cfg.pool_size, n_i, 2))
+    real.source_to_relay[:] = 0.0
+    real.relay_to_user[:] = 0.0
+    for i in range(cfg.pool_size):
+        for a in range(n_i):
+            stream = (i * n_i + a) % n_t
+            (k1, k2), (p1, p2) = rng.integers(-3, 4, 2), rng.integers(0, 4, 2)
+            real.source_to_relay[i][a, stream] = 2.0 ** k1 * (1, -1, 1j, -1j)[p1]
+            real.relay_to_user[i, stream // n_r][stream % n_r, a] = 2.0 ** k2 * (1, -1, 1j, -1j)[p2]
+            gains[i, a] = 4.0 ** k1, 4.0 ** k2
+    return real, gains
+
+
+class TestExactHighSnrOracle:
+    """Closed-form rates against channels whose ZF inverse is exact, up to
+    200 dB, where the noise is far below the rounding of a 1-sized gram."""
+
+    GRID = (0.0, 100.0, 200.0)
+
+    @pytest.mark.parametrize("cfg", [single_antenna_config(), mimo_config()],
+                             ids=["single-antenna", "two-antenna-users"])
+    def test_legit_rate_sinr_and_ssr_scores(self, cfg):
+        n_t, n_i, n_r = cfg.transmit_antennas, cfg.relay_antennas, cfg.user_antennas
+        noise = cfg.noise_powers(self.GRID)
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for trial in range(4):
+                real, gains = exact_realization(cfg, trial)
+                cs, *sinr = score_candidates(CriterionKind.SINR, real, cfg, noise=noise)
+                _, *ssr = score_candidates(CriterionKind.S_SR, real, cfg, candidates=cs,
+                                           noise=noise)
+                for pos, combo in enumerate(cs.combinations):
+                    streams = [(i * n_i + a) % n_t for i in combo for a in range(n_i)]
+                    assert cs.valid[pos] == (len(set(streams)) == n_t)
+                    if not cs.valid[pos]:
+                        continue
+                    # Stream l of hop 1 is relay antenna l; of hop 2, user antenna l.
+                    hop1 = gains[list(combo), :, 0].ravel()
+                    hop2 = np.empty(n_t)
+                    hop2[streams] = gains[list(combo), :, 1].ravel()
+                    for s, level in enumerate(noise):
+                        rates = [math.fsum(math.log2(1.0 + g / level) for g in hop)
+                                 for hop in (hop1, hop2)]
+                        sample = secrecy_rate(real, cs, combo, cfg.at_snr(self.GRID[s]))
+                        assert sample.legit_rate == pytest.approx(0.5 * min(rates), rel=1e-13)
+                        eta1 = min(hop1.reshape(-1, n_i).mean(axis=1)) / level
+                        eta2 = min(hop2.reshape(-1, n_r).mean(axis=1)) / level
+                        assert sinr[0][s, pos] == pytest.approx(eta1, rel=1e-14)
+                        assert sinr[1][s, pos] == pytest.approx(eta2, rel=1e-14)
+                        # Unitary precoders: each stream's s-sr term is log2(1 + P / s).
+                        eve = n_t * math.log2(1.0 + cfg.signal_power / level)
+                        for hop, want in enumerate(rates):
+                            assert ssr[hop][s, pos] == pytest.approx(want - eve, rel=1e-12,
+                                                                     abs=1e-11)
+                    checked += 1
+        assert checked == 4 * 6
+
+
+class TestZeroForcingAdmission:
+    def test_exactly_singular_member_leaves_the_other_rows(self):
+        cfg = mimo_config(pool_size=4)
+        real = generate_realization(cfg, trial=3)
+        before = prepare_candidates(real, cfg)
+        real.relay_to_user[2] = 0.0
+        members = np.array(before.combinations)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(real.all_users_channel(members))
+        after = prepare_candidates(real, cfg)
+        hit = np.array([2 in combo for combo in after.combinations])
+        assert before.valid.all()
+        assert np.array_equal(after.valid, ~hit)
+        # Hop 1 took the batched inverse both times, hop 2 the SVD the second time.
+        for name in ("precoders", "cores"):
+            assert np.array_equal(getattr(after, name)[~hit], getattr(before, name)[~hit])
+        for name in ("relay_precoders", "relay_cores"):
+            np.testing.assert_allclose(getattr(after, name)[~hit], getattr(before, name)[~hit],
+                                       rtol=0, atol=1e-12)

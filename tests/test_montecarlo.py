@@ -137,6 +137,20 @@ class TestCallsPerTrial:
         assert np.all(result.n_discarded == 0)
 
 
+class TestHighSnrSlope:
+    def test_mean_rate_keeps_its_slope_up_to_200_db(self):
+        # Above 100 dB each stream's legitimate rate and eavesdropper term
+        # grow by log2(10^5) per 50 dB; no rounding may flatten the curve.
+        # The CI job runs the same check on the `relaysec run` CSV.
+        spec = SweepSpec(config=SystemConfig(), snr_grid_db=(0, 50, 100, 150, 200), trials=20,
+                         criteria=("sinr", "sr", "s-sr"))
+        result = run_sweep(spec)
+        assert np.all(result.n_discarded == 0)
+        rise_mid = result.mean[:, 3] - result.mean[:, 2]
+        rise_high = result.mean[:, 4] - result.mean[:, 3]
+        assert np.all(np.abs(rise_high - rise_mid) <= 0.1 * rise_mid)
+
+
 class TestStatistics:
     def test_doubling_trials_halves_mean_variance(self):
         # CLT oracle: the variance of the sample mean scales as 1/n

@@ -1,6 +1,8 @@
 """Property tests: the batched evaluation equals the scalar reference oracles,
-``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank, and
-selection and evaluation over an SNR grid equal their one-point calls."""
+``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank,
+selection and evaluation over an SNR grid equal their one-point calls,
+``sinr``'s pick ignores the noise level, and ZF admission agrees with an SVD
+oracle."""
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from relaysec.reference import (  # noqa: E402
     gamma_rate_bits,
     interference_covariance,
     relay_precoder,
+    svd_zf_valid,
     zf_precoder,
 )
 from relaysec.secrecy import secrecy_rate  # noqa: E402
@@ -105,8 +108,8 @@ def test_sr_equals_ssr_on_full_rank_eve_stack(cfg, snr_db, trial):
             == select(CriterionKind.S_SR, real, cfg, candidates=cands))
 
 
-# Grids over 0-200 dB that always reach the ridge regime (>= 150 dB), where
-# the eavesdropper term loads nearly singular interference covariances.
+# Grids over 0-200 dB that always reach 150 dB or more, where the noise is
+# far below the rounding of a unit-sized gram.
 snr_grids = st.tuples(
     st.lists(st.floats(0.0, 200.0), min_size=0, max_size=6),
     st.floats(150.0, 200.0),
@@ -134,6 +137,37 @@ def test_grid_select_equals_per_point_select(cfg, grid, trial, combine):
             for got, expected in zip((score.eta1, score.eta2, score.combined),
                                      (want.eta1, want.eta2, want.combined)):
                 assert np.array_equal(got[s], expected)  # same bits
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cfg=configs(), grid=snr_grids, trial=st.integers(0, 50),
+       combine=st.sampled_from(["min", "sum"]))
+def test_sinr_picks_one_candidate_at_every_noise_level(cfg, grid, trial, combine):
+    # Every stream SINR of a ZF candidate is P / (d_l^2 s), so the ranking
+    # does not depend on s: no tolerance, 150 and 200 dB included.
+    real = generate_realization(cfg, trial=trial)
+    noise = cfg.noise_powers(grid + (150.0, 200.0))
+    positions, _ = select(CriterionKind.SINR, real, cfg, combine=combine, noise=noise)
+    assert np.all(positions == positions[0])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cfg=configs(), trial=st.integers(0, 50), spread=st.sampled_from([None, 0.0, 1e-3]))
+def test_admitted_candidates_invert_their_channels(cfg, trial, spread):
+    # With a spread, relay 1's blocks become twice relay 0's plus `spread`
+    # times their own: candidates holding both are then singular (the batched
+    # inverse may fail, and the SVD take over) or ill-conditioned.
+    real = generate_realization(cfg, trial=trial)
+    if spread is not None and cfg.pool_size > 1:
+        for links in (real.source_to_relay, real.relay_to_user):
+            links[1] = 2.0 * links[0] + spread * links[1]
+    cands = prepare_candidates(real, cfg)
+    hop2 = cands.hop2.reshape(cands.hop1.shape)
+    eye = np.eye(cfg.transmit_antennas)
+    for channels, cores in ((cands.hop1, cands.cores), (hop2, cands.relay_cores)):
+        residual = np.linalg.norm(channels @ cores - eye, axis=(1, 2))
+        assert np.all(residual[cands.valid] < 1e-9)
+    assert np.array_equal(cands.valid, svd_zf_valid(cands.hop1) & svd_zf_valid(hop2))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
