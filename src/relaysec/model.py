@@ -24,6 +24,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -46,6 +48,13 @@ class EveChannelsUnavailableError(RuntimeError):
 
 def db_to_linear(value_db: float) -> float:
     return float(10.0 ** (value_db / 10.0))
+
+
+def _is_integer_at_least(value, lowest: int) -> bool:
+    try:
+        return int(value) == value and value >= lowest
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -78,8 +87,11 @@ class SystemConfig:
             "eve_antennas": self.eve_antennas,
         }
         for name, value in counts.items():
-            if int(value) != value or value < 1:
+            if not _is_integer_at_least(value, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        # A negative seed has no uint32 words for the channel-draw key.
+        if not _is_integer_at_least(self.seed, 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         # A zero or non-finite power or SNR leaves every rate undefined;
         # reject it here rather than fail inside a sweep.
         if not (0 < self.signal_power < np.inf):
@@ -138,15 +150,8 @@ class SystemConfig:
 # Sub-stream domains; each channel block gets its own keyed seed so draws for
 # relay i are identical no matter the pool size, eavesdropper count or the
 # order in which blocks are materialized (needed for paired comparisons).
-_DOM_SOURCE_RELAY = 0
-_DOM_RELAY_USER = 1
-_DOM_SOURCE_EVE = 2
-_DOM_RELAY_EVE = 3
-
-
-def _block_rng(seed: int, trial: int, domain: int, a: int, b: int = 0) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial), domain, int(a), int(b)))
-    return np.random.default_rng(seq)
+# Keyed by the ChannelRealization field each domain fills.
+LINK_DOMAINS = {"source_to_relay": 0, "relay_to_user": 1, "source_to_eve": 2, "relay_to_eve": 3}
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -229,31 +234,147 @@ def _side_by_side(blocks: np.ndarray) -> np.ndarray:
     return moved.reshape(*moved.shape[:-2], -1)
 
 
-def _draw_blocks(seed: int, trial: int, domain: int, keys: tuple, block: tuple) -> np.ndarray:
-    """Array of shape ``keys + block``; the block at index ``(a, b)`` of the
-    leading axes is drawn from the sub-stream keyed by ``(domain, a, b)``."""
-    out = np.empty(keys + block, dtype=complex)
-    for key in np.ndindex(*keys):
-        out[key] = complex_normal(_block_rng(seed, trial, domain, *key), block)
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the PCG64 multiplier, so a block's generator state can be computed without
+# building its SeedSequence and generator.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list:
+    """Little-endian uint32 words of a non-negative int, as SeedSequence splits it."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list:
+    """``init * mult**j mod 2**32`` for ``j < count``: the hash constant sequence."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
     return out
+
+
+def _hashmix(value, before, after):
+    """SeedSequence ``hashmix`` with the hash constant going ``before -> after``."""
+    value = (value ^ before) * after & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _pcg64_states(seed: int, trial: int, suffix: list) -> list:
+    """PCG64 ``(state, inc)`` seeded by ``SeedSequence(seed, spawn_key=(trial, *row))``
+    for each 3-word ``row`` of ``suffix``.
+
+    The pool after the seed and trial words is shared, so it is mixed once
+    in Python ints. Each suffix word then goes into the four pool words of
+    every block in one ``(4, B)`` uint32 step, and ``generate_state(4,
+    uint64)`` hashes the pools into the seed words.
+    """
+    entropy = _uint32_words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy)) + _uint32_words(trial)
+    shared = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(entropy) - _POOL_SIZE)
+    hc = _hash_consts(_INIT_A, _MULT_A, shared + 3 * _POOL_SIZE + 1)
+    calls = iter(zip(hc, hc[1:]))
+    pool = [_hashmix(entropy[i], *next(calls)) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(calls)))
+
+    consts = np.array(hc[shared:], dtype=np.uint32)[:, None]
+    mixed = np.array(pool, dtype=np.uint32)[:, None]
+    for j, word in enumerate(np.array(suffix, dtype=np.uint32).T):
+        calls = consts[_POOL_SIZE * j:][:_POOL_SIZE + 1]
+        mixed = _mix(mixed, _hashmix(word, calls[:-1], calls[1:]))
+    out = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), dtype=np.uint32)[:, None]
+    state_words = _hashmix(np.tile(mixed, (2, 1)), out[:-1], out[1:])
+    seeds = np.ascontiguousarray(state_words.T, dtype="<u4").view("<u8").tolist()
+    states = []
+    for init_hi, init_lo, seq_hi, seq_lo in seeds:
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
 
 
 def generate_realization(config: SystemConfig, trial: int = 0, seed: int | None = None) -> ChannelRealization:
     """Draw one i.i.d. CN(0,1) fading realization of the whole network.
 
-    Deterministic given ``(seed, trial)``. Each block uses its own keyed
-    sub-stream, so enlarging the relay pool or the eavesdropper count leaves
+    Deterministic given ``(seed, trial)``. Block ``(a, b)`` of link type
+    ``link`` (``relay_to_user[a, b]``; ``source_to_relay[a]`` has ``b = 0``)
+    holds :func:`complex_normal` draws from NumPy's
+    ``default_rng(SeedSequence(seed, spawn_key=(trial, LINK_DOMAINS[link],
+    a, b)))``, so enlarging the relay pool or the eavesdropper count leaves
     the draws of existing entities untouched.
+
+    No generator is built per block. The SeedSequence entropy is the seed's
+    uint32 words zero-padded to four, then the trial's words (the prefix),
+    then ``(domain, a, b)`` (the suffix). Its hash constants do not depend
+    on the data, so the pool after the prefix is shared by every block of
+    the trial; only the three suffix words are mixed per block, for all
+    blocks in one uint32 array pass. PCG64 seeds from the four output words
+    ``init_hi, init_lo, seq_hi, seq_lo`` as ``inc = 2 * seq + 1`` and
+    ``state = ((inc + init) * MULT + inc) mod 2**128``. One PCG64 then takes
+    each block's state in turn and fills the block's re and im halves with
+    one ``standard_normal`` call, the stream of complex_normal's two calls.
     """
     base = config.seed if seed is None else seed
     p, k, n_t = config.pool_size, config.num_eves, config.transmit_antennas
     n_i, n_r, n_e = config.relay_antennas, config.user_antennas, config.eve_antennas
-    return ChannelRealization(
-        source_to_relay=_draw_blocks(base, trial, _DOM_SOURCE_RELAY, (p,), (n_i, n_t)),
-        relay_to_user=_draw_blocks(base, trial, _DOM_RELAY_USER, (p, config.num_users), (n_r, n_i)),
-        source_to_eve=_draw_blocks(base, trial, _DOM_SOURCE_EVE, (k,), (n_e, n_t)),
-        relay_to_eve=_draw_blocks(base, trial, _DOM_RELAY_EVE, (p, k), (n_e, n_i)),
-    )
+    layout = {
+        "source_to_relay": ((p,), (n_i, n_t)),
+        "relay_to_user": ((p, config.num_users), (n_r, n_i)),
+        "source_to_eve": ((k,), (n_e, n_t)),
+        "relay_to_eve": ((p, k), (n_e, n_i)),
+    }
+    suffix, sizes = [], []
+    for link, (keys, block) in layout.items():
+        keyed = list(product([LINK_DOMAINS[link]], *map(range, keys + (1,) * (2 - len(keys)))))
+        suffix += keyed
+        sizes += [2 * prod(block)] * len(keyed)
+
+    # Overwritten before every draw, so its own seed is never used.
+    bit_generator = np.random.PCG64(0)
+    gen = np.random.Generator(bit_generator)
+    block_state = {}
+    full_state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": block_state}
+    draws = np.empty(sum(sizes))
+    start = 0
+    for (state, inc), size in zip(_pcg64_states(base, trial, suffix), sizes):
+        block_state["state"], block_state["inc"] = state, inc
+        bit_generator.state = full_state
+        gen.standard_normal(out=draws[start:start + size])
+        start += size
+
+    arrays, start = {}, 0
+    for link, (keys, block) in layout.items():
+        end = start + 2 * prod(keys) * prod(block)
+        halves = draws[start:end].reshape(-1, 2, prod(block))
+        arrays[link] = ((halves[:, 0] + 1j * halves[:, 1]) / np.sqrt(2.0)).reshape(keys + block)
+        start = end
+    return ChannelRealization(**arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Scalar reference implementations, one object at a time.
 
-These are the test oracles for the batched path: a :class:`Precoder` per
-candidate, signals and covariances composed by hand, and per-candidate
-criterion metrics written as plain loops. Only tests and ``relaysec verify``
-use this module; the sweep never imports it.
+These are the test oracles for the batched path: channel draws from one
+NumPy generator per block, a :class:`Precoder` per candidate, signals and
+covariances composed by hand, and per-candidate criterion metrics written
+as plain loops. Only tests and ``relaysec verify`` use this module; the
+sweep never imports it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .kernels import LN2, hermitize, rate_bits
 from .model import (
+    LINK_DOMAINS,
     ZF_RESIDUAL_TOL,
     ChannelRealization,
     SingularChannelError,
@@ -36,6 +38,41 @@ class SingularGramError(RuntimeError):
 
 class SingularInterferenceError(RuntimeError):
     """Interference covariance stayed singular even after ridge loading."""
+
+
+# ---------------------------------------------------------------------------
+# channel draws
+# ---------------------------------------------------------------------------
+
+
+def _block_rng(seed: int, trial: int, domain: int, a: int, b: int = 0) -> np.random.Generator:
+    """The generator of one channel block, built as NumPy builds it."""
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial), domain, int(a), int(b)))
+    return np.random.default_rng(seq)
+
+
+def _draw_blocks(seed: int, trial: int, domain: int, keys: tuple, block: tuple) -> np.ndarray:
+    """Array of shape ``keys + block``; the block at index ``(a, b)`` of the
+    leading axes is drawn from the sub-stream keyed by ``(domain, a, b)``."""
+    out = np.empty(keys + block, dtype=complex)
+    for key in np.ndindex(*keys):
+        out[key] = complex_normal(_block_rng(seed, trial, domain, *key), block)
+    return out
+
+
+def keyed_realization(config: SystemConfig, trial: int = 0, seed: int | None = None) -> ChannelRealization:
+    """:func:`relaysec.model.generate_realization`'s draws, with one
+    ``SeedSequence`` and ``default_rng`` built per block."""
+    base = config.seed if seed is None else seed
+    p, k, n_t = config.pool_size, config.num_eves, config.transmit_antennas
+    n_i, n_r, n_e = config.relay_antennas, config.user_antennas, config.eve_antennas
+    dom = LINK_DOMAINS
+    return ChannelRealization(
+        source_to_relay=_draw_blocks(base, trial, dom["source_to_relay"], (p,), (n_i, n_t)),
+        relay_to_user=_draw_blocks(base, trial, dom["relay_to_user"], (p, config.num_users), (n_r, n_i)),
+        source_to_eve=_draw_blocks(base, trial, dom["source_to_eve"], (k,), (n_e, n_t)),
+        relay_to_eve=_draw_blocks(base, trial, dom["relay_to_eve"], (p, k), (n_e, n_i)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -236,8 +236,8 @@ class TestMainExitCodes:
         assert "snr" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("key, value", [("seed", "abc"), ("combine", "prod"),
-                                            ("clamp", "maybe")])
+    @pytest.mark.parametrize("key, value", [("seed", "abc"), ("seed", "-1"), ("seed", "2.5"),
+                                            ("combine", "prod"), ("clamp", "maybe")])
     def test_bad_flag_value_exits_2_naming_key(self, tmp_path, key, value, capsys):
         code = main(["run", f"--{key}", value, "--trials", "2", "--criteria", "s-sr",
                      "--out", str(tmp_path / "x.csv")])

@@ -14,6 +14,7 @@ from relaysec.reference import (
     Precoder,
     desired_covariance,
     interference_covariance,
+    keyed_realization,
     relay_precoder,
     relay_rx_signal,
     user_channel,
@@ -62,6 +63,16 @@ class TestSystemConfig:
     def test_positive_counts(self):
         with pytest.raises(ConfigError, match="num_users"):
             scalar_config(num_users=0, selected_relays=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), float("inf"), "3", None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            scalar_config(seed=seed)
+
+    def test_integral_and_multi_word_seeds_accepted(self):
+        assert scalar_config(seed=0).seed == 0
+        assert scalar_config(seed=2.0).seed == 2
+        assert scalar_config(seed=2**80).seed == 2**80
 
     @pytest.mark.parametrize("snr_db", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_snr_rejected(self, snr_db):
@@ -115,10 +126,35 @@ class TestChannelGeneration:
         assert abs(np.mean(draws)) < 0.02
 
     def test_relay_draw_independent_of_pool_size(self):
-        small = generate_realization(scalar_config(pool_size=3, seed=9), trial=4)
-        large = generate_realization(scalar_config(pool_size=7, seed=9), trial=4)
-        for i in range(3):
-            assert np.array_equal(small.source_to_relay[i], large.source_to_relay[i])
+        small = generate_realization(mimo_config(pool_size=3, seed=9), trial=4)
+        large = generate_realization(mimo_config(pool_size=7, seed=9), trial=4)
+        for link in ("source_to_relay", "relay_to_user", "relay_to_eve"):
+            assert np.array_equal(getattr(small, link), getattr(large, link)[:3]), link
+        assert np.array_equal(small.source_to_eve, large.source_to_eve)
+
+    def test_draws_independent_of_eavesdropper_count(self):
+        few = generate_realization(mimo_config(num_eves=1, seed=9), trial=4)
+        many = generate_realization(mimo_config(num_eves=4, seed=9), trial=4)
+        assert np.array_equal(few.source_to_eve, many.source_to_eve[:1])
+        assert np.array_equal(few.relay_to_eve, many.relay_to_eve[:, :1])
+        assert np.array_equal(few.source_to_relay, many.source_to_relay)
+        assert np.array_equal(few.relay_to_user, many.relay_to_user)
+
+    @pytest.mark.parametrize("seed, trial", [(0, 0), (2**32 - 1, 2**32 + 9), (2**32, 1),
+                                             (2**70 + 3, 5), (2**130 + 7, 2**64)])
+    def test_draws_equal_one_generator_per_block(self, seed, trial):
+        # Seeds of more than four uint32 words fill the pool with no zero
+        # padding; a trial of 2**32 or more takes two words.
+        cfg = mimo_config(num_eves=3)
+        fast = generate_realization(cfg, trial=trial, seed=seed)
+        slow = keyed_realization(cfg, trial=trial, seed=seed)
+        for link in ("source_to_relay", "relay_to_user", "source_to_eve", "relay_to_eve"):
+            assert getattr(fast, link).tobytes() == getattr(slow, link).tobytes(), link
+
+    @pytest.mark.parametrize("key", [{"seed": -1}, {"trial": -1}])
+    def test_negative_key_rejected(self, key):
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_realization(scalar_config(), **key)
 
     def test_stripped_view_blocks_eavesdropper_access(self):
         real = generate_realization(scalar_config())

@@ -1,4 +1,5 @@
-"""Property tests: the batched evaluation equals the scalar reference oracles,
+"""Property tests: the channel draws equal one NumPy generator per block byte
+for byte, the batched evaluation equals the scalar reference oracles,
 ``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank,
 selection and evaluation over an SNR grid equal their one-point calls,
 ``sinr``'s pick ignores the noise level, and ZF admission agrees with an SVD
@@ -22,6 +23,7 @@ from relaysec.reference import (  # noqa: E402
     desired_covariance,
     gamma_rate_bits,
     interference_covariance,
+    keyed_realization,
     relay_precoder,
     svd_zf_valid,
     zf_precoder,
@@ -42,6 +44,21 @@ def configs(draw):
         num_eves=draw(st.integers(1, 3)), eve_antennas=draw(st.integers(1, 2)),
         snr_db=draw(st.floats(0.0, 40.0)), seed=draw(st.integers(0, 2**16)),
     )
+
+
+def below_bits(bits):
+    """Integers in ``[0, 2**bits)``, each count of uint32 words equally likely."""
+    spans = [(lo and 1 << lo, (1 << min(lo + 32, bits)) - 1) for lo in range(0, bits, 32)]
+    return st.sampled_from(spans).flatmap(lambda span: st.integers(*span))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(cfg=configs(), seed=below_bits(80), trial=below_bits(40))
+def test_draws_equal_seed_sequence_per_block_bytes(cfg, seed, trial):
+    fast = generate_realization(cfg, trial=trial, seed=seed)
+    slow = keyed_realization(cfg, trial=trial, seed=seed)
+    for link in ("source_to_relay", "relay_to_user", "source_to_eve", "relay_to_eve"):
+        assert getattr(fast, link).tobytes() == getattr(slow, link).tobytes(), link
 
 
 def hand_rates(real, combo, cfg, eve_model, eve_aggregate):
