@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,6 +112,17 @@ def enumerate_combinations(pool_size: int, selected: int) -> list:
     return list(itertools.combinations(range(pool_size), selected))
 
 
+@lru_cache(maxsize=8)
+def _combination_table(pool_size: int, selected: int) -> tuple:
+    """``(combinations, members, index)`` shared by every candidate set of
+    one ``(pool_size, selected)``: the combination list, its ``(C, T)``
+    read-only array and the map from a combination to its row."""
+    combinations = enumerate_combinations(pool_size, selected)
+    members = np.array(combinations)
+    members.flags.writeable = False
+    return combinations, members, {combo: pos for pos, combo in enumerate(combinations)}
+
+
 # ---------------------------------------------------------------------------
 # candidate cache
 # ---------------------------------------------------------------------------
@@ -129,6 +141,9 @@ class CandidateSet:
     linear algebra stays finite. Row ``c`` belongs to ``combinations[c]``
     (``position`` maps back), and the same rows serve both selection and
     :func:`relaysec.secrecy.secrecy_rate`'s evaluation of the pick.
+
+    Given a block of trials, :func:`prepare_candidates` puts the trial axis
+    in front of every array; ``block[b]`` is trial ``b``'s set, as views.
 
     Receiver noise enters no stored array. ZF makes ``H W = sqrt(P) D^{-1}``
     with ``D`` the diagonal of a core's column norms ``d``, so stream ``l``
@@ -150,11 +165,16 @@ class CandidateSet:
     relay_precoders: np.ndarray
     relay_cores: np.ndarray
     valid: np.ndarray
-    _index: dict = field(default_factory=dict, repr=False)
+    _index: dict = field(repr=False)
     _basis_free: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        self._index = {combo: pos for pos, combo in enumerate(self.combinations)}
+    def __getitem__(self, trial: int) -> "CandidateSet":
+        """Trial ``trial`` of a block's set, as views with their own score cache."""
+        return CandidateSet(
+            self.config, self.combinations, self.hop1[trial], self.hop2[trial],
+            self.precoders[trial], self.cores[trial], self.relay_precoders[trial],
+            self.relay_cores[trial], self.valid[trial], self._index,
+        )
 
     def position(self, combination) -> int:
         return self._index[tuple(combination)]
@@ -174,30 +194,33 @@ def legit_rates(gains: np.ndarray, noise) -> np.ndarray:
 
 
 def prepare_candidates(realization: ChannelRealization, config: SystemConfig) -> CandidateSet:
-    """Stack channels and build both ZF precoders for every candidate."""
-    combinations = enumerate_combinations(config.pool_size, config.selected_relays)
-    members = np.array(combinations)
+    """Stack channels and build both ZF precoders for every candidate.
+
+    A block of trials gives one set with a leading trial axis: its hop
+    channels are stacked into ``(B, C, n, n)`` and each hop takes one
+    :func:`relaysec.model.zf_core_batch`.
+    """
+    combinations, members, index = _combination_table(config.pool_size, config.selected_relays)
     hop1 = realization.stacked_source_channel(members)
     # All users' antennas stacked give a square phase-2 channel as well.
     hop2_all = realization.all_users_channel(members)
     matrix1, core1, valid1 = zf_core_batch(hop1, config.signal_power)
     matrix2, core2, valid2 = zf_core_batch(hop2_all, config.signal_power)
     valid = valid1 & valid2
-    eye = np.eye(config.transmit_antennas, dtype=complex)
-    matrix1 = np.where(valid[:, None, None], matrix1, eye)
-    core1 = np.where(valid[:, None, None], core1, eye)
-    matrix2 = np.where(valid[:, None, None], matrix2, eye)
-    core2 = np.where(valid[:, None, None], core2, eye)
+    invalid = ~valid
+    for array in (matrix1, core1, matrix2, core2):
+        array[invalid] = np.eye(config.transmit_antennas)
     return CandidateSet(
         config=config,
         combinations=combinations,
         hop1=hop1,
-        hop2=hop2_all.reshape(len(combinations), config.num_users, config.user_antennas, -1),
+        hop2=hop2_all.reshape(*hop2_all.shape[:-2], config.num_users, config.user_antennas, -1),
         precoders=matrix1,
         cores=core1,
         relay_precoders=matrix2,
         relay_cores=core2,
         valid=valid,
+        _index=index,
     )
 
 

@@ -177,6 +177,11 @@ class ChannelRealization:
     The accessors are the only code that knows how the member blocks of a
     selected set are stacked. Each takes one combination (a sequence of ``T``
     relay indices) or a ``(C, T)`` array of them, which adds a leading axis.
+
+    A block of trials (:func:`generate_realization` given a trial array)
+    puts a leading trial axis on every array; ``block[b]`` is trial ``b``'s
+    realization, and the two legitimate-hop accessors keep the trial axis
+    in front. The eavesdropper accessors take one trial.
     """
 
     source_to_relay: np.ndarray
@@ -197,18 +202,23 @@ class ChannelRealization:
             relay_to_eve=None,
         )
 
+    def __getitem__(self, trial: int) -> "ChannelRealization":
+        """Trial ``trial`` of a block of trials, as views."""
+        return ChannelRealization(*(None if a is None else a[trial] for a in (
+            self.source_to_relay, self.relay_to_user, self.source_to_eve, self.relay_to_eve)))
+
     # -- accessors ----------------------------------------------------------
 
     def stacked_source_channel(self, combination) -> np.ndarray:
         """First-hop channel of the selected set, ``(..., T*N_i, N_t)``:
         member blocks stacked row-wise."""
-        blocks = self.source_to_relay[np.asarray(combination)]
+        blocks = np.take(self.source_to_relay, combination, axis=-3)
         return blocks.reshape(*blocks.shape[:-3], -1, blocks.shape[-1])
 
     def all_users_channel(self, combination) -> np.ndarray:
         """Second-hop channels of every user stacked row-wise,
         ``(..., M*N_r, T*N_i)`` (square for a full selection)."""
-        blocks = _side_by_side(self.relay_to_user[np.asarray(combination)])
+        blocks = _side_by_side(np.take(self.relay_to_user, combination, axis=-4))
         return blocks.reshape(*blocks.shape[:-3], -1, blocks.shape[-1])
 
     def _require_eves(self):
@@ -281,19 +291,23 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _pcg64_states(seed: int, trial: int, suffix: list) -> list:
-    """PCG64 ``(state, inc)`` seeded by ``SeedSequence(seed, spawn_key=(trial, *row))``
-    for each 3-word ``row`` of ``suffix``.
+def _pcg64_seeds(seed: int, trials: list, suffix: list) -> np.ndarray:
+    """``(B, N, 4)`` uint64 words ``init_hi, init_lo, seq_hi, seq_lo`` that
+    ``SeedSequence(seed, spawn_key=(trial, *row)).generate_state(4, uint64)``
+    gives for each of the ``B`` trials and each 3-word ``row`` of ``suffix``.
 
-    The pool after the seed and trial words is shared, so it is mixed once
-    in Python ints. Each suffix word then goes into the four pool words of
-    every block in one ``(4, B)`` uint32 step, and ``generate_state(4,
-    uint64)`` hashes the pools into the seed words.
+    The pool after the seed words is shared, so it is mixed once in Python
+    ints. The trial words and then the suffix words go into the four pool
+    words of every (trial, row) pair in ``(4, B, N)`` uint32 steps; a
+    trial of fewer words than the longest skips the longest's last steps,
+    and its suffix takes the hash constants that follow its own words.
     """
     entropy = _uint32_words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy)) + _uint32_words(trial)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    trial_words = [_uint32_words(t) for t in trials]
+    width = max(map(len, trial_words))
     shared = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(entropy) - _POOL_SIZE)
-    hc = _hash_consts(_INIT_A, _MULT_A, shared + 3 * _POOL_SIZE + 1)
+    hc = _hash_consts(_INIT_A, _MULT_A, shared + _POOL_SIZE * (width + 3) + 1)
     calls = iter(zip(hc, hc[1:]))
     pool = [_hashmix(entropy[i], *next(calls)) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
@@ -304,24 +318,32 @@ def _pcg64_states(seed: int, trial: int, suffix: list) -> list:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, *next(calls)))
 
-    consts = np.array(hc[shared:], dtype=np.uint32)[:, None]
+    hc = np.array(hc, dtype=np.uint32)
+    counts = np.array([len(w) for w in trial_words])
+    words = np.array([w + [0] * (width - len(w)) for w in trial_words], dtype=np.uint32)
     mixed = np.array(pool, dtype=np.uint32)[:, None]
+    for j in range(width):
+        consts = hc[shared + _POOL_SIZE * j:][:_POOL_SIZE + 1, None]
+        step = _mix(mixed, _hashmix(words[:, j], consts[:-1], consts[1:]))
+        mixed = np.where(j < counts, step, mixed)
+    # Each trial's suffix takes the hash constants after its own words.
+    first = shared + _POOL_SIZE * counts + np.arange(_POOL_SIZE + 1)[:, None]
+    mixed = mixed[:, :, None]
     for j, word in enumerate(np.array(suffix, dtype=np.uint32).T):
-        calls = consts[_POOL_SIZE * j:][:_POOL_SIZE + 1]
-        mixed = _mix(mixed, _hashmix(word, calls[:-1], calls[1:]))
-    out = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), dtype=np.uint32)[:, None]
-    state_words = _hashmix(np.tile(mixed, (2, 1)), out[:-1], out[1:])
-    seeds = np.ascontiguousarray(state_words.T, dtype="<u4").view("<u8").tolist()
-    states = []
-    for init_hi, init_lo, seq_hi, seq_lo in seeds:
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+        consts = hc[first + _POOL_SIZE * j][:, :, None]
+        mixed = _mix(mixed, _hashmix(word, consts[:-1], consts[1:]))
+    out = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), dtype=np.uint32)
+    state_words = _hashmix(np.tile(mixed, (2, 1, 1)), out[:-1, None, None], out[1:, None, None])
+    return np.ascontiguousarray(state_words.transpose(1, 2, 0), dtype="<u4").view("<u8")
 
 
-def generate_realization(config: SystemConfig, trial: int = 0, seed: int | None = None) -> ChannelRealization:
-    """Draw one i.i.d. CN(0,1) fading realization of the whole network.
+def generate_realization(config: SystemConfig, trial=0,
+                         seed: int | None = None) -> ChannelRealization:
+    """Draw i.i.d. CN(0,1) fading realizations of the whole network.
 
+    ``trial`` is one trial index, or a sequence of them for a block of
+    trials: the block's arrays then take a leading trial axis, and
+    ``block[b]`` is byte for byte the realization of ``trial[b]`` alone.
     Deterministic given ``(seed, trial)``. Block ``(a, b)`` of link type
     ``link`` (``relay_to_user[a, b]``; ``source_to_relay[a]`` has ``b = 0``)
     holds :func:`complex_normal` draws from NumPy's
@@ -330,17 +352,19 @@ def generate_realization(config: SystemConfig, trial: int = 0, seed: int | None 
     the draws of existing entities untouched.
 
     No generator is built per block. The SeedSequence entropy is the seed's
-    uint32 words zero-padded to four, then the trial's words (the prefix),
-    then ``(domain, a, b)`` (the suffix). Its hash constants do not depend
-    on the data, so the pool after the prefix is shared by every block of
-    the trial; only the three suffix words are mixed per block, for all
-    blocks in one uint32 array pass. PCG64 seeds from the four output words
+    uint32 words zero-padded to four, then the trial's words, then
+    ``(domain, a, b)``. Its hash constants do not depend on the data, so the
+    pool after the seed words is shared by every block of every trial of
+    the call; the trial and suffix words are mixed for all blocks of all
+    trials in one uint32 array pass. PCG64 seeds from the four output words
     ``init_hi, init_lo, seq_hi, seq_lo`` as ``inc = 2 * seq + 1`` and
     ``state = ((inc + init) * MULT + inc) mod 2**128``. One PCG64 then takes
     each block's state in turn and fills the block's re and im halves with
     one ``standard_normal`` call, the stream of complex_normal's two calls.
+    A single trial is the one-trial block.
     """
     base = config.seed if seed is None else seed
+    trials = np.ravel(trial).tolist()
     p, k, n_t = config.pool_size, config.num_eves, config.transmit_antennas
     n_i, n_r, n_e = config.relay_antennas, config.user_antennas, config.eve_antennas
     layout = {
@@ -360,21 +384,28 @@ def generate_realization(config: SystemConfig, trial: int = 0, seed: int | None 
     gen = np.random.Generator(bit_generator)
     block_state = {}
     full_state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": block_state}
-    draws = np.empty(sum(sizes))
-    start = 0
-    for (state, inc), size in zip(_pcg64_states(base, trial, suffix), sizes):
-        block_state["state"], block_state["inc"] = state, inc
-        bit_generator.state = full_state
-        gen.standard_normal(out=draws[start:start + size])
-        start += size
+    draws = np.empty((len(trials), sum(sizes)))
+    for row, seeds in zip(draws, _pcg64_seeds(base, trials, suffix)):
+        start = 0
+        # One trial's seeds at a time: no 128-bit state outlives its draw.
+        for (init_hi, init_lo, seq_hi, seq_lo), size in zip(seeds.tolist(), sizes):
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            init = init_hi << 64 | init_lo
+            block_state["state"] = ((inc + init) * _PCG64_MULT + inc) & _MASK128
+            block_state["inc"] = inc
+            bit_generator.state = full_state
+            gen.standard_normal(out=row[start:start + size])
+            start += size
 
     arrays, start = {}, 0
     for link, (keys, block) in layout.items():
         end = start + 2 * prod(keys) * prod(block)
-        halves = draws[start:end].reshape(-1, 2, prod(block))
-        arrays[link] = ((halves[:, 0] + 1j * halves[:, 1]) / np.sqrt(2.0)).reshape(keys + block)
+        halves = draws[:, start:end].reshape(len(trials), -1, 2, prod(block))
+        arrays[link] = ((halves[:, :, 0] + 1j * halves[:, :, 1]) / np.sqrt(2.0)).reshape(
+            (len(trials),) + keys + block)
         start = end
-    return ChannelRealization(**arrays)
+    realizations = ChannelRealization(**arrays)
+    return realizations if np.ndim(trial) else realizations[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +418,49 @@ def zf_core_batch(stacked: np.ndarray, signal_power: float):
 
     Parameters
     ----------
-    stacked : (C, n, n) complex array.
+    stacked : (..., C, n, n) complex array: one trial's C channels, after
+        any leading trial axes.
     signal_power : per-column power after normalization.
 
     Returns
     -------
-    matrix : (C, n, n) scaled precoders (garbage where invalid).
-    core : (C, n, n) raw inverses.
-    valid : (C,) bool, True where the Frobenius norm of ``stacked @ core - I``
-        is below ``ZF_RESIDUAL_TOL``.
+    matrix : (..., C, n, n) scaled precoders (garbage where invalid).
+    core : (..., C, n, n) raw inverses.
+    valid : (..., C) bool, True where the Frobenius norm of
+        ``stacked @ core - I`` is below ``ZF_RESIDUAL_TOL``.
+
+    Never raises. When some member is exactly singular, every trial is
+    inverted on its own, so a trial's cores do not depend on the other
+    trials of its block (see :func:`_trial_cores`).
     """
     n = stacked.shape[-1]
     try:
         core = np.linalg.inv(stacked)
     except np.linalg.LinAlgError:
-        # Some member is exactly singular. The batch takes the SVD-based
-        # pseudo-inverse instead, and that member fails the residual check.
-        core = np.linalg.pinv(stacked)
-    residual = np.linalg.norm(stacked @ core - np.eye(n), axis=(1, 2))
+        trials = stacked.reshape(-1, *stacked.shape[-3:])
+        core = np.stack([_trial_cores(t) for t in trials]).reshape(stacked.shape)
+    residual = np.linalg.norm(stacked @ core - np.eye(n), axis=(-2, -1))
     valid = np.isfinite(residual) & (residual < ZF_RESIDUAL_TOL)
-    col_norms = np.linalg.norm(core, axis=1)
-    valid &= np.all(col_norms > 0, axis=1)
+    col_norms = np.linalg.norm(core, axis=-2)
+    valid &= np.all(col_norms > 0, axis=-1)
     safe = np.where(col_norms > 0, col_norms, 1.0)
-    matrix = np.sqrt(signal_power) * core / safe[:, None, :]
+    matrix = np.sqrt(signal_power) * core / safe[..., None, :]
     return matrix, core, valid
+
+
+def _trial_cores(stacked: np.ndarray) -> np.ndarray:
+    """``(C, n, n)`` inverses of one trial's channels.
+
+    With an exactly singular member the trial takes the SVD-based
+    pseudo-inverse instead, and that member fails the residual check. A
+    non-finite member enters the SVD as the identity, which keeps ``pinv``
+    from raising, and gets a NaN core, which marks it invalid.
+    """
+    try:
+        return np.linalg.inv(stacked)
+    except np.linalg.LinAlgError:
+        finite = np.isfinite(stacked).all(axis=(-2, -1))
+        eye = np.eye(stacked.shape[-1])
+        core = np.linalg.pinv(np.where(finite[:, None, None], stacked, eye))
+        core[~finite] = np.nan
+        return core

@@ -15,9 +15,11 @@ that scores every candidate at every grid point and takes a row-wise argmax
 scores when that stack has full rank). Criteria whose pick ignores the
 noise level select once. The distinct (candidate, SNR point) pairs that
 the criteria picked are then evaluated by one ``secrecy_rate`` call, and
-each sample is gathered from it. Results are bit-identical for a given spec
-regardless of the worker count, because trials are keyed, independent work
-units and the reduction runs in fixed trial order.
+each sample is gathered from it. The draws and the ZF cores are built for a
+block of trials at a time (:func:`_run_trials`). Results are bit-identical
+for a given spec regardless of the worker count and block size, because
+trials are keyed, independent work units and the reduction runs in fixed
+trial order.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field, fields
 from itertools import repeat
+from math import comb
 
 import numpy as np
 
@@ -38,6 +41,11 @@ from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 # trial instead of once per SNR point. ``sinr``'s stream SINRs all scale by 1/s.
 _SNR_FREE = (CriterionKind.CHANNEL_GAIN, CriterionKind.MAX_RATIO, CriterionKind.SINR,
              CriterionKind.S_SINR)
+
+# Bytes of candidate arrays one block of trials may hold: each trial adds
+# six (C, N_t, N_t) complex arrays (two hop channels, two cores, two
+# precoders). A C(12, 4) pool (760 KB per trial) stays one trial per block.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -160,36 +168,47 @@ class SweepResult:
 
 
 def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
-    """Evaluate a block of trials; pure function of (spec, indices)."""
+    """Evaluate a run of trials; pure function of (spec, indices).
+
+    The trials go in blocks of as many as fit ``BLOCK_BYTES``, at least
+    one: one ``generate_realization`` and one ``prepare_candidates`` call
+    per block, then, per trial, one ``select`` per criterion and at most
+    one ``secrecy_rate`` on that trial's views. Every draw and core is byte
+    for byte the one its trial gets alone, so the results do not depend on
+    the block size or on how the trials are split between workers.
+    """
     cfg0 = spec.config
+    per_trial = 6 * comb(cfg0.pool_size, cfg0.selected_relays) * cfg0.transmit_antennas ** 2 * 16
+    step = max(1, BLOCK_BYTES // per_trial)
     noise = cfg0.noise_powers(spec.snr_grid_db)
     n_c, n_s = len(spec.criteria), len(noise)
-    block = len(trial_indices)
-    samples = np.full((n_c, n_s, block), np.nan)
-    selections = np.full((n_c, n_s, block), -1, dtype=np.int32)
+    samples = np.full((n_c, n_s, len(trial_indices)), np.nan)
+    selections = np.full((n_c, n_s, len(trial_indices)), -1, dtype=np.int32)
     points = np.broadcast_to(np.arange(n_s), (n_c, n_s))
-    for b, trial in enumerate(trial_indices):
-        realization = generate_realization(cfg0, trial=int(trial))
-        cands = crit.prepare_candidates(realization, cfg0)
-        picks = np.stack([_picks(kind, realization, cands, noise, spec)
-                          for kind in spec.criteria])
-        usable = picks >= 0
-        usable[usable] = cands.valid[picks[usable]]
-        # Each distinct (candidate, SNR point) pair is evaluated once.
-        wanted = np.zeros((len(cands.combinations), n_s), dtype=bool)
-        wanted[picks[usable], points[usable]] = True
-        rows, cols = np.nonzero(wanted)
-        if not rows.size:
-            continue
-        rates = np.full(wanted.shape, np.nan)
-        rates[rows, cols] = secrecy_rate(
-            realization, cands, rows, cfg0, half_duplex=spec.half_duplex, clamp=spec.clamp,
-            eve_model=spec.eve_model, eve_aggregate=spec.eve_aggregate, noise=noise[cols],
-        ).secrecy_rate
-        values = np.where(usable, rates[picks, points], np.nan)
-        kept = np.isfinite(values)
-        samples[:, :, b] = np.where(kept, values, np.nan)
-        selections[:, :, b] = np.where(kept, picks, -1)
+    for first in range(0, len(trial_indices), step):
+        realizations = generate_realization(cfg0, trial=trial_indices[first:first + step])
+        candidates = crit.prepare_candidates(realizations, cfg0)
+        for b in range(len(candidates.valid)):
+            realization, cands = realizations[b], candidates[b]
+            picks = np.stack([_picks(kind, realization, cands, noise, spec)
+                              for kind in spec.criteria])
+            usable = picks >= 0
+            usable[usable] = cands.valid[picks[usable]]
+            # Each distinct (candidate, SNR point) pair is evaluated once.
+            wanted = np.zeros((len(cands.combinations), n_s), dtype=bool)
+            wanted[picks[usable], points[usable]] = True
+            rows, cols = np.nonzero(wanted)
+            if not rows.size:
+                continue
+            rates = np.full(wanted.shape, np.nan)
+            rates[rows, cols] = secrecy_rate(
+                realization, cands, rows, cfg0, half_duplex=spec.half_duplex, clamp=spec.clamp,
+                eve_model=spec.eve_model, eve_aggregate=spec.eve_aggregate, noise=noise[cols],
+            ).secrecy_rate
+            values = np.where(usable, rates[picks, points], np.nan)
+            kept = np.isfinite(values)
+            samples[:, :, first + b] = np.where(kept, values, np.nan)
+            selections[:, :, first + b] = np.where(kept, picks, -1)
     return samples, selections
 
 

@@ -729,3 +729,23 @@ class TestZeroForcingAdmission:
         for name in ("relay_precoders", "relay_cores"):
             np.testing.assert_allclose(getattr(after, name)[~hit], getattr(before, name)[~hit],
                                        rtol=0, atol=1e-12)
+
+    def test_block_with_singular_and_nan_members_matches_each_trial_alone(self):
+        cfg = mimo_config(pool_size=4)
+        block = generate_realization(cfg, trial=[5, 6, 7, 8])
+        # Trial 1's hop 2 has exactly singular members (relay 2's user blocks
+        # are zero) and NaN ones (relay 3's); trial 2's hop 1 has NaN ones.
+        block.relay_to_user[1, 2] = 0.0
+        block.relay_to_user[1, 3] = np.nan
+        block.source_to_relay[2, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sets = prepare_candidates(block, cfg)
+            alone = [prepare_candidates(block[b], cfg) for b in range(4)]
+        combos = sets.combinations
+        hit = {1: [2 in c or 3 in c for c in combos], 2: [0 in c for c in combos]}
+        for b in range(4):
+            assert np.array_equal(sets.valid[b], ~np.array(hit.get(b, [False] * len(combos))))
+            for name in ("hop1", "hop2", "precoders", "cores", "relay_precoders",
+                         "relay_cores", "valid"):
+                assert getattr(sets[b], name).tobytes() == getattr(alone[b], name).tobytes(), name

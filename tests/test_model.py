@@ -151,7 +151,19 @@ class TestChannelGeneration:
         for link in ("source_to_relay", "relay_to_user", "source_to_eve", "relay_to_eve"):
             assert getattr(fast, link).tobytes() == getattr(slow, link).tobytes(), link
 
-    @pytest.mark.parametrize("key", [{"seed": -1}, {"trial": -1}])
+    def test_block_draws_equal_one_generator_per_block(self):
+        # Unsorted, with a duplicate and one- and two-word trials mixed.
+        cfg = mimo_config(num_eves=3)
+        trials = [2**40 - 1, 3, 2**32, 3, 0]
+        block = generate_realization(cfg, trial=np.array(trials), seed=2**33 + 5)
+        for link in ("source_to_relay", "relay_to_user", "source_to_eve", "relay_to_eve"):
+            assert getattr(block, link).shape[0] == len(trials), link
+        for b, trial in enumerate(trials):
+            slow = keyed_realization(cfg, trial=trial, seed=2**33 + 5)
+            for link in ("source_to_relay", "relay_to_user", "source_to_eve", "relay_to_eve"):
+                assert getattr(block[b], link).tobytes() == getattr(slow, link).tobytes(), link
+
+    @pytest.mark.parametrize("key", [{"seed": -1}, {"trial": -1}, {"trial": [3, -1]}])
     def test_negative_key_rejected(self, key):
         with pytest.raises(ValueError, match="non-negative"):
             generate_realization(scalar_config(), **key)

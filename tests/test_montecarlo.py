@@ -117,10 +117,15 @@ class TestPairing:
 
 
 class TestCallsPerTrial:
-    def test_one_select_per_criterion_and_one_evaluation_per_trial(self, monkeypatch):
+    # pair_config's candidate arrays take 6 * C(5, 2) * 2**2 * 16 = 3840 bytes a trial.
+    @pytest.mark.parametrize("budget, blocks", [(None, 1), (2 * 3840, 3), (1, 5)])
+    def test_one_draw_per_block_one_select_per_criterion_one_evaluation_per_trial(
+            self, monkeypatch, budget, blocks):
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "BLOCK_BYTES", budget)
         calls = []
-        for module, name in ((criteria, "select"), (montecarlo, "secrecy_rate"),
-                             (montecarlo, "generate_realization")):
+        for module, name in ((criteria, "select"), (criteria, "prepare_candidates"),
+                             (montecarlo, "secrecy_rate"), (montecarlo, "generate_realization")):
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -131,7 +136,8 @@ class TestCallsPerTrial:
         kinds = ("channel-gain", "max-ratio", "sinr", "sr", "s-sinr", "s-sr")
         spec = small_spec(trials=5, snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0), criteria=kinds)
         result = run_sweep(spec)
-        assert calls.count("generate_realization") == 5
+        assert calls.count("generate_realization") == blocks
+        assert calls.count("prepare_candidates") == blocks
         assert calls.count("select") == 5 * len(kinds)
         assert calls.count("secrecy_rate") == 5
         assert np.all(result.n_discarded == 0)

@@ -1,9 +1,13 @@
 """Property tests: the channel draws equal one NumPy generator per block byte
-for byte, the batched evaluation equals the scalar reference oracles,
+for byte, a block of trials draws what each trial draws alone, a sweep's
+results do not depend on its block size or worker count, the batched
+evaluation equals the scalar reference oracles,
 ``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank,
 selection and evaluation over an SNR grid equal their one-point calls,
 ``sinr``'s pick ignores the noise level, and ZF admission agrees with an SVD
 oracle."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +15,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from relaysec import montecarlo  # noqa: E402
 from relaysec.criteria import (  # noqa: E402
+    CRITERION_NAMES,
     CriterionKind,
     NoViableCandidateError,
     prepare_candidates,
@@ -19,6 +25,7 @@ from relaysec.criteria import (  # noqa: E402
     select,
 )
 from relaysec.model import SystemConfig, generate_realization  # noqa: E402
+from relaysec.montecarlo import SweepSpec, run_sweep  # noqa: E402
 from relaysec.reference import (  # noqa: E402
     desired_covariance,
     gamma_rate_bits,
@@ -29,6 +36,8 @@ from relaysec.reference import (  # noqa: E402
     zf_precoder,
 )
 from relaysec.secrecy import secrecy_rate  # noqa: E402
+
+LINKS = ("source_to_relay", "relay_to_user", "source_to_eve", "relay_to_eve")
 
 
 @st.composite
@@ -57,8 +66,50 @@ def below_bits(bits):
 def test_draws_equal_seed_sequence_per_block_bytes(cfg, seed, trial):
     fast = generate_realization(cfg, trial=trial, seed=seed)
     slow = keyed_realization(cfg, trial=trial, seed=seed)
-    for link in ("source_to_relay", "relay_to_user", "source_to_eve", "relay_to_eve"):
+    for link in LINKS:
         assert getattr(fast, link).tobytes() == getattr(slow, link).tobytes(), link
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(cfg=configs(), seed=below_bits(80),
+       trials=st.lists(below_bits(40), min_size=1, max_size=6))
+def test_block_draws_equal_each_trial_alone(cfg, seed, trials):
+    # Unsorted, one- and two-word trials mixed, and one trial twice.
+    trials = trials + trials[:1]
+    block = generate_realization(cfg, trial=np.array(trials), seed=seed)
+    for b, trial in enumerate(trials):
+        alone = generate_realization(cfg, trial=trial, seed=seed)
+        for link in LINKS:
+            assert getattr(block[b], link).tobytes() == getattr(alone, link).tobytes(), link
+
+
+def sweep_spec(cfg, trials, workers=1):
+    multi = (cfg.relay_antennas, cfg.user_antennas, cfg.eve_antennas) != (1, 1, 1)
+    kinds = tuple(k for k in CRITERION_NAMES if not (multi and k == "max-ratio"))
+    return SweepSpec(config=cfg, snr_grid_db=(0.0, 20.0, 200.0), trials=trials,
+                     criteria=kinds, workers=workers)
+
+
+def assert_same_sweep(a, b):
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert a.selections.tobytes() == b.selections.tobytes()
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(cfg=configs(), trials=st.integers(1, 30))
+def test_sweep_independent_of_block_size(cfg, trials):
+    spec = sweep_spec(cfg, trials)
+    default = run_sweep(spec)
+    with mock.patch.object(montecarlo, "BLOCK_BYTES", 1):
+        one_per_block = run_sweep(spec)
+    assert_same_sweep(default, one_per_block)
+
+
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(cfg=configs(), trials=st.integers(4, 40).filter(lambda n: n % 3))
+def test_sweep_independent_of_worker_count(cfg, trials):
+    assert_same_sweep(run_sweep(sweep_spec(cfg, trials)),
+                      run_sweep(sweep_spec(cfg, trials, workers=3)))
 
 
 def hand_rates(real, combo, cfg, eve_model, eve_aggregate):
