@@ -24,17 +24,18 @@ trial order.
 
 from __future__ import annotations
 
+import atexit
 import hashlib
+import threading
 import time
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from math import comb
 
 import numpy as np
 
 from . import criteria as crit
 from .criteria import CriterionKind, NoViableCandidateError
-from .model import ConfigError, SystemConfig, generate_realization
+from .model import ConfigError, SystemConfig, _is_integer_at_least, generate_realization
 from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 
 # Criteria whose choice does not depend on the noise level; selected once per
@@ -69,7 +70,12 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        try:
+            grid = tuple(float(s) for s in self.snr_grid_db)
+        except (TypeError, ValueError):
+            raise ConfigError(f"snr_grid_db must be a sequence of numbers, "
+                              f"got {self.snr_grid_db!r}") from None
+        object.__setattr__(self, "snr_grid_db", grid)
         kinds = tuple(
             CriterionKind.from_name(k) if isinstance(k, str) else k for k in self.criteria
         )
@@ -80,9 +86,12 @@ class SweepSpec:
             raise ConfigError(f"snr_grid_db values must be finite, got {self.snr_grid_db}")
         if not self.criteria:
             raise ConfigError("criteria must not be empty")
+        if len(set(self.criteria)) != len(self.criteria):
+            names = ", ".join(k.value for k in self.criteria)
+            raise ConfigError(f"criteria must not repeat, got {names}")
         for name in ("trials", "workers"):
             value = getattr(self, name)
-            if int(value) != value or value < 1:
+            if not _is_integer_at_least(value, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.combine not in ("min", "sum"):
@@ -227,7 +236,18 @@ def _picks(kind, realization, cands, noise, spec) -> np.ndarray:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run the sweep described by ``spec`` and aggregate the curves."""
+    """Run the sweep described by ``spec`` and aggregate the curves.
+
+    With more than one worker (and at least four trials) the trials are cut
+    into one contiguous chunk per worker, and each chunk runs in its own
+    blocks (:func:`_run_trials`) on the process's kept worker pool. That
+    pool is started by the first such sweep, with ``min(workers, trials)``
+    processes, and reused by every later sweep of that size; a sweep of
+    another size replaces it, and it is shut down at interpreter exit. A
+    worker's memory therefore stays resident between sweeps, and a worker,
+    started once, does not see module state changed after it started.
+    Multi-worker sweeps from several threads take turns on the pool.
+    """
     start = time.perf_counter()
     n_c, n_s = len(spec.criteria), len(spec.snr_grid_db)
     samples = np.full((n_c, n_s, spec.trials), np.nan)
@@ -236,17 +256,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.workers == 1 or spec.trials < 4:
         samples[:], selections[:] = _run_trials(spec, all_trials)
     else:
-        # Imported here: serial sweeps never need it, and it costs every
-        # `relaysec` start-up ~2 MB and ~30 ms.
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [c for c in np.array_split(all_trials, spec.workers * 4) if c.size]
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            for indices, (s_blk, sel_blk) in zip(
-                chunks, pool.map(_run_trials, repeat(spec), chunks)
-            ):
-                samples[:, :, indices] = s_blk
-                selections[:, :, indices] = sel_blk
+        chunks = [c for c in np.array_split(all_trials, spec.workers) if c.size]
+        # One sweep at a time on the kept pool: another thread's sweep of
+        # another size would shut it down under this one.
+        with _pool_lock:
+            futures = _submit_chunks(spec, chunks)
+            try:
+                for indices, future in zip(chunks, futures):
+                    samples[:, :, indices], selections[:, :, indices] = future.result()
+            except BaseException as exc:
+                _abandon(futures, exc)
+                raise
     combos = crit.enumerate_combinations(spec.config.pool_size,
                                          spec.config.selected_relays)
     meta = {
@@ -264,6 +284,62 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         combinations=combos,
         meta=meta,
     )
+
+
+# The worker pool kept between multi-worker sweeps, as (size, executor).
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _shutdown_pool():
+    """Shut the kept pool down and forget it. Also run at interpreter exit,
+    while the modules the pool's clean-up needs still exist."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True, cancel_futures=True)
+        _pool = None
+
+
+atexit.register(_shutdown_pool)
+
+
+def _abandon(futures, exc) -> bool:
+    """Cancel a sweep's pending futures after ``exc``; drop the kept pool
+    and return True if ``exc`` says it broke."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    for future in futures:
+        future.cancel()
+    if not isinstance(exc, BrokenProcessPool):
+        return False
+    _shutdown_pool()
+    return True
+
+
+def _submit_chunks(spec, chunks) -> list:
+    """One future per chunk, on the kept pool of ``len(chunks)`` workers.
+
+    A pool of another size is replaced. A pool found broken (a worker died
+    while idle) is replaced once and the chunks are submitted again.
+    """
+    global _pool
+    # Imported here: serial sweeps never need it, and it costs every
+    # `relaysec` start-up ~2 MB and ~30 ms.
+    from concurrent.futures import ProcessPoolExecutor
+
+    for attempt in range(2):
+        if _pool is not None and _pool[0] != len(chunks):
+            _shutdown_pool()
+        if _pool is None:
+            _pool = (len(chunks), ProcessPoolExecutor(max_workers=len(chunks)))
+        futures = []
+        try:
+            for indices in chunks:
+                futures.append(_pool[1].submit(_run_trials, spec, indices))
+            return futures
+        except BaseException as exc:
+            if not _abandon(futures, exc) or attempt:
+                raise
 
 
 # ---------------------------------------------------------------------------
