@@ -24,11 +24,10 @@ trial order.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
-import threading
 import time
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from math import comb
 
 import numpy as np
@@ -239,14 +238,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the sweep described by ``spec`` and aggregate the curves.
 
     With more than one worker (and at least four trials) the trials are cut
-    into one contiguous chunk per worker, and each chunk runs in its own
-    blocks (:func:`_run_trials`) on the process's kept worker pool. That
-    pool is started by the first such sweep, with ``min(workers, trials)``
-    processes, and reused by every later sweep of that size; a sweep of
-    another size replaces it, and it is shut down at interpreter exit. A
-    worker's memory therefore stays resident between sweeps, and a worker,
-    started once, does not see module state changed after it started.
-    Multi-worker sweeps from several threads take turns on the pool.
+    into ``min(workers, trials)`` contiguous chunks, one per process: this
+    process runs the first, and a ``ProcessPoolExecutor`` of one fewer
+    process, started for the sweep, runs the others. Each chunk runs in its
+    own blocks (:func:`_run_trials`), and the pool is shut down, its workers
+    reaped, before the sweep returns.
     """
     start = time.perf_counter()
     n_c, n_s = len(spec.criteria), len(spec.snr_grid_db)
@@ -256,17 +252,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.workers == 1 or spec.trials < 4:
         samples[:], selections[:] = _run_trials(spec, all_trials)
     else:
-        chunks = [c for c in np.array_split(all_trials, spec.workers) if c.size]
-        # One sweep at a time on the kept pool: another thread's sweep of
-        # another size would shut it down under this one.
-        with _pool_lock:
-            futures = _submit_chunks(spec, chunks)
-            try:
-                for indices, future in zip(chunks, futures):
-                    samples[:, :, indices], selections[:, :, indices] = future.result()
-            except BaseException as exc:
-                _abandon(futures, exc)
-                raise
+        # Imported here: serial sweeps never need it, and it costs every
+        # `relaysec` start-up ~2 MB and ~30 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # One contiguous chunk per process; this process runs the first.
+        first, *rest = [c for c in np.array_split(all_trials, spec.workers) if c.size]
+        with ProcessPoolExecutor(max_workers=len(rest)) as pool:
+            results = pool.map(_run_trials, repeat(spec), rest)
+            samples[:, :, first], selections[:, :, first] = _run_trials(spec, first)
+            for indices, (s_blk, sel_blk) in zip(rest, results):
+                samples[:, :, indices] = s_blk
+                selections[:, :, indices] = sel_blk
     combos = crit.enumerate_combinations(spec.config.pool_size,
                                          spec.config.selected_relays)
     meta = {
@@ -284,62 +281,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         combinations=combos,
         meta=meta,
     )
-
-
-# The worker pool kept between multi-worker sweeps, as (size, executor).
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _shutdown_pool():
-    """Shut the kept pool down and forget it. Also run at interpreter exit,
-    while the modules the pool's clean-up needs still exist."""
-    global _pool
-    if _pool is not None:
-        _pool[1].shutdown(wait=True, cancel_futures=True)
-        _pool = None
-
-
-atexit.register(_shutdown_pool)
-
-
-def _abandon(futures, exc) -> bool:
-    """Cancel a sweep's pending futures after ``exc``; drop the kept pool
-    and return True if ``exc`` says it broke."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    for future in futures:
-        future.cancel()
-    if not isinstance(exc, BrokenProcessPool):
-        return False
-    _shutdown_pool()
-    return True
-
-
-def _submit_chunks(spec, chunks) -> list:
-    """One future per chunk, on the kept pool of ``len(chunks)`` workers.
-
-    A pool of another size is replaced. A pool found broken (a worker died
-    while idle) is replaced once and the chunks are submitted again.
-    """
-    global _pool
-    # Imported here: serial sweeps never need it, and it costs every
-    # `relaysec` start-up ~2 MB and ~30 ms.
-    from concurrent.futures import ProcessPoolExecutor
-
-    for attempt in range(2):
-        if _pool is not None and _pool[0] != len(chunks):
-            _shutdown_pool()
-        if _pool is None:
-            _pool = (len(chunks), ProcessPoolExecutor(max_workers=len(chunks)))
-        futures = []
-        try:
-            for indices in chunks:
-                futures.append(_pool[1].submit(_run_trials, spec, indices))
-            return futures
-        except BaseException as exc:
-            if not _abandon(futures, exc) or attempt:
-                raise
 
 
 # ---------------------------------------------------------------------------

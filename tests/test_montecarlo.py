@@ -1,12 +1,7 @@
 """Sweep engine tests: reproducibility, pairing, aggregation statistics."""
 
+import concurrent.futures
 import multiprocessing
-import os
-import signal
-import subprocess
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -115,86 +110,25 @@ class TestReproducibility:
         assert not np.array_equal(a.samples, b.samples)
 
 
-def worker_pids() -> set:
-    return {p.pid for p in multiprocessing.active_children()}
+class TestWorkerPool:
+    def test_one_chunk_per_process_and_this_process_runs_one(self, monkeypatch):
+        sizes = []
 
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
 
-def is_alive(pid) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
-
-
-class TestKeptPool:
-    """One worker pool per process, reused by every sweep of its size."""
-
-    def assert_same_as_serial(self, result):
-        serial = run_sweep(small_spec(trials=result.spec.trials))
-        assert result.samples.tobytes() == serial.samples.tobytes()
-        assert result.selections.tobytes() == serial.selections.tobytes()
-
-    def test_same_size_reuses_and_new_size_replaces_the_pool(self):
-        run_sweep(small_spec(workers=2))
-        first = worker_pids()
-        assert len(first) == 2
-        self.assert_same_as_serial(run_sweep(small_spec(workers=2)))
-        assert worker_pids() == first
-        self.assert_same_as_serial(run_sweep(small_spec(workers=3)))
-        assert len(worker_pids()) == 3 and not worker_pids() & first
-        assert not any(is_alive(pid) for pid in first)
-
-    def test_pool_has_one_worker_per_nonempty_chunk(self):
-        self.assert_same_as_serial(run_sweep(small_spec(workers=5, trials=4)))
-        assert len(worker_pids()) == 4
-
-    def test_worker_killed_while_idle_is_replaced(self):
-        run_sweep(small_spec(workers=2))
-        before = worker_pids()
-        victim = min(before)
-        os.kill(victim, signal.SIGKILL)
-        # The pool notices the death and reaps its workers on its own thread.
-        deadline = time.monotonic() + 30
-        while is_alive(victim) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not is_alive(victim)
-        self.assert_same_as_serial(run_sweep(small_spec(workers=2)))
-        assert len(worker_pids()) == 2 and not worker_pids() & before
-
-    def test_sweeps_of_two_sizes_from_two_threads(self):
-        serial = run_sweep(small_spec()).samples.tobytes()
-        same, errors = [], []
-
-        def sweeps(workers):
-            try:
-                for _ in range(4):
-                    same.append(run_sweep(small_spec(workers=workers)).samples.tobytes()
-                                == serial)
-            except Exception as exc:  # reported below, from the test's thread
-                errors.append(repr(exc))
-
-        threads = [threading.Thread(target=sweeps, args=(w,)) for w in (2, 3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and same == [True] * 8
-
-    def test_process_exits_cleanly_and_takes_its_workers_along(self):
-        code = ("import multiprocessing\n"
-                "from relaysec.model import SystemConfig\n"
-                "from relaysec.montecarlo import SweepSpec, run_sweep\n"
-                "run_sweep(SweepSpec(config=SystemConfig(), snr_grid_db=(0.0,), trials=8,\n"
-                "                    criteria=('s-sr',), workers=2))\n"
-                "print(' '.join(str(p.pid) for p in multiprocessing.active_children()))\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0 and proc.stderr == ""
-        pids = [int(pid) for pid in proc.stdout.split()]
-        assert len(pids) == 2
-        assert not any(is_alive(pid) for pid in pids)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        serial = run_sweep(small_spec(trials=4))
+        for workers in (2, 5):
+            result = run_sweep(small_spec(workers=workers, trials=4))
+            assert result.samples.tobytes() == serial.samples.tobytes()
+            assert result.selections.tobytes() == serial.selections.tobytes()
+            # The sweep's pool is shut down and its workers reaped.
+            assert multiprocessing.active_children() == []
+        # Two workers fork one process; five workers on four trials fork three.
+        assert sizes == [1, 3]
 
 
 class TestPairing:
