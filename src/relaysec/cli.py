@@ -22,13 +22,6 @@ import numpy as np
 
 from .criteria import CRITERION_NAMES, CriterionKind, prepare_candidates, select
 from .model import ConfigError, SystemConfig, generate_realization
-from .reference import (
-    desired_covariance,
-    gamma_rate_bits,
-    interference_covariance,
-    ssr_eve_term,
-    zf_precoder,
-)
 from .montecarlo import SweepSpec, compare_criteria, run_sweep
 
 # Scenario presets. Antenna and eavesdropper counts are reconstructions
@@ -279,11 +272,15 @@ def emit_csv(result, path: str) -> str:
 # verification suites
 # ---------------------------------------------------------------------------
 
+# The suites import the scalar oracles of `reference` when they run, so no
+# other command pays for loading them at start-up.
 VERIFY_SEED = 20240
 
 
 def verify_zf(draws: int = 100, seed: int = VERIFY_SEED):
     """Zero-forcing residual check over random realizations."""
+    from .reference import zf_precoder
+
     cfg = SystemConfig(num_users=2, user_antennas=2, relay_antennas=2, pool_size=5,
                        selected_relays=2, num_eves=2, eve_antennas=2, seed=seed)
     worst = 0.0
@@ -329,6 +326,9 @@ def verify_ssr_oracle(draws: int = 1000, seed: int = VERIFY_SEED):
     Uses a square stacked eavesdropper channel; also checks that the full
     and reduced secrecy criteria choose the same combination on every draw.
     """
+    from .reference import (desired_covariance, gamma_rate_bits, interference_covariance,
+                            ssr_eve_term, zf_precoder)
+
     cfg = SystemConfig(num_users=2, user_antennas=1, relay_antennas=1, pool_size=5,
                        selected_relays=2, num_eves=2, eve_antennas=1, seed=seed)
     worst = 0.0

@@ -34,7 +34,7 @@ def split_covariances(matrices: np.ndarray, num_users: int, user_antennas: int) 
     # The sum of the other users' terms, not the total minus the own term:
     # at high SNR the noise is far below the rounding error of that difference.
     others = 1.0 - np.eye(num_users)
-    ri = (others @ rd.reshape(*rd.shape[:-2], -1)).reshape(rd.shape)
+    ri = (others @ rd.reshape(*rd.shape[:-2], rd.shape[-1] ** 2)).reshape(rd.shape)
     return rd, ri
 
 

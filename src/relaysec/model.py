@@ -181,7 +181,8 @@ class ChannelRealization:
     A block of trials (:func:`generate_realization` given a trial array)
     puts a leading trial axis on every array; ``block[b]`` is trial ``b``'s
     realization, and the two legitimate-hop accessors keep the trial axis
-    in front. The eavesdropper accessors take one trial.
+    in front. :meth:`stacked_eve_channel` takes one trial, and
+    :meth:`relay_eve_channels` a block with each row's trial.
     """
 
     source_to_relay: np.ndarray
@@ -232,16 +233,18 @@ class ChannelRealization:
         self._require_eves()
         return self.source_to_eve.reshape(-1, self.source_to_eve.shape[-1])
 
-    def relay_eve_channels(self, combination) -> np.ndarray:
-        """Second-hop leakage channels of every eavesdropper, ``(..., K, N_e, T*N_i)``."""
+    def relay_eve_channels(self, combination, trials) -> np.ndarray:
+        """Second-hop leakage channels of every eavesdropper on a block of
+        trials, ``(J, K, N_e, T*N_i)``: row ``j`` is for the ``(J, T)``
+        ``combination`` row ``j`` in trial ``trials[j]``."""
         self._require_eves()
-        return _side_by_side(self.relay_to_eve[np.asarray(combination)])
+        return _side_by_side(self.relay_to_eve[np.asarray(trials)[:, None], combination])
 
 
 def _side_by_side(blocks: np.ndarray) -> np.ndarray:
     """``(..., T, A, B, N_i)`` member blocks -> ``(..., A, B, T*N_i)``, concatenated column-wise."""
     moved = blocks.swapaxes(-4, -3).swapaxes(-3, -2)
-    return moved.reshape(*moved.shape[:-2], -1)
+    return moved.reshape(*moved.shape[:-2], moved.shape[-2] * moved.shape[-1])
 
 
 # NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and

@@ -13,10 +13,11 @@ array axis rather than a loop: each criterion makes one ``select`` call
 that scores every candidate at every grid point and takes a row-wise argmax
 (``sr`` adds one SVD of the eavesdropper stack, and reuses ``s-sr``'s
 scores when that stack has full rank). Criteria whose pick ignores the
-noise level select once. The distinct (candidate, SNR point) pairs that
-the criteria picked are then evaluated by one ``secrecy_rate`` call, and
-each sample is gathered from it. The draws and the ZF cores are built for a
-block of trials at a time (:func:`_run_trials`). Results are bit-identical
+noise level select once. The draws and the ZF cores are built for a
+block of trials at a time (:func:`_run_trials`); the distinct (trial,
+candidate, SNR point) triples that the criteria picked in the block are
+then evaluated by one ``secrecy_rate`` call, and each sample is gathered
+from it, with the reason for every discard counted. Results are bit-identical
 for a given spec regardless of the worker count and block size, because
 trials are keyed, independent work units and the reduction runs in fixed
 trial order.
@@ -142,6 +143,8 @@ class SweepResult:
     ``samples[c, s, t]`` is the secrecy rate of criterion ``c`` at SNR point
     ``s`` in trial ``t`` (NaN where the trial was discarded);
     ``selections[c, s, t]`` indexes into ``combinations`` (-1 on discard).
+    ``meta["discards"]`` maps each reason a sample was discarded to its
+    ``(criteria, SNR points)`` count (see :func:`_run_trials`).
     """
 
     spec: SweepSpec
@@ -180,44 +183,60 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
 
     The trials go in blocks of as many as fit ``BLOCK_BYTES``, at least
     one: one ``generate_realization`` and one ``prepare_candidates`` call
-    per block, then, per trial, one ``select`` per criterion and at most
-    one ``secrecy_rate`` on that trial's views. Every draw and core is byte
-    for byte the one its trial gets alone, so the results do not depend on
-    the block size or on how the trials are split between workers.
+    per block, then, per trial, one ``select`` per criterion on that trial's
+    views, and one ``secrecy_rate`` call for the distinct (trial, candidate,
+    SNR point) triples the block's criteria picked. Every draw, core and
+    rate is byte for byte the one its trial gets alone, so the results do
+    not depend on the block size or on how the trials are split between
+    workers.
+
+    Returns ``(samples, selections, discards)``: the first two are
+    ``(criteria, SNR points, trials)`` arrays, and ``discards`` maps each
+    reason a sample is NaN to its ``(criteria, SNR points)`` count: no
+    viable candidate (pick -1), an invalid candidate picked (a greedy
+    criterion can pick one), or a rate that is not finite.
     """
     cfg0 = spec.config
-    per_trial = 6 * comb(cfg0.pool_size, cfg0.selected_relays) * cfg0.transmit_antennas ** 2 * 16
-    step = max(1, BLOCK_BYTES // per_trial)
+    n_combos = comb(cfg0.pool_size, cfg0.selected_relays)
+    step = max(1, BLOCK_BYTES // (6 * n_combos * cfg0.transmit_antennas ** 2 * 16))
     noise = cfg0.noise_powers(spec.snr_grid_db)
     n_c, n_s = len(spec.criteria), len(noise)
-    samples = np.full((n_c, n_s, len(trial_indices)), np.nan)
-    selections = np.full((n_c, n_s, len(trial_indices)), -1, dtype=np.int32)
-    points = np.broadcast_to(np.arange(n_s), (n_c, n_s))
+    samples = np.full((len(trial_indices), n_c, n_s), np.nan)
+    selections = np.full((len(trial_indices), n_c, n_s), -1, dtype=np.int32)
+    discards = {reason: np.zeros((n_c, n_s), dtype=np.int64)
+                for reason in ("no-viable-candidate", "invalid-pick", "non-finite-rate")}
     for first in range(0, len(trial_indices), step):
         realizations = generate_realization(cfg0, trial=trial_indices[first:first + step])
         candidates = crit.prepare_candidates(realizations, cfg0)
-        for b in range(len(candidates.valid)):
+        n_b = len(candidates.valid)
+        picks = np.empty((n_b, n_c, n_s), dtype=np.intp)
+        for b in range(n_b):
             realization, cands = realizations[b], candidates[b]
-            picks = np.stack([_picks(kind, realization, cands, noise, spec)
-                              for kind in spec.criteria])
-            usable = picks >= 0
-            usable[usable] = cands.valid[picks[usable]]
-            # Each distinct (candidate, SNR point) pair is evaluated once.
-            wanted = np.zeros((len(cands.combinations), n_s), dtype=bool)
-            wanted[picks[usable], points[usable]] = True
-            rows, cols = np.nonzero(wanted)
-            if not rows.size:
-                continue
-            rates = np.full(wanted.shape, np.nan)
-            rates[rows, cols] = secrecy_rate(
-                realization, cands, rows, cfg0, half_duplex=spec.half_duplex, clamp=spec.clamp,
-                eve_model=spec.eve_model, eve_aggregate=spec.eve_aggregate, noise=noise[cols],
-            ).secrecy_rate
-            values = np.where(usable, rates[picks, points], np.nan)
-            kept = np.isfinite(values)
-            samples[:, :, first + b] = np.where(kept, values, np.nan)
-            selections[:, :, first + b] = np.where(kept, picks, -1)
-    return samples, selections
+            for c, kind in enumerate(spec.criteria):
+                picks[b, c] = _picks(kind, realization, cands, noise, spec)
+        trial = np.broadcast_to(np.arange(n_b)[:, None, None], picks.shape)
+        point = np.broadcast_to(np.arange(n_s), picks.shape)
+        viable = picks >= 0
+        usable = viable.copy()
+        usable[viable] = candidates.valid[trial[viable], picks[viable]]
+        # Each distinct (trial, candidate, SNR point) triple is evaluated once.
+        wanted = np.zeros((n_b, n_combos, n_s), dtype=bool)
+        wanted[trial[usable], picks[usable], point[usable]] = True
+        rows = np.nonzero(wanted)
+        rates = np.full(wanted.shape, np.nan)
+        rates[rows] = secrecy_rate(
+            realizations, candidates, rows[0], rows[1], cfg0, noise[rows[2]],
+            half_duplex=spec.half_duplex, clamp=spec.clamp, eve_model=spec.eve_model,
+            eve_aggregate=spec.eve_aggregate,
+        ).secrecy_rate
+        values = np.where(usable, rates[trial, picks, point], np.nan)
+        kept = np.isfinite(values)
+        samples[first:first + n_b] = np.where(kept, values, np.nan)
+        selections[first:first + n_b] = np.where(kept, picks, -1)
+        discards["no-viable-candidate"] += np.sum(~viable, axis=0)
+        discards["invalid-pick"] += np.sum(viable & ~usable, axis=0)
+        discards["non-finite-rate"] += np.sum(usable & ~kept, axis=0)
+    return samples.transpose(1, 2, 0), selections.transpose(1, 2, 0), discards
 
 
 def _picks(kind, realization, cands, noise, spec) -> np.ndarray:
@@ -250,7 +269,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     selections = np.full((n_c, n_s, spec.trials), -1, dtype=np.int32)
     all_trials = np.arange(spec.trials)
     if spec.workers == 1 or spec.trials < 4:
-        samples[:], selections[:] = _run_trials(spec, all_trials)
+        samples[:], selections[:], discards = _run_trials(spec, all_trials)
     else:
         # Imported here: serial sweeps never need it, and it costs every
         # `relaysec` start-up ~2 MB and ~30 ms.
@@ -260,10 +279,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         first, *rest = [c for c in np.array_split(all_trials, spec.workers) if c.size]
         with ProcessPoolExecutor(max_workers=len(rest)) as pool:
             results = pool.map(_run_trials, repeat(spec), rest)
-            samples[:, :, first], selections[:, :, first] = _run_trials(spec, first)
-            for indices, (s_blk, sel_blk) in zip(rest, results):
+            samples[:, :, first], selections[:, :, first], discards = _run_trials(spec, first)
+            for indices, (s_blk, sel_blk, counts) in zip(rest, results):
                 samples[:, :, indices] = s_blk
                 selections[:, :, indices] = sel_blk
+                for reason, count in counts.items():
+                    discards[reason] += count
     combos = crit.enumerate_combinations(spec.config.pool_size,
                                          spec.config.selected_relays)
     meta = {
@@ -271,6 +292,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "spec_digest": spec.digest(),
         "elapsed_s": time.perf_counter() - start,
         "workers": spec.workers,
+        "discards": discards,
     }
     return SweepResult(
         spec=spec,

@@ -2,14 +2,15 @@
 
 These are the test oracles for the batched path: channel draws from one
 NumPy generator per block, a :class:`Precoder` per candidate, signals and
-covariances composed by hand, and per-candidate criterion metrics written
-as plain loops. Only tests and ``relaysec verify`` use this module; the
-sweep never imports it.
+covariances composed by hand, per-candidate criterion metrics written
+as plain loops, and the one-pair form of the batched secrecy evaluation.
+Only tests and ``relaysec verify`` use this module; the sweep never
+imports it, and the CLI imports it only to verify.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .model import (
     complex_normal,
     zf_core_batch,
 )
+from .secrecy import SecrecySample, secrecy_rate
 
 
 # A Hermitian matrix with a larger condition number counts as singular; a
@@ -379,3 +381,24 @@ def ssinr_metric(channel_block: np.ndarray) -> float:
     """
     block = np.asarray(channel_block)
     return float(np.min(np.sum(np.abs(block) ** 2, axis=0)))
+
+
+# ---------------------------------------------------------------------------
+# one-pair evaluation
+# ---------------------------------------------------------------------------
+
+
+def pair_secrecy_rate(realization: ChannelRealization, candidates, combination,
+                      config: SystemConfig, **options) -> SecrecySample:
+    """:func:`relaysec.secrecy.secrecy_rate` of one combination of one
+    trial at ``config``'s noise level, with float rates: the trial's
+    realization and candidate set become a block of one trial, as views."""
+    block = ChannelRealization(*(None if a is None else a[None] for a in (
+        realization.source_to_relay, realization.relay_to_user,
+        realization.source_to_eve, realization.relay_to_eve)))
+    one = replace(candidates, **{name: getattr(candidates, name)[None] for name in (
+        "hop1", "hop2", "precoders", "cores", "relay_precoders", "relay_cores", "valid")})
+    sample = secrecy_rate(block, one, [0], [candidates.position(combination)], config,
+                          [config.noise_power], **options)
+    return SecrecySample(*(float(rate[0]) for rate in (
+        sample.secrecy_rate, sample.legit_rate, sample.eve_rate)))

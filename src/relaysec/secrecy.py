@@ -1,4 +1,4 @@
-"""End-to-end secrecy-rate evaluation of a chosen relay combination.
+"""End-to-end secrecy-rate evaluation of the chosen relay combinations.
 
 This is the measurement side of the simulator: whichever criterion picked
 the combination, the achieved rates are computed here from the ground-truth
@@ -10,6 +10,10 @@ protocol contributes a factor 1/2 unless disabled.
 Phase 2 uses the coordinated relay re-transmission: the selected relays
 jointly apply a zero-forcing precoder on the stacked user channels, exactly
 mirroring the source-side precoding of phase 1.
+
+One call evaluates a batch of picks across a block of trials: every pick is
+a ``(trial, candidate, noise level)`` triple, and every pick's rates are the
+bytes that pick gets in a batch of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CandidateSet, legit_rates
+from .criteria import CandidateSet, _combination_table, legit_rates
 from .kernels import rate_bits, split_covariances
 from .model import ChannelRealization, SingularChannelError, SystemConfig
 
@@ -28,15 +32,11 @@ EVE_AGGREGATES = ("sum", "max")
 
 @dataclass(frozen=True)
 class SecrecySample:
-    """Achieved rates of one (realization, combination) evaluation, or
-    ``(J,)`` arrays of them for a batch of pairs."""
+    """Achieved rates of a batch of picks, ``(J,)`` arrays."""
 
-    criterion: str
-    snr_db: float
-    secrecy_rate: float
-    legit_rate: float
-    eve_rate: float
-    combination: tuple
+    secrecy_rate: np.ndarray
+    legit_rate: np.ndarray
+    eve_rate: np.ndarray
 
 
 def _check_eve_options(eve_model: str, eve_aggregate: str):
@@ -48,26 +48,21 @@ def _check_eve_options(eve_model: str, eve_aggregate: str):
         )
 
 
-def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, combination,
-                 config: SystemConfig, criterion: str = "",
-                 half_duplex: bool = True, clamp: bool = True,
-                 eve_model: str = "both", eve_aggregate: str = "sum",
-                 noise=None) -> SecrecySample:
-    """Achieved secrecy rate of ``combination``: legitimate minus eavesdropper rate.
+def secrecy_rate(realizations: ChannelRealization, candidates: CandidateSet, trials, positions,
+                 config: SystemConfig, noise, *, half_duplex: bool = True, clamp: bool = True,
+                 eve_model: str = "both", eve_aggregate: str = "sum") -> SecrecySample:
+    """Achieved secrecy rates of a batch of picks: legitimate minus eavesdropper rate.
 
-    The pick's precoders are its rows of ``candidates`` (the set its
-    criterion chose from, built from the same realization); the eavesdropper
-    channels come from ``realization``. Nothing is built for the other rows.
-    ``config`` supplies the dimensions and, for a single combination, the
-    noise level. A pick whose candidate is not ``valid`` raises
-    :class:`SingularChannelError`.
-
-    Batched form: given a ``(J,)`` ``noise`` array, ``combination`` is a
-    ``(J,)`` array of candidate positions (rows of ``candidates``) and pair
-    ``j`` is evaluated at noise power ``noise[j]``; the sample's three rates
-    are then ``(J,)`` arrays, its ``combination`` the positions and its
-    ``snr_db`` None. A single combination is the one-pair batch at
-    ``config``'s noise level.
+    ``realizations`` and ``candidates`` hold a block of trials, each with a
+    leading trial axis (:func:`relaysec.model.generate_realization` given a
+    trial sequence, and :func:`relaysec.criteria.prepare_candidates` of it).
+    Pick ``j`` is row ``positions[j]`` of trial ``trials[j]``'s candidate
+    set, evaluated at noise power ``noise[j]``; the sample's three rates are
+    ``(J,)`` arrays. The pick's precoders are its rows of ``candidates``;
+    the eavesdropper channels come from ``realizations``. Nothing is built
+    for the other rows. ``config`` supplies the dimensions. A pick whose
+    candidate is not ``valid`` raises :class:`SingularChannelError`, and an
+    empty batch gives empty arrays.
 
     The legitimate rate of each hop is the ZF closed form
     ``sum_l log2(1 + P / (d_l^2 s))`` (see :class:`CandidateSet`), and the
@@ -82,26 +77,23 @@ def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, comb
     no secret bits); set ``clamp=False`` for the signed difference.
     """
     _check_eve_options(eve_model, eve_aggregate)
-    if noise is None:
-        positions = np.array([candidates.position(combination)])
-        levels = np.array([config.noise_power])
-    else:
-        positions = np.asarray(combination, dtype=np.intp)
-        levels = np.asarray(noise, dtype=float)
-    singular = ~candidates.valid[positions]
+    trials = np.asarray(trials, dtype=np.intp)
+    positions = np.asarray(positions, dtype=np.intp)
+    levels = np.asarray(noise, dtype=float)
+    singular = ~candidates.valid[trials, positions]
     if singular.any():
         combo = candidates.combinations[positions[singular][0]]
         raise SingularChannelError(f"candidate {combo} has a singular hop channel")
-    n_e, n_t = config.eve_antennas, config.transmit_antennas
-    legit = legit_rates(candidates.stream_gains(positions), levels).min(axis=0)
+    n_e = config.eve_antennas
+    legit = legit_rates(candidates.stream_gains((trials, positions)), levels).min(axis=0)
     # Every eavesdropper's received blocks B = E W of the picked precoders,
     # (P, J, K, N_e, N_t), phase 1 first.
-    source_eve = realization.stacked_eve_channel().reshape(-1, n_e, n_t)
-    received = [source_eve @ candidates.precoders[positions, None]]
+    received = [realizations.source_to_eve[trials]
+                @ candidates.precoders[trials, positions][:, None]]
     if eve_model == "both":
-        members = np.array([candidates.combinations[p] for p in positions])
-        received.append(realization.relay_eve_channels(members)
-                        @ candidates.relay_precoders[positions, None])
+        members = _combination_table(config.pool_size, config.selected_relays)[1][positions]
+        received.append(realizations.relay_eve_channels(members, trials)
+                        @ candidates.relay_precoders[trials, positions][:, None])
     # Per-user grams (P, J, K, M, N_e, N_e): B_u B_u^H and the other users' sum.
     own, others = split_covariances(np.array(received), config.num_users, config.user_antennas)
     noise_in = others + levels[:, None, None, None, None] * np.eye(n_e)
@@ -115,14 +107,4 @@ def secrecy_rate(realization: ChannelRealization, candidates: CandidateSet, comb
     diff = legit - eve
     if clamp:
         diff = np.maximum(diff, 0.0)
-    if noise is not None:
-        return SecrecySample(criterion=str(criterion), snr_db=None, secrecy_rate=diff,
-                             legit_rate=legit, eve_rate=eve, combination=positions)
-    return SecrecySample(
-        criterion=str(criterion),
-        snr_db=config.snr_db,
-        secrecy_rate=float(diff[0]),
-        legit_rate=float(legit[0]),
-        eve_rate=float(eve[0]),
-        combination=tuple(combination),
-    )
+    return SecrecySample(secrecy_rate=diff, legit_rate=legit, eve_rate=eve)

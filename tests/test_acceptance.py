@@ -21,8 +21,7 @@ from relaysec.cli import (
 from relaysec.criteria import CriterionKind, prepare_candidates
 from relaysec.model import SystemConfig, generate_realization
 from relaysec.montecarlo import SweepSpec, run_sweep
-from relaysec.reference import interference_covariance, zf_precoder
-from relaysec.secrecy import secrecy_rate
+from relaysec.reference import interference_covariance, pair_secrecy_rate, zf_precoder
 
 GRID = tuple(float(s) for s in range(0, 21, 2))
 
@@ -177,7 +176,7 @@ def test_acceptance_6_numerical_kernels(figure_sweep):
         combo = cands.combinations[int(rng.integers(len(cands.combinations)))]
         if not cands.valid[cands.position(combo)]:
             continue
-        sample = secrecy_rate(real, cands, combo, cfg.at_snr(float(rng.uniform(0, 20))))
+        sample = pair_secrecy_rate(real, cands, combo, cfg.at_snr(float(rng.uniform(0, 20))))
         if min(sample.secrecy_rate, sample.legit_rate, sample.eve_rate) < 0:
             problems.append("negative rate in direct evaluation")
             break

@@ -30,6 +30,7 @@ from relaysec.reference import (
     desired_covariance,
     gamma_rate_bits,
     interference_covariance,
+    pair_secrecy_rate,
     relay_precoder,
     secrecy_gamma,
     sinr_relay_metric,
@@ -39,7 +40,6 @@ from relaysec.reference import (
     zf_precoder,
 )
 from relaysec.montecarlo import SweepSpec, run_sweep
-from relaysec.secrecy import secrecy_rate
 
 
 def single_antenna_config(**kw):
@@ -695,7 +695,7 @@ class TestExactHighSnrOracle:
                     for s, level in enumerate(noise):
                         rates = [math.fsum(math.log2(1.0 + g / level) for g in hop)
                                  for hop in (hop1, hop2)]
-                        sample = secrecy_rate(real, cs, combo, cfg.at_snr(self.GRID[s]))
+                        sample = pair_secrecy_rate(real, cs, combo, cfg.at_snr(self.GRID[s]))
                         assert sample.legit_rate == pytest.approx(0.5 * min(rates), rel=1e-13)
                         eta1 = min(hop1.reshape(-1, n_i).mean(axis=1)) / level
                         eta2 = min(hop2.reshape(-1, n_r).mean(axis=1)) / level

@@ -1,12 +1,14 @@
 """Sweep engine tests: reproducibility, pairing, aggregation statistics."""
 
 import concurrent.futures
+import csv
 import multiprocessing
 
 import numpy as np
 import pytest
 
 from relaysec import criteria, montecarlo
+from relaysec.cli import emit_csv
 from relaysec.criteria import CriterionKind
 from relaysec.model import ConfigError, SystemConfig
 from relaysec.montecarlo import SweepSpec, compare_criteria, run_sweep
@@ -156,7 +158,7 @@ class TestPairing:
 class TestCallsPerTrial:
     # pair_config's candidate arrays take 6 * C(5, 2) * 2**2 * 16 = 3840 bytes a trial.
     @pytest.mark.parametrize("budget, blocks", [(None, 1), (2 * 3840, 3), (1, 5)])
-    def test_one_draw_per_block_one_select_per_criterion_one_evaluation_per_trial(
+    def test_one_draw_and_one_evaluation_per_block_one_select_per_criterion(
             self, monkeypatch, budget, blocks):
         if budget is not None:
             monkeypatch.setattr(montecarlo, "BLOCK_BYTES", budget)
@@ -176,8 +178,53 @@ class TestCallsPerTrial:
         assert calls.count("generate_realization") == blocks
         assert calls.count("prepare_candidates") == blocks
         assert calls.count("select") == 5 * len(kinds)
-        assert calls.count("secrecy_rate") == 5
+        assert calls.count("secrecy_rate") == blocks
         assert np.all(result.n_discarded == 0)
+
+
+class TestDiscardReasons:
+    # Trial 1's first hop is all zero, so every candidate is invalid: s-sr
+    # finds no viable one, while the two greedy rules and s-sinr (which
+    # reads channel norms only) pick an invalid one. Trial 3's source-side
+    # eavesdropper channels are NaN: every pick is valid, and its unclamped
+    # rate is not finite.
+    EXPECTED = {  # per criterion, at every SNR point
+        "no-viable-candidate": [0, 0, 0, 1],
+        "invalid-pick": [1, 1, 1, 0],
+        "non-finite-rate": [1, 1, 1, 1],
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_by_reason_equal_the_csv_discards(self, monkeypatch, tmp_path, workers):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched draw reaches the worker only through fork")
+        original = montecarlo.generate_realization
+
+        def broken(config, trial):
+            block = original(config, trial=trial)
+            trials = list(trial)
+            if 1 in trials:
+                block.source_to_relay[trials.index(1)] = 0.0
+            if 3 in trials:
+                block.source_to_eve[trials.index(3)] = np.nan
+            return block
+
+        monkeypatch.setattr(montecarlo, "generate_realization", broken)
+        kinds = ("channel-gain", "max-ratio", "s-sinr", "s-sr")
+        result = run_sweep(small_spec(trials=5, criteria=kinds, clamp=False, workers=workers))
+        discards = result.meta["discards"]
+        assert sorted(discards) == sorted(self.EXPECTED)
+        for reason, counts in self.EXPECTED.items():
+            want = np.repeat(np.array(counts)[:, None], len(result.snr_grid_db), axis=1)
+            assert np.array_equal(discards[reason], want), reason
+        path = tmp_path / "run.csv"
+        emit_csv(result, str(path))
+        written = {(row["criterion"], float(row["snr_db"])): int(row["n_discarded"])
+                   for row in csv.DictReader(path.open())}
+        total = sum(discards.values())
+        for c, name in enumerate(result.criteria):
+            for s, snr in enumerate(result.snr_grid_db):
+                assert written[name, snr] == total[c, s]
 
 
 class TestHighSnrSlope:

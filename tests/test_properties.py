@@ -1,7 +1,8 @@
 """Property tests: the channel draws equal one NumPy generator per block byte
 for byte, a block of trials draws what each trial draws alone, a sweep's
 results do not depend on its block size or worker count, the batched
-evaluation equals the scalar reference oracles,
+evaluation equals the scalar reference oracles and, over a block of trials,
+each trial's own evaluation byte for byte,
 ``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank,
 selection and evaluation over an SNR grid equal their one-point calls,
 ``sinr``'s pick ignores the noise level, and ZF admission agrees with an SVD
@@ -31,6 +32,7 @@ from relaysec.reference import (  # noqa: E402
     gamma_rate_bits,
     interference_covariance,
     keyed_realization,
+    pair_secrecy_rate,
     relay_precoder,
     svd_zf_valid,
     zf_precoder,
@@ -93,6 +95,9 @@ def sweep_spec(cfg, trials, workers=1):
 def assert_same_sweep(a, b):
     assert a.samples.tobytes() == b.samples.tobytes()
     assert a.selections.tobytes() == b.selections.tobytes()
+    assert a.meta["discards"].keys() == b.meta["discards"].keys()
+    for reason, counts in a.meta["discards"].items():
+        assert np.array_equal(counts, b.meta["discards"][reason]), reason
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
@@ -148,8 +153,8 @@ def test_every_candidate_matches_hand_composition(cfg, trial, eve_model, eve_agg
     for pos, combo in enumerate(cands.combinations):
         if not cands.valid[pos]:
             continue
-        sample = secrecy_rate(real, cands, combo, cfg, eve_model=eve_model,
-                              eve_aggregate=eve_aggregate)
+        sample = pair_secrecy_rate(real, cands, combo, cfg, eve_model=eve_model,
+                                   eve_aggregate=eve_aggregate)
         legit, eve = hand_rates(real, combo, cfg, eve_model, eve_aggregate)
         assert sample.legit_rate == pytest.approx(legit, rel=1e-9)
         assert sample.eve_rate == pytest.approx(eve, rel=1e-9)
@@ -244,19 +249,48 @@ def test_admitted_candidates_invert_their_channels(cfg, trial, spread):
        eve_aggregate=st.sampled_from(["sum", "max"]), clamp=st.booleans())
 def test_batched_secrecy_rate_equals_per_pair_calls(cfg, grid, trial, eve_model,
                                                     eve_aggregate, clamp):
-    real = generate_realization(cfg, trial=trial)
+    real = generate_realization(cfg, trial=[trial])
     cands = prepare_candidates(real, cfg)
-    positions = np.flatnonzero(cands.valid)
+    positions = np.flatnonzero(cands.valid[0])
     rows = np.repeat(positions, len(grid))
     points = np.tile(np.arange(len(grid)), len(positions))
     options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate, clamp=clamp)
-    batch = secrecy_rate(real, cands, rows, cfg, noise=cfg.noise_powers(grid)[points],
-                         **options)
+    batch = secrecy_rate(real, cands, np.zeros_like(rows), rows, cfg,
+                         cfg.noise_powers(grid)[points], **options)
     for j, (row, s) in enumerate(zip(rows, points)):
-        one = secrecy_rate(real, cands, cands.combinations[row], cfg.at_snr(grid[s]),
-                           **options)
+        one = pair_secrecy_rate(real[0], cands[0], cands.combinations[row],
+                                cfg.at_snr(grid[s]), **options)
         assert batch.legit_rate[j] == pytest.approx(one.legit_rate, rel=1e-12, abs=0)
         assert batch.eve_rate[j] == pytest.approx(one.eve_rate, rel=1e-12, abs=0)
         # The difference of the two rates, relative to their size.
         assert batch.secrecy_rate[j] == pytest.approx(
             one.secrecy_rate, rel=1e-12, abs=1e-12 * (one.legit_rate + one.eve_rate))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cfg=configs(), grid=snr_grids, first=st.integers(0, 50), size=st.integers(1, 4),
+       eve_model=st.sampled_from(["phase1", "both"]),
+       eve_aggregate=st.sampled_from(["sum", "max"]), clamp=st.booleans(),
+       singular=st.booleans())
+def test_block_evaluation_equals_per_trial_evaluations(cfg, grid, first, size, eve_model,
+                                                       eve_aggregate, clamp, singular):
+    # With `singular`, relay 1's blocks are twice relay 0's in every trial,
+    # so each candidate holding both is invalid and carries placeholders.
+    block = generate_realization(cfg, trial=np.arange(first, first + size))
+    if singular and cfg.pool_size > 1:
+        for links in (block.source_to_relay, block.relay_to_user):
+            links[:, 1] = 2.0 * links[:, 0]
+    cands = prepare_candidates(block, cfg)
+    if singular and cfg.selected_relays > 1:
+        assert not cands.valid.all()
+    # Every valid (trial, candidate, SNR point) triple, in trial order.
+    trials, rows, points = np.nonzero(np.repeat(cands.valid[..., None], len(grid), axis=2))
+    noise = cfg.noise_powers(grid)
+    options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate, clamp=clamp)
+    batch = secrecy_rate(block, cands, trials, rows, cfg, noise[points], **options)
+    for b in range(size):
+        mine = trials == b
+        alone = secrecy_rate(block[b:b + 1], cands[b:b + 1], np.zeros(mine.sum(), int),
+                             rows[mine], cfg, noise[points[mine]], **options)
+        for name in ("secrecy_rate", "legit_rate", "eve_rate"):
+            assert getattr(batch, name)[mine].tobytes() == getattr(alone, name).tobytes()

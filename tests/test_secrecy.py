@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from relaysec.criteria import CRITERION_NAMES, prepare_candidates
+from relaysec.criteria import prepare_candidates
 from relaysec.model import SingularChannelError, SystemConfig, generate_realization
 from relaysec.reference import (
     desired_covariance,
     gamma_rate_bits,
     interference_covariance,
+    pair_secrecy_rate,
     relay_precoder,
     zf_precoder,
 )
@@ -43,7 +44,7 @@ class TestScalarClosedForms:
         h2 = abs(real.relay_to_user[(0, 0)][0, 0]) ** 2
         snr = cfg.signal_power / cfg.noise_power
         want = 0.5 * min(np.log2(1 + h1 * snr), np.log2(1 + h2 * snr))
-        assert secrecy_rate(real, cands, combo, cfg).legit_rate == pytest.approx(want)
+        assert pair_secrecy_rate(real, cands, combo, cfg).legit_rate == pytest.approx(want)
 
     def test_eve_rate_matches_hand_formula_phase1(self):
         cfg = scalar_config()
@@ -51,7 +52,7 @@ class TestScalarClosedForms:
         he = abs(real.source_to_eve[0][0, 0]) ** 2
         snr = cfg.signal_power / cfg.noise_power
         want = 0.5 * np.log2(1 + he * snr)
-        got = secrecy_rate(real, cands, combo, cfg, eve_model="phase1").eve_rate
+        got = pair_secrecy_rate(real, cands, combo, cfg, eve_model="phase1").eve_rate
         assert got == pytest.approx(want)
 
     def test_both_phases_adds_relay_leakage(self):
@@ -61,18 +62,14 @@ class TestScalarClosedForms:
         he2 = abs(real.relay_to_eve[(0, 0)][0, 0]) ** 2
         snr = cfg.signal_power / cfg.noise_power
         want = 0.5 * (np.log2(1 + he1 * snr) + np.log2(1 + he2 * snr))
-        got = secrecy_rate(real, cands, combo, cfg, eve_model="both").eve_rate
+        got = pair_secrecy_rate(real, cands, combo, cfg, eve_model="both").eve_rate
         assert got == pytest.approx(want)
 
     def test_secrecy_rate_is_clamped_difference(self):
         cfg = scalar_config()
         real, combo, cands = build(cfg)
-        sample = secrecy_rate(real, cands, combo, cfg, criterion="sr")
-        want = max(secrecy_rate(real, cands, combo, cfg).legit_rate
-                   - secrecy_rate(real, cands, combo, cfg).eve_rate, 0.0)
-        assert sample.secrecy_rate == pytest.approx(want)
-        assert sample.combination == combo
-        assert sample.snr_db == cfg.snr_db
+        sample = pair_secrecy_rate(real, cands, combo, cfg)
+        assert sample.secrecy_rate == pytest.approx(max(sample.legit_rate - sample.eve_rate, 0.0))
 
 
 class TestEdgeCases:
@@ -83,8 +80,8 @@ class TestEdgeCases:
             real.source_to_eve[k] = np.zeros((1, 2), dtype=complex)
             for i in range(cfg.pool_size):
                 real.relay_to_eve[(i, k)] = np.zeros((1, 1), dtype=complex)
-        assert secrecy_rate(real, cands, combo, cfg).eve_rate == 0.0
-        sample = secrecy_rate(real, cands, combo, cfg)
+        assert pair_secrecy_rate(real, cands, combo, cfg).eve_rate == 0.0
+        sample = pair_secrecy_rate(real, cands, combo, cfg)
         assert sample.secrecy_rate == pytest.approx(sample.legit_rate)
 
     def test_clamp_when_eavesdropper_dominates(self):
@@ -92,9 +89,9 @@ class TestEdgeCases:
         real, combo, cands = build(cfg)
         for k in range(cfg.num_eves):
             real.source_to_eve[k] = 40.0 * real.source_to_eve[k]
-        sample = secrecy_rate(real, cands, combo, cfg)
+        sample = pair_secrecy_rate(real, cands, combo, cfg)
         assert sample.secrecy_rate == 0.0
-        signed = secrecy_rate(real, cands, combo, cfg, clamp=False)
+        signed = pair_secrecy_rate(real, cands, combo, cfg, clamp=False)
         assert signed.secrecy_rate < 0.0
         assert signed.secrecy_rate == pytest.approx(
             signed.legit_rate - signed.eve_rate)
@@ -102,8 +99,8 @@ class TestEdgeCases:
     def test_half_duplex_factor_flag(self):
         cfg = scalar_config()
         real, combo, cands = build(cfg)
-        half = secrecy_rate(real, cands, combo, cfg, half_duplex=True).legit_rate
-        full = secrecy_rate(real, cands, combo, cfg, half_duplex=False).legit_rate
+        half = pair_secrecy_rate(real, cands, combo, cfg, half_duplex=True).legit_rate
+        full = pair_secrecy_rate(real, cands, combo, cfg, half_duplex=False).legit_rate
         assert full == pytest.approx(2.0 * half)
 
     def test_singular_pick_raises(self):
@@ -113,13 +110,24 @@ class TestEdgeCases:
         cands = prepare_candidates(real, cfg)
         assert not cands.valid[cands.position((0, 1))]
         with pytest.raises(SingularChannelError):
-            secrecy_rate(real, cands, (0, 1), cfg)
+            pair_secrecy_rate(real, cands, (0, 1), cfg)
+
+    @pytest.mark.parametrize("eve_model", ["phase1", "both"])
+    def test_empty_batch_gives_empty_rates(self, eve_model):
+        # A block whose criteria found nothing viable still makes its call.
+        cfg = pair_config(user_antennas=2, relay_antennas=2, eve_antennas=2)
+        real = generate_realization(cfg, trial=[0, 1])
+        none = np.zeros(0, dtype=int)
+        sample = secrecy_rate(real, prepare_candidates(real, cfg), none, none, cfg,
+                              np.zeros(0), eve_model=eve_model)
+        for rates in (sample.secrecy_rate, sample.legit_rate, sample.eve_rate):
+            assert rates.shape == (0,)
 
     def test_rates_nonnegative(self):
         cfg = pair_config()
         for t in range(50):
             real, combo, cands = build(cfg, trial=t)
-            sample = secrecy_rate(real, cands, combo, cfg)
+            sample = pair_secrecy_rate(real, cands, combo, cfg)
             assert sample.secrecy_rate >= 0.0
             assert sample.legit_rate >= 0.0
             assert sample.eve_rate >= 0.0
@@ -132,9 +140,9 @@ class TestMonotonicity:
             real, combo, _ = build(cfg, trial=t)
             low_cfg = cfg
             high_cfg = SystemConfig(**{**low_cfg.__dict__, "signal_power": 2.0})
-            low = secrecy_rate(real, prepare_candidates(real, low_cfg), combo,
+            low = pair_secrecy_rate(real, prepare_candidates(real, low_cfg), combo,
                                low_cfg).legit_rate
-            high = secrecy_rate(real, prepare_candidates(real, high_cfg), combo,
+            high = pair_secrecy_rate(real, prepare_candidates(real, high_cfg), combo,
                                 high_cfg).legit_rate
             assert high >= low - 1e-12
 
@@ -148,29 +156,29 @@ class TestMonotonicity:
             # keyed draws make the first eavesdropper identical in both
             real_s = generate_realization(small, trial=t)
             assert np.array_equal(real_s.source_to_eve[0], real_l.source_to_eve[0])
-            low = secrecy_rate(real_s, cands, combo, small).eve_rate
-            high = secrecy_rate(real_l, cands, combo, large).eve_rate
+            low = pair_secrecy_rate(real_s, cands, combo, small).eve_rate
+            high = pair_secrecy_rate(real_l, cands, combo, large).eve_rate
             assert high >= low - 1e-12
 
     def test_both_phases_at_least_phase1(self):
         cfg = pair_config()
         for t in range(20):
             real, combo, cands = build(cfg, trial=t)
-            p1 = secrecy_rate(real, cands, combo, cfg, eve_model="phase1").eve_rate
-            both = secrecy_rate(real, cands, combo, cfg, eve_model="both").eve_rate
+            p1 = pair_secrecy_rate(real, cands, combo, cfg, eve_model="phase1").eve_rate
+            both = pair_secrecy_rate(real, cands, combo, cfg, eve_model="both").eve_rate
             assert both >= p1 - 1e-12
 
     def test_worstcase_aggregate_bounded_by_sum(self):
         cfg = pair_config()
         real, combo, cands = build(cfg, trial=3)
-        worst = secrecy_rate(real, cands, combo, cfg, eve_aggregate="max").eve_rate
-        total = secrecy_rate(real, cands, combo, cfg, eve_aggregate="sum").eve_rate
+        worst = pair_secrecy_rate(real, cands, combo, cfg, eve_aggregate="max").eve_rate
+        total = pair_secrecy_rate(real, cands, combo, cfg, eve_aggregate="sum").eve_rate
         assert worst <= total + 1e-12
 
     def test_vanishing_eavesdropper_scale_recovers_legit(self):
         cfg = pair_config()
         real, combo, cands = build(cfg, trial=4)
-        legit = secrecy_rate(real, cands, combo, cfg).legit_rate
+        legit = pair_secrecy_rate(real, cands, combo, cfg).legit_rate
         gaps = []
         for scale in (1e-3, 1e-6):
             scaled = generate_realization(cfg, trial=4)
@@ -178,7 +186,7 @@ class TestMonotonicity:
                 scaled.source_to_eve[k] = scale * scaled.source_to_eve[k]
                 for i in range(cfg.pool_size):
                     scaled.relay_to_eve[(i, k)] = scale * scaled.relay_to_eve[(i, k)]
-            sample = secrecy_rate(scaled, cands, combo, cfg)
+            sample = pair_secrecy_rate(scaled, cands, combo, cfg)
             gaps.append(abs(sample.secrecy_rate - legit))
         assert gaps[0] < 1e-3
         assert gaps[1] < 1e-9
@@ -188,19 +196,21 @@ class TestMonotonicity:
 class TestCriterionAgnostic:
     def test_same_combination_same_sample(self):
         # The achieved rates of a combination do not depend on which
-        # criterion picked it: every label gives the same three rates.
+        # criterion picked it: where several criteria pick the same
+        # candidate of the same trial at the same SNR, every copy of that
+        # pick in one batch gets the same bits.
         cfg = pair_config()
-        real, _, cands = build(cfg, trial=6)
-        checked = 0
-        for pos, combo in enumerate(cands.combinations):
-            if not cands.valid[pos]:
-                continue
-            rates = {(s.secrecy_rate, s.legit_rate, s.eve_rate)
-                     for s in (secrecy_rate(real, cands, combo, cfg, criterion=name)
-                               for name in CRITERION_NAMES)}
-            assert len(rates) == 1, combo
-            checked += 1
-        assert checked > 1
+        real = generate_realization(cfg, trial=[6, 7])
+        cands = prepare_candidates(real, cfg)
+        trials, rows = np.nonzero(cands.valid)
+        assert len(rows) > 2
+        copies = 3
+        noise = np.full(copies * len(rows), cfg.noise_power)
+        sample = secrecy_rate(real, cands, np.tile(trials, copies), np.tile(rows, copies),
+                              cfg, noise)
+        for rates in (sample.secrecy_rate, sample.legit_rate, sample.eve_rate):
+            first, *others = rates.reshape(copies, -1)
+            assert all(other.tobytes() == first.tobytes() for other in others)
 
     def test_explicit_relay_precoder_matches_internal(self):
         # The evaluation reads the relay precoder from the candidate set; it
@@ -242,9 +252,9 @@ class TestMimoAgainstComposedCovariances:
                 per_eve.append(leak)
             eve = 0.5 * (sum(per_eve) if eve_aggregate == "sum" else max(per_eve))
             options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate)
-            signed = secrecy_rate(real, cands, combo, cfg, clamp=False, **options)
+            signed = pair_secrecy_rate(real, cands, combo, cfg, clamp=False, **options)
             assert signed.legit_rate == pytest.approx(legit, rel=1e-9)
             assert signed.eve_rate == pytest.approx(eve, rel=1e-9)
             assert signed.secrecy_rate == pytest.approx(legit - eve, rel=1e-9)
-            clamped = secrecy_rate(real, cands, combo, cfg, **options)
+            clamped = pair_secrecy_rate(real, cands, combo, cfg, **options)
             assert clamped.secrecy_rate == pytest.approx(max(legit - eve, 0.0), rel=1e-9)
