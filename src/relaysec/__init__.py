@@ -6,7 +6,6 @@ from .criteria import (
     CandidateSet,
     CriterionKind,
     CriterionScore,
-    NoViableCandidateError,
     NotSingleAntennaError,
     prepare_candidates,
     select,

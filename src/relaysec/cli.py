@@ -351,7 +351,7 @@ def verify_ssr_oracle(draws: int = 1000, seed: int = VERIFY_SEED):
                 worst = max(worst, err)
         full_pick, _ = select(CriterionKind.SECRECY_RATE, realization, cfg, candidates=cands)
         reduced_pick, _ = select(CriterionKind.S_SR, realization, cfg, candidates=cands)
-        mismatches += full_pick != reduced_pick
+        mismatches += int(full_pick[0] != reduced_pick[0])
     ok = worst < 1e-8 and mismatches == 0
     lines = [
         f"ssr-oracle: {draws} draws, max relative error {worst:.3e} (tolerance 1e-8)",
@@ -374,7 +374,7 @@ def verify_ssinr_diag(draws: int = 1000, seed: int = VERIFY_SEED):
         cands = prepare_candidates(realization, cfg)
         full_pick, _ = select(CriterionKind.SINR, realization, cfg, candidates=cands)
         reduced_pick, _ = select(CriterionKind.S_SINR, realization, cfg, candidates=cands)
-        mismatches += full_pick != reduced_pick
+        mismatches += int(full_pick[0] != reduced_pick[0])
     ok = mismatches == 0
     lines = [f"ssinr-diag: {draws} draws, selection mismatches {mismatches}/{draws}"]
     return ok, lines

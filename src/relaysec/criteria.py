@@ -52,10 +52,6 @@ class NotSingleAntennaError(ValueError):
     """max-ratio selection is defined only for single-antenna nodes."""
 
 
-class NoViableCandidateError(RuntimeError):
-    """Every candidate combination was numerically unusable."""
-
-
 class CriterionKind(Enum):
     CHANNEL_GAIN = "channel-gain"
     MAX_RATIO = "max-ratio"
@@ -86,11 +82,12 @@ EXHAUSTIVE_KINDS = (
 
 @dataclass(frozen=True)
 class CriterionScore:
-    """Hop metrics of the winning combination and their combined value."""
+    """Hop metrics of a pick and their combined value: ``(S,)`` arrays from
+    :func:`select`, floats from the one-combination forms."""
 
-    eta1: float
-    eta2: float
-    combined: float
+    eta1: np.ndarray | float
+    eta2: np.ndarray | float
+    combined: np.ndarray | float
 
 
 def combine_metrics(eta1, eta2, rule: str = "min"):
@@ -138,8 +135,8 @@ class CandidateSet:
     scaled ZF matrices for the two hops and ``cores[c]`` / ``relay_cores[c]``
     the unscaled inverses; candidates where either hop's channel was
     singular have ``valid[c]`` False and identity placeholders so batched
-    linear algebra stays finite. Row ``c`` belongs to ``combinations[c]``
-    (``position`` maps back), and the same rows serve both selection and
+    linear algebra stays finite. Row ``c`` belongs to ``combinations[c]``;
+    :func:`select` returns picks as rows, and the same rows serve
     :func:`relaysec.secrecy.secrecy_rate`'s evaluation of the pick.
 
     Given a block of trials, :func:`prepare_candidates` puts the trial axis
@@ -165,7 +162,6 @@ class CandidateSet:
     relay_precoders: np.ndarray
     relay_cores: np.ndarray
     valid: np.ndarray
-    _index: dict = field(repr=False)
     _basis_free: dict = field(default_factory=dict, repr=False)
 
     def __getitem__(self, trial: int) -> "CandidateSet":
@@ -173,11 +169,8 @@ class CandidateSet:
         return CandidateSet(
             self.config, self.combinations, self.hop1[trial], self.hop2[trial],
             self.precoders[trial], self.cores[trial], self.relay_precoders[trial],
-            self.relay_cores[trial], self.valid[trial], self._index,
+            self.relay_cores[trial], self.valid[trial],
         )
-
-    def position(self, combination) -> int:
-        return self._index[tuple(combination)]
 
     def stream_gains(self, positions=slice(None)) -> np.ndarray:
         """Noise-free received power ``P / d_l^2`` of every stream of the
@@ -200,7 +193,7 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig) ->
     channels are stacked into ``(B, C, n, n)`` and each hop takes one
     :func:`relaysec.model.zf_core_batch`.
     """
-    combinations, members, index = _combination_table(config.pool_size, config.selected_relays)
+    combinations, members, _ = _combination_table(config.pool_size, config.selected_relays)
     hop1 = realization.stacked_source_channel(members)
     # All users' antennas stacked give a square phase-2 channel as well.
     hop2_all = realization.all_users_channel(members)
@@ -220,7 +213,6 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig) ->
         relay_precoders=matrix2,
         relay_cores=core2,
         valid=valid,
-        _index=index,
     )
 
 
@@ -306,6 +298,11 @@ def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str, noise: 
     return eta1, eta2, np.where(cs.valid, combine_metrics(eta1, eta2, combine), -np.inf)
 
 
+def _grid(config: SystemConfig, noise) -> np.ndarray:
+    """The ``(S,)`` noise grid, ``config``'s one noise level when None."""
+    return np.array([config.noise_power]) if noise is None else np.asarray(noise, dtype=float)
+
+
 def _grid_scores(kind: CriterionKind, realization: ChannelRealization, cs: CandidateSet,
                  config: SystemConfig, combine: str, grid: np.ndarray) -> tuple:
     """``(eta1, eta2, combined)``, each ``(S, C)`` with row ``s`` at noise
@@ -336,12 +333,12 @@ def score_candidates(kind: CriterionKind, realization: ChannelRealization,
                      combine: str = "min", noise=None):
     """Score every candidate under an exhaustive criterion.
 
-    Returns ``(candidate_set, eta1, eta2, combined)`` arrays aligned with
-    ``candidate_set.combinations``: ``(C,)`` at ``config``'s noise level, or
-    ``(S, C)`` with row ``s`` at noise power ``noise[s]`` when an ``(S,)``
-    ``noise`` grid is given (see :meth:`SystemConfig.noise_powers`); the
-    former is the one-point grid. Greedy criteria (channel-gain, max-ratio)
-    do not enumerate candidates and are rejected here.
+    Returns ``(candidate_set, eta1, eta2, combined)``: three ``(S, C)``
+    arrays whose row ``s`` is at noise power ``noise[s]`` (see
+    :meth:`SystemConfig.noise_powers`) and column ``c`` is
+    ``candidate_set.combinations[c]``. ``noise`` defaults to the one-point
+    grid at ``config``'s noise level. Greedy criteria (channel-gain,
+    max-ratio) do not enumerate candidates and are rejected here.
 
     ``s-sr``'s scores, which read no eavesdropper channel, are kept on the
     candidate set per grid and ``combine`` rule; ``sr`` returns the same
@@ -351,12 +348,9 @@ def score_candidates(kind: CriterionKind, realization: ChannelRealization,
     if kind not in EXHAUSTIVE_KINDS:
         raise ValueError(f"{kind.value} does not score the full candidate list")
     cs = candidates if candidates is not None else prepare_candidates(realization, config)
-    grid = np.array([config.noise_power]) if noise is None else np.asarray(noise, dtype=float)
-    scores, _ = _grid_scores(kind, realization, cs, config, combine, grid)
+    scores, _ = _grid_scores(kind, realization, cs, config, combine, _grid(config, noise))
     for array in scores:
         array.flags.writeable = False
-    if noise is None:
-        scores = tuple(array[0] for array in scores)
     return (cs, *scores)
 
 
@@ -442,42 +436,34 @@ def max_ratio_select(realization: ChannelRealization, config: SystemConfig,
 
 def select(kind: CriterionKind, realization: ChannelRealization, config: SystemConfig,
            candidates: CandidateSet | None = None, combine: str = "min", noise=None):
-    """Run one selection criterion and return ``(combination, score)``.
+    """Run one selection criterion at every noise level of an ``(S,)`` grid.
+
+    Returns ``(positions, score)``: ``positions[s]`` is the candidate-set
+    row picked at noise power ``noise[s]``, -1 where no candidate is viable,
+    and ``score`` holds ``(S,)`` arrays, NaN at -1. ``noise`` defaults to
+    ``config``'s noise level; :func:`relaysec.reference.select_one` is that
+    call as one combination, for the tests.
 
     Only ``sr`` and ``max-ratio`` see the eavesdropper channels; every other
     criterion gets ``realization.without_eavesdroppers()``, so it cannot read
     them. The exhaustive criteria score every candidate of ``candidates``
-    (built from ``realization`` when None) and keep the best; ties go to the
-    candidate that enumerates first.
-
-    Given an ``(S,)`` ``noise`` grid, an exhaustive criterion picks at every
-    noise level in one pass and returns ``(positions, score)``:
-    ``positions[s]`` is the row of the candidate set picked at ``noise[s]``,
-    or -1 where no candidate is viable, and ``score`` holds ``(S,)`` arrays
-    (NaN at -1); ``sinr`` and ``s-sinr`` pick from their noise-free scores,
-    so the same row at every point. Without a grid the pick is the one-point
-    grid at ``config``'s noise level, and no viable candidate raises
-    :class:`NoViableCandidateError`.
+    (built from ``realization`` when None) at every noise level in one pass
+    and keep the best; ties go to the candidate that enumerates first.
+    ``sinr`` and ``s-sinr`` rank by their noise-free scores, and
+    ``channel-gain`` and ``max-ratio`` pick once, so these four return one
+    row at every point.
     """
     if isinstance(kind, str):
         kind = CriterionKind.from_name(kind)
     if kind not in (CriterionKind.SECRECY_RATE, CriterionKind.MAX_RATIO):
         realization = realization.without_eavesdroppers()
-    if kind not in EXHAUSTIVE_KINDS and noise is not None:
-        raise ValueError(f"{kind.value} does not depend on the noise level; select without a grid")
-    if kind is CriterionKind.CHANNEL_GAIN:
-        return channel_gain_select(realization, config, combine)
-    if kind is CriterionKind.MAX_RATIO:
-        return max_ratio_select(realization, config, combine)
+    grid = _grid(config, noise)
+    if kind not in EXHAUSTIVE_KINDS:
+        greedy = channel_gain_select if kind is CriterionKind.CHANNEL_GAIN else max_ratio_select
+        combo, score = greedy(realization, config, combine)
+        row = _combination_table(config.pool_size, config.selected_relays)[2][combo]
+        return np.full(len(grid), row), CriterionScore(
+            *(np.full(len(grid), a) for a in (score.eta1, score.eta2, score.combined)))
     cs = candidates if candidates is not None else prepare_candidates(realization, config)
-    grid = np.array([config.noise_power]) if noise is None else np.asarray(noise, dtype=float)
     scores, ranking = _grid_scores(kind, realization, cs, config, combine, grid)
-    positions, score = _pick_best(*scores, ranking)
-    if noise is not None:
-        return positions, score
-    if positions[0] < 0:
-        raise NoViableCandidateError(
-            "all candidate combinations were numerically singular; redraw"
-        )
-    return cs.combinations[positions[0]], CriterionScore(
-        float(score.eta1[0]), float(score.eta2[0]), float(score.combined[0]))
+    return _pick_best(*scores, ranking)

@@ -54,7 +54,8 @@ def rate_bits(gram_num: np.ndarray, gram_den: np.ndarray) -> np.ndarray:
     """``log2 det(I + gram_den^{-1} gram_num)`` over batches of PSD grams.
 
     A singular denominator yields 0 when the numerator is also negligible
-    (dead link) and +inf otherwise (unbounded ratio).
+    (dead link) and +inf otherwise (unbounded ratio). A gram that is not
+    finite yields NaN: it has no rate.
     """
     ok_t, logdet_t = logdet(gram_den + gram_num)
     ok_d, logdet_d = logdet(gram_den)
@@ -68,4 +69,6 @@ def rate_bits(gram_num: np.ndarray, gram_den: np.ndarray) -> np.ndarray:
     den_scale = np.max(np.abs(gram_den), axis=(-2, -1))
     dead = ~ok & (num_scale <= 1e-14 * (1.0 + den_scale))
     out = np.where(~ok & ~dead, np.inf, out)
-    return out
+    # A NaN gram fails both tests above, so it is told apart here.
+    finite = np.isfinite(gram_num).all(axis=(-2, -1)) & np.isfinite(gram_den).all(axis=(-2, -1))
+    return np.where(finite, out, np.nan)

@@ -13,14 +13,14 @@ array axis rather than a loop: each criterion makes one ``select`` call
 that scores every candidate at every grid point and takes a row-wise argmax
 (``sr`` adds one SVD of the eavesdropper stack, and reuses ``s-sr``'s
 scores when that stack has full rank). Criteria whose pick ignores the
-noise level select once. The draws and the ZF cores are built for a
-block of trials at a time (:func:`_run_trials`); the distinct (trial,
-candidate, SNR point) triples that the criteria picked in the block are
-then evaluated by one ``secrecy_rate`` call, and each sample is gathered
-from it, with the reason for every discard counted. Results are bit-identical
-for a given spec regardless of the worker count and block size, because
-trials are keyed, independent work units and the reduction runs in fixed
-trial order.
+noise level return the same row at every point. The draws and the ZF cores
+are built for a block of trials at a time (:func:`_run_trials`); the
+distinct (trial, candidate, SNR point) triples that the criteria picked in
+the block are then evaluated by one ``secrecy_rate`` call, and each sample
+is gathered from it, with the reason for every discard counted. Results
+are bit-identical for a given spec regardless of the worker count and
+block size, because trials are keyed, independent work units and the
+reduction runs in fixed trial order.
 """
 
 from __future__ import annotations
@@ -34,14 +34,9 @@ from math import comb
 import numpy as np
 
 from . import criteria as crit
-from .criteria import CriterionKind, NoViableCandidateError
+from .criteria import CriterionKind
 from .model import ConfigError, SystemConfig, _is_integer_at_least, generate_realization
 from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
-
-# Criteria whose choice does not depend on the noise level; selected once per
-# trial instead of once per SNR point. ``sinr``'s stream SINRs all scale by 1/s.
-_SNR_FREE = (CriterionKind.CHANNEL_GAIN, CriterionKind.MAX_RATIO, CriterionKind.SINR,
-             CriterionKind.S_SINR)
 
 # Bytes of candidate arrays one block of trials may hold: each trial adds
 # six (C, N_t, N_t) complex arrays (two hop channels, two cores, two
@@ -213,7 +208,8 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
         for b in range(n_b):
             realization, cands = realizations[b], candidates[b]
             for c, kind in enumerate(spec.criteria):
-                picks[b, c] = _picks(kind, realization, cands, noise, spec)
+                picks[b, c] = crit.select(kind, realization, cfg0, candidates=cands,
+                                          combine=spec.combine, noise=noise)[0]
         trial = np.broadcast_to(np.arange(n_b)[:, None, None], picks.shape)
         point = np.broadcast_to(np.arange(n_s), picks.shape)
         viable = picks >= 0
@@ -237,20 +233,6 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
         discards["invalid-pick"] += np.sum(viable & ~usable, axis=0)
         discards["non-finite-rate"] += np.sum(usable & ~kept, axis=0)
     return samples.transpose(1, 2, 0), selections.transpose(1, 2, 0), discards
-
-
-def _picks(kind, realization, cands, noise, spec) -> np.ndarray:
-    """Row of ``cands`` that ``kind`` picks at each noise level, -1 where none
-    is viable. A criterion that ignores the noise level selects once."""
-    if kind not in _SNR_FREE:
-        return crit.select(kind, realization, spec.config, candidates=cands,
-                           combine=spec.combine, noise=noise)[0]
-    try:
-        combo, _ = crit.select(kind, realization, spec.config, candidates=cands,
-                               combine=spec.combine)
-    except NoViableCandidateError:
-        return np.full(len(noise), -1)
-    return np.full(len(noise), cands.position(combo))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

@@ -1,11 +1,12 @@
 """Scalar reference implementations, one object at a time.
 
 These are the test oracles for the batched path: channel draws from one
-NumPy generator per block, a :class:`Precoder` per candidate, signals and
-covariances composed by hand, per-candidate criterion metrics written
-as plain loops, and the one-pair form of the batched secrecy evaluation.
-Only tests and ``relaysec verify`` use this module; the sweep never
-imports it, and the CLI imports it only to verify.
+NumPy generator per block, a :class:`Precoder` per candidate, signals
+and covariances composed by hand, per-candidate criterion metrics
+written as plain loops, and the one-combination forms of the batched
+selection and secrecy evaluation. Only tests and ``relaysec verify`` use
+this module; the sweep never imports it, and the CLI imports it only to
+verify.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .criteria import CriterionScore, _combination_table, select
 from .kernels import LN2, hermitize, rate_bits
 from .model import (
     LINK_DOMAINS,
@@ -40,6 +42,10 @@ class SingularGramError(RuntimeError):
 
 class SingularInterferenceError(RuntimeError):
     """Interference covariance stayed singular even after ridge loading."""
+
+
+class NoViableCandidateError(RuntimeError):
+    """Every candidate combination was numerically unusable."""
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +390,29 @@ def ssinr_metric(channel_block: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one-pair evaluation
+# one-combination selection and evaluation
 # ---------------------------------------------------------------------------
+
+
+def position(config: SystemConfig, combination) -> int:
+    """Row of ``combination`` in every candidate set of ``config``."""
+    return _combination_table(config.pool_size, config.selected_relays)[2][tuple(combination)]
+
+
+def select_one(kind, realization: ChannelRealization, config: SystemConfig,
+               candidates=None, combine: str = "min") -> tuple:
+    """:func:`relaysec.criteria.select` at ``config``'s noise level alone, as
+    ``(combination, CriterionScore of floats)``. Raises
+    :class:`NoViableCandidateError` when no candidate is viable."""
+    positions, score = select(kind, realization, config, candidates=candidates,
+                              combine=combine)
+    if positions[0] < 0:
+        raise NoViableCandidateError(
+            "all candidate combinations were numerically singular; redraw"
+        )
+    combination = _combination_table(config.pool_size, config.selected_relays)[0][positions[0]]
+    return combination, CriterionScore(*(float(a[0]) for a in (
+        score.eta1, score.eta2, score.combined)))
 
 
 def pair_secrecy_rate(realization: ChannelRealization, candidates, combination,
@@ -398,7 +425,7 @@ def pair_secrecy_rate(realization: ChannelRealization, candidates, combination,
         realization.source_to_eve, realization.relay_to_eve)))
     one = replace(candidates, **{name: getattr(candidates, name)[None] for name in (
         "hop1", "hop2", "precoders", "cores", "relay_precoders", "relay_cores", "valid")})
-    sample = secrecy_rate(block, one, [0], [candidates.position(combination)], config,
+    sample = secrecy_rate(block, one, [0], [position(config, combination)], config,
                           [config.noise_power], **options)
     return SecrecySample(*(float(rate[0]) for rate in (
         sample.secrecy_rate, sample.legit_rate, sample.eve_rate)))

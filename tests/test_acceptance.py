@@ -173,9 +173,10 @@ def test_acceptance_6_numerical_kernels(figure_sweep):
     for t in range(500):
         real = generate_realization(cfg, trial=t)
         cands = prepare_candidates(real, cfg)
-        combo = cands.combinations[int(rng.integers(len(cands.combinations)))]
-        if not cands.valid[cands.position(combo)]:
+        row = int(rng.integers(len(cands.combinations)))
+        if not cands.valid[row]:
             continue
+        combo = cands.combinations[row]
         sample = pair_secrecy_rate(real, cands, combo, cfg.at_snr(float(rng.uniform(0, 20))))
         if min(sample.secrecy_rate, sample.legit_rate, sample.eve_rate) < 0:
             problems.append("negative rate in direct evaluation")

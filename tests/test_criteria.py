@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from relaysec.criteria import (
+    CRITERION_NAMES,
     CriterionKind,
     NotSingleAntennaError,
     channel_gain_select,
@@ -25,6 +26,7 @@ from relaysec.model import (
     generate_realization,
 )
 from relaysec.reference import (
+    NoViableCandidateError,
     Precoder,
     SingularGramError,
     desired_covariance,
@@ -33,6 +35,7 @@ from relaysec.reference import (
     pair_secrecy_rate,
     relay_precoder,
     secrecy_gamma,
+    select_one,
     sinr_relay_metric,
     sinr_user_metric,
     ssinr_metric,
@@ -322,7 +325,7 @@ class TestSsinr:
         cfg = scalar_config(num_users=1)
         for t in range(25):
             real = generate_realization(cfg, trial=t)
-            combo, score = select(CriterionKind.S_SINR, real, cfg)
+            combo, score = select_one(CriterionKind.S_SINR, real, cfg)
             # weakest-stream metric on both hops, combined by the bottleneck
             values = {}
             for i in range(cfg.pool_size):
@@ -340,7 +343,7 @@ class TestSsinr:
             real.source_to_relay[i] = np.ones((1, 2), dtype=complex)
             for r in range(cfg.num_users):
                 real.relay_to_user[(i, r)] = np.ones((1, 1), dtype=complex)
-        combo, _ = select(CriterionKind.S_SINR, real, cfg)
+        combo, _ = select_one(CriterionKind.S_SINR, real, cfg)
         assert combo == (0, 1)
 
     # select hands these criteria a stripped realization, so none may need
@@ -349,7 +352,7 @@ class TestSsinr:
     def test_runs_without_eavesdropper_channels(self, kind):
         cfg = single_antenna_config()
         real = generate_realization(cfg).without_eavesdroppers()
-        combo, _ = select(kind, real, cfg)
+        combo, _ = select_one(kind, real, cfg)
         assert len(combo) == 2
 
 
@@ -398,7 +401,7 @@ class TestSecrecySelection:
         cs = prepare_candidates(real, cfg0)
         # E = 0 has rank 0, at 10 dB and at 200 dB.
         for cfg in (cfg0, cfg0.at_snr(200.0)):
-            combo, score = select(CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
+            combo, score = select_one(CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
             _, eta1, eta2, combined = score_candidates(
                 CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
             # zero leakage: the secrecy score is the pure legitimate bottleneck
@@ -449,7 +452,7 @@ class TestSecrecySelection:
                 value = min(hop1 - eve, hop2 - eve)
                 if value > best_score:
                     best_combo, best_score = combo, value
-            combo, score = select(CriterionKind.SECRECY_RATE, real, cfg)
+            combo, score = select_one(CriterionKind.SECRECY_RATE, real, cfg)
             assert combo == best_combo
             assert score.combined == pytest.approx(best_score)
 
@@ -457,7 +460,7 @@ class TestSecrecySelection:
     def test_ssr_never_reads_eavesdropper_channels(self, reader):
         cfg = single_antenna_config()
         real = generate_realization(cfg, trial=2).without_eavesdroppers()
-        combo, _ = select(CriterionKind.S_SR, real, cfg)
+        combo, _ = select_one(CriterionKind.S_SR, real, cfg)
         assert len(combo) == 2
         with pytest.raises(EveChannelsUnavailableError):
             select(reader, real, cfg)
@@ -467,8 +470,8 @@ class TestSecrecySelection:
         for t in range(30):
             real = generate_realization(cfg, trial=t)
             cs = prepare_candidates(real, cfg)
-            a, sa = select(CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
-            b, sb = select(CriterionKind.S_SR, real, cfg, candidates=cs)
+            a, sa = select_one(CriterionKind.SECRECY_RATE, real, cfg, candidates=cs)
+            b, sb = select_one(CriterionKind.S_SR, real, cfg, candidates=cs)
             assert a == b
             assert sa.combined == pytest.approx(sb.combined, rel=1e-8)
 
@@ -485,7 +488,7 @@ class TestSecrecySelection:
                 value = min(eta1, eta2)
                 if value > best_score:
                     best_combo, best_score = combo, value
-            combo, score = select(CriterionKind.SINR, real, cfg)
+            combo, score = select_one(CriterionKind.SINR, real, cfg)
             assert combo == best_combo
             assert score.combined == pytest.approx(best_score)
 
@@ -496,14 +499,14 @@ class TestSecrecySelection:
             scale = 3.0 if i == 1 else 0.3
             real.source_to_relay[i] = np.array([[scale + 0j]])
             real.relay_to_user[(i, 0)] = np.array([[scale + 0j]])
-        combo, _ = select(CriterionKind.SINR, real, cfg)
+        combo, _ = select_one(CriterionKind.SINR, real, cfg)
         assert combo == (1,)
 
     def test_forced_single_candidate(self):
         cfg = single_antenna_config(pool_size=2)
         real = generate_realization(cfg)
         for kind in CriterionKind:
-            combo, score = select(kind, real, cfg)
+            combo, score = select_one(kind, real, cfg)
             assert combo == (0, 1)
             assert np.isfinite(score.combined)
 
@@ -514,7 +517,7 @@ class TestSecrecySelection:
                      CriterionKind.S_SINR, CriterionKind.S_SR):
             cs, _, _, combined = score_candidates(kind, real, cfg)
             assert len(cs.combinations) == 10
-            combo, score = select(kind, real, cfg)
+            combo, score = select_one(kind, real, cfg)
             assert score.combined == pytest.approx(np.max(combined))
             assert combo == cs.combinations[int(np.argmax(combined))]
 
@@ -530,18 +533,53 @@ class TestSecrecySelection:
         cfg = scalar_config(num_users=1)
         for t in range(50):
             real = generate_realization(cfg, trial=t)
-            a, _ = select(CriterionKind.SINR, real, cfg)
-            b, _ = select(CriterionKind.S_SINR, real, cfg)
+            a, _ = select_one(CriterionKind.SINR, real, cfg)
+            b, _ = select_one(CriterionKind.S_SINR, real, cfg)
             assert a == b
 
     def test_select_accepts_names(self):
         cfg = single_antenna_config()
         real = generate_realization(cfg, trial=8)
-        combo_enum, _ = select(CriterionKind.S_SINR, real, cfg)
-        combo_name, _ = select("s-sinr", real, cfg)
+        combo_enum, _ = select_one(CriterionKind.S_SINR, real, cfg)
+        combo_name, _ = select_one("s-sinr", real, cfg)
         assert combo_enum == combo_name
         with pytest.raises(ValueError, match="unknown criterion"):
             select("bogus", real, cfg)
+
+
+class TestOneShape:
+    """Every criterion returns one pick and one score per noise level."""
+
+    @pytest.mark.parametrize("kind", CRITERION_NAMES)
+    def test_select_returns_one_pick_per_noise_level(self, kind):
+        cfg = single_antenna_config()
+        real = generate_realization(cfg, trial=4)
+        cands = prepare_candidates(real, cfg)
+        for noise, points in ((None, 1), (cfg.noise_powers((0.0, 10.0, 20.0)), 3)):
+            positions, score = select(kind, real, cfg, candidates=cands, noise=noise)
+            assert positions.shape == (points,)
+            assert np.issubdtype(positions.dtype, np.integer)
+            assert np.all((positions >= 0) & (positions < len(cands.combinations)))
+            for array in (score.eta1, score.eta2, score.combined):
+                assert array.shape == (points,)
+        positions, score = select(kind, real, cfg, candidates=cands)
+        combo, one = select_one(kind, real, cfg, candidates=cands)
+        assert combo == cands.combinations[positions[0]]
+        assert (one.eta1, one.eta2, one.combined) == (
+            score.eta1[0], score.eta2[0], score.combined[0])
+
+    @pytest.mark.parametrize("kind", ["sinr", "sr", "s-sr"])
+    def test_no_viable_candidate_picks_minus_one(self, kind):
+        # A zero first hop leaves every candidate singular.
+        cfg = single_antenna_config()
+        real = generate_realization(cfg, trial=4)
+        real.source_to_relay[:] = 0.0
+        positions, score = select(kind, real, cfg, noise=cfg.noise_powers((0.0, 10.0, 20.0)))
+        assert positions.tolist() == [-1] * 3
+        for array in (score.eta1, score.eta2, score.combined):
+            assert np.all(np.isnan(array))
+        with pytest.raises(NoViableCandidateError):
+            select_one(kind, real, cfg)
 
 
 def scalar_scores(kind, real, cfg):
@@ -601,15 +639,15 @@ class TestCandidateSetAcrossSnr:
             for snr in grid:
                 cfg = cfg0.at_snr(snr)
                 fresh = prepare_candidates(real, cfg)
-                _, _, _, reused_scores = score_candidates(kind, real, cfg, candidates=shared)
-                _, _, _, fresh_scores = score_candidates(kind, real, cfg, candidates=fresh)
+                reused_scores = score_candidates(kind, real, cfg, candidates=shared)[3][0]
+                fresh_scores = score_candidates(kind, real, cfg, candidates=fresh)[3][0]
                 oracle = scalar_scores(kind, real, cfg)
                 np.testing.assert_allclose(reused_scores, fresh_scores, rtol=1e-9)
                 np.testing.assert_allclose(reused_scores, oracle, rtol=1e-9, atol=1e-12)
-                pick, _ = select(kind, real, cfg, candidates=shared)
-                assert pick == select(kind, real, cfg, candidates=fresh)[0]
-                assert pick == shared.combinations[int(np.argmax(oracle))]
-                picks.append(shared.position(pick))
+                (pick,), _ = select(kind, real, cfg, candidates=shared)
+                assert pick == select(kind, real, cfg, candidates=fresh)[0][0]
+                assert pick == int(np.argmax(oracle))
+                picks.append(pick)
             # The whole grid at once, on a fresh set and on the shared one.
             for cands in (prepare_candidates(real, cfg0), shared):
                 noise = cfg0.noise_powers(grid)
@@ -622,12 +660,20 @@ class TestCandidateSetAcrossSnr:
                 positions, _ = select(kind, real, cfg0, candidates=cands, noise=noise)
                 assert positions.tolist() == picks
 
-    def test_greedy_criteria_take_no_grid(self):
+    def test_greedy_criteria_broadcast_their_pick(self):
+        # The greedy rules pick once; a grid gets that pick and its score at
+        # every point, bit for bit.
         cfg = single_antenna_config()
         real = generate_realization(cfg)
+        noise = cfg.noise_powers((0.0, 10.0, 200.0))
         for kind in ("channel-gain", "max-ratio"):
-            with pytest.raises(ValueError, match="does not depend on the noise level"):
-                select(kind, real, cfg, noise=cfg.noise_powers((0.0, 10.0)))
+            (row,), one = select(kind, real, cfg)
+            positions, score = select(kind, real, cfg, noise=noise)
+            assert positions.tolist() == [row] * 3
+            for got, want in zip((score.eta1, score.eta2, score.combined),
+                                 (one.eta1, one.eta2, one.combined)):
+                assert got.shape == (3,)
+                assert np.array_equal(got, np.repeat(want, 3))
 
     def test_sinr_sweep_at_200_db_discards_nothing(self):
         # The noise 1e-20 is far below the rounding of any unit-sized gram;

@@ -186,8 +186,8 @@ class TestDiscardReasons:
     # Trial 1's first hop is all zero, so every candidate is invalid: s-sr
     # finds no viable one, while the two greedy rules and s-sinr (which
     # reads channel norms only) pick an invalid one. Trial 3's source-side
-    # eavesdropper channels are NaN: every pick is valid, and its unclamped
-    # rate is not finite.
+    # eavesdropper channels are NaN: every pick is valid, and its rate is
+    # not finite, clamped or not.
     EXPECTED = {  # per criterion, at every SNR point
         "no-viable-candidate": [0, 0, 0, 1],
         "invalid-pick": [1, 1, 1, 0],
@@ -211,20 +211,22 @@ class TestDiscardReasons:
 
         monkeypatch.setattr(montecarlo, "generate_realization", broken)
         kinds = ("channel-gain", "max-ratio", "s-sinr", "s-sr")
-        result = run_sweep(small_spec(trials=5, criteria=kinds, clamp=False, workers=workers))
-        discards = result.meta["discards"]
-        assert sorted(discards) == sorted(self.EXPECTED)
-        for reason, counts in self.EXPECTED.items():
-            want = np.repeat(np.array(counts)[:, None], len(result.snr_grid_db), axis=1)
-            assert np.array_equal(discards[reason], want), reason
-        path = tmp_path / "run.csv"
-        emit_csv(result, str(path))
-        written = {(row["criterion"], float(row["snr_db"])): int(row["n_discarded"])
-                   for row in csv.DictReader(path.open())}
-        total = sum(discards.values())
-        for c, name in enumerate(result.criteria):
-            for s, snr in enumerate(result.snr_grid_db):
-                assert written[name, snr] == total[c, s]
+        for clamp in (False, True):
+            result = run_sweep(small_spec(trials=5, criteria=kinds, clamp=clamp,
+                                          workers=workers))
+            discards = result.meta["discards"]
+            assert sorted(discards) == sorted(self.EXPECTED)
+            for reason, counts in self.EXPECTED.items():
+                want = np.repeat(np.array(counts)[:, None], len(result.snr_grid_db), axis=1)
+                assert np.array_equal(discards[reason], want), (reason, clamp)
+            path = tmp_path / f"run-{clamp}.csv"
+            emit_csv(result, str(path))
+            written = {(row["criterion"], float(row["snr_db"])): int(row["n_discarded"])
+                       for row in csv.DictReader(path.open())}
+            total = sum(discards.values())
+            for c, name in enumerate(result.criteria):
+                for s, snr in enumerate(result.snr_grid_db):
+                    assert written[name, snr] == total[c, s]
 
 
 class TestHighSnrSlope:

@@ -20,7 +20,6 @@ from relaysec import montecarlo  # noqa: E402
 from relaysec.criteria import (  # noqa: E402
     CRITERION_NAMES,
     CriterionKind,
-    NoViableCandidateError,
     prepare_candidates,
     score_candidates,
     select,
@@ -28,12 +27,14 @@ from relaysec.criteria import (  # noqa: E402
 from relaysec.model import SystemConfig, generate_realization  # noqa: E402
 from relaysec.montecarlo import SweepSpec, run_sweep  # noqa: E402
 from relaysec.reference import (  # noqa: E402
+    NoViableCandidateError,
     desired_covariance,
     gamma_rate_bits,
     interference_covariance,
     keyed_realization,
     pair_secrecy_rate,
     relay_precoder,
+    select_one,
     svd_zf_valid,
     zf_precoder,
 )
@@ -177,8 +178,8 @@ def test_sr_equals_ssr_on_full_rank_eve_stack(cfg, snr_db, trial):
     for sr_array, ssr_array in zip(*scores):
         assert np.array_equal(sr_array, ssr_array)
         assert np.shares_memory(sr_array, ssr_array)  # s-sr reused sr's scores
-    assert (select(CriterionKind.SECRECY_RATE, real, cfg, candidates=cands)
-            == select(CriterionKind.S_SR, real, cfg, candidates=cands))
+    assert (select_one(CriterionKind.SECRECY_RATE, real, cfg, candidates=cands)
+            == select_one(CriterionKind.S_SR, real, cfg, candidates=cands))
 
 
 # Grids over 0-200 dB that always reach 150 dB or more, where the noise is
@@ -196,13 +197,14 @@ def test_grid_select_equals_per_point_select(cfg, grid, trial, combine):
     real = generate_realization(cfg, trial=trial)
     cands = prepare_candidates(real, cfg)
     noise = cfg.noise_powers(grid)
-    for kind in (CriterionKind.SINR, CriterionKind.SECRECY_RATE, CriterionKind.S_SR):
+    for kind in (CriterionKind.SINR, CriterionKind.SECRECY_RATE, CriterionKind.S_SR,
+                 CriterionKind.S_SINR):
         positions, score = select(kind, real, cfg, candidates=cands, combine=combine,
                                   noise=noise)
         for s, snr in enumerate(grid):
             try:
-                combo, want = select(kind, real, cfg.at_snr(snr), candidates=cands,
-                                     combine=combine)
+                combo, want = select_one(kind, real, cfg.at_snr(snr), candidates=cands,
+                                         combine=combine)
             except NoViableCandidateError:
                 assert positions[s] == -1
                 continue

@@ -10,6 +10,7 @@ from relaysec.reference import (
     gamma_rate_bits,
     interference_covariance,
     pair_secrecy_rate,
+    position,
     relay_precoder,
     zf_precoder,
 )
@@ -108,7 +109,7 @@ class TestEdgeCases:
         real = generate_realization(cfg)
         real.source_to_relay[1] = real.source_to_relay[0]  # rank-one first hop
         cands = prepare_candidates(real, cfg)
-        assert not cands.valid[cands.position((0, 1))]
+        assert not cands.valid[position(cfg, (0, 1))]
         with pytest.raises(SingularChannelError):
             pair_secrecy_rate(real, cands, (0, 1), cfg)
 
