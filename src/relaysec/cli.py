@@ -345,7 +345,7 @@ def verify_ssr_oracle(draws: int = 1000, seed: int = VERIFY_SEED):
             for user in range(cfg.num_users):
                 r_in = interference_covariance(pre, user, cfg.noise_power,
                                                include_noise=True)
-                reduced = ssr_eve_term(pre, user, r_in)
+                reduced = ssr_eve_term(pre, user, cfg.noise_power)
                 full = gamma_rate_bits(eve_stack, desired_covariance(pre, user), r_in)
                 err = abs(reduced - full) / max(1.0, abs(full))
                 worst = max(worst, err)

@@ -148,9 +148,11 @@ class CandidateSet:
     (:meth:`stream_gains`) and its rate at noise power ``s`` is
     ``log2(1 + P / (d_l^2 s))`` (:func:`legit_rates`). ``s-sr``'s scores are
     kept per grid and ``combine`` rule, for ``sr`` to reuse where its score
-    is the same. Nothing here is derived from the eavesdropper channels.
-    ``config`` supplies dimensions and signal power only; the noise levels
-    come from each selection.
+    is the same. A block's views share the block's table of them: the first
+    view to ask scores every trial of the block at once, and each view reads
+    its own trial's row. Nothing here is derived from the eavesdropper
+    channels. ``config`` supplies dimensions and signal power only; the
+    noise levels come from each selection.
     """
 
     config: SystemConfig
@@ -162,15 +164,22 @@ class CandidateSet:
     relay_precoders: np.ndarray
     relay_cores: np.ndarray
     valid: np.ndarray
-    _basis_free: dict = field(default_factory=dict, repr=False)
+    # s-sr's (eta1, eta2, combined) per (grid, combine), for this set or, in
+    # a view, for its whole block; ``_view_of`` is a view's (block, trial).
+    _ssr: dict = field(default_factory=dict, init=False, repr=False)
+    _view_of: tuple | None = field(default=None, init=False, repr=False)
 
-    def __getitem__(self, trial: int) -> "CandidateSet":
-        """Trial ``trial`` of a block's set, as views with their own score cache."""
-        return CandidateSet(
+    def __getitem__(self, trial) -> "CandidateSet":
+        """Trial ``trial`` of a block's set, as views that read the block's
+        ``s-sr`` table."""
+        view = CandidateSet(
             self.config, self.combinations, self.hop1[trial], self.hop2[trial],
             self.precoders[trial], self.cores[trial], self.relay_precoders[trial],
             self.relay_cores[trial], self.valid[trial],
         )
+        if self._view_of is None:
+            view._ssr, view._view_of = self._ssr, (self, trial)
+        return view
 
     def stream_gains(self, positions=slice(None)) -> np.ndarray:
         """Noise-free received power ``P / d_l^2`` of every stream of the
@@ -182,7 +191,8 @@ class CandidateSet:
 def legit_rates(gains: np.ndarray, noise) -> np.ndarray:
     """``sum_l log2(1 + g_l / s)``: the rate of ZF streams with noise-free
     received powers ``g`` (last axis) at noise power ``s``, which broadcasts
-    against ``gains[..., 0]``."""
+    against ``gains[..., 0]``; any leading axes (hops, trials, candidates)
+    pass through."""
     return np.log1p(gains / np.asarray(noise)[..., None]).sum(axis=-1) / LN2
 
 
@@ -257,13 +267,14 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
     """Eavesdropper log-det terms from the precoders, on a subspace.
 
     ``log2 det(I + U_u^H V (V^H (R_I + s I) V)^{-1} V^H U_u)`` for every
-    noise level ``s`` in ``noise``, candidate and user, shape ``(S, C, M)``,
-    where ``U_u`` is user ``u``'s columns of the precoder ``W`` and ``R_I``
-    the other users' covariance. ``s-sr`` passes no basis (V = I); ``sr``
-    passes the basis of the eavesdropper row space, where the term equals
-    ``log2 det(E (R_I + R_d + s I) E^H) / det(E (R_I + s I) E^H)`` by the
-    pseudo-determinant and Sylvester's identity, and stays defined when
-    ``E E^H`` is singular.
+    noise level ``s`` in ``noise``, candidate and user, shape
+    ``(S, ..., C, M)`` with the set's leading trial axes, if any, in place
+    of ``...``, where ``U_u`` is user ``u``'s columns of the precoder ``W``
+    and ``R_I`` the other users' covariance. ``s-sr`` passes no basis
+    (V = I); ``sr`` passes the basis of one trial's eavesdropper row space,
+    where the term equals ``log2 det(E (R_I + R_d + s I) E^H) / det(E (R_I
+    + s I) E^H)`` by the pseudo-determinant and Sylvester's identity, and
+    stays defined when ``E E^H`` is singular.
 
     The term is ``-log2 det(Q_u diag(s / (lam + s)) Q_u^H)`` with
     ``A^H A = Q diag(lam) Q^H``, ``A = V^H W``: one ``eigh`` per candidate,
@@ -274,25 +285,38 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
     a = cs.precoders if basis is None else basis.conj().T @ cs.precoders
     lam, q = np.linalg.eigh(a.conj().swapaxes(-1, -2) @ a)
     lam = np.maximum(lam, 0.0)
-    lam[:, :n_t - a.shape[-2]] = 0.0  # ascending: the null directions come first
-    rows = q.reshape(len(q), m, n_r, n_t)
-    # (C, M, N_t, N_r * N_r): eigenvector k's outer product on user u's rows.
-    outer = (rows[:, :, :, None, :] * rows[:, :, None, :, :].conj()).reshape(
-        len(q), m, n_r * n_r, n_t).swapaxes(-1, -2)
-    if n_r == 1:
-        outer = outer.real
-    ratio = noise[:, None, None] / (lam + noise[:, None, None])
-    mixed = ratio[:, :, None, None, :] @ outer
-    regular, value = logdet(mixed.reshape(*mixed.shape[:3], n_r, n_r))
+    lam[..., :n_t - a.shape[-2]] = 0.0  # ascending: the null directions come first
+    # (..., C, N_t, M * N_r * N_r): eigenvector k's outer product on user u's rows.
+    vec = np.ascontiguousarray(q.swapaxes(-1, -2)).reshape(*q.shape[:-2], n_t, m, n_r)
+    outer = (vec[..., :, None] * vec[..., None, :].conj()).reshape(*q.shape[:-2], n_t, -1)
+    outer = outer.real if n_r == 1 else outer.view(float)  # complex entries as float pairs
+    level = noise.reshape(-1, *[1] * lam.ndim)
+    ratio = level / (lam + level)
+    # sum_k ratio_k outer_k, one noise level at a time and one eigenvector at
+    # a time in order, so every level's sum is its own and no temporary
+    # outgrows one level's: the (S, ..., C, N_t, M N_r^2) product is never
+    # formed. C order keeps each float pair adjacent for the complex view.
+    mixed = np.empty(ratio.shape[:-1] + outer.shape[-1:])
+    for row, r in zip(mixed, ratio):
+        np.multiply(r[..., 0, None], outer[..., 0, :], out=row)
+        for k in range(1, n_t):
+            row += r[..., k, None] * outer[..., k, :]
+    if n_r > 1:
+        mixed = mixed.view(complex)
+    mixed = mixed.reshape(*mixed.shape[:-1], m, n_r, n_r)
+    regular, value = logdet(mixed)
     return np.where(regular, -value / LN2, np.inf)
 
 
 def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str, noise: np.ndarray,
                    basis: np.ndarray | None):
-    """Two-hop secrecy score; the legitimate rates are the ones the
-    evaluation side takes (receiver noise at the destination antennas)."""
-    legit = legit_rates(cs.stream_gains(), noise[:, None, None])
-    eve = _eve_terms(cs, config, noise, basis).sum(axis=2)
+    """Two-hop secrecy score, ``(eta1, eta2, combined)`` of shape
+    ``(S, ..., C)`` with the set's leading trial axes; the legitimate rates
+    are the ones the evaluation side takes (receiver noise at the
+    destination antennas)."""
+    gains = cs.stream_gains()
+    legit = legit_rates(gains, noise.reshape(-1, *[1] * (gains.ndim - 1)))
+    eve = _eve_terms(cs, config, noise, basis).sum(axis=-1)
     eta1 = legit[:, 0] - eve
     eta2 = legit[:, 1] - eve
     return eta1, eta2, np.where(cs.valid, combine_metrics(eta1, eta2, combine), -np.inf)
@@ -320,11 +344,14 @@ def _grid_scores(kind: CriterionKind, realization: ChannelRealization, cs: Candi
     if basis is not None:
         scores = _score_secrecy(cs, config, combine, grid, basis)
     else:
+        # s-sr's table, which a trial's view shares with its block: the first
+        # call per grid and combine rule scores every trial of the block.
+        block, trial = cs._view_of or (cs, slice(None))
         key = (grid.tobytes(), combine)
-        scores = cs._basis_free.get(key)
-        if scores is None:
-            scores = _score_secrecy(cs, config, combine, grid, None)
-            cs._basis_free[key] = scores
+        table = cs._ssr.get(key)
+        if table is None:
+            table = cs._ssr[key] = _score_secrecy(block, config, combine, grid, None)
+        scores = tuple(a[:, trial] for a in table)
     return scores, scores[2]
 
 
@@ -340,10 +367,11 @@ def score_candidates(kind: CriterionKind, realization: ChannelRealization,
     grid at ``config``'s noise level. Greedy criteria (channel-gain,
     max-ratio) do not enumerate candidates and are rejected here.
 
-    ``s-sr``'s scores, which read no eavesdropper channel, are kept on the
-    candidate set per grid and ``combine`` rule; ``sr`` returns the same
-    arrays when the stacked eavesdropper channel has rank N_t, where its
-    score is ``s-sr``'s. The returned arrays are read-only.
+    ``s-sr``'s scores, which read no eavesdropper channel, are kept per
+    grid and ``combine`` rule, for the candidate set or, for a trial's view
+    of a block, for the whole block; ``sr`` returns the same arrays when the
+    stacked eavesdropper channel has rank N_t, where its score is
+    ``s-sr``'s. The returned arrays are read-only.
     """
     if kind not in EXHAUSTIVE_KINDS:
         raise ValueError(f"{kind.value} does not score the full candidate list")

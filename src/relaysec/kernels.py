@@ -39,15 +39,38 @@ def split_covariances(matrices: np.ndarray, num_users: int, user_antennas: int) 
 
 
 def logdet(matrices: np.ndarray) -> tuple:
-    """``(regular, log|det|)`` over a batch of square matrices."""
-    if matrices.shape[-1] == 1:
-        # A 1x1 determinant is the entry itself; this skips LAPACK's
-        # per-matrix overhead, which dominates for single-antenna nodes.
-        absdet = np.abs(matrices[..., 0, 0])
-        with np.errstate(divide="ignore"):
-            return absdet > 0, np.log(absdet)
-    sign, value = np.linalg.slogdet(matrices)
-    return np.abs(sign) > 0.5, value
+    """``(regular, log|det|)`` over a batch of square matrices.
+
+    1x1 and 2x2 determinants are taken in closed form (the entry, and
+    ``m00 m11 - m01 m10``), which skips LAPACK's per-matrix overhead: that
+    overhead dominates for single- and two-antenna nodes. Where a finite
+    2x2 matrix's closed form is zero or leaves the normal float range (its
+    products of entries may have under- or overflowed, as at noise powers
+    far below 1e-154), that matrix alone is taken again by ``slogdet``, so
+    no result depends on the rest of the batch. Larger matrices go through
+    ``slogdet``. An exactly singular matrix is not regular, and neither is
+    a NaN matrix, whose value is NaN.
+    """
+    n = matrices.shape[-1]
+    if n > 2:
+        sign, value = np.linalg.slogdet(matrices)
+        return np.abs(sign) > 0.5, value
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n == 1:
+            det = matrices[..., 0, 0]
+        else:
+            det = (matrices[..., 0, 0] * matrices[..., 1, 1]
+                   - matrices[..., 0, 1] * matrices[..., 1, 0])
+        absdet = np.abs(det)
+        regular, value = absdet > 0, np.log(absdet)
+    if n == 2:
+        lost = ~((absdet >= np.finfo(float).tiny) & (absdet < np.inf))
+        if lost.any():
+            lost &= np.isfinite(matrices).all(axis=(-2, -1))
+            regular, value = np.array(regular), np.array(value)  # writable, even for one matrix
+            sign, value[lost] = np.linalg.slogdet(matrices[lost])
+            regular[lost] = np.abs(sign) > 0.5
+    return regular, value
 
 
 def rate_bits(gram_num: np.ndarray, gram_den: np.ndarray) -> np.ndarray:

@@ -14,10 +14,14 @@ that scores every candidate at every grid point and takes a row-wise argmax
 (``sr`` adds one SVD of the eavesdropper stack, and reuses ``s-sr``'s
 scores when that stack has full rank). Criteria whose pick ignores the
 noise level return the same row at every point. The draws and the ZF cores
-are built for a block of trials at a time (:func:`_run_trials`); the
-distinct (trial, candidate, SNR point) triples that the criteria picked in
-the block are then evaluated by one ``secrecy_rate`` call, and each sample
-is gathered from it, with the reason for every discard counted. Results
+are built for a block of trials at a time (:func:`_run_trials`), and the
+trials' candidate sets are views of the block's, which share its ``s-sr``
+score table: the block's first ``s-sr`` (or full-rank ``sr``) selection
+scores every trial of the block in one pass, and each later one reads its
+trial's row. The distinct (trial, candidate, SNR point) triples that the
+criteria picked in the block are then evaluated by one ``secrecy_rate``
+call, and each sample is gathered from it, with the reason for every
+discard counted. Results
 are bit-identical for a given spec regardless of the worker count and
 block size, because trials are keyed, independent work units and the
 reduction runs in fixed trial order.
@@ -38,9 +42,12 @@ from .criteria import CriterionKind
 from .model import ConfigError, SystemConfig, _is_integer_at_least, generate_realization
 from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 
-# Bytes of candidate arrays one block of trials may hold: each trial adds
-# six (C, N_t, N_t) complex arrays (two hop channels, two cores, two
-# precoders). A C(12, 4) pool (760 KB per trial) stays one trial per block.
+# Bytes a block of trials may hold in its candidate arrays, and again in its
+# s-sr sum: each trial adds six (C, N_t, N_t) complex arrays (two hop
+# channels, two cores, two precoders), and an (S, C, M, N_r, N_r) complex sum
+# over the precoders' eigenvectors (``criteria._eve_terms``) on an S-point
+# grid; the larger of the two sets the block size. A C(12, 4) pool (760 KB
+# per trial) stays one trial per block.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -193,8 +200,10 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
     """
     cfg0 = spec.config
     n_combos = comb(cfg0.pool_size, cfg0.selected_relays)
-    step = max(1, BLOCK_BYTES // (6 * n_combos * cfg0.transmit_antennas ** 2 * 16))
     noise = cfg0.noise_powers(spec.snr_grid_db)
+    trial_bytes = 16 * n_combos * max(6 * cfg0.transmit_antennas ** 2,
+                                      len(noise) * cfg0.num_users * cfg0.user_antennas ** 2)
+    step = max(1, BLOCK_BYTES // trial_bytes)
     n_c, n_s = len(spec.criteria), len(noise)
     samples = np.full((len(trial_indices), n_c, n_s), np.nan)
     selections = np.full((len(trial_indices), n_c, n_s), -1, dtype=np.int32)

@@ -29,19 +29,12 @@ from .model import (
 from .secrecy import SecrecySample, secrecy_rate
 
 
-# A Hermitian matrix with a larger condition number counts as singular; a
-# nearly singular interference covariance is first loaded with a ridge of
-# RIDGE_SCALE times its mean eigenvalue.
+# A Hermitian matrix with a larger condition number counts as singular.
 GRAM_CONDITION_LIMIT = 1e12
-RIDGE_SCALE = 1e-10
 
 
 class SingularGramError(RuntimeError):
     """A sandwiched covariance was numerically singular."""
-
-
-class SingularInterferenceError(RuntimeError):
-    """Interference covariance stayed singular even after ridge loading."""
 
 
 class NoViableCandidateError(RuntimeError):
@@ -287,35 +280,29 @@ def gamma_rate_bits(channel, cov_num, cov_den, noise_power: float = 0.0) -> floa
     return float(rate_bits(gram_num[None], gram_den[None])[0])
 
 
-def ssr_eve_term(precoder: Precoder, own_user: int, interference: np.ndarray,
+def ssr_eve_term(precoder: Precoder, own_user: int, noise_power: float,
                  symbol_covariance: np.ndarray | None = None) -> float:
     """Eavesdropper-side log-det term computed without eavesdropper channels.
 
-    ``log2 det(I + U_u^H R^{-1} U_u S)`` where ``R`` is the interference
-    covariance seen by the eavesdroppers (plus noise, when the caller keeps
-    it) and ``S`` the symbol covariance (identity for unit-power streams).
-    Nearly singular ``R`` gets a trace-scaled ridge before giving up.
+    ``log2 det(I + U_u^H R^{-1} U_u S)`` with ``R = R_I + s I`` the other
+    users' covariance plus the noise power ``s`` and ``S`` the symbol
+    covariance (identity for unit-power streams). ``R`` is never formed:
+    by Woodbury's identity ``s R^{-1} = I - W_o (W_o^H W_o + s I)^{-1}
+    W_o^H``, with ``W_o`` the other users' columns of the precoder, an O(1)
+    matrix however small ``s`` is, so the term keeps growing with the SNR
+    (``log2(1 + 1 / s)`` a stream for a unitary precoder) where ``R``'s
+    condition number has long passed the float range. This is the oracle
+    form; :func:`relaysec.criteria.select` takes the term from one
+    eigendecomposition of ``W^H W`` instead.
     """
-    r = np.asarray(interference)
-    n_t = r.shape[0]
-    cond = np.linalg.cond(r)
-    if not np.isfinite(cond) or cond >= GRAM_CONDITION_LIMIT:
-        ridge = RIDGE_SCALE * np.real(np.trace(r)) / n_t
-        r = r + ridge * np.eye(n_t)
-        cond = np.linalg.cond(r)
-        if ridge <= 0 or not np.isfinite(cond) or cond >= GRAM_CONDITION_LIMIT:
-            raise SingularInterferenceError(
-                "interference covariance is singular and ridge loading failed; "
-                "include the noise term or pass a better-conditioned covariance"
-            )
-    u_u = precoder.user_block(own_user)
-    inner = u_u.conj().T @ np.linalg.solve(r, u_u)
+    u_u, n_r = precoder.user_block(own_user), precoder.user_antennas
+    others = np.delete(precoder.matrix, np.s_[own_user * n_r:(own_user + 1) * n_r], axis=1)
+    gram = others.conj().T @ others + noise_power * np.eye(others.shape[1])
+    inner = u_u.conj().T @ (u_u - others @ np.linalg.solve(gram, others.conj().T @ u_u))
     if symbol_covariance is not None:
         inner = inner @ symbol_covariance
-    sign, logdet = np.linalg.slogdet(np.eye(inner.shape[0]) + inner)
-    if np.abs(sign) < 0.5:
-        raise SingularInterferenceError("eavesdropper-side determinant vanished")
-    return float(logdet / LN2)
+    _, value = np.linalg.slogdet(np.eye(n_r) + inner / noise_power)
+    return float(value / LN2)
 
 
 # ---------------------------------------------------------------------------

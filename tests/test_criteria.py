@@ -14,6 +14,7 @@ from relaysec.criteria import (
     channel_gain_select,
     combine_metrics,
     enumerate_combinations,
+    legit_rates,
     max_ratio_select,
     prepare_candidates,
     score_candidates,
@@ -362,16 +363,24 @@ class TestSsrEveTerm:
         q, _ = np.linalg.qr(complex_normal(rng, (4, 4)))
         pre = Precoder(matrix=q, core=q, signal_power=1.0, user_antennas=2)
         zero = np.zeros((2, 2), dtype=complex)
-        got = ssr_eve_term(pre, 0, np.eye(4, dtype=complex), symbol_covariance=zero)
+        got = ssr_eve_term(pre, 0, 1.0, symbol_covariance=zero)
         assert got == 0.0
 
     def test_constructed_identity_argument(self):
-        # orthonormal user block against identity interference: term = N_r
+        # unitary precoder at unit noise: each of the N_r streams adds log2(1 + 1/1)
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(complex_normal(rng, (4, 4)))
         pre = Precoder(matrix=q, core=q, signal_power=1.0, user_antennas=2)
-        got = ssr_eve_term(pre, 0, np.eye(4, dtype=complex))
+        got = ssr_eve_term(pre, 0, 1.0)
         assert got == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("noise", [1e-10, 1e-15, 1e-20])
+    def test_keeps_growing_at_high_snr(self, noise):
+        # A unitary precoder's term is log2(1 + 1/s) a stream, 66.44 bits at
+        # 200 dB, where R_I + s I is singular to float precision.
+        pre = Precoder(matrix=np.eye(2), core=np.eye(2), signal_power=1.0, user_antennas=1)
+        assert ssr_eve_term(pre, 0, noise) == pytest.approx(math.log2(1.0 + 1.0 / noise),
+                                                          rel=1e-12)
 
     def test_matches_full_knowledge_oracle(self):
         # square, full-rank stacked eavesdropper channel: the reduced term
@@ -386,10 +395,33 @@ class TestSsrEveTerm:
                               cfg.user_antennas)
             for user in range(cfg.num_users):
                 r_in = interference_covariance(pre, user, cfg.noise_power)
-                reduced = ssr_eve_term(pre, user, r_in)
+                reduced = ssr_eve_term(pre, user, cfg.noise_power)
                 full = gamma_rate_bits(eve_stack, desired_covariance(pre, user), r_in)
                 worst = max(worst, abs(reduced - full) / max(1.0, abs(full)))
         assert worst < 1e-8
+
+    def test_mimo_ssr_scores_match_oracle_at_high_snr(self):
+        # Two-antenna users: each candidate's s-sr term takes logdet's 2x2
+        # closed form; the oracle takes slogdet of its Woodbury form.
+        cfg = mimo_config()
+        noise = cfg.noise_powers((150.0, 200.0))
+        checked = 0
+        for trial in range(4):
+            real = generate_realization(cfg, trial=trial)
+            cs, eta1, eta2, _ = score_candidates(CriterionKind.S_SR, real, cfg, noise=noise)
+            legit = legit_rates(cs.stream_gains(), noise[:, None, None])
+            for pos, combo in enumerate(cs.combinations):
+                if not cs.valid[pos]:
+                    continue
+                pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
+                                  cfg.user_antennas)
+                for s, level in enumerate(noise):
+                    eve = sum(ssr_eve_term(pre, user, level) for user in range(cfg.num_users))
+                    for hop, eta in enumerate((eta1, eta2)):
+                        size = legit[s, hop, pos] + eve
+                        assert abs(eta[s, pos] - (legit[s, hop, pos] - eve)) <= 1e-9 * size
+                checked += 1
+        assert checked > 0
 
 
 class TestSecrecySelection:
@@ -611,7 +643,7 @@ def scalar_scores(kind, real, cfg):
                 eve += gamma_rate_bits(np.linalg.qr(real.stacked_eve_channel(), mode="r"),
                                        rd, r_in)
             else:
-                eve += ssr_eve_term(u, user, r_in)
+                eve += ssr_eve_term(u, user, cfg.noise_power)
         scores.append(min(hop1 - eve, hop2 - eve))
     return np.array(scores)
 

@@ -182,13 +182,39 @@ class TestCallsPerTrial:
         assert np.all(result.n_discarded == 0)
 
 
+class TestBlockBytes:
+    def test_long_grid_keeps_the_ssr_sum_within_the_budget(self, monkeypatch):
+        # Two-antenna nodes on 41 points: a trial's s-sr sum, 41 * C(5, 2) * 2
+        # * 2**2 * 16 = 52480 bytes, outweighs its 15360 bytes of candidate
+        # arrays, so the grid length sets the block size.
+        config = pair_config(user_antennas=2, relay_antennas=2, eve_antennas=2)
+        spec = small_spec(config=config, snr_grid_db=tuple(np.linspace(0.0, 200.0, 41)),
+                          trials=12, criteria=("sr", "s-sr"))
+        sizes = []
+        original = criteria.logdet
+
+        def measured(matrix):
+            sizes.append(matrix.nbytes)
+            return original(matrix)
+
+        monkeypatch.setattr(criteria, "logdet", measured)
+        result = run_sweep(spec)
+        assert sizes and max(sizes) <= montecarlo.BLOCK_BYTES
+        assert max(sizes) == 4 * 52480  # four trials a block
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 1)
+        alone = run_sweep(spec)
+        assert result.samples.tobytes() == alone.samples.tobytes()
+        assert np.array_equal(result.selections, alone.selections)
+
+
 class TestDiscardReasons:
     # Trial 1's first hop is all zero, so every candidate is invalid: s-sr
     # finds no viable one, while the two greedy rules and s-sinr (which
     # reads channel norms only) pick an invalid one. Trial 3's source-side
     # eavesdropper channels are NaN: every pick is valid, and its rate is
     # not finite, clamped or not.
-    EXPECTED = {  # per criterion, at every SNR point
+    KINDS = ("channel-gain", "max-ratio", "s-sinr", "s-sr")
+    EXPECTED = {  # per criterion of KINDS, at every SNR point
         "no-viable-candidate": [0, 0, 0, 1],
         "invalid-pick": [1, 1, 1, 0],
         "non-finite-rate": [1, 1, 1, 1],
@@ -198,6 +224,17 @@ class TestDiscardReasons:
     def test_counts_by_reason_equal_the_csv_discards(self, monkeypatch, tmp_path, workers):
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patched draw reaches the worker only through fork")
+        self.check_counts(monkeypatch, tmp_path, pair_config(), self.KINDS, workers)
+
+    def test_counts_hold_with_two_antenna_eavesdroppers(self, monkeypatch, tmp_path):
+        # 2x2 eavesdropper grams, whose log-determinants take the closed form:
+        # a NaN gram is still a non-finite rate. max-ratio needs one antenna.
+        kinds = tuple(k for k in self.KINDS if k != "max-ratio")
+        self.check_counts(monkeypatch, tmp_path, pair_config(eve_antennas=2), kinds, 1)
+
+    def check_counts(self, monkeypatch, tmp_path, config, kinds, workers):
+        expected = {reason: [counts[self.KINDS.index(k)] for k in kinds]
+                    for reason, counts in self.EXPECTED.items()}
         original = montecarlo.generate_realization
 
         def broken(config, trial):
@@ -210,13 +247,12 @@ class TestDiscardReasons:
             return block
 
         monkeypatch.setattr(montecarlo, "generate_realization", broken)
-        kinds = ("channel-gain", "max-ratio", "s-sinr", "s-sr")
         for clamp in (False, True):
-            result = run_sweep(small_spec(trials=5, criteria=kinds, clamp=clamp,
+            result = run_sweep(small_spec(config=config, trials=5, criteria=kinds, clamp=clamp,
                                           workers=workers))
             discards = result.meta["discards"]
-            assert sorted(discards) == sorted(self.EXPECTED)
-            for reason, counts in self.EXPECTED.items():
+            assert sorted(discards) == sorted(expected)
+            for reason, counts in expected.items():
                 want = np.repeat(np.array(counts)[:, None], len(result.snr_grid_db), axis=1)
                 assert np.array_equal(discards[reason], want), (reason, clamp)
             path = tmp_path / f"run-{clamp}.csv"
@@ -241,6 +277,14 @@ class TestHighSnrSlope:
         rise_mid = result.mean[:, 3] - result.mean[:, 2]
         rise_high = result.mean[:, 4] - result.mean[:, 3]
         assert np.all(np.abs(rise_high - rise_mid) <= 0.1 * rise_mid)
+
+    def test_two_antenna_users_keep_every_trial_far_above_200_db(self):
+        # At 2000 dB the 2x2 determinants of the sr/s-sr eavesdropper term
+        # (entries near the noise power 1e-200) underflow in closed form.
+        config = pair_config(user_antennas=2, relay_antennas=2, eve_antennas=2)
+        spec = SweepSpec(config=config, snr_grid_db=(200.0, 2000.0), trials=5,
+                         criteria=("sr", "s-sr"))
+        assert np.all(run_sweep(spec).n_discarded == 0)
 
 
 class TestStatistics:

@@ -2,7 +2,8 @@
 for byte, a block of trials draws what each trial draws alone, a sweep's
 results do not depend on its block size or worker count, the batched
 evaluation equals the scalar reference oracles and, over a block of trials,
-each trial's own evaluation byte for byte,
+each trial's own evaluation byte for byte, as does each trial's ``sr`` and
+``s-sr`` selection from the block's shared score table,
 ``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank,
 selection and evaluation over an SNR grid equal their one-point calls,
 ``sinr``'s pick ignores the noise level, and ZF admission agrees with an SVD
@@ -296,3 +297,47 @@ def test_block_evaluation_equals_per_trial_evaluations(cfg, grid, first, size, e
                              rows[mine], cfg, noise[points[mine]], **options)
         for name in ("secrecy_rate", "legit_rate", "eve_rate"):
             assert getattr(batch, name)[mine].tobytes() == getattr(alone, name).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cfg=configs(), grid=snr_grids, first=st.integers(0, 50), size=st.integers(1, 4),
+       combine=st.sampled_from(["min", "sum"]), rank_one=st.integers(0, 4))
+def test_block_selection_equals_per_trial_selection(cfg, grid, first, size, combine,
+                                                    rank_one):
+    # Trial `rank_one` (when it is in the block and N_t > 1) gets a rank-one
+    # eavesdropper stack, so its sr scores come from its own basis; so do
+    # every trial's when K * N_e < N_t.
+    block = generate_realization(cfg, trial=np.arange(first, first + size))
+    deficient = rank_one < size and cfg.transmit_antennas > 1
+    if deficient:
+        eves = block.source_to_eve[rank_one]
+        eves[:] = eves[0, 0] * np.arange(1, cfg.num_eves * cfg.eve_antennas + 1).reshape(
+            cfg.num_eves, cfg.eve_antennas, 1)
+    cands = prepare_candidates(block, cfg)
+    noise = cfg.noise_powers(grid)
+    picks = {}
+    for b in range(size):
+        real = block[b]
+        alone = prepare_candidates(real, cfg)
+        for kind in (CriterionKind.S_SR, CriterionKind.SECRECY_RATE):
+            got = select(kind, real, cfg, candidates=cands[b], combine=combine, noise=noise)
+            want = select(kind, real, cfg, candidates=alone, combine=combine, noise=noise)
+            picks[b, kind] = got
+            assert got[0].tobytes() == want[0].tobytes()
+            for name in ("eta1", "eta2", "combined"):
+                assert getattr(got[1], name).tobytes() == getattr(want[1], name).tobytes()
+    # One table entry, for this grid and combine rule. Spoiled, it must not
+    # reach the rank-deficient trial's sr pick, which takes its own basis.
+    assert len(cands._ssr) == 1
+    for table in cands._ssr.values():
+        for array in table:
+            array[...] = np.nan
+    if deficient:
+        got = select(CriterionKind.SECRECY_RATE, block[rank_one], cfg,
+                     candidates=cands[rank_one], combine=combine, noise=noise)
+        want = picks[rank_one, CriterionKind.SECRECY_RATE]
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].combined.tobytes() == want[1].combined.tobytes()
+    # The shared table is what s-sr reads: spoiled, no candidate is viable.
+    assert np.all(select(CriterionKind.S_SR, block[0], cfg, candidates=cands[0],
+                         combine=combine, noise=noise)[0] == -1)
