@@ -21,10 +21,12 @@ scores every trial of the block in one pass, and each later one reads its
 trial's row. The distinct (trial, candidate, SNR point) triples that the
 criteria picked in the block are then evaluated by one ``secrecy_rate``
 call, and each sample is gathered from it, with the reason for every
-discard counted. Results
-are bit-identical for a given spec regardless of the worker count and
-block size, because trials are keyed, independent work units and the
-reduction runs in fixed trial order.
+discard counted. With several workers the trials are cut into contiguous
+chunks: this process runs the first, and one child process started for the
+sweep runs each of the others and sends its result back over a pipe
+(:func:`run_sweep`). Results are bit-identical for a given spec regardless
+of the worker count and block size, because trials are keyed, independent
+work units and the reduction runs in fixed trial order.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from math import comb
 
 import numpy as np
@@ -244,15 +245,30 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
     return samples.transpose(1, 2, 0), selections.transpose(1, 2, 0), discards
 
 
+def _send_trials(conn, spec: SweepSpec, trial_indices):
+    """Run :func:`_run_trials` in a child process and send ``(ok, payload)``
+    back: its result, or the exception it raised."""
+    try:
+        message = (True, _run_trials(spec, trial_indices))
+    except Exception as exc:
+        message = (False, exc)
+    conn.send(message)
+    conn.close()
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the sweep described by ``spec`` and aggregate the curves.
 
     With more than one worker (and at least four trials) the trials are cut
-    into ``min(workers, trials)`` contiguous chunks, one per process: this
-    process runs the first, and a ``ProcessPoolExecutor`` of one fewer
-    process, started for the sweep, runs the others. Each chunk runs in its
-    own blocks (:func:`_run_trials`), and the pool is shut down, its workers
-    reaped, before the sweep returns.
+    into ``min(workers, trials)`` contiguous chunks. One
+    ``multiprocessing.Process`` of the default start method is started for
+    each chunk after the first, and this process then runs the first chunk.
+    Each chunk runs in its own blocks (:func:`_run_trials`), and each child
+    sends back ``(ok, payload)`` over a one-way pipe: its result, or the
+    exception it raised, which is raised here. Every child is joined before
+    the sweep returns; if the sweep raises, the children still running are
+    terminated first, since a child blocked in sending a result nobody
+    receives would never exit.
     """
     start = time.perf_counter()
     n_c, n_s = len(spec.criteria), len(spec.snr_grid_db)
@@ -262,20 +278,39 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.workers == 1 or spec.trials < 4:
         samples[:], selections[:], discards = _run_trials(spec, all_trials)
     else:
-        # Imported here: serial sweeps never need it, and it costs every
-        # `relaysec` start-up ~2 MB and ~30 ms.
-        from concurrent.futures import ProcessPoolExecutor
+        # Imported here: serial sweeps never need it, and it adds to every
+        # `relaysec` start-up.
+        import multiprocessing
 
-        # One contiguous chunk per process; this process runs the first.
+        # One contiguous chunk per process: a child started for each chunk
+        # after the first, which this process runs meanwhile.
         first, *rest = [c for c in np.array_split(all_trials, spec.workers) if c.size]
-        with ProcessPoolExecutor(max_workers=len(rest)) as pool:
-            results = pool.map(_run_trials, repeat(spec), rest)
+        children = []
+        try:
+            for indices in rest:
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(target=_send_trials,
+                                                args=(sender, spec, indices))
+                child.start()
+                children.append((child, receiver))
+                sender.close()  # the child's copy alone: a child that dies gives EOFError
             samples[:, :, first], selections[:, :, first], discards = _run_trials(spec, first)
-            for indices, (s_blk, sel_blk, counts) in zip(rest, results):
-                samples[:, :, indices] = s_blk
-                selections[:, :, indices] = sel_blk
+            for indices, (_, receiver) in zip(rest, children):
+                ok, payload = receiver.recv()
+                if not ok:
+                    raise payload
+                samples[:, :, indices], selections[:, :, indices], counts = payload
                 for reason, count in counts.items():
                     discards[reason] += count
+        except BaseException:
+            # A child blocked in sending its result would never exit.
+            for child, _ in children:
+                child.terminate()
+            raise
+        finally:
+            for child, receiver in children:
+                child.join()
+                receiver.close()
     combos = crit.enumerate_combinations(spec.config.pool_size,
                                          spec.config.selected_relays)
     meta = {

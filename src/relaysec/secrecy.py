@@ -13,7 +13,12 @@ mirroring the source-side precoding of phase 1.
 
 One call evaluates a batch of picks across a block of trials: every pick is
 a ``(trial, candidate, noise level)`` triple, and every pick's rates are the
-bytes that pick gets in a batch of its own.
+bytes that pick gets in a batch of its own. The work comes in two stages.
+The pair stage runs once per distinct ``(trial, candidate)`` pair of the
+batch: the streams' noise-free received powers, every eavesdropper's
+received blocks ``E W`` in both phases, and their per-user grams. The
+triple stage runs once per pick: it adds the noise level, takes the rates
+and sums them over users, phases and eavesdroppers.
 """
 
 from __future__ import annotations
@@ -84,20 +89,27 @@ def secrecy_rate(realizations: ChannelRealization, candidates: CandidateSet, tri
     if singular.any():
         combo = candidates.combinations[positions[singular][0]]
         raise SingularChannelError(f"candidate {combo} has a singular hop channel")
-    n_e = config.eve_antennas
-    legit = legit_rates(candidates.stream_gains((trials, positions)), levels).min(axis=0)
+    # Pair stage, once per distinct (trial, candidate): the noise-free terms.
+    slots = np.zeros(candidates.valid.shape, dtype=bool)
+    slots[trials, positions] = True
+    pair_trials, pair_positions = np.nonzero(slots)
+    pair_of = np.cumsum(slots).reshape(slots.shape) - 1
+    pairs = pair_of[trials, positions]
+    gains = candidates.stream_gains((pair_trials, pair_positions))
     # Every eavesdropper's received blocks B = E W of the picked precoders,
-    # (P, J, K, N_e, N_t), phase 1 first.
-    received = [realizations.source_to_eve[trials]
-                @ candidates.precoders[trials, positions][:, None]]
+    # (P, pairs, K, N_e, N_t), phase 1 first.
+    received = [realizations.source_to_eve[pair_trials]
+                @ candidates.precoders[pair_trials, pair_positions][:, None]]
     if eve_model == "both":
-        members = _combination_table(config.pool_size, config.selected_relays)[1][positions]
-        received.append(realizations.relay_eve_channels(members, trials)
-                        @ candidates.relay_precoders[trials, positions][:, None])
-    # Per-user grams (P, J, K, M, N_e, N_e): B_u B_u^H and the other users' sum.
+        members = _combination_table(config.pool_size, config.selected_relays)[1][pair_positions]
+        received.append(realizations.relay_eve_channels(members, pair_trials)
+                        @ candidates.relay_precoders[pair_trials, pair_positions][:, None])
+    # Per-user grams (P, pairs, K, M, N_e, N_e): B_u B_u^H and the other users' sum.
     own, others = split_covariances(np.array(received), config.num_users, config.user_antennas)
-    noise_in = others + levels[:, None, None, None, None] * np.eye(n_e)
-    rates = np.maximum(rate_bits(own, noise_in), 0.0)
+    # Triple stage, once per pick: the noise level enters.
+    legit = legit_rates(gains[:, pairs], levels).min(axis=0)
+    noise_in = others[:, pairs] + levels[:, None, None, None, None] * np.eye(config.eve_antennas)
+    rates = np.maximum(rate_bits(own[:, pairs], noise_in), 0.0)
     # Users, then phases, in that order whatever the batch size: a multi-axis
     # sum may fuse axes, and so change the order, when K = 1.
     per_eve = rates.sum(axis=3).sum(axis=0)

@@ -48,11 +48,11 @@ def test_checker_flags_reference_uses():
 
 
 def test_cli_import_leaves_out_pool_and_masked_arrays():
-    # concurrent.futures serves only multi-worker sweeps, relaysec.reference
-    # only `relaysec verify`, and numpy.ma (which np.unique imports) no sweep
-    # at all; each adds to every start-up.
-    code = ("import sys, relaysec.cli; print(sorted({'concurrent.futures', 'numpy.ma', "
-            "'relaysec.reference'} & set(sys.modules)))")
+    # multiprocessing serves only multi-worker sweeps, relaysec.reference
+    # only `relaysec verify`, and concurrent.futures and numpy.ma (which
+    # np.unique imports) no sweep at all; each adds to every start-up.
+    code = ("import sys, relaysec.cli; print(sorted({'concurrent.futures', 'multiprocessing', "
+            "'numpy.ma', 'relaysec.reference'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=60)
     assert proc.stdout.strip() == "[]"

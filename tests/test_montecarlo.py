@@ -1,6 +1,5 @@
 """Sweep engine tests: reproducibility, pairing, aggregation statistics."""
 
-import concurrent.futures
 import csv
 import multiprocessing
 
@@ -114,23 +113,58 @@ class TestReproducibility:
 
 class TestWorkerPool:
     def test_one_chunk_per_process_and_this_process_runs_one(self, monkeypatch):
-        sizes = []
+        started = []
+        original = multiprocessing.Process.start
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def counted(process):
+            started.append(process)
+            original(process)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(multiprocessing.Process, "start", counted)
         serial = run_sweep(small_spec(trials=4))
+        sizes = []
         for workers in (2, 5):
+            before = len(started)
             result = run_sweep(small_spec(workers=workers, trials=4))
+            sizes.append(len(started) - before)
             assert result.samples.tobytes() == serial.samples.tobytes()
             assert result.selections.tobytes() == serial.selections.tobytes()
-            # The sweep's pool is shut down and its workers reaped.
+            # Every child the sweep started has been joined.
             assert multiprocessing.active_children() == []
         # Two workers fork one process; five workers on four trials fork three.
         assert sizes == [1, 3]
+
+    @staticmethod
+    def patch_chunks(monkeypatch, chunk):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched chunk reaches the worker only through fork")
+        monkeypatch.setattr(montecarlo, "_run_trials", chunk)
+
+    def test_a_child_error_is_raised_here_and_no_child_is_left(self, monkeypatch):
+        original = montecarlo._run_trials
+
+        def chunk(spec, indices):
+            if 2 in indices:
+                raise ArithmeticError(f"chunk {indices.tolist()}")
+            return original(spec, indices)
+
+        self.patch_chunks(monkeypatch, chunk)
+        with pytest.raises(ArithmeticError, match=r"chunk \[2\]"):
+            run_sweep(small_spec(workers=4, trials=4))
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_here_stops_a_child_blocked_in_sending(self, monkeypatch):
+        # The child's 1 MiB result fills the pipe's 64 KiB buffer, so its send
+        # waits for a receive that never comes.
+        def chunk(spec, indices):
+            if 0 in indices:
+                raise ArithmeticError("first chunk")
+            return np.zeros(1 << 17), None, {}
+
+        self.patch_chunks(monkeypatch, chunk)
+        with pytest.raises(ArithmeticError, match="first chunk"):
+            run_sweep(small_spec(workers=2, trials=4))
+        assert multiprocessing.active_children() == []
 
 
 class TestPairing:

@@ -2,13 +2,16 @@
 for byte, a block of trials draws what each trial draws alone, a sweep's
 results do not depend on its block size or worker count, the batched
 evaluation equals the scalar reference oracles and, over a block of trials,
-each trial's own evaluation byte for byte, as does each trial's ``sr`` and
-``s-sr`` selection from the block's shared score table,
+each trial's own evaluation byte for byte (in any order, a pick given twice
+included), as does each trial's ``sr`` and ``s-sr`` selection from the
+block's shared score table, relabeling the eavesdroppers leaves every
+achieved rate unchanged,
 ``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank,
 selection and evaluation over an SNR grid equal their one-point calls,
 ``sinr``'s pick ignores the noise level, and ZF admission agrees with an SVD
 oracle."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -297,6 +300,38 @@ def test_block_evaluation_equals_per_trial_evaluations(cfg, grid, first, size, e
                              rows[mine], cfg, noise[points[mine]], **options)
         for name in ("secrecy_rate", "legit_rate", "eve_rate"):
             assert getattr(batch, name)[mine].tobytes() == getattr(alone, name).tobytes()
+    # Shuffled, with a third of the triples twice: the noise-free terms are
+    # built once per (trial, candidate) pair, and every triple keeps its bytes.
+    order = np.random.default_rng(first).permutation(len(rows))
+    order = np.concatenate([order, order[:len(order) // 3]])
+    shuffled = secrecy_rate(block, cands, trials[order], rows[order], cfg,
+                            noise[points[order]], **options)
+    for name in ("secrecy_rate", "legit_rate", "eve_rate"):
+        assert getattr(shuffled, name).tobytes() == getattr(batch, name)[order].tobytes()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(cfg=configs(), grid=snr_grids, first=st.integers(0, 50), size=st.integers(1, 3),
+       eve_model=st.sampled_from(["phase1", "both"]),
+       eve_aggregate=st.sampled_from(["sum", "max"]), data=st.data())
+def test_relabeling_the_eavesdroppers_leaves_every_rate_unchanged(cfg, grid, first, size,
+                                                                  eve_model, eve_aggregate,
+                                                                  data):
+    block = generate_realization(cfg, trial=np.arange(first, first + size))
+    order = data.draw(st.permutations(range(cfg.num_eves)))
+    relabeled = dataclasses.replace(block, source_to_eve=block.source_to_eve[:, order],
+                                    relay_to_eve=block.relay_to_eve[:, :, order])
+    cands = prepare_candidates(block, cfg)
+    trials, rows, points = np.nonzero(np.repeat(cands.valid[..., None], len(grid), axis=2))
+    noise = cfg.noise_powers(grid)[points]
+    options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate)
+    want = secrecy_rate(block, cands, trials, rows, cfg, noise, **options)
+    got = secrecy_rate(relabeled, cands, trials, rows, cfg, noise, **options)
+    assert got.legit_rate.tobytes() == want.legit_rate.tobytes()
+    assert got.eve_rate == pytest.approx(want.eve_rate, rel=1e-9, abs=0)
+    # The difference of the two rates, relative to their size.
+    assert np.all(np.abs(got.secrecy_rate - want.secrecy_rate)
+                  <= 1e-9 * (want.legit_rate + want.eve_rate))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
