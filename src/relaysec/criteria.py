@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import LN2, logdet
+from .kernels import LN2, logdet, received_grams, user_rates
 from .model import ChannelRealization, ConfigError, SystemConfig, zf_core_batch
 
 
@@ -274,18 +274,21 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
     (V = I); ``sr`` passes the basis of one trial's eavesdropper row space,
     where the term equals ``log2 det(E (R_I + R_d + s I) E^H) / det(E (R_I
     + s I) E^H)`` by the pseudo-determinant and Sylvester's identity, and
-    stays defined when ``E E^H`` is singular.
+    stays defined when ``E E^H`` is singular. With a basis the term is the
+    rate of user ``u`` at a receiver that sees ``V^H W``
+    (:func:`relaysec.kernels.user_rates`).
 
-    The term is ``-log2 det(Q_u diag(s / (lam + s)) Q_u^H)`` with
-    ``A^H A = Q diag(lam) Q^H``, ``A = V^H W``: one ``eigh`` per candidate,
-    then one ``N_r x N_r`` determinant per noise level. The ``N_t - r``
-    null eigenvalues of a rank-``r`` basis are exactly 0.
+    With no basis it is ``-log2 det(Q_u diag(s / (lam + s)) Q_u^H)`` with
+    ``W^H W = Q diag(lam) Q^H``: one ``eigh`` per candidate, then one
+    ``N_r x N_r`` determinant per noise level.
     """
     n_t, n_r, m = config.transmit_antennas, config.user_antennas, config.num_users
-    a = cs.precoders if basis is None else basis.conj().T @ cs.precoders
-    lam, q = np.linalg.eigh(a.conj().swapaxes(-1, -2) @ a)
+    if basis is not None:
+        total, others, dropped = received_grams(basis.conj().T @ cs.precoders, m, n_r)
+        return user_rates(total, others, dropped,
+                          noise.reshape(-1, *[1] * (cs.precoders.ndim - 1)))
+    lam, q = np.linalg.eigh(cs.precoders.conj().swapaxes(-1, -2) @ cs.precoders)
     lam = np.maximum(lam, 0.0)
-    lam[..., :n_t - a.shape[-2]] = 0.0  # ascending: the null directions come first
     # (..., C, N_t, M * N_r * N_r): eigenvector k's outer product on user u's rows.
     vec = np.ascontiguousarray(q.swapaxes(-1, -2)).reshape(*q.shape[:-2], n_t, m, n_r)
     outer = (vec[..., :, None] * vec[..., None, :].conj()).reshape(*q.shape[:-2], n_t, -1)

@@ -2,8 +2,9 @@
 
 Every function works over leading batch axes, so one call covers all
 candidates, users or receivers at once. ``criteria`` scores candidates with
-them, ``secrecy`` evaluates the picked one, and the scalar oracles in
-``reference`` use the same rate kernel.
+them, ``secrecy`` evaluates the picked one (``sr`` and the evaluation
+share :func:`user_rates`), and the scalar oracles in ``reference`` take
+their rates from :func:`rate_bits`.
 """
 
 from __future__ import annotations
@@ -20,22 +21,37 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))
 
 
-def split_covariances(matrices: np.ndarray, num_users: int, user_antennas: int) -> tuple:
-    """Per-user desired and interference grams of batches of column blocks.
+def received_grams(blocks: np.ndarray, num_users: int, user_antennas: int) -> tuple:
+    """Noise-free grams of every user's rate at receivers that see ``(..., n, N_t)``
+    blocks ``B``, with user ``u``'s columns ``B_u`` at ``u * user_antennas``.
 
-    ``matrices`` is ``(..., n, N_t)`` with user ``u``'s columns ``U_u`` at
-    ``u * user_antennas``: precoders, or an eavesdropper's received blocks
-    ``E W``. Returns Hermitian ``(rd, ri)`` of shape ``(..., M, n, n)``:
-    ``rd[..., u] = U_u U_u^H`` and ``ri[..., u]`` the sum of the other users'
-    terms. Both are noise-free.
+    User ``u``'s rate at noise power ``s`` is ``log2 det(s I + B B^H) - log2
+    det(s I + B_I B_I^H)``, with ``B_I`` the other users' columns. Each gram
+    is taken on the smaller side of its matrix, ``X X^H`` or ``X^H X``, since
+    ``det(s I_p + X X^H) = s^(p - q) det(s I_q + X^H X)`` for a ``p x q``
+    ``X``: on the larger side the gram is singular, and at high SNR its
+    determinant is set by rounding. Returns Hermitian ``(total, others)``,
+    ``(..., M, k, k)`` each (``total`` is one gram for every user), and the
+    power of ``s`` the two sides leave over, for :func:`user_rates`.
     """
-    blocks = matrices.reshape(*matrices.shape[:-1], num_users, user_antennas).swapaxes(-2, -3)
-    rd = hermitize(blocks @ blocks.conj().swapaxes(-1, -2))
-    # The sum of the other users' terms, not the total minus the own term:
-    # at high SNR the noise is far below the rounding error of that difference.
-    others = 1.0 - np.eye(num_users)
-    ri = (others @ rd.reshape(*rd.shape[:-2], rd.shape[-1] ** 2)).reshape(rd.shape)
-    return rd, ri
+    n, n_t = blocks.shape[-2:]
+    cols = np.arange(n_t).reshape(num_users, user_antennas)
+    others = blocks[..., [np.delete(cols, u, axis=0).ravel() for u in range(num_users)]]
+    grams = []
+    for x in (blocks[..., None, :, :], others.swapaxes(-2, -3)):
+        xh = x.conj().swapaxes(-1, -2)
+        grams.append(hermitize(x @ xh if n <= x.shape[-1] else xh @ x))
+    dropped = max(n - n_t, 0) - max(n - (n_t - user_antennas), 0)
+    return grams[0], grams[1], dropped
+
+
+def user_rates(total: np.ndarray, others: np.ndarray, dropped: int, noise) -> np.ndarray:
+    """Every user's rate in bits from :func:`received_grams` at noise power
+    ``noise``, which broadcasts against the grams' leading axes."""
+    level = np.asarray(noise)[..., None, None]
+    value = (logdet(total + level * np.eye(total.shape[-1]))[1]
+             - logdet(others + level * np.eye(others.shape[-1]))[1])
+    return (value + dropped * np.log(noise)) / LN2
 
 
 def logdet(matrices: np.ndarray) -> tuple:
@@ -47,12 +63,12 @@ def logdet(matrices: np.ndarray) -> tuple:
     2x2 matrix's closed form is zero or leaves the normal float range (its
     products of entries may have under- or overflowed, as at noise powers
     far below 1e-154), that matrix alone is taken again by ``slogdet``, so
-    no result depends on the rest of the batch. Larger matrices go through
-    ``slogdet``. An exactly singular matrix is not regular, and neither is
-    a NaN matrix, whose value is NaN.
+    no result depends on the rest of the batch. Larger (and empty) matrices
+    go through ``slogdet``. An exactly singular matrix is not regular, and
+    neither is a NaN matrix, whose value is NaN.
     """
     n = matrices.shape[-1]
-    if n > 2:
+    if n not in (1, 2):
         sign, value = np.linalg.slogdet(matrices)
         return np.abs(sign) > 0.5, value
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import CandidateSet, _combination_table, legit_rates
-from .kernels import rate_bits, split_covariances
+from .kernels import received_grams, user_rates
 from .model import ChannelRealization, SingularChannelError, SystemConfig
 
 EVE_MODELS = ("phase1", "both")
@@ -104,12 +104,13 @@ def secrecy_rate(realizations: ChannelRealization, candidates: CandidateSet, tri
         members = _combination_table(config.pool_size, config.selected_relays)[1][pair_positions]
         received.append(realizations.relay_eve_channels(members, pair_trials)
                         @ candidates.relay_precoders[pair_trials, pair_positions][:, None])
-    # Per-user grams (P, pairs, K, M, N_e, N_e): B_u B_u^H and the other users' sum.
-    own, others = split_covariances(np.array(received), config.num_users, config.user_antennas)
+    # Per-user grams (P, pairs, K, M, k, k) of B and of the other users' columns.
+    total, others, dropped = received_grams(np.array(received), config.num_users,
+                                            config.user_antennas)
     # Triple stage, once per pick: the noise level enters.
     legit = legit_rates(gains[:, pairs], levels).min(axis=0)
-    noise_in = others[:, pairs] + levels[:, None, None, None, None] * np.eye(config.eve_antennas)
-    rates = np.maximum(rate_bits(own[:, pairs], noise_in), 0.0)
+    rates = np.maximum(user_rates(total[:, pairs], others[:, pairs], dropped,
+                                  levels[:, None, None]), 0.0)
     # Users, then phases, in that order whatever the batch size: a multi-axis
     # sum may fuse axes, and so change the order, when K = 1.
     per_eve = rates.sum(axis=3).sum(axis=0)

@@ -1,10 +1,11 @@
 """Kernel tests: ``logdet``'s 2x2 closed form against LAPACK's ``slogdet``,
-and the rate kernel's dead-link, unbounded and NaN results on 2x2 grams."""
+the rate kernel's dead-link, unbounded and NaN results on 2x2 grams, and
+the per-user rates of received blocks against closed forms at high SNR."""
 
 import numpy as np
 import pytest
 
-from relaysec.kernels import LN2, logdet, rate_bits
+from relaysec.kernels import LN2, logdet, rate_bits, received_grams, user_rates
 
 
 def complex_gaussian(rng, shape):
@@ -80,3 +81,30 @@ class TestRateBitsTwoByTwo:
         assert out[:2].tolist() == [0.0, 0.0]  # nothing to receive: a dead link
         assert out[2] == np.inf  # signal where the denominator has no noise
         assert np.all(np.isnan(out[3:]))  # a NaN gram has no rate
+
+
+class TestUserRates:
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("snr_db", [0.0, 100.0, 200.0])
+    def test_two_one_column_users_match_sherman_morrison(self, rows, snr_db):
+        # User u's rate is log2(1 + b^H (s I + v v^H)^{-1} b) with b its column
+        # and v the other's, and (s I + v v^H)^{-1} = (I - v v^H / (s + |v|^2)) / s.
+        # With more rows than the other user's one column, the row-side gram
+        # s I + v v^H is singular up to s. (With one row, b and v are parallel
+        # and this closed form cancels.)
+        blocks = complex_gaussian(np.random.default_rng(rows), (50, rows, 2))
+        s = 10.0 ** (-snr_db / 10.0)
+        got = user_rates(*received_grams(blocks, 2, 1), s)
+        for u in range(2):
+            b, v = blocks[..., u], blocks[..., 1 - u]
+            vb = np.abs(np.sum(v.conj() * b, axis=-1)) ** 2
+            vv, bb = (np.sum(np.abs(x) ** 2, axis=-1) for x in (v, b))
+            want = np.log1p((bb - vb / (s + vv)) / s) / LN2
+            np.testing.assert_allclose(got[:, u], want, rtol=1e-12, atol=0)
+
+    def test_one_user_sees_no_interference(self):
+        blocks = complex_gaussian(np.random.default_rng(4), (20, 3, 2))
+        s = 1e-20
+        got = user_rates(*received_grams(blocks, 1, 2), s)
+        lam = np.linalg.eigvalsh(blocks.conj().swapaxes(-1, -2) @ blocks)
+        np.testing.assert_allclose(got[:, 0], np.log1p(lam / s).sum(axis=-1) / LN2, rtol=1e-12)

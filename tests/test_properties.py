@@ -5,7 +5,10 @@ evaluation equals the scalar reference oracles and, over a block of trials,
 each trial's own evaluation byte for byte (in any order, a pick given twice
 included), as does each trial's ``sr`` and ``s-sr`` selection from the
 block's shared score table, relabeling the eavesdroppers leaves every
-achieved rate unchanged,
+achieved rate unchanged, one unitary on the source side of every channel,
+relabeling the relays (with ``N_r = 1`` or ``N_i = N_r``) and scaling the
+signal power at a fixed SNR leave every exhaustive score, pick and rate
+unchanged,
 ``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank,
 selection and evaluation over an SNR grid equal their one-point calls,
 ``sinr``'s pick ignores the noise level, and ZF admission agrees with an SVD
@@ -23,7 +26,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from relaysec import montecarlo  # noqa: E402
 from relaysec.criteria import (  # noqa: E402
     CRITERION_NAMES,
+    EXHAUSTIVE_KINDS,
     CriterionKind,
+    _combination_table,
+    legit_rates,
     prepare_candidates,
     score_candidates,
     select,
@@ -333,6 +339,126 @@ def test_relabeling_the_eavesdroppers_leaves_every_rate_unchanged(cfg, grid, fir
     assert np.all(np.abs(got.secrecy_rate - want.secrecy_rate)
                   <= 1e-9 * (want.legit_rate + want.eve_rate))
 
+
+# Tolerance of the invariants below, fixed before their first run: about
+# 1000x the worst relative deviation probed for rotation and relabeling.
+INVARIANT_TOL = 1e-9
+
+
+def trial_outputs(block, cfg, grid, combine, options, rows=None):
+    """Every exhaustive criterion's ``(3, S, C)`` scores and ``(S,)`` picks,
+    and the rates of every valid candidate at every point, for the one
+    trial of ``block``. ``rows[c]`` is the row of the candidate reported as
+    ``c`` in this realization's set (identity when None), and picks are
+    reported through it; ``scale`` is ``(S, C)``, the two hops' legitimate
+    rates, which bound the terms a secrecy score is the difference of."""
+    cands = prepare_candidates(block, cfg)
+    rows = np.arange(len(cands.combinations)) if rows is None else np.asarray(rows)
+    reported = np.argsort(rows)
+    noise = cfg.noise_powers(grid)
+    out = {"valid": cands.valid[0, rows], "scores": {}, "picks": {}}
+    for kind in EXHAUSTIVE_KINDS:
+        scores = score_candidates(kind, block[0], cfg, candidates=cands[0], combine=combine,
+                                  noise=noise)[1:]
+        out["scores"][kind] = np.stack(scores)[:, :, rows]
+        picks = select(kind, block[0], cfg, candidates=cands[0], combine=combine, noise=noise)[0]
+        out["picks"][kind] = np.where(picks >= 0, reported[picks], -1)
+    legit = legit_rates(cands[0].stream_gains(), noise[:, None, None]).sum(axis=1)
+    out["scale"] = legit[:, rows]
+    usable, points = np.nonzero(np.repeat(out["valid"][:, None], len(grid), axis=1))
+    out["rates"] = secrecy_rate(block, cands, np.zeros_like(usable), rows[usable], cfg,
+                                noise[points], **options)
+    return out
+
+
+def assert_invariant(got, want):
+    """``got`` equals ``want`` within ``INVARIANT_TOL`` relative: scores and
+    rates, and the picks at every point whose top two scores are further
+    apart than that."""
+    assert np.array_equal(got["valid"], want["valid"])
+    for kind in EXHAUSTIVE_KINDS:
+        g, w = got["scores"][kind], want["scores"][kind]
+        finite = np.isfinite(w)
+        assert np.array_equal(np.isfinite(g), finite), kind.value
+        assert np.array_equal(g[~finite], w[~finite], equal_nan=True), kind.value
+        # A secrecy score is a difference of rates: relative to their size.
+        secrecy = kind in (CriterionKind.SECRECY_RATE, CriterionKind.S_SR)
+        scale = np.abs(w) + (want["scale"] if secrecy else 0.0)
+        assert np.all(np.abs(g - w)[finite] <= INVARIANT_TOL * scale[finite]), kind.value
+        combined = np.where(finite[2], w[2], -np.inf)
+        top = np.sort(combined, axis=1)[:, ::-1]
+        if top.shape[1] > 1:
+            with np.errstate(invalid="ignore"):
+                gap = top[:, 0] - top[:, 1]
+            clear = gap > INVARIANT_TOL * np.where(finite[2], scale[2], 0.0).max(axis=1)
+        else:
+            clear = np.isfinite(top[:, 0])
+        assert np.array_equal(got["picks"][kind][clear], want["picks"][kind][clear]), kind.value
+    g, w = got["rates"], want["rates"]
+    assert g.legit_rate == pytest.approx(w.legit_rate, rel=INVARIANT_TOL, abs=0)
+    assert g.eve_rate == pytest.approx(w.eve_rate, rel=INVARIANT_TOL, abs=0)
+    assert np.all(np.abs(g.secrecy_rate - w.secrecy_rate)
+                  <= INVARIANT_TOL * (w.legit_rate + w.eve_rate))
+
+
+invariant_options = st.fixed_dictionaries({
+    "eve_model": st.sampled_from(["phase1", "both"]),
+    "eve_aggregate": st.sampled_from(["sum", "max"]),
+})
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(cfg=configs(), grid=snr_grids, trial=st.integers(0, 50),
+       combine=st.sampled_from(["min", "sum"]), options=invariant_options,
+       rotation=st.integers(0, 2**16))
+def test_one_unitary_on_the_source_side_leaves_scores_and_rates_unchanged(
+        cfg, grid, trial, combine, options, rotation):
+    # H_i U and E_k U: the precoder becomes U^H W, and E W, W^H W and the
+    # column norms of the ZF cores stay as they were.
+    block = generate_realization(cfg, trial=[trial])
+    n_t = cfg.transmit_antennas
+    gaussian = np.random.default_rng(rotation).standard_normal((2, n_t, n_t))
+    u = np.linalg.qr(gaussian[0] + 1j * gaussian[1])[0]
+    rotated = dataclasses.replace(block, source_to_relay=block.source_to_relay @ u,
+                                  source_to_eve=block.source_to_eve @ u)
+    assert_invariant(trial_outputs(rotated, cfg, grid, combine, options),
+                     trial_outputs(block, cfg, grid, combine, options))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(cfg=configs().filter(lambda c: c.user_antennas in (1, c.relay_antennas)),
+       grid=snr_grids, trial=st.integers(0, 50), combine=st.sampled_from(["min", "sum"]),
+       options=invariant_options, data=st.data())
+def test_relabeling_the_relays_moves_each_candidate_and_keeps_its_scores(
+        cfg, grid, trial, combine, options, data):
+    # New relay j is old relay order[j]. A candidate's stacked streams move
+    # by whole relays, so with N_r = 1 or N_i = N_r each user keeps its set
+    # of streams, and every per-user sum is unchanged.
+    block = generate_realization(cfg, trial=[trial])
+    order = np.array(data.draw(st.permutations(range(cfg.pool_size))))
+    relabeled = dataclasses.replace(block, source_to_relay=block.source_to_relay[:, order],
+                                    relay_to_user=block.relay_to_user[:, order],
+                                    relay_to_eve=block.relay_to_eve[:, order])
+    combinations = _combination_table(cfg.pool_size, cfg.selected_relays)[0]
+    # The row of each old combination in the relabeled set.
+    moved = {tuple(sorted(order[list(combo)])): row for row, combo in enumerate(combinations)}
+    rows = [moved[combo] for combo in combinations]
+    assert_invariant(trial_outputs(relabeled, cfg, grid, combine, options, rows=rows),
+                     trial_outputs(block, cfg, grid, combine, options))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(cfg=configs(), grid=snr_grids, trial=st.integers(0, 50),
+       combine=st.sampled_from(["min", "sum"]), options=invariant_options,
+       factor=st.sampled_from([1e-3, 7.0, 1e3]))
+def test_scaling_the_signal_power_at_a_fixed_snr_leaves_scores_and_rates_unchanged(
+        cfg, grid, trial, combine, options, factor):
+    # Noise scales with the power at a fixed SNR, so every P / (d^2 s) and
+    # every eigenvalue ratio of the precoder grams is unchanged.
+    block = generate_realization(cfg, trial=[trial])
+    scaled = dataclasses.replace(cfg, signal_power=factor * cfg.signal_power)
+    assert_invariant(trial_outputs(block, scaled, grid, combine, options),
+                     trial_outputs(block, cfg, grid, combine, options))
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(cfg=configs(), grid=snr_grids, first=st.integers(0, 50), size=st.integers(1, 4),
