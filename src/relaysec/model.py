@@ -89,7 +89,7 @@ class SystemConfig:
         for name, value in counts.items():
             if not _is_integer_at_least(value, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        # A negative seed has no uint32 words for the channel-draw key.
+        # SeedSequence, which keys the channel draws, takes no negative seed.
         if not _is_integer_at_least(self.seed, 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         # A zero or non-finite power or SNR leaves every rate undefined;
@@ -147,10 +147,11 @@ class SystemConfig:
 # channel generation
 # ---------------------------------------------------------------------------
 
-# Sub-stream domains; each channel block gets its own keyed seed so draws for
-# relay i are identical no matter the pool size, eavesdropper count or the
-# order in which blocks are materialized (needed for paired comparisons).
-# Keyed by the ChannelRealization field each domain fills.
+# Sub-stream domains; each channel block gets its own counter address in the
+# trial's keyed stream, so draws for relay i are identical no matter the pool
+# size, eavesdropper count or the order in which blocks are materialized
+# (needed for paired comparisons). Keyed by the ChannelRealization field each
+# domain fills.
 LINK_DOMAINS = {"source_to_relay": 0, "relay_to_user": 1, "source_to_eve": 2, "relay_to_eve": 3}
 
 
@@ -247,99 +248,6 @@ def _side_by_side(blocks: np.ndarray) -> np.ndarray:
     return moved.reshape(*moved.shape[:-2], moved.shape[-2] * moved.shape[-1])
 
 
-# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the PCG64 multiplier, so a block's generator state can be computed without
-# building its SeedSequence and generator.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uint32_words(n: int) -> list:
-    """Little-endian uint32 words of a non-negative int, as SeedSequence splits it."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"expected non-negative integer, got {n}")
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _hash_consts(init: int, mult: int, count: int) -> list:
-    """``init * mult**j mod 2**32`` for ``j < count``: the hash constant sequence."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
-def _hashmix(value, before, after):
-    """SeedSequence ``hashmix`` with the hash constant going ``before -> after``."""
-    value = (value ^ before) * after & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _pcg64_seeds(seed: int, trials: list, suffix: list) -> np.ndarray:
-    """``(B, N, 4)`` uint64 words ``init_hi, init_lo, seq_hi, seq_lo`` that
-    ``SeedSequence(seed, spawn_key=(trial, *row)).generate_state(4, uint64)``
-    gives for each of the ``B`` trials and each 3-word ``row`` of ``suffix``.
-
-    The pool after the seed words is shared, so it is mixed once in Python
-    ints. The trial words and then the suffix words go into the four pool
-    words of every (trial, row) pair in ``(4, B, N)`` uint32 steps; a
-    trial of fewer words than the longest skips the longest's last steps,
-    and its suffix takes the hash constants that follow its own words.
-    """
-    entropy = _uint32_words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    trial_words = [_uint32_words(t) for t in trials]
-    width = max(map(len, trial_words))
-    shared = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(entropy) - _POOL_SIZE)
-    hc = _hash_consts(_INIT_A, _MULT_A, shared + _POOL_SIZE * (width + 3) + 1)
-    calls = iter(zip(hc, hc[1:]))
-    pool = [_hashmix(entropy[i], *next(calls)) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(calls)))
-
-    hc = np.array(hc, dtype=np.uint32)
-    counts = np.array([len(w) for w in trial_words])
-    words = np.array([w + [0] * (width - len(w)) for w in trial_words], dtype=np.uint32)
-    mixed = np.array(pool, dtype=np.uint32)[:, None]
-    for j in range(width):
-        consts = hc[shared + _POOL_SIZE * j:][:_POOL_SIZE + 1, None]
-        step = _mix(mixed, _hashmix(words[:, j], consts[:-1], consts[1:]))
-        mixed = np.where(j < counts, step, mixed)
-    # Each trial's suffix takes the hash constants after its own words.
-    first = shared + _POOL_SIZE * counts + np.arange(_POOL_SIZE + 1)[:, None]
-    mixed = mixed[:, :, None]
-    for j, word in enumerate(np.array(suffix, dtype=np.uint32).T):
-        consts = hc[first + _POOL_SIZE * j][:, :, None]
-        mixed = _mix(mixed, _hashmix(word, consts[:-1], consts[1:]))
-    out = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), dtype=np.uint32)
-    state_words = _hashmix(np.tile(mixed, (2, 1, 1)), out[:-1, None, None], out[1:, None, None])
-    return np.ascontiguousarray(state_words.transpose(1, 2, 0), dtype="<u4").view("<u8")
-
-
 def generate_realization(config: SystemConfig, trial=0,
                          seed: int | None = None) -> ChannelRealization:
     """Draw i.i.d. CN(0,1) fading realizations of the whole network.
@@ -347,24 +255,15 @@ def generate_realization(config: SystemConfig, trial=0,
     ``trial`` is one trial index, or a sequence of them for a block of
     trials: the block's arrays then take a leading trial axis, and
     ``block[b]`` is byte for byte the realization of ``trial[b]`` alone.
-    Deterministic given ``(seed, trial)``. Block ``(a, b)`` of link type
+    Deterministic given ``(seed, trial)``. Each trial keys NumPy's
+    counter-based Philox4x64-10 with ``SeedSequence(seed, spawn_key=(trial,
+    )).generate_state(2, uint64)``, and block ``(a, b)`` of link type
     ``link`` (``relay_to_user[a, b]``; ``source_to_relay[a]`` has ``b = 0``)
-    holds :func:`complex_normal` draws from NumPy's
-    ``default_rng(SeedSequence(seed, spawn_key=(trial, LINK_DOMAINS[link],
-    a, b)))``, so enlarging the relay pool or the eavesdropper count leaves
-    the draws of existing entities untouched.
-
-    No generator is built per block. The SeedSequence entropy is the seed's
-    uint32 words zero-padded to four, then the trial's words, then
-    ``(domain, a, b)``. Its hash constants do not depend on the data, so the
-    pool after the seed words is shared by every block of every trial of
-    the call; the trial and suffix words are mixed for all blocks of all
-    trials in one uint32 array pass. PCG64 seeds from the four output words
-    ``init_hi, init_lo, seq_hi, seq_lo`` as ``inc = 2 * seq + 1`` and
-    ``state = ((inc + init) * MULT + inc) mod 2**128``. One PCG64 then takes
-    each block's state in turn and fills the block's re and im halves with
-    one ``standard_normal`` call, the stream of complex_normal's two calls.
-    A single trial is the one-trial block.
+    is drawn from the stream at counter ``[0, b, a, LINK_DOMAINS[link]]``,
+    so enlarging the relay pool or the eavesdropper count leaves the draws
+    of existing entities untouched. One ``standard_normal`` call fills a
+    block's real half and then its imaginary half, the stream of
+    :func:`complex_normal`'s two calls.
     """
     base = config.seed if seed is None else seed
     trials = np.ravel(trial).tolist()
@@ -376,27 +275,27 @@ def generate_realization(config: SystemConfig, trial=0,
         "source_to_eve": ((k,), (n_e, n_t)),
         "relay_to_eve": ((p, k), (n_e, n_i)),
     }
-    suffix, sizes = [], []
+    counters, sizes = [], []
     for link, (keys, block) in layout.items():
-        keyed = list(product([LINK_DOMAINS[link]], *map(range, keys + (1,) * (2 - len(keys)))))
-        suffix += keyed
-        sizes += [2 * prod(block)] * len(keyed)
+        for a, b in product(*map(range, keys + (1,) * (2 - len(keys)))):
+            counters.append([0, b, a, LINK_DOMAINS[link]])
+            sizes.append(2 * prod(block))
 
-    # Overwritten before every draw, so its own seed is never used.
-    bit_generator = np.random.PCG64(0)
+    # One generator for the call; the setter writes every field of `state`
+    # before each block, so its seed is never used.
+    bit_generator = np.random.Philox(0)
     gen = np.random.Generator(bit_generator)
-    block_state = {}
-    full_state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": block_state}
+    key_counter = {}
+    state = {"bit_generator": "Philox", "state": key_counter, "buffer": np.zeros(4, np.uint64),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     draws = np.empty((len(trials), sum(sizes)))
-    for row, seeds in zip(draws, _pcg64_seeds(base, trials, suffix)):
+    for row, t in zip(draws, trials):
+        key_counter["key"] = np.random.SeedSequence(base, spawn_key=(t,)).generate_state(
+            2, np.uint64)
         start = 0
-        # One trial's seeds at a time: no 128-bit state outlives its draw.
-        for (init_hi, init_lo, seq_hi, seq_lo), size in zip(seeds.tolist(), sizes):
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-            init = init_hi << 64 | init_lo
-            block_state["state"] = ((inc + init) * _PCG64_MULT + inc) & _MASK128
-            block_state["inc"] = inc
-            bit_generator.state = full_state
+        for counter, size in zip(counters, sizes):
+            key_counter["counter"] = counter
+            bit_generator.state = state
             gen.standard_normal(out=row[start:start + size])
             start += size
 

@@ -47,9 +47,10 @@ class NoViableCandidateError(RuntimeError):
 
 
 def _block_rng(seed: int, trial: int, domain: int, a: int, b: int = 0) -> np.random.Generator:
-    """The generator of one channel block, built as NumPy builds it."""
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial), domain, int(a), int(b)))
-    return np.random.default_rng(seq)
+    """A fresh generator of one channel block: Philox keyed by the trial, at
+    the block's counter."""
+    key = np.random.SeedSequence(int(seed), spawn_key=(int(trial),)).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, int(b), int(a), domain]))
 
 
 def _draw_blocks(seed: int, trial: int, domain: int, keys: tuple, block: tuple) -> np.ndarray:
@@ -63,7 +64,7 @@ def _draw_blocks(seed: int, trial: int, domain: int, keys: tuple, block: tuple) 
 
 def keyed_realization(config: SystemConfig, trial: int = 0, seed: int | None = None) -> ChannelRealization:
     """:func:`relaysec.model.generate_realization`'s draws, with one
-    ``SeedSequence`` and ``default_rng`` built per block."""
+    ``Generator(Philox(key=..., counter=...))`` built per block."""
     base = config.seed if seed is None else seed
     p, k, n_t = config.pool_size, config.num_eves, config.transmit_antennas
     n_i, n_r, n_e = config.relay_antennas, config.user_antennas, config.eve_antennas

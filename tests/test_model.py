@@ -143,8 +143,8 @@ class TestChannelGeneration:
     @pytest.mark.parametrize("seed, trial", [(0, 0), (2**32 - 1, 2**32 + 9), (2**32, 1),
                                              (2**70 + 3, 5), (2**130 + 7, 2**64)])
     def test_draws_equal_one_generator_per_block(self, seed, trial):
-        # Seeds of more than four uint32 words fill the pool with no zero
-        # padding; a trial of 2**32 or more takes two words.
+        # Seeds and trials of one to five uint32 words key the trial's stream
+        # through SeedSequence.
         cfg = mimo_config(num_eves=3)
         fast = generate_realization(cfg, trial=trial, seed=seed)
         slow = keyed_realization(cfg, trial=trial, seed=seed)
@@ -162,6 +162,13 @@ class TestChannelGeneration:
             slow = keyed_realization(cfg, trial=trial, seed=2**33 + 5)
             for link in ("source_to_relay", "relay_to_user", "source_to_eve", "relay_to_eve"):
                 assert getattr(block[b], link).tobytes() == getattr(slow, link).tobytes(), link
+
+    def test_numpy_philox_matches_random123_known_answer(self):
+        # Random123's Philox4x64-10 answer for a zero key and counter. NumPy
+        # increments the counter before use, so all ones gives counter 0.
+        words = np.random.Philox(key=[0, 0], counter=[2**64 - 1] * 4).random_raw(4)
+        assert [f"{w:016x}" for w in words.tolist()] == [
+            "16554d9eca36314c", "db20fe9d672d0fdc", "d7e772cee186176b", "7e68b68aec7ba23b"]
 
     @pytest.mark.parametrize("key", [{"seed": -1}, {"trial": -1}, {"trial": [3, -1]}])
     def test_negative_key_rejected(self, key):

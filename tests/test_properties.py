@@ -1,6 +1,6 @@
-"""Property tests: the channel draws equal one NumPy generator per block byte
-for byte, a block of trials draws what each trial draws alone, a sweep's
-results do not depend on its block size or worker count, the batched
+"""Property tests: the channel draws equal one NumPy Philox generator per
+block byte for byte, a block of trials draws what each trial draws alone, a
+sweep's results do not depend on its block size or worker count, the batched
 evaluation equals the scalar reference oracles and, over a block of trials,
 each trial's own evaluation byte for byte (in any order, a pick given twice
 included), as does each trial's ``sr`` and ``s-sr`` selection from the
@@ -76,7 +76,7 @@ def below_bits(bits):
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(cfg=configs(), seed=below_bits(80), trial=below_bits(40))
-def test_draws_equal_seed_sequence_per_block_bytes(cfg, seed, trial):
+def test_draws_equal_one_philox_per_block_bytes(cfg, seed, trial):
     fast = generate_realization(cfg, trial=trial, seed=seed)
     slow = keyed_realization(cfg, trial=trial, seed=seed)
     for link in LINKS:
