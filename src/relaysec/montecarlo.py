@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import traceback
 from dataclasses import dataclass, field, fields
 from math import comb
 
@@ -247,11 +248,12 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
 
 def _send_trials(conn, spec: SweepSpec, trial_indices):
     """Run :func:`_run_trials` in a child process and send ``(ok, payload)``
-    back: its result, or the exception it raised."""
+    back: its result, or the exception it raised with its formatted
+    traceback, which does not survive pickling."""
     try:
         message = (True, _run_trials(spec, trial_indices))
     except Exception as exc:
-        message = (False, exc)
+        message = (False, (exc, traceback.format_exc()))
     conn.send(message)
     conn.close()
 
@@ -265,7 +267,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     each chunk after the first, and this process then runs the first chunk.
     Each chunk runs in its own blocks (:func:`_run_trials`), and each child
     sends back ``(ok, payload)`` over a one-way pipe: its result, or the
-    exception it raised, which is raised here. Every child is joined before
+    exception it raised, which is raised here with the child's traceback
+    as its cause. Every child is joined before
     the sweep returns; if the sweep raises, the children still running are
     terminated first, since a child blocked in sending a result nobody
     receives would never exit.
@@ -298,7 +301,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             for indices, (_, receiver) in zip(rest, children):
                 ok, payload = receiver.recv()
                 if not ok:
-                    raise payload
+                    exc, child_traceback = payload
+                    raise exc from RuntimeError(f"in a sweep worker:\n{child_traceback}")
                 samples[:, :, indices], selections[:, :, indices], counts = payload
                 for reason, count in counts.items():
                     discards[reason] += count

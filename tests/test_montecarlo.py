@@ -2,6 +2,8 @@
 
 import csv
 import multiprocessing
+import signal
+import traceback
 
 import numpy as np
 import pytest
@@ -149,8 +151,10 @@ class TestWorkerPool:
             return original(spec, indices)
 
         self.patch_chunks(monkeypatch, chunk)
-        with pytest.raises(ArithmeticError, match=r"chunk \[2\]"):
+        with pytest.raises(ArithmeticError, match=r"chunk \[2\]") as raised:
             run_sweep(small_spec(workers=4, trials=4))
+        # The child's frames come along as the cause.
+        assert ", in chunk\n" in "".join(traceback.format_exception(raised.value))
         assert multiprocessing.active_children() == []
 
     def test_an_error_here_stops_a_child_blocked_in_sending(self, monkeypatch):
@@ -162,9 +166,26 @@ class TestWorkerPool:
             return np.zeros(1 << 17), None, {}
 
         self.patch_chunks(monkeypatch, chunk)
-        with pytest.raises(ArithmeticError, match="first chunk"):
-            run_sweep(small_spec(workers=2, trials=4))
-        assert multiprocessing.active_children() == []
+
+        def hung(signum, frame):
+            # Not an OSError, which multiprocessing's join would swallow.
+            pytest.fail("run_sweep left a child blocked in sending for 30 s")
+
+        # A sweep that no longer stops its children would wait for this one
+        # forever; the alarm makes that a failure, and the child is killed.
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 30.0)
+        try:
+            with pytest.raises(ArithmeticError, match="first chunk"):
+                run_sweep(small_spec(workers=2, trials=4))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            leftover = multiprocessing.active_children()
+            for child in leftover:
+                child.kill()
+                child.join()
+        assert leftover == []
 
 
 class TestPairing:
