@@ -30,17 +30,19 @@ def received_grams(blocks: np.ndarray, num_users: int, user_antennas: int) -> tu
     is taken on the smaller side of its matrix, ``X X^H`` or ``X^H X``, since
     ``det(s I_p + X X^H) = s^(p - q) det(s I_q + X^H X)`` for a ``p x q``
     ``X``: on the larger side the gram is singular, and at high SNR its
-    determinant is set by rounding. Returns Hermitian ``(total, others)``,
-    ``(..., M, k, k)`` each (``total`` is one gram for every user), and the
-    power of ``s`` the two sides leave over, for :func:`user_rates`.
+    determinant is set by rounding. Returns the Hermitian grams ``total``,
+    ``(..., 1, k, k)`` (the same for every user), and ``others``, ``(..., M,
+    k', k')``, and the power of ``s`` the two sides leave over, for
+    :func:`user_rates`.
     """
     n, n_t = blocks.shape[-2:]
-    cols = np.arange(n_t).reshape(num_users, user_antennas)
-    others = blocks[..., [np.delete(cols, u, axis=0).ravel() for u in range(num_users)]]
+    # Row u: the columns of every user but u.
+    cols = np.nonzero(np.arange(n_t) // user_antennas != np.arange(num_users)[:, None])[1]
+    others = blocks[..., cols.reshape(num_users, -1)].swapaxes(-2, -3)
     grams = []
-    for x in (blocks[..., None, :, :], others.swapaxes(-2, -3)):
-        xh = x.conj().swapaxes(-1, -2)
-        grams.append(hermitize(x @ xh if n <= x.shape[-1] else xh @ x))
+    for x in (blocks[..., None, :, :], others):
+        side = "...ik,...jk->...ij" if n <= x.shape[-1] else "...ki,...kj->...ij"
+        grams.append(hermitize(np.einsum(side, x, x.conj())))
     dropped = max(n - n_t, 0) - max(n - (n_t - user_antennas), 0)
     return grams[0], grams[1], dropped
 

@@ -268,10 +268,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Each chunk runs in its own blocks (:func:`_run_trials`), and each child
     sends back ``(ok, payload)`` over a one-way pipe: its result, or the
     exception it raised, which is raised here with the child's traceback
-    as its cause. Every child is joined before
-    the sweep returns; if the sweep raises, the children still running are
-    terminated first, since a child blocked in sending a result nobody
-    receives would never exit.
+    as its cause. Every child is joined before the sweep returns; if the
+    sweep raises, the children still running are terminated first, since a
+    child blocked in sending a result nobody receives would never exit.
     """
     start = time.perf_counter()
     n_c, n_s = len(spec.criteria), len(spec.snr_grid_db)

@@ -385,14 +385,11 @@ def assert_invariant(got, want):
         secrecy = kind in (CriterionKind.SECRECY_RATE, CriterionKind.S_SR)
         scale = np.abs(w) + (want["scale"] if secrecy else 0.0)
         assert np.all(np.abs(g - w)[finite] <= INVARIANT_TOL * scale[finite]), kind.value
-        combined = np.where(finite[2], w[2], -np.inf)
-        top = np.sort(combined, axis=1)[:, ::-1]
-        if top.shape[1] > 1:
-            with np.errstate(invalid="ignore"):
-                gap = top[:, 0] - top[:, 1]
-            clear = gap > INVARIANT_TOL * np.where(finite[2], scale[2], 0.0).max(axis=1)
-        else:
-            clear = np.isfinite(top[:, 0])
+        ranked = np.sort(np.where(finite[2], w[2], -np.inf), axis=1)
+        second = ranked[:, -2] if ranked.shape[1] > 1 else -np.inf
+        with np.errstate(invalid="ignore"):  # no viable candidate: -inf - -inf
+            clear = (ranked[:, -1] - second
+                     > INVARIANT_TOL * np.where(finite[2], scale[2], 0.0).max(axis=1))
         assert np.array_equal(got["picks"][kind][clear], want["picks"][kind][clear]), kind.value
     g, w = got["rates"], want["rates"]
     assert g.legit_rate == pytest.approx(w.legit_rate, rel=INVARIANT_TOL, abs=0)
