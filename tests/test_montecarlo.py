@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import signal
+import tracemalloc
 import traceback
 
 import numpy as np
@@ -260,6 +261,50 @@ class TestBlockBytes:
         alone = run_sweep(spec)
         assert result.samples.tobytes() == alone.samples.tobytes()
         assert np.array_equal(result.selections, alone.selections)
+
+
+class TestBlockPeak:
+    # The traced peak of one block of _run_trials, in BLOCK_BYTES: the
+    # budget scales a block's memory without bounding it, since it counts
+    # only the largest arrays. Before this bound was fixed, the peaks read
+    # 6.8, 3.8, 5.6 and 2.5 budgets on these shapes, in order.
+    PEAK_BUDGETS = 8
+    FIG2 = dict(num_users=2, user_antennas=1, relay_antennas=1, pool_size=5,
+                selected_relays=2, num_eves=2, eve_antennas=1)
+    FIG5 = dict(num_users=2, user_antennas=2, relay_antennas=2, pool_size=7,
+                selected_relays=2, num_eves=2, eve_antennas=2)
+    POOL12 = dict(num_users=4, user_antennas=1, relay_antennas=1, pool_size=12,
+                  selected_relays=4, num_eves=4, eve_antennas=1)
+    PRESET_GRID = tuple(range(0, 21, 2))
+
+    @pytest.mark.parametrize("dims, grid, kinds, block", [
+        (FIG2, PRESET_GRID, ("channel-gain", "max-ratio", "sinr", "sr", "s-sinr", "s-sr"), 68),
+        (FIG5, PRESET_GRID, ("channel-gain", "s-sinr", "s-sr"), 8),
+        (POOL12, (0, 10, 20), ("channel-gain", "s-sinr", "sr", "s-sr"), 1),
+        (FIG5, tuple(range(0, 201, 2)), ("channel-gain", "s-sinr", "s-sr"), 1),
+    ], ids=["fig2-single", "fig5-relays-mimo", "pool12-select4", "fig5-101-points"])
+    def test_one_block_peaks_within_a_fixed_multiple_of_the_budget(
+            self, monkeypatch, dims, grid, kinds, block):
+        spec = SweepSpec(config=SystemConfig(seed=11, **dims), snr_grid_db=grid,
+                         trials=block, criteria=kinds)
+        montecarlo._run_trials(spec, np.arange(1))  # fills the combination table's cache
+        blocks = []
+        original = criteria.prepare_candidates
+
+        def counted(*args, **kwargs):
+            blocks.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, "prepare_candidates", counted)
+        tracemalloc.start()
+        try:
+            floor = tracemalloc.get_traced_memory()[0]
+            montecarlo._run_trials(spec, np.arange(block))
+            peak = tracemalloc.get_traced_memory()[1] - floor
+        finally:
+            tracemalloc.stop()
+        assert len(blocks) == 1  # the workload's block size, or larger
+        assert peak <= self.PEAK_BUDGETS * montecarlo.BLOCK_BYTES
 
 
 class TestDiscardReasons:
