@@ -20,13 +20,14 @@ and every stream SINR ``P / (d_l^2 s)`` at noise power ``s``. So ``sinr``'s
 pick does not depend on the noise level.
 
 ``sr`` and ``s-sr`` share one eavesdropper term. By the determinant lemma and
-Jacobi's complementary-minor identity, with ``G = A^H A = Q diag(lam) Q^H``
-and ``Q_u`` user ``u``'s rows of ``Q``, it is
-``-log2 det(Q_u diag(s / (lam + s)) Q_u^H)``: ``A = W`` for ``s-sr``, and
-``A = V^H W`` for ``sr``, with ``V`` a basis of the row space of the stacked
-eavesdropper channel. One eigendecomposition per candidate therefore serves
-every noise level, and the two criteria are the same computation whenever
-that channel has full column rank.
+Jacobi's complementary-minor identity, with ``G = A^H A``, it is
+``-log2 det(s [(G + s I)^{-1}]_uu)`` for user ``u``: ``A = W`` for ``s-sr``,
+and ``A = V^H W`` for ``sr``, with ``V`` a basis of the row space of the
+stacked eavesdropper channel. ``s-sr`` takes it from one batched Cholesky
+factorization of ``W^H W + s I`` per candidate and noise level, run entry by
+entry over all of them at once (:func:`relaysec.kernels.eve_terms`), and the
+two criteria are the same computation whenever that channel has full column
+rank.
 
 Exhaustive rules score every T-combination of the relay pool. Each candidate
 is scored under its own pair of ZF precoders (source side for phase 1,
@@ -44,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import LN2, logdet, received_grams, user_rates
+from .kernels import LN2, eve_terms, received_grams, user_rates
 from .model import ChannelRealization, ConfigError, SystemConfig, zf_core_batch
 
 
@@ -278,37 +279,17 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
     rate of user ``u`` at a receiver that sees ``V^H W``
     (:func:`relaysec.kernels.user_rates`).
 
-    With no basis it is ``-log2 det(Q_u diag(s / (lam + s)) Q_u^H)`` with
-    ``W^H W = Q diag(lam) Q^H``: one ``eigh`` per candidate, then one
-    ``N_r x N_r`` determinant per noise level.
+    With no basis it is ``-log2 det(s [(W^H W + s I)^{-1}]_uu)``, from the
+    Cholesky factors of ``W^H W + s I`` (:func:`relaysec.kernels.eve_terms`);
+    a candidate whose factorization breaks down gets +inf.
     """
-    n_t, n_r, m = config.transmit_antennas, config.user_antennas, config.num_users
+    n_r = config.user_antennas
     if basis is not None:
-        total, others, dropped = received_grams(basis.conj().T @ cs.precoders, m, n_r)
+        total, others, dropped = received_grams(basis.conj().T @ cs.precoders,
+                                                config.num_users, n_r)
         return user_rates(total, others, dropped,
                           noise.reshape(-1, *[1] * (cs.precoders.ndim - 1)))
-    lam, q = np.linalg.eigh(cs.precoders.conj().swapaxes(-1, -2) @ cs.precoders)
-    lam = np.maximum(lam, 0.0)
-    # (..., C, N_t, M * N_r * N_r): eigenvector k's outer product on user u's rows.
-    vec = np.ascontiguousarray(q.swapaxes(-1, -2)).reshape(*q.shape[:-2], n_t, m, n_r)
-    outer = (vec[..., :, None] * vec[..., None, :].conj()).reshape(*q.shape[:-2], n_t, -1)
-    outer = outer.real if n_r == 1 else outer.view(float)  # complex entries as float pairs
-    level = noise.reshape(-1, *[1] * lam.ndim)
-    ratio = level / (lam + level)
-    # sum_k ratio_k outer_k, one noise level at a time and one eigenvector at
-    # a time in order, so every level's sum is its own and no temporary
-    # outgrows one level's: the (S, ..., C, N_t, M N_r^2) product is never
-    # formed. C order keeps each float pair adjacent for the complex view.
-    mixed = np.empty(ratio.shape[:-1] + outer.shape[-1:])
-    for row, r in zip(mixed, ratio):
-        np.multiply(r[..., 0, None], outer[..., 0, :], out=row)
-        for k in range(1, n_t):
-            row += r[..., k, None] * outer[..., k, :]
-    if n_r > 1:
-        mixed = mixed.view(complex)
-    mixed = mixed.reshape(*mixed.shape[:-1], m, n_r, n_r)
-    regular, value = logdet(mixed)
-    return np.where(regular, -value / LN2, np.inf)
+    return eve_terms(cs.precoders.conj().swapaxes(-1, -2) @ cs.precoders, noise, n_r)
 
 
 def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str, noise: np.ndarray,

@@ -2,9 +2,9 @@
 
 Every function works over leading batch axes, so one call covers all
 candidates, users or receivers at once. ``criteria`` scores candidates with
-them, ``secrecy`` evaluates the picked one (``sr`` and the evaluation
-share :func:`user_rates`), and the scalar oracles in ``reference`` take
-their rates from :func:`rate_bits`.
+them (``s-sr``, and ``sr`` where it reads the same term, through
+:func:`eve_terms`), and ``secrecy`` evaluates the picked one (``sr`` and the
+evaluation share :func:`user_rates`).
 """
 
 from __future__ import annotations
@@ -91,25 +91,84 @@ def logdet(matrices: np.ndarray) -> tuple:
     return regular, value
 
 
-def rate_bits(gram_num: np.ndarray, gram_den: np.ndarray) -> np.ndarray:
-    """``log2 det(I + gram_den^{-1} gram_num)`` over batches of PSD grams.
+def _column_starts(n: int) -> list:
+    """Where column ``j`` of an ``n x n`` lower triangle's strictly lower
+    entries starts, for ``j`` in ``0..n``, when they are stored column by
+    column: entry ``(i, j)``, ``i > j``, is at ``starts[j] + i - j - 1``."""
+    return [j * n - j * (j + 1) // 2 for j in range(n + 1)]
 
-    A singular denominator yields 0 when the numerator is also negligible
-    (dead link) and +inf otherwise (unbounded ratio). A gram that is not
-    finite yields NaN: it has no rate.
+
+def cholesky_factor(grams: np.ndarray, noise) -> tuple:
+    """Cholesky factors ``L`` of ``G + s I = L L^H`` for Hermitian ``(..., n,
+    n)`` grams ``G`` at every noise power ``s`` of an ``(S,)`` grid.
+
+    The factorization runs column by column, each column a few numpy calls
+    over every gram and noise level at once. Returns ``(diag, below)``: the
+    real pivots ``l_jj``, ``(n, S, N)``, and the complex strictly lower
+    entries, ``(n(n - 1)/2, S, N)``, column by column (:func:`_column_starts`),
+    with ``N`` the grams' leading axes flattened: ``n^2`` floats per gram and
+    noise level. A pivot ``l_jj^2`` that rounds to 0 or below leaves its
+    ``l_jj`` 0 or NaN; the caller tests the pivots.
     """
-    ok_t, logdet_t = logdet(gram_den + gram_num)
-    ok_d, logdet_d = logdet(gram_den)
-    ok = ok_t & ok_d
-    if ok.all():
-        return (logdet_t - logdet_d) / LN2
-    out = np.zeros(np.shape(ok))
-    np.subtract(logdet_t, logdet_d, out=out, where=ok)
-    out /= LN2
-    num_scale = np.max(np.abs(gram_num), axis=(-2, -1))
-    den_scale = np.max(np.abs(gram_den), axis=(-2, -1))
-    dead = ~ok & (num_scale <= 1e-14 * (1.0 + den_scale))
-    out = np.where(~ok & ~dead, np.inf, out)
-    # A NaN gram fails both tests above, so it is told apart here.
-    finite = np.isfinite(gram_num).all(axis=(-2, -1)) & np.isfinite(gram_den).all(axis=(-2, -1))
-    return np.where(finite, out, np.nan)
+    n = grams.shape[-1]
+    starts = _column_starts(n)
+    g = np.ascontiguousarray(grams.reshape(-1, n, n).transpose(1, 2, 0))
+    level = np.asarray(noise, dtype=float)[:, None]
+    # The diagonal of G + s I, reduced to each pivot's square in turn.
+    diag = g[range(n), range(n), None].real + level
+    below = np.empty((starts[-1], len(level), g.shape[-1]), dtype=complex)
+    cols = [below[starts[j]:starts[j + 1]] for j in range(n)]  # cols[j] is L[j+1:, j]
+    for j, col in enumerate(cols):
+        col[...] = g[j + 1:, j, None]
+        if j < n - 1:
+            for k in range(j):
+                col -= cols[k][j - k:] * cols[k][j - k - 1].conj()
+        np.sqrt(diag[j], out=diag[j])
+        col /= diag[j]
+        squares = np.abs(col)
+        diag[j + 1:] -= np.square(squares, out=squares)
+    return diag, below
+
+
+def eve_terms(grams: np.ndarray, noise, user_antennas: int) -> np.ndarray:
+    """Every user's term ``-log2 det(s [(G + s I)^{-1}]_uu)``, ``(S, ..., M)``,
+    at every noise power ``s`` of an ``(S,)`` grid, for Hermitian ``(..., n,
+    n)`` grams ``G`` whose ``n = M N_r`` rows are the users' in turn.
+
+    With ``G + s I = L L^H`` (:func:`cholesky_factor`), ``X = L^{-1}`` is
+    formed in place of ``L``, one column at a time from the last, so ``(G +
+    s I)^{-1} = X^H X`` and user ``u``'s term is ``-N_r log2 s - log2
+    det(X_u^H X_u)``, with ``X_u`` its ``N_r`` columns of ``X``. ``s`` is
+    kept out of the determinant, whose entries near ``[G^{-1}]_uu`` stay in
+    the float range at any SNR. Where a pivot rounds to 0 or below, or is
+    not finite, every user's term is +inf.
+    """
+    n = grams.shape[-1]
+    starts = _column_starts(n)
+    level = np.asarray(noise, dtype=float)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diag, below = cholesky_factor(grams, noise)
+        regular = np.all((diag > 0) & (diag < np.inf), axis=0)
+        cols = [below[starts[j]:starts[j + 1]] for j in range(n)]
+        # X[j, j] = 1 / l_jj and X[j+1:, j] = -X[j+1:, j+1:] L[j+1:, j] / l_jj.
+        np.reciprocal(diag, out=diag)
+        for j in range(n - 2, -1, -1):
+            acc = diag[j + 1:] * cols[j]
+            for k in range(j + 1, n - 1):
+                acc[k - j:] += cols[k] * cols[j][k - j - 1]
+            np.multiply(acc, -diag[j], out=cols[j])
+        # [X^H X]_ab over the pairs a <= b of each user's columns.
+        r = user_antennas
+        gram = np.zeros((n // r, r, r) + diag.shape[1:], dtype=complex if r > 1 else float)
+        for a in range(n):
+            squares = np.abs(cols[a])
+            gram[a // r, a % r, a % r] = diag[a] ** 2 + np.sum(np.square(squares, out=squares), axis=0)
+            for b in range(a + 1, a - a % r + r):
+                cross = (cols[a][b - a - 1].conj() * diag[b]
+                         + np.sum(cols[a][b - a:].conj() * cols[b], axis=0))
+                gram[a // r, a % r, b % r] = cross
+                gram[a // r, b % r, a % r] = cross.conj()
+        del diag, below, cols  # the factor goes before the log-dets' temporaries come
+        regular_gram, value = logdet(np.moveaxis(gram, (1, 2), (-2, -1)))
+        terms = np.where(regular & regular_gram, -(r * np.log(level) + value) / LN2, np.inf)
+    return np.moveaxis(terms, 0, -1).reshape(len(level), *grams.shape[:-2], n // r)

@@ -7,9 +7,10 @@ noise ``s`` changes, and every criterion takes it from noise-free terms of
 the trial's one :class:`CandidateSet`: zero forcing makes each stream's
 received power ``P / d_l^2`` (``d`` the ZF cores' column norms), so a
 legitimate rate is ``sum_l log2(1 + P / (d_l^2 s))`` and an SINR
-``P / (d_l^2 s)``, and the eavesdropper term of ``sr`` and ``s-sr`` is a
-function of one eigendecomposition per candidate. So the SNR grid is an
-array axis rather than a loop: each criterion makes one ``select`` call
+``P / (d_l^2 s)``, and the eavesdropper term of ``sr`` and ``s-sr`` comes
+from the Cholesky factors of ``W^H W + s I``, taken entry by entry for
+every candidate and noise level at once. So the SNR grid is an array axis
+rather than a loop: each criterion makes one ``select`` call
 that scores every candidate at every grid point and takes a row-wise argmax
 (``sr`` adds one SVD of the eavesdropper stack, and reuses ``s-sr``'s
 scores when that stack has full rank). Criteria whose pick ignores the
@@ -44,12 +45,13 @@ from .criteria import CriterionKind
 from .model import ConfigError, SystemConfig, _is_integer_at_least, generate_realization
 from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 
-# Bytes a block of trials may hold in its candidate arrays, and again in its
-# s-sr sum: each trial adds six (C, N_t, N_t) complex arrays (two hop
-# channels, two cores, two precoders), and an (S, C, M, N_r, N_r) complex sum
-# over the precoders' eigenvectors (``criteria._eve_terms``) on an S-point
-# grid; the larger of the two sets the block size. A C(12, 4) pool (760 KB
-# per trial) stays one trial per block.
+# Bytes a block of trials may hold in its candidate arrays, and again in the
+# Cholesky factors of its s-sr term: each trial adds six (C, N_t, N_t) complex
+# arrays (two hop channels, two cores, two precoders), 12 N_t^2 floats a
+# candidate, and on an S-point grid one factor of W^H W + s I per candidate
+# and grid point, N_t^2 floats each (``kernels.cholesky_factor``); the larger
+# of the two sets the block size. A C(12, 4) pool (760 KB per trial) stays
+# one trial per block.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -203,8 +205,7 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
     cfg0 = spec.config
     n_combos = comb(cfg0.pool_size, cfg0.selected_relays)
     noise = cfg0.noise_powers(spec.snr_grid_db)
-    trial_bytes = 16 * n_combos * max(6 * cfg0.transmit_antennas ** 2,
-                                      len(noise) * cfg0.num_users * cfg0.user_antennas ** 2)
+    trial_bytes = 8 * n_combos * cfg0.transmit_antennas ** 2 * max(12, len(noise))
     step = max(1, BLOCK_BYTES // trial_bytes)
     n_c, n_s = len(spec.criteria), len(noise)
     samples = np.full((len(trial_indices), n_c, n_s), np.nan)

@@ -3,7 +3,8 @@
 These are the test oracles for the batched path: channel draws from one
 NumPy generator per block, a :class:`Precoder` per candidate, signals
 and covariances composed by hand, per-candidate criterion metrics
-written as plain loops, and the one-combination forms of the batched
+written as plain loops, the det-ratio rate :func:`rate_bits` behind
+:func:`gamma_rate_bits`, and the one-combination forms of the batched
 selection and secrecy evaluation. Only tests and ``relaysec verify`` use
 this module; the sweep never imports it, and the CLI imports it only to
 verify.
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .criteria import CriterionScore, _combination_table, select
-from .kernels import LN2, hermitize, rate_bits
+from .kernels import LN2, hermitize, logdet
 from .model import (
     LINK_DOMAINS,
     ZF_RESIDUAL_TOL,
@@ -271,6 +272,30 @@ def secrecy_gamma(channel: np.ndarray, cov_num: np.ndarray, cov_den: np.ndarray,
     return np.linalg.solve(gram_den, gram_num)
 
 
+def rate_bits(gram_num: np.ndarray, gram_den: np.ndarray) -> np.ndarray:
+    """``log2 det(I + gram_den^{-1} gram_num)`` over batches of PSD grams.
+
+    A singular denominator yields 0 when the numerator is also negligible
+    (dead link) and +inf otherwise (unbounded ratio). A gram that is not
+    finite yields NaN: it has no rate.
+    """
+    ok_t, logdet_t = logdet(gram_den + gram_num)
+    ok_d, logdet_d = logdet(gram_den)
+    ok = ok_t & ok_d
+    if ok.all():
+        return (logdet_t - logdet_d) / LN2
+    out = np.zeros(np.shape(ok))
+    np.subtract(logdet_t, logdet_d, out=out, where=ok)
+    out /= LN2
+    num_scale = np.max(np.abs(gram_num), axis=(-2, -1))
+    den_scale = np.max(np.abs(gram_den), axis=(-2, -1))
+    dead = ~ok & (num_scale <= 1e-14 * (1.0 + den_scale))
+    out = np.where(~ok & ~dead, np.inf, out)
+    # A NaN gram fails both tests above, so it is told apart here.
+    finite = np.isfinite(gram_num).all(axis=(-2, -1)) & np.isfinite(gram_den).all(axis=(-2, -1))
+    return np.where(finite, out, np.nan)
+
+
 def gamma_rate_bits(channel, cov_num, cov_den, noise_power: float = 0.0) -> float:
     """``log2 det(I + gamma)`` for one destination, via the stable det ratio."""
     channel = np.asarray(channel)
@@ -293,8 +318,8 @@ def ssr_eve_term(precoder: Precoder, own_user: int, noise_power: float,
     matrix however small ``s`` is, so the term keeps growing with the SNR
     (``log2(1 + 1 / s)`` a stream for a unitary precoder) where ``R``'s
     condition number has long passed the float range. This is the oracle
-    form; :func:`relaysec.criteria.select` takes the term from one
-    eigendecomposition of ``W^H W`` instead.
+    form; :func:`relaysec.criteria.select` takes the term from a Cholesky
+    factorization of ``W^H W + s I`` instead (:func:`relaysec.kernels.eve_terms`).
     """
     u_u, n_r = precoder.user_block(own_user), precoder.user_antennas
     others = np.delete(precoder.matrix, np.s_[own_user * n_r:(own_user + 1) * n_r], axis=1)

@@ -1,11 +1,15 @@
 """Kernel tests: ``logdet``'s 2x2 closed form against LAPACK's ``slogdet``,
-the rate kernel's dead-link, unbounded and NaN results on 2x2 grams, and
-the per-user rates of received blocks against closed forms at high SNR."""
+the reference rate kernel's dead-link, unbounded and NaN results on 2x2
+grams, the per-user rates of received blocks against closed forms at high
+SNR, and the Cholesky eavesdropper terms against the Woodbury oracle."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from relaysec.kernels import LN2, logdet, rate_bits, received_grams, user_rates
+from relaysec.kernels import LN2, cholesky_factor, eve_terms, logdet, received_grams, user_rates
+from relaysec.reference import rate_bits, ssr_eve_term, zf_precoder
 
 
 def complex_gaussian(rng, shape):
@@ -108,3 +112,48 @@ class TestUserRates:
         got = user_rates(*received_grams(blocks, 1, 2), s)
         lam = np.linalg.eigvalsh(blocks.conj().swapaxes(-1, -2) @ blocks)
         np.testing.assert_allclose(got[:, 0], np.log1p(lam / s).sum(axis=-1) / LN2, rtol=1e-12)
+
+
+class TestEveTerms:
+    SNR_DB = (0.0, 50.0, 100.0, 150.0, 200.0)
+
+    @pytest.mark.parametrize("n_t, n_r", [(3, 1), (4, 1), (4, 2)])
+    def test_matches_the_woodbury_oracle_up_to_200_db(self, n_t, n_r):
+        rng = np.random.default_rng(30 + n_t + n_r)
+        noise = 10.0 ** (-np.array(self.SNR_DB) / 10.0)
+        precoders = [zf_precoder(complex_gaussian(rng, (n_t, n_t)), 1.0, n_r) for _ in range(20)]
+        w = np.array([p.matrix for p in precoders])
+        got = eve_terms(w.conj().swapaxes(-1, -2) @ w, noise, n_r)
+        assert got.shape == (len(noise), len(precoders), n_t // n_r)
+        for c, pre in enumerate(precoders):
+            for s, level in enumerate(noise):
+                want = [ssr_eve_term(pre, u, level) for u in range(n_t // n_r)]
+                np.testing.assert_allclose(got[s, c], want, rtol=1e-9, atol=0)
+
+    def test_factor_rebuilds_the_noisy_gram(self):
+        a = complex_gaussian(np.random.default_rng(31), (2, 3, 4, 4))
+        grams = a.conj().swapaxes(-1, -2) @ a
+        noise = np.array([1.0, 1e-3])
+        diag, below = cholesky_factor(grams, noise)
+        assert diag.shape == (4, 2, 6) and below.shape == (6, 2, 6)
+        low = np.zeros((2, 6, 4, 4), dtype=complex)
+        low[..., range(4), range(4)] = np.moveaxis(diag, 0, -1)
+        rows, cols = np.tril_indices(4, -1)
+        order = np.lexsort((rows, cols))  # column by column
+        low[..., rows[order], cols[order]] = np.moveaxis(below, 0, -1)
+        want = grams.reshape(1, 6, 4, 4) + noise[:, None, None, None] * np.eye(4)
+        np.testing.assert_allclose(low @ low.conj().swapaxes(-1, -2), want, rtol=0, atol=1e-12)
+
+    def test_pivot_rounding_to_zero_or_below_gives_inf_without_warnings(self):
+        # At 200 dB the second pivot of G + s I for the rank-one gram of all
+        # ones is 1 + s - 1 / (1 + s), about 2 s, which rounds to 0; an
+        # indefinite "gram" gives a negative pivot and a NaN gram a NaN one.
+        # Each one's users all get +inf, never NaN, so the candidate scores
+        # -inf; the regular gram in the same batch keeps its finite terms.
+        grams = np.array([np.ones((2, 2)), [[1.0, 2.0], [2.0, 1.0]],
+                          np.full((2, 2), np.nan), np.eye(2)], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eve_terms(grams, np.array([1e-20]), 1)
+        assert np.all(got[0, :3] == np.inf)
+        np.testing.assert_allclose(got[0, 3], np.log2(1.0 + 1e20), rtol=1e-12)

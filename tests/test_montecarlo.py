@@ -9,7 +9,7 @@ import traceback
 import numpy as np
 import pytest
 
-from relaysec import criteria, montecarlo
+from relaysec import criteria, kernels, montecarlo
 from relaysec.cli import emit_csv
 from relaysec.criteria import CriterionKind
 from relaysec.model import ConfigError, SystemConfig
@@ -239,21 +239,22 @@ class TestCallsPerTrial:
 
 
 class TestBlockBytes:
-    def test_long_grid_keeps_the_ssr_sum_within_the_budget(self, monkeypatch):
-        # Two-antenna nodes on 41 points: a trial's s-sr sum, 41 * C(5, 2) * 2
-        # * 2**2 * 16 = 52480 bytes, outweighs its 15360 bytes of candidate
-        # arrays, so the grid length sets the block size.
+    def test_long_grid_keeps_the_cholesky_factors_within_the_budget(self, monkeypatch):
+        # Two-antenna nodes on 41 points: a trial's Cholesky factors of the
+        # s-sr term, 41 * C(5, 2) * 4**2 * 8 = 52480 bytes, outweigh its 15360
+        # bytes of candidate arrays, so the grid length sets the block size.
         config = pair_config(user_antennas=2, relay_antennas=2, eve_antennas=2)
         spec = small_spec(config=config, snr_grid_db=tuple(np.linspace(0.0, 200.0, 41)),
                           trials=12, criteria=("sr", "s-sr"))
         sizes = []
-        original = criteria.logdet
+        original = kernels.cholesky_factor
 
-        def measured(matrix):
-            sizes.append(matrix.nbytes)
-            return original(matrix)
+        def measured(grams, noise):
+            factor = original(grams, noise)
+            sizes.append(sum(array.nbytes for array in factor))
+            return factor
 
-        monkeypatch.setattr(criteria, "logdet", measured)
+        monkeypatch.setattr(kernels, "cholesky_factor", measured)
         result = run_sweep(spec)
         assert sizes and max(sizes) <= montecarlo.BLOCK_BYTES
         assert max(sizes) == 4 * 52480  # four trials a block
