@@ -90,6 +90,16 @@ class SweepSpec:
             raise ConfigError("snr_grid_db must not be empty")
         if not np.all(np.isfinite(self.snr_grid_db)):
             raise ConfigError(f"snr_grid_db values must be finite, got {self.snr_grid_db}")
+        # Every criterion divides by the noise power, and the eavesdropper
+        # kernel takes its logarithm.
+        try:
+            noise = self.config.noise_powers(self.snr_grid_db)
+        except OverflowError:  # 10 ** x past the float range, at a point far below 0 dB
+            noise = np.array([np.inf])
+        if not np.all((noise > 0) & (noise < np.inf)):
+            raise ConfigError(
+                f"snr_grid_db must give a positive, finite noise power at signal_power "
+                f"{self.config.signal_power}, got {self.snr_grid_db} dB")
         if not self.criteria:
             raise ConfigError("criteria must not be empty")
         if len(set(self.criteria)) != len(self.criteria):

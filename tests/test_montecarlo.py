@@ -5,6 +5,7 @@ import multiprocessing
 import signal
 import tracemalloc
 import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ class TestSpecValidation:
     def test_malformed_values_rejected_with_config_error(self, field, bad, message):
         with pytest.raises(ConfigError, match=message):
             small_spec(**{field: bad})
+
+    @pytest.mark.parametrize("grid, power", [
+        ((0.0, 1e6), 1.0),  # the noise power underflows to 0
+        ((-1e6,), 1.0),  # 10 ** 1e5 is past the float range
+        ((-400.0,), 1e300),  # the noise power overflows to inf
+    ])
+    def test_grid_without_a_positive_finite_noise_power_rejected(self, grid, power):
+        with pytest.raises(ConfigError, match="positive, finite noise power"):
+            SweepSpec(config=pair_config(signal_power=power), snr_grid_db=grid, trials=1)
+
+    def test_far_but_representable_noise_powers_run_clean(self):
+        spec = small_spec(snr_grid_db=(-330.0, 330.0, 400.0), trials=3,
+                          criteria=("sinr", "sr", "s-sr"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+        assert result.samples.shape == (3, 3, 3)
 
     def test_integral_float_count_runs(self):
         result = run_sweep(small_spec(trials=2.0, workers=1.0, criteria=("s-sr",)))
