@@ -376,8 +376,9 @@ class TestDiscardReasons:
                 assert np.array_equal(discards[reason], want), (reason, clamp)
             path = tmp_path / f"run-{clamp}.csv"
             emit_csv(result, str(path))
-            written = {(row["criterion"], float(row["snr_db"])): int(row["n_discarded"])
-                       for row in csv.DictReader(path.open())}
+            with path.open() as handle:
+                written = {(row["criterion"], float(row["snr_db"])): int(row["n_discarded"])
+                           for row in csv.DictReader(handle)}
             total = sum(discards.values())
             for c, name in enumerate(result.criteria):
                 for s, snr in enumerate(result.snr_grid_db):
