@@ -50,8 +50,9 @@ from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 # arrays (two hop channels, two cores, two precoders), 12 N_t^2 floats a
 # candidate, and on an S-point grid one factor of W^H W + s I per candidate
 # and grid point, N_t^2 floats each (``kernels.cholesky_factor``); the larger
-# of the two sets the block size. A C(12, 4) pool (760 KB per trial) stays
-# one trial per block.
+# of the two sets the block size. Temporaries come on top of both, so a
+# block peaks at a few budgets (``tests/test_montecarlo.py::TestBlockPeak``).
+# A C(12, 4) pool (760 KB per trial) stays one trial per block.
 BLOCK_BYTES = 256 * 1024
 
 
