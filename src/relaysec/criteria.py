@@ -23,9 +23,9 @@ pick does not depend on the noise level.
 Jacobi's complementary-minor identity, with ``G = A^H A``, it is
 ``-log2 det(s [(G + s I)^{-1}]_uu)`` for user ``u``: ``A = W`` for ``s-sr``,
 and ``A = V^H W`` for ``sr``, with ``V`` a basis of the row space of the
-stacked eavesdropper channel. ``s-sr`` takes it from one batched Cholesky
-factorization of ``W^H W + s I`` per candidate and noise level, run entry by
-entry over all of them at once (:func:`relaysec.kernels.eve_terms`), and the
+stacked eavesdropper channel. ``s-sr`` takes it from one Cholesky
+factorization of ``W^H W + s I`` per candidate and noise level, run column by
+column over all of them at once (:func:`relaysec.kernels.eve_terms`), and the
 two criteria are the same computation whenever that channel has full column
 rank.
 
@@ -283,10 +283,9 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
     Cholesky factors of ``W^H W + s I`` (:func:`relaysec.kernels.eve_terms`);
     a candidate whose factorization breaks down gets +inf.
     """
-    n_r = config.user_antennas
+    n_r, m = config.user_antennas, config.num_users
     if basis is not None:
-        total, others, dropped = received_grams(basis.conj().T @ cs.precoders,
-                                                config.num_users, n_r)
+        total, others, dropped = received_grams(basis.conj().T @ cs.precoders, m, n_r)
         return user_rates(total, others, dropped,
                           noise.reshape(-1, *[1] * (cs.precoders.ndim - 1)))
     return eve_terms(cs.precoders.conj().swapaxes(-1, -2) @ cs.precoders, noise, n_r)

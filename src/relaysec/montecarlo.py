@@ -8,7 +8,7 @@ the trial's one :class:`CandidateSet`: zero forcing makes each stream's
 received power ``P / d_l^2`` (``d`` the ZF cores' column norms), so a
 legitimate rate is ``sum_l log2(1 + P / (d_l^2 s))`` and an SINR
 ``P / (d_l^2 s)``, and the eavesdropper term of ``sr`` and ``s-sr`` comes
-from the Cholesky factors of ``W^H W + s I``, taken entry by entry for
+from the Cholesky factors of ``W^H W + s I``, taken column by column for
 every candidate and noise level at once. So the SNR grid is an array axis
 rather than a loop: each criterion makes one ``select`` call
 that scores every candidate at every grid point and takes a row-wise argmax
