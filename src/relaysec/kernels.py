@@ -120,7 +120,7 @@ def cholesky_factor(grams: np.ndarray, noise) -> tuple:
     cols = [below[starts[j]:starts[j + 1]] for j in range(n)]  # cols[j] is L[j+1:, j]
     for j, col in enumerate(cols):
         col[...] = g[j + 1:, j, None]
-        if j < n - 1:
+        if j < n - 1:  # the last column has nothing below its pivot
             for k in range(j):
                 col -= cols[k][j - k:] * cols[k][j - k - 1].conj()
         np.sqrt(diag[j], out=diag[j])
