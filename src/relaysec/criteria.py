@@ -142,17 +142,20 @@ class CandidateSet:
 
     Given a block of trials, :func:`prepare_candidates` puts the trial axis
     in front of every array; ``block[b]`` is trial ``b``'s set, as views.
+    :func:`select` takes the block's set whole, and gives its trials' views
+    to the criteria that pick trial by trial.
 
     Receiver noise enters no stored array. ZF makes ``H W = sqrt(P) D^{-1}``
     with ``D`` the diagonal of a core's column norms ``d``, so stream ``l``
     of either hop is received with the noise-free power ``P / d_l^2``
     (:meth:`stream_gains`) and its rate at noise power ``s`` is
     ``log2(1 + P / (d_l^2 s))`` (:func:`legit_rates`). ``s-sr``'s scores are
-    kept per grid and ``combine`` rule, for ``sr`` to reuse where its score
-    is the same. A block's views share the block's table of them: the first
-    view to ask scores every trial of the block at once, and each view reads
-    its own trial's row. Nothing here is derived from the eavesdropper
-    channels. ``config`` supplies dimensions and signal power only; the
+    kept per grid and ``combine`` rule, ``(S, B, C)`` for a block, for ``sr``
+    to reuse where its score is the same: a block's ``s-sr`` and ``sr``
+    selections are separate calls that read one table. A block's views
+    share the block's table too: the first view to ask scores every trial
+    of the block at once, and each view reads its own trial's row. Nothing
+    here is derived from the eavesdropper channels. ``config`` supplies dimensions and signal power only; the
     noise levels come from each selection.
     """
 
@@ -211,9 +214,10 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig) ->
     matrix1, core1, valid1 = zf_core_batch(hop1, config.signal_power)
     matrix2, core2, valid2 = zf_core_batch(hop2_all, config.signal_power)
     valid = valid1 & valid2
-    invalid = ~valid
-    for array in (matrix1, core1, matrix2, core2):
-        array[invalid] = np.eye(config.transmit_antennas)
+    if not valid.all():
+        invalid = ~valid
+        for array in (matrix1, core1, matrix2, core2):
+            array[invalid] = np.eye(config.transmit_antennas)
     return CandidateSet(
         config=config,
         combinations=combinations,
@@ -251,16 +255,18 @@ def _score_ssinr(cs: CandidateSet, combine: str):
     return eta1, eta2, combine_metrics(eta1, eta2, combine)
 
 
-def _eve_row_space(eve_stack: np.ndarray):
-    """Orthonormal basis ``(N_t, r)`` of the stacked eavesdropper channel's
-    row space, or None when its rank is N_t (the whole space).
+def _eve_row_spaces(eve_stacks: np.ndarray) -> tuple:
+    """Ranks ``(...)`` and right singular vectors ``vh``, ``(..., N_t,
+    N_t)``, of stacked eavesdropper channels ``(..., K*N_e, N_t)``, from
+    one SVD of them all: ``vh[..., :r, :].conj()`` transposed is an
+    orthonormal basis of a rank-``r`` stack's row space.
 
-    The rank uses ``np.linalg.matrix_rank``'s default tolerance.
+    Each rank uses ``np.linalg.matrix_rank``'s default tolerance, relative
+    to the largest singular value, which the SVD puts first.
     """
-    _, sv, vh = np.linalg.svd(eve_stack)
-    tol = sv.max(initial=0.0) * max(eve_stack.shape) * np.finfo(float).eps
-    rank = int(np.count_nonzero(sv > tol))
-    return None if rank == eve_stack.shape[1] else vh[:rank].conj().T
+    _, sv, vh = np.linalg.svd(eve_stacks)
+    tol = sv[..., :1] * max(eve_stacks.shape[-2:]) * np.finfo(float).eps
+    return (sv > tol).sum(axis=-1), vh
 
 
 def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
@@ -272,12 +278,12 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
     ``(S, ..., C, M)`` with the set's leading trial axes, if any, in place
     of ``...``, where ``U_u`` is user ``u``'s columns of the precoder ``W``
     and ``R_I`` the other users' covariance. ``s-sr`` passes no basis
-    (V = I); ``sr`` passes the basis of one trial's eavesdropper row space,
-    where the term equals ``log2 det(E (R_I + R_d + s I) E^H) / det(E (R_I
-    + s I) E^H)`` by the pseudo-determinant and Sylvester's identity, and
-    stays defined when ``E E^H`` is singular. With a basis the term is the
-    rate of user ``u`` at a receiver that sees ``V^H W``
-    (:func:`relaysec.kernels.user_rates`).
+    (V = I); ``sr`` passes the bases ``(..., N_t, r)`` of the trials'
+    eavesdropper row spaces, all of one rank ``r``, where the term equals
+    ``log2 det(E (R_I + R_d + s I) E^H) / det(E (R_I + s I) E^H)`` by the
+    pseudo-determinant and Sylvester's identity, and stays defined when
+    ``E E^H`` is singular. With a basis the term is the rate of user ``u``
+    at a receiver that sees ``V^H W`` (:func:`relaysec.kernels.user_rates`).
 
     With no basis it is ``-log2 det(s [(W^H W + s I)^{-1}]_uu)``, from the
     Cholesky factors of ``W^H W + s I`` (:func:`relaysec.kernels.eve_terms`);
@@ -285,7 +291,8 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
     """
     n_r, m = config.user_antennas, config.num_users
     if basis is not None:
-        total, others, dropped = received_grams(basis.conj().T @ cs.precoders, m, n_r)
+        rows = basis.conj().swapaxes(-1, -2)[..., None, :, :]  # V^H, against every candidate
+        total, others, dropped = received_grams(rows @ cs.precoders, m, n_r)
         return user_rates(total, others, dropped,
                           noise.reshape(-1, *[1] * (cs.precoders.ndim - 1)))
     return eve_terms(cs.precoders.conj().swapaxes(-1, -2) @ cs.precoders, noise, n_r)
@@ -310,31 +317,68 @@ def _grid(config: SystemConfig, noise) -> np.ndarray:
     return np.array([config.noise_power]) if noise is None else np.asarray(noise, dtype=float)
 
 
+def _ssr_scores(cs: CandidateSet, config: SystemConfig, combine: str,
+                grid: np.ndarray) -> tuple:
+    """``s-sr``'s ``(eta1, eta2, combined)``, ``(S, ..., C)``, from the table
+    a trial's view shares with its block: the first call per grid and
+    combine rule scores every trial of the block."""
+    block, trial = cs._view_of or (cs, slice(None))
+    key = (grid.tobytes(), combine)
+    table = cs._ssr.get(key)
+    if table is None:
+        table = cs._ssr[key] = _score_secrecy(block, config, combine, grid, None)
+    return tuple(a[:, trial] for a in table)
+
+
+def _sr_scores(realization: ChannelRealization, cs: CandidateSet, config: SystemConfig,
+               combine: str, grid: np.ndarray) -> tuple:
+    """``sr``'s ``(eta1, eta2, combined)``, ``(S, ..., C)``, for one trial or
+    a block of them.
+
+    One SVD takes every trial's eavesdropper stack (:func:`_eve_row_spaces`).
+    A trial whose stack has rank N_t reads ``s-sr``'s table; the others are
+    grouped by rank, and each group is scored by one :func:`_score_secrecy`
+    call on its stacked bases.
+    """
+    ranks, vh = _eve_row_spaces(realization.stacked_eve_channel())
+    n_t = vh.shape[-1]
+    rank = ranks.flat[0]
+    if np.all(ranks == rank):  # one trial, or a block whose trials share one rank
+        if rank == n_t:
+            return _ssr_scores(cs, config, combine, grid)
+        return _score_secrecy(cs, config, combine, grid,
+                              vh[..., :rank, :].conj().swapaxes(-1, -2))
+    scores = tuple(np.empty((len(grid), *cs.valid.shape)) for _ in range(3))
+    for rank in np.unique(ranks):
+        trials = np.flatnonzero(ranks == rank)
+        if rank == n_t:
+            group = tuple(a[:, trials] for a in _ssr_scores(cs, config, combine, grid))
+        else:
+            group = _score_secrecy(cs[trials], config, combine, grid,
+                                   vh[trials, :rank].conj().swapaxes(-1, -2))
+        for whole, rows in zip(scores, group):
+            whole[:, trials] = rows
+    return scores
+
+
 def _grid_scores(kind: CriterionKind, realization: ChannelRealization, cs: CandidateSet,
                  config: SystemConfig, combine: str, grid: np.ndarray) -> tuple:
-    """``(eta1, eta2, combined)``, each ``(S, C)`` with row ``s`` at noise
-    power ``grid[s]``, and the ranking whose row-wise argmax is the pick:
-    ``combined`` itself, or for ``sinr`` and ``s-sinr``, whose picks do not
-    depend on the noise level, their one noise-free row."""
+    """``(eta1, eta2, combined)``, each ``(S, ..., C)`` with row ``s`` at
+    noise power ``grid[s]`` and a block's trial axis, if any, in place of
+    ``...``, and the ranking whose row-wise argmax is the pick: ``combined``
+    itself, or for ``sinr`` and ``s-sinr``, whose picks do not depend on the
+    noise level, their one noise-free row. ``sinr`` and ``s-sinr`` take one
+    trial."""
     if kind is CriterionKind.SINR:
         free = _score_sinr(cs, config, combine)
         return tuple(a / grid[:, None] for a in free), free[2][None]
     if kind is CriterionKind.S_SINR:
         free = _score_ssinr(cs, combine)
         return tuple(np.broadcast_to(a, (len(grid), len(a))) for a in free), free[2][None]
-    basis = (_eve_row_space(realization.stacked_eve_channel())
-             if kind is CriterionKind.SECRECY_RATE else None)
-    if basis is not None:
-        scores = _score_secrecy(cs, config, combine, grid, basis)
+    if kind is CriterionKind.SECRECY_RATE:
+        scores = _sr_scores(realization, cs, config, combine, grid)
     else:
-        # s-sr's table, which a trial's view shares with its block: the first
-        # call per grid and combine rule scores every trial of the block.
-        block, trial = cs._view_of or (cs, slice(None))
-        key = (grid.tobytes(), combine)
-        table = cs._ssr.get(key)
-        if table is None:
-            table = cs._ssr[key] = _score_secrecy(block, config, combine, grid, None)
-        scores = tuple(a[:, trial] for a in table)
+        scores = _ssr_scores(cs, config, combine, grid)
     return scores, scores[2]
 
 
@@ -355,6 +399,11 @@ def score_candidates(kind: CriterionKind, realization: ChannelRealization,
     of a block, for the whole block; ``sr`` returns the same arrays when the
     stacked eavesdropper channel has rank N_t, where its score is
     ``s-sr``'s. The returned arrays are read-only.
+
+    ``sr`` and ``s-sr`` also take a block of trials whole, and return
+    ``(S, B, C)`` arrays: ``sr`` takes one SVD of the block's eavesdropper
+    stacks and scores its rank-deficient trials one rank at a time
+    (:func:`_sr_scores`). ``sinr`` and ``s-sinr`` take one trial.
     """
     if kind not in EXHAUSTIVE_KINDS:
         raise ValueError(f"{kind.value} does not score the full candidate list")
@@ -366,19 +415,24 @@ def score_candidates(kind: CriterionKind, realization: ChannelRealization,
 
 
 def _pick_best(eta1, eta2, combined, ranking) -> tuple:
-    """Row-wise pick from ``(S, C)`` scores: ``(positions, CriterionScore)``.
+    """Row-wise pick from ``(S, C)`` scores, or a block's ``(S, B, C)``:
+    ``(positions, CriterionScore)``, each ``(S,)``, or ``(B, S)`` for a block.
 
-    The pick is the argmax of each row of ``ranking``, ``(S, C)`` or one
-    ``(1, C)`` row for every point. ``np.argmax`` keeps the first maximum,
-    the candidate that enumerates first; a row whose picked score is not
-    finite picks -1 with NaN scores.
+    The pick is the argmax of each row of ``ranking``, ``combined`` itself or
+    one ``(1, C)`` row for every point. ``np.argmax`` keeps the first
+    maximum, the candidate that enumerates first; a row whose picked score
+    is not finite picks -1 with NaN scores.
     """
+    shape = combined.shape[:-1]
+    if len(shape) > 1:  # a block: one row per (point, trial)
+        eta1, eta2, combined, ranking = (a.reshape(-1, a.shape[-1])
+                                         for a in (eta1, eta2, combined, ranking))
     rows = np.arange(len(combined))
     best = np.broadcast_to(np.argmax(ranking, axis=1), rows.shape)
     viable = np.isfinite(combined[rows, best])
-    score = CriterionScore(*(np.where(viable, a[rows, best], np.nan)
+    score = CriterionScore(*(np.where(viable, a[rows, best], np.nan).reshape(shape).T
                              for a in (eta1, eta2, combined)))
-    return np.where(viable, best, -1), score
+    return np.where(viable, best, -1).reshape(shape).T, score
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +509,14 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
     ``config``'s noise level; :func:`relaysec.reference.select_one` is that
     call as one combination, for the tests.
 
+    Given a block of trials (what :func:`relaysec.model.generate_realization`
+    and :func:`prepare_candidates` return for a sequence of them), every
+    array is ``(B, S)``, row ``b`` byte for byte trial ``b``'s pick alone.
+    ``s-sr`` takes one row-wise argmax over the block's table of scores, and
+    ``sr`` reads the same table for every trial whose eavesdropper stack has
+    rank N_t, after one SVD of the block's stacks (:func:`_sr_scores`). The
+    other four criteria pick trial by trial.
+
     Only ``sr`` and ``max-ratio`` see the eavesdropper channels; every other
     criterion gets ``realization.without_eavesdroppers()``, so it cannot read
     them. The exhaustive criteria score every candidate of ``candidates``
@@ -469,12 +531,31 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
     if kind not in (CriterionKind.SECRECY_RATE, CriterionKind.MAX_RATIO):
         realization = realization.without_eavesdroppers()
     grid = _grid(config, noise)
+    if candidates is None and kind in EXHAUSTIVE_KINDS:
+        candidates = prepare_candidates(realization, config)
+    one_trial = realization.source_to_relay.ndim == 3  # (P, N_i, N_t)
+    if one_trial or kind in (CriterionKind.SECRECY_RATE, CriterionKind.S_SR):
+        return _select_trials(kind, realization, config, candidates, combine, grid)
+    n_b = len(realization.source_to_relay)
+    positions = np.empty((n_b, len(grid)), dtype=np.intp)
+    score = CriterionScore(*(np.empty((n_b, len(grid))) for _ in range(3)))
+    for b in range(n_b):
+        positions[b], one = _select_trials(
+            kind, realization[b], config, candidates[b] if kind in EXHAUSTIVE_KINDS else None,
+            combine, grid)
+        score.eta1[b], score.eta2[b], score.combined[b] = one.eta1, one.eta2, one.combined
+    return positions, score
+
+
+def _select_trials(kind: CriterionKind, realization: ChannelRealization, config: SystemConfig,
+                   cs: CandidateSet | None, combine: str, grid: np.ndarray) -> tuple:
+    """:func:`select` on a realization already stripped for ``kind``: one
+    trial, or for ``sr`` and ``s-sr`` a block."""
     if kind not in EXHAUSTIVE_KINDS:
         greedy = channel_gain_select if kind is CriterionKind.CHANNEL_GAIN else max_ratio_select
         combo, score = greedy(realization, config, combine)
         row = _combination_table(config.pool_size, config.selected_relays)[2][combo]
         return np.full(len(grid), row), CriterionScore(
             *(np.full(len(grid), a) for a in (score.eta1, score.eta2, score.combined)))
-    cs = candidates if candidates is not None else prepare_candidates(realization, config)
     scores, ranking = _grid_scores(kind, realization, cs, config, combine, grid)
     return _pick_best(*scores, ranking)

@@ -181,9 +181,9 @@ class ChannelRealization:
 
     A block of trials (:func:`generate_realization` given a trial array)
     puts a leading trial axis on every array; ``block[b]`` is trial ``b``'s
-    realization, and the two legitimate-hop accessors keep the trial axis
-    in front. :meth:`stacked_eve_channel` takes one trial, and
-    :meth:`relay_eve_channels` a block with each row's trial.
+    realization, and the two legitimate-hop accessors and
+    :meth:`stacked_eve_channel` keep the trial axis in front;
+    :meth:`relay_eve_channels` takes a block with each row's trial.
     """
 
     source_to_relay: np.ndarray
@@ -230,9 +230,11 @@ class ChannelRealization:
             )
 
     def stacked_eve_channel(self) -> np.ndarray:
-        """All eavesdropper source-side blocks stacked row-wise, (K*N_e, N_t)."""
+        """All eavesdropper source-side blocks stacked row-wise,
+        ``(..., K*N_e, N_t)``, behind a block's trial axis."""
         self._require_eves()
-        return self.source_to_eve.reshape(-1, self.source_to_eve.shape[-1])
+        eves = self.source_to_eve
+        return eves.reshape(*eves.shape[:-3], -1, eves.shape[-1])
 
     def relay_eve_channels(self, combination, trials) -> np.ndarray:
         """Second-hop leakage channels of every eavesdropper on a block of

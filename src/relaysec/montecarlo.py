@@ -10,22 +10,22 @@ legitimate rate is ``sum_l log2(1 + P / (d_l^2 s))`` and an SINR
 ``P / (d_l^2 s)``, and the eavesdropper term of ``sr`` and ``s-sr`` comes
 from the Cholesky factors of ``W^H W + s I``, taken column by column for
 every candidate and noise level at once. So the SNR grid is an array axis
-rather than a loop: each criterion makes one ``select`` call
-that scores every candidate at every grid point and takes a row-wise argmax
-(``sr`` adds one SVD of the eavesdropper stack, and reuses ``s-sr``'s
-scores when that stack has full rank). Criteria whose pick ignores the
-noise level return the same row at every point. The draws and the ZF cores
-are built for a block of trials at a time (:func:`_run_trials`), and the
-trials' candidate sets are views of the block's, which share its ``s-sr``
-score table: the block's first ``s-sr`` (or full-rank ``sr``) selection
-scores every trial of the block in one pass, and each later one reads its
-trial's row. The distinct (trial, candidate, SNR point) triples that the
-criteria picked in the block are then evaluated by one ``secrecy_rate``
-call, and each sample is gathered from it, with the reason for every
-discard counted. With several workers the trials are cut into contiguous
-chunks: this process runs the first, and one child process started for the
-sweep runs each of the others and sends its result back over a pipe
-(:func:`run_sweep`). Results are bit-identical for a given spec regardless
+rather than a loop, and so is the trial axis of a block: the draws and the
+ZF cores are built for a block of trials at a time (:func:`_run_trials`),
+and each criterion makes one ``select`` call per block. ``s-sr`` scores
+every candidate of every trial of the block at every grid point in one
+pass and takes a row-wise argmax over that table. ``sr`` reads the same
+table for each trial whose stacked eavesdropper channel has full rank,
+after one SVD of all the block's stacks, and scores the other trials on
+their row-space bases, one pass per rank. The other four criteria pick
+trial by trial inside that call, and those whose pick ignores the noise
+level return the same row at every point. The distinct (trial, candidate,
+SNR point) triples that the criteria picked in the block are then evaluated
+by one ``secrecy_rate`` call, and each sample is gathered from it, with the
+reason for every discard counted. With several workers the trials are cut
+into contiguous chunks: this process runs the first, and one child process
+started for the sweep runs each of the others and sends its result back
+over a pipe (:func:`run_sweep`). Results are bit-identical for a given spec regardless
 of the worker count and block size, because trials are keyed, independent
 work units and the reduction runs in fixed trial order.
 """
@@ -54,6 +54,12 @@ from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 # block peaks at a few budgets (``tests/test_montecarlo.py::TestBlockPeak``).
 # A C(12, 4) pool (760 KB per trial) stays one trial per block.
 BLOCK_BYTES = 256 * 1024
+
+# Largest candidate arrays one trial may need, the six (C, N_t, N_t) complex
+# arrays above: 64 MiB, 88 times a C(12, 4) pool's. A block of one trial peaks
+# at a few times its arrays (``TestBlockPeak``), so a trial at the cap needs
+# a few hundred MB; C(24, 6) single-antenna relays (0.47 GB) are over it.
+TRIAL_BYTES_CAP = 64 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,14 @@ class SweepSpec:
         if self.eve_aggregate not in EVE_AGGREGATES:
             raise ConfigError(f"eve_aggregate must be one of {EVE_AGGREGATES}, "
                               f"got {self.eve_aggregate!r}")
+        # Checked by arithmetic, before any candidate is enumerated.
+        cfg = self.config
+        trial_bytes = 6 * 16 * comb(cfg.pool_size, cfg.selected_relays) * cfg.transmit_antennas ** 2
+        if trial_bytes > TRIAL_BYTES_CAP:
+            raise ConfigError(
+                f"choosing {cfg.selected_relays} of {cfg.pool_size} relays needs "
+                f"{trial_bytes / 2 ** 20:.4g} MiB of candidate arrays a trial, over the "
+                f"{TRIAL_BYTES_CAP // 2 ** 20} MiB cap")
         multi = (self.config.relay_antennas, self.config.user_antennas,
                  self.config.eve_antennas) != (1, 1, 1)
         if CriterionKind.MAX_RATIO in self.criteria and multi:
@@ -200,12 +214,12 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
 
     The trials go in blocks of as many as fit ``BLOCK_BYTES``, at least
     one: one ``generate_realization`` and one ``prepare_candidates`` call
-    per block, then, per trial, one ``select`` per criterion on that trial's
-    views, and one ``secrecy_rate`` call for the distinct (trial, candidate,
-    SNR point) triples the block's criteria picked. Every draw, core and
-    rate is byte for byte the one its trial gets alone, so the results do
-    not depend on the block size or on how the trials are split between
-    workers.
+    per block, then one ``select`` call per criterion on the whole block
+    (``sr``'s with one SVD of the block's eavesdropper stacks), and one
+    ``secrecy_rate`` call for the distinct (trial, candidate, SNR point)
+    triples the block's criteria picked. Every draw, core, pick and rate is
+    byte for byte the one its trial gets alone, so the results do not depend
+    on the block size or on how the trials are split between workers.
 
     Returns ``(samples, selections, discards)``: the first two are
     ``(criteria, SNR points, trials)`` arrays, and ``discards`` maps each
@@ -228,11 +242,9 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
         candidates = crit.prepare_candidates(realizations, cfg0)
         n_b = len(candidates.valid)
         picks = np.empty((n_b, n_c, n_s), dtype=np.intp)
-        for b in range(n_b):
-            realization, cands = realizations[b], candidates[b]
-            for c, kind in enumerate(spec.criteria):
-                picks[b, c] = crit.select(kind, realization, cfg0, candidates=cands,
-                                          combine=spec.combine, noise=noise)[0]
+        for c, kind in enumerate(spec.criteria):
+            picks[:, c] = crit.select(kind, realizations, cfg0, candidates=candidates,
+                                      combine=spec.combine, noise=noise)[0]
         trial = np.broadcast_to(np.arange(n_b)[:, None, None], picks.shape)
         point = np.broadcast_to(np.arange(n_s), picks.shape)
         viable = picks >= 0

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from relaysec import criteria
 from relaysec.criteria import (
     CRITERION_NAMES,
     CriterionKind,
@@ -612,6 +613,60 @@ class TestOneShape:
             assert np.all(np.isnan(array))
         with pytest.raises(NoViableCandidateError):
             select_one(kind, real, cfg)
+
+
+class TestBlockSelect:
+    """A block of trials in one call gives each trial's pick alone, byte for byte."""
+
+    GRID = (0.0, 10.0, 20.0, 100.0, 200.0)
+
+    @pytest.mark.parametrize("dims, rank_one, ranks", [
+        # K N_e = N_t: trials 1 and 4 rank one, the rest full rank.
+        (dict(), (1, 4), {1, 2}),
+        (dict(user_antennas=2, relay_antennas=2, eve_antennas=2), (0, 3), {1, 4}),
+        # K N_e < N_t: generic rank 2 and rank one, neither the full space.
+        (dict(user_antennas=2, relay_antennas=2, num_eves=1, eve_antennas=2), (2,), {1, 2}),
+        # fig3-rank: one eavesdropper antenna, every trial one group of rank 1.
+        (dict(num_eves=1), (), {1}),
+    ], ids=["single-antenna", "mimo", "below-n_t", "fig3-rank"])
+    @pytest.mark.parametrize("combine", ["min", "sum"])
+    def test_block_select_equals_each_trial_alone(self, monkeypatch, dims, rank_one, ranks,
+                                                  combine):
+        cfg = single_antenna_config(**dims)
+        block = generate_realization(cfg, trial=range(20, 26))
+        for b in rank_one:
+            eves = block.source_to_eve[b]
+            eves[:] = eves[0, 0] * np.arange(1, cfg.num_eves * cfg.eve_antennas + 1).reshape(
+                cfg.num_eves, cfg.eve_antennas, 1)
+        stacks = block.stacked_eve_channel()
+        assert {int(np.linalg.matrix_rank(stack)) for stack in stacks} == ranks
+        noise = cfg.noise_powers(self.GRID)
+        single = (cfg.relay_antennas, cfg.user_antennas, cfg.eve_antennas) == (1, 1, 1)
+        kinds = [k for k in CRITERION_NAMES if k != "max-ratio" or single]
+        for kind in kinds:
+            cands = prepare_candidates(block, cfg)
+            scored = []
+            original = criteria._score_secrecy
+
+            def counted(*args, **kwargs):
+                scored.append(1)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(criteria, "_score_secrecy", counted)
+            positions, score = select(kind, block, cfg, candidates=cands, combine=combine,
+                                      noise=noise)
+            monkeypatch.setattr(criteria, "_score_secrecy", original)
+            if kind == "sr":  # s-sr's table, if a trial has full rank, and one call a rank
+                assert len(scored) == len(ranks)
+            assert positions.shape == (len(stacks), len(self.GRID))
+            for b in range(len(stacks)):
+                want = select(kind, block[b], cfg, candidates=prepare_candidates(block[b], cfg),
+                              combine=combine, noise=noise)
+                assert positions[b].tobytes() == want[0].tobytes(), (kind, b)
+                for name in ("eta1", "eta2", "combined"):
+                    got = getattr(score, name)
+                    assert got.shape == positions.shape
+                    assert got[b].tobytes() == getattr(want[1], name).tobytes(), (kind, b, name)
 
 
 def scalar_scores(kind, real, cfg):

@@ -1,6 +1,7 @@
 """Sweep engine tests: reproducibility, pairing, aggregation statistics."""
 
 import csv
+import math
 import multiprocessing
 import signal
 import tracemalloc
@@ -81,6 +82,30 @@ class TestSpecValidation:
             warnings.simplefilter("error")
             result = run_sweep(spec)
         assert result.samples.shape == (3, 3, 3)
+
+    @pytest.mark.parametrize("pool, select, within", [
+        (40, 8, False),  # 76.9e6 candidates, 473 GB a trial
+        (24, 6, False),  # 0.47 GB a trial
+        (12, 4, True),  # pool12-select4: 0.76 MB a trial
+    ])
+    def test_candidate_bytes_a_trial_are_capped_before_anything_is_allocated(
+            self, pool, select, within):
+        config = SystemConfig(num_users=select, user_antennas=1, relay_antennas=1,
+                              pool_size=pool, selected_relays=select, num_eves=4,
+                              eve_antennas=1, seed=0)
+        assert (6 * 16 * math.comb(pool, select) * select ** 2
+                <= montecarlo.TRIAL_BYTES_CAP) == within
+        tracemalloc.start()
+        try:
+            if within:
+                SweepSpec(config=config, snr_grid_db=(0.0,), trials=1)
+            else:
+                with pytest.raises(ConfigError, match=f"choosing {select} of {pool} relays"):
+                    SweepSpec(config=config, snr_grid_db=(0.0,), trials=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_integral_float_count_runs(self):
         result = run_sweep(small_spec(trials=2.0, workers=1.0, criteria=("s-sr",)))
@@ -251,7 +276,7 @@ class TestCallsPerTrial:
         result = run_sweep(spec)
         assert calls.count("generate_realization") == blocks
         assert calls.count("prepare_candidates") == blocks
-        assert calls.count("select") == 5 * len(kinds)
+        assert calls.count("select") == blocks * len(kinds)
         assert calls.count("secrecy_rate") == blocks
         assert np.all(result.n_discarded == 0)
 
@@ -286,10 +311,13 @@ class TestBlockPeak:
     # The traced peak of one block of _run_trials, in BLOCK_BYTES: the
     # budget scales a block's memory without bounding it, since it counts
     # only the largest arrays. Before this bound was fixed, the peaks read
-    # 6.8, 3.8, 5.6 and 2.5 budgets on these shapes, in order.
+    # 6.8, 3.8, 5.6 and 2.5 budgets on the fig2-single, fig5-relays-mimo,
+    # pool12-select4 and fig5-101-points shapes; the fig3-rank block, whose
+    # sr takes every trial's eavesdropper basis, read 4.9 when it was added.
     PEAK_BUDGETS = 8
     FIG2 = dict(num_users=2, user_antennas=1, relay_antennas=1, pool_size=5,
                 selected_relays=2, num_eves=2, eve_antennas=1)
+    FIG3 = dict(FIG2, num_eves=1)
     FIG5 = dict(num_users=2, user_antennas=2, relay_antennas=2, pool_size=7,
                 selected_relays=2, num_eves=2, eve_antennas=2)
     POOL12 = dict(num_users=4, user_antennas=1, relay_antennas=1, pool_size=12,
@@ -298,10 +326,12 @@ class TestBlockPeak:
 
     @pytest.mark.parametrize("dims, grid, kinds, block", [
         (FIG2, PRESET_GRID, ("channel-gain", "max-ratio", "sinr", "sr", "s-sinr", "s-sr"), 68),
+        (FIG3, PRESET_GRID, ("channel-gain", "sr", "s-sinr", "s-sr"), 68),
         (FIG5, PRESET_GRID, ("channel-gain", "s-sinr", "s-sr"), 8),
         (POOL12, (0, 10, 20), ("channel-gain", "s-sinr", "sr", "s-sr"), 1),
         (FIG5, tuple(range(0, 201, 2)), ("channel-gain", "s-sinr", "s-sr"), 1),
-    ], ids=["fig2-single", "fig5-relays-mimo", "pool12-select4", "fig5-101-points"])
+    ], ids=["fig2-single", "fig3-rank", "fig5-relays-mimo", "pool12-select4",
+            "fig5-101-points"])
     def test_one_block_peaks_within_a_fixed_multiple_of_the_budget(
             self, monkeypatch, dims, grid, kinds, block):
         spec = SweepSpec(config=SystemConfig(seed=11, **dims), snr_grid_db=grid,
