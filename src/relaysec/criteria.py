@@ -84,7 +84,8 @@ EXHAUSTIVE_KINDS = (
 @dataclass(frozen=True)
 class CriterionScore:
     """Hop metrics of a pick and their combined value: ``(S,)`` arrays from
-    :func:`select`, floats from the one-combination forms."""
+    :func:`select`, ``(B, S)`` for a block of trials, floats from the
+    one-combination forms."""
 
     eta1: np.ndarray | float
     eta2: np.ndarray | float
