@@ -156,8 +156,9 @@ class CandidateSet:
     selections are separate calls that read one table. A block's views
     share the block's table too: the first view to ask scores every trial
     of the block at once, and each view reads its own trial's row. Nothing
-    here is derived from the eavesdropper channels. ``config`` supplies dimensions and signal power only; the
-    noise levels come from each selection.
+    here is derived from the eavesdropper channels. ``config`` supplies
+    dimensions and signal power only; the noise levels come from each
+    selection.
     """
 
     config: SystemConfig

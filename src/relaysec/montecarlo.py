@@ -25,9 +25,9 @@ by one ``secrecy_rate`` call, and each sample is gathered from it, with the
 reason for every discard counted. With several workers the trials are cut
 into contiguous chunks: this process runs the first, and one child process
 started for the sweep runs each of the others and sends its result back
-over a pipe (:func:`run_sweep`). Results are bit-identical for a given spec regardless
-of the worker count and block size, because trials are keyed, independent
-work units and the reduction runs in fixed trial order.
+over a pipe (:func:`run_sweep`). Results are bit-identical for a given spec
+regardless of the worker count and block size, because trials are keyed,
+independent work units and the reduction runs in fixed trial order.
 """
 
 from __future__ import annotations
@@ -124,9 +124,10 @@ class SweepSpec:
         if self.eve_aggregate not in EVE_AGGREGATES:
             raise ConfigError(f"eve_aggregate must be one of {EVE_AGGREGATES}, "
                               f"got {self.eve_aggregate!r}")
-        # Checked by arithmetic, before any candidate is enumerated.
+        # Six complex (C, N_t, N_t) arrays, 96 bytes an entry, checked before any
+        # candidate is enumerated.
         cfg = self.config
-        trial_bytes = 6 * 16 * comb(cfg.pool_size, cfg.selected_relays) * cfg.transmit_antennas ** 2
+        trial_bytes = 96 * comb(cfg.pool_size, cfg.selected_relays) * cfg.transmit_antennas ** 2
         if trial_bytes > TRIAL_BYTES_CAP:
             raise ConfigError(
                 f"choosing {cfg.selected_relays} of {cfg.pool_size} relays needs "

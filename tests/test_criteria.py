@@ -643,19 +643,19 @@ class TestBlockSelect:
         noise = cfg.noise_powers(self.GRID)
         single = (cfg.relay_antennas, cfg.user_antennas, cfg.eve_antennas) == (1, 1, 1)
         kinds = [k for k in CRITERION_NAMES if k != "max-ratio" or single]
+        scored = []
+        original = criteria._score_secrecy
+
+        def counted(*args, **kwargs):
+            scored.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, "_score_secrecy", counted)
         for kind in kinds:
             cands = prepare_candidates(block, cfg)
-            scored = []
-            original = criteria._score_secrecy
-
-            def counted(*args, **kwargs):
-                scored.append(1)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(criteria, "_score_secrecy", counted)
+            scored.clear()
             positions, score = select(kind, block, cfg, candidates=cands, combine=combine,
                                       noise=noise)
-            monkeypatch.setattr(criteria, "_score_secrecy", original)
             if kind == "sr":  # s-sr's table, if a trial has full rank, and one call a rank
                 assert len(scored) == len(ranks)
             assert positions.shape == (len(stacks), len(self.GRID))
