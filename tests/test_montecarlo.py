@@ -313,7 +313,8 @@ class TestBlockPeak:
     # only the largest arrays. Before this bound was fixed, the peaks read
     # 6.8, 3.8, 5.6 and 2.5 budgets on the fig2-single, fig5-relays-mimo,
     # pool12-select4 and fig5-101-points shapes; the fig3-rank block, whose
-    # sr takes every trial's eavesdropper basis, read 4.9 when it was added.
+    # sr takes every trial's eavesdropper basis, read 4.9 per trial and 5.1
+    # with sr scored per block, when it was added.
     PEAK_BUDGETS = 8
     FIG2 = dict(num_users=2, user_antennas=1, relay_antennas=1, pool_size=5,
                 selected_relays=2, num_eves=2, eve_antennas=1)
