@@ -98,6 +98,16 @@ def _column_starts(n: int) -> list:
     return [j * n - j * (j + 1) // 2 for j in range(n + 1)]
 
 
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, one row after another. ``np.sum`` sums a
+    lone column pairwise instead, so its bits would depend on how many
+    candidates and noise levels share the call."""
+    total = np.zeros(rows.shape[1:], dtype=rows.dtype)
+    for row in rows:
+        total += row
+    return total
+
+
 def cholesky_factor(grams: np.ndarray, noise) -> tuple:
     """Cholesky factors ``L`` of ``G + s I = L L^H`` for Hermitian ``(..., n,
     n)`` grams ``G`` at every noise power ``s`` of an ``(S,)`` grid.
@@ -108,7 +118,8 @@ def cholesky_factor(grams: np.ndarray, noise) -> tuple:
     entries, ``(n(n - 1)/2, S, N)``, column by column (:func:`_column_starts`),
     with ``N`` the grams' leading axes flattened: ``n^2`` floats per gram and
     noise level. A pivot ``l_jj^2`` that rounds to 0 or below leaves its
-    ``l_jj`` 0 or NaN; the caller tests the pivots.
+    ``l_jj`` 0 or NaN; the caller tests the pivots. A gram's factor at one
+    noise level has the same bits whatever else shares the call.
     """
     n = grams.shape[-1]
     starts = _column_starts(n)
@@ -121,8 +132,11 @@ def cholesky_factor(grams: np.ndarray, noise) -> tuple:
     for j, col in enumerate(cols):
         col[...] = g[j + 1:, j, None]
         if j < n - 1:  # the last column has nothing below its pivot
+            # Each product takes a one-row slice, not an index: numpy rounds
+            # a broadcast product of one element without FMA, and every
+            # larger one with it.
             for k in range(j):
-                col -= cols[k][j - k:] * cols[k][j - k - 1].conj()
+                col -= cols[k][j - k:] * cols[k][j - k - 1:j - k].conj()
         np.sqrt(diag[j], out=diag[j])
         col /= diag[j]
         squares = np.abs(col)
@@ -141,7 +155,8 @@ def eve_terms(grams: np.ndarray, noise, user_antennas: int) -> np.ndarray:
     det(X_u^H X_u)``, with ``X_u`` its ``N_r`` columns of ``X``. ``s`` is
     kept out of the determinant, whose entries near ``[G^{-1}]_uu`` stay in
     the float range at any SNR. Where a pivot rounds to 0 or below, or is
-    not finite, every user's term is +inf.
+    not finite, every user's term is +inf. As with the factor, a gram's
+    terms at one noise level do not depend on the rest of the call.
     """
     n = grams.shape[-1]
     starts = _column_starts(n)
@@ -154,18 +169,18 @@ def eve_terms(grams: np.ndarray, noise, user_antennas: int) -> np.ndarray:
         np.reciprocal(diag, out=diag)
         for j in range(n - 2, -1, -1):
             acc = diag[j + 1:] * cols[j]
-            for k in range(j + 1, n - 1):
-                acc[k - j:] += cols[k] * cols[j][k - j - 1]
+            for k in range(j + 1, n - 1):  # one-row slices, as in the factor
+                acc[k - j:] += cols[k] * cols[j][k - j - 1:k - j]
             np.multiply(acc, -diag[j], out=cols[j])
         # [X^H X]_ab over the pairs a <= b of each user's columns.
         r = user_antennas
         gram = np.zeros((n // r, r, r) + diag.shape[1:], dtype=complex if r > 1 else float)
         for a in range(n):
             squares = np.abs(cols[a])
-            gram[a // r, a % r, a % r] = diag[a] ** 2 + np.sum(np.square(squares, out=squares), axis=0)
+            gram[a // r, a % r, a % r] = diag[a] ** 2 + _row_sum(np.square(squares, out=squares))
             for b in range(a + 1, a - a % r + r):
                 cross = (cols[a][b - a - 1].conj() * diag[b]
-                         + np.sum(cols[a][b - a:].conj() * cols[b], axis=0))
+                         + _row_sum(cols[a][b - a:].conj() * cols[b]))
                 gram[a // r, a % r, b % r] = cross
                 gram[a // r, b % r, a % r] = cross.conj()
         del diag, below, cols  # the factor goes before the log-dets' temporaries come
