@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import LN2, eve_terms, received_grams, user_rates
-from .model import ChannelRealization, ConfigError, SystemConfig, zf_core_batch
+from .model import ChannelRealization, ConfigError, SystemConfig, _side_by_side, zf_core_batch
 
 
 class NotSingleAntennaError(ValueError):
@@ -144,7 +144,7 @@ class CandidateSet:
     Given a block of trials, :func:`prepare_candidates` puts the trial axis
     in front of every array; ``block[b]`` is trial ``b``'s set, as views.
     :func:`select` takes the block's set whole, and gives its trials' views
-    to the criteria that pick trial by trial.
+    to ``sinr``, which picks trial by trial.
 
     Receiver noise enters no stored array. ZF makes ``H W = sqrt(P) D^{-1}``
     with ``D`` the diagonal of a core's column norms ``d``, so stream ``l``
@@ -249,11 +249,23 @@ def _score_sinr(cs: CandidateSet, config: SystemConfig, combine: str):
     return eta1, eta2, np.where(cs.valid, combine_metrics(eta1, eta2, combine), -np.inf)
 
 
-def _score_ssinr(cs: CandidateSet, combine: str):
-    # Channel-norm metrics only: no noise level, and precoder validity does
-    # not constrain them.
-    eta1 = np.min(np.sum(np.abs(cs.hop1) ** 2, axis=2), axis=1)
-    eta2 = np.min(np.sum(np.abs(cs.hop2) ** 2, axis=3), axis=(1, 2))
+def _score_ssinr(realization: ChannelRealization, config: SystemConfig, combine: str):
+    """``s-sinr``'s noise-free ``(eta1, eta2, combined)``, each ``(..., C)``
+    with a block's trial axis, if any, in place of ``...``.
+
+    ``eta1`` is the weakest squared norm of a member antenna's row of the
+    stacked first hop, and ``eta2`` the weakest of a user antenna's row of
+    the members' relay->user channels side by side. Both are gathered from
+    per-relay squares through the ``(C, T)`` member array, and each row of
+    ``eta2`` is summed in the stacked row's order, so the scores are the
+    stacked channels' bits (:func:`relaysec.reference.ssinr_scores`).
+    Precoder validity does not constrain them.
+    """
+    members = _combination_table(config.pool_size, config.selected_relays)[1]
+    rows = np.sum(np.abs(realization.source_to_relay) ** 2, axis=-1)  # (..., P, N_i)
+    eta1 = np.min(rows[..., members, :], axis=(-2, -1))
+    squares = np.abs(realization.relay_to_user) ** 2  # (..., P, M, N_r, N_i)
+    eta2 = np.min(np.sum(_side_by_side(squares[..., members, :, :, :]), axis=-1), axis=(-2, -1))
     return eta1, eta2, combine_metrics(eta1, eta2, combine)
 
 
@@ -369,14 +381,13 @@ def _grid_scores(kind: CriterionKind, realization: ChannelRealization, cs: Candi
     noise power ``grid[s]`` and a block's trial axis, if any, in place of
     ``...``, and the ranking whose row-wise argmax is the pick: ``combined``
     itself, or for ``sinr`` and ``s-sinr``, whose picks do not depend on the
-    noise level, their one noise-free row. ``sinr`` and ``s-sinr`` take one
-    trial."""
+    noise level, their one noise-free row. ``sinr`` takes one trial."""
     if kind is CriterionKind.SINR:
         free = _score_sinr(cs, config, combine)
         return tuple(a / grid[:, None] for a in free), free[2][None]
     if kind is CriterionKind.S_SINR:
-        free = _score_ssinr(cs, combine)
-        return tuple(np.broadcast_to(a, (len(grid), len(a))) for a in free), free[2][None]
+        free = _score_ssinr(realization, config, combine)
+        return tuple(np.broadcast_to(a, (len(grid), *a.shape)) for a in free), free[2][None]
     if kind is CriterionKind.SECRECY_RATE:
         scores = _sr_scores(realization, cs, config, combine, grid)
     else:
@@ -402,10 +413,11 @@ def score_candidates(kind: CriterionKind, realization: ChannelRealization,
     stacked eavesdropper channel has rank N_t, where its score is
     ``s-sr``'s. The returned arrays are read-only.
 
-    ``sr`` and ``s-sr`` also take a block of trials whole, and return
-    ``(S, B, C)`` arrays: ``sr`` takes one SVD of the block's eavesdropper
-    stacks and scores its rank-deficient trials one rank at a time
-    (:func:`_sr_scores`). ``sinr`` and ``s-sinr`` take one trial.
+    ``sr``, ``s-sr`` and ``s-sinr`` also take a block of trials whole, and
+    return ``(S, B, C)`` arrays: ``sr`` takes one SVD of the block's
+    eavesdropper stacks and scores its rank-deficient trials one rank at a
+    time (:func:`_sr_scores`), and ``s-sinr`` gathers every trial's scores
+    from per-relay norms (:func:`_score_ssinr`). ``sinr`` takes one trial.
     """
     if kind not in EXHAUSTIVE_KINDS:
         raise ValueError(f"{kind.value} does not score the full candidate list")
@@ -421,16 +433,14 @@ def _pick_best(eta1, eta2, combined, ranking) -> tuple:
     ``(positions, CriterionScore)``, each ``(S,)``, or ``(B, S)`` for a block.
 
     The pick is the argmax of each row of ``ranking``, ``combined`` itself or
-    one ``(1, C)`` row for every point. ``np.argmax`` keeps the first
-    maximum, the candidate that enumerates first; a row whose picked score
-    is not finite picks -1 with NaN scores.
+    one noise-free row, ``(1, C)`` or ``(1, B, C)``, for every point.
+    ``np.argmax`` keeps the first maximum, the candidate that enumerates
+    first; a row whose picked score is not finite picks -1 with NaN scores.
     """
     shape = combined.shape[:-1]
-    if len(shape) > 1:  # a block: one row per (point, trial)
-        eta1, eta2, combined, ranking = (a.reshape(-1, a.shape[-1])
-                                         for a in (eta1, eta2, combined, ranking))
-    rows = np.arange(len(combined))
-    best = np.broadcast_to(np.argmax(ranking, axis=1), rows.shape)
+    best = np.broadcast_to(np.argmax(ranking, axis=-1), shape).ravel()  # one per (point, trial)
+    eta1, eta2, combined = (a.reshape(-1, a.shape[-1]) for a in (eta1, eta2, combined))
+    rows = np.arange(len(best))
     viable = np.isfinite(combined[rows, best])
     score = CriterionScore(*(np.where(viable, a[rows, best], np.nan).reshape(shape).T
                              for a in (eta1, eta2, combined)))
@@ -447,29 +457,37 @@ def _block_gains(blocks: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(blocks) ** 2, axis=(-2, -1))
 
 
-def channel_gain_select(realization: ChannelRealization, config: SystemConfig,
-                        combine: str = "min"):
-    """Greedy two-pass selection on channel-gain traces.
+def _channel_gain_picks(realization: ChannelRealization, config: SystemConfig,
+                        combine: str) -> tuple:
+    """``channel-gain``'s candidate rows and noise-free ``(eta1, eta2,
+    combined)``, each ``(...)``, with a block's trial axis, if any, in place
+    of ``...``.
 
     Pass one picks the ``T`` relays with the largest source-side
-    ``trace(H H^H)``, each pickable once. Pass two walks the users and
-    scores, among the picked relays still holding a pick token, the best
-    relay->user trace. Ties fall to the lowest relay index.
+    ``trace(H H^H)``, each pickable once, by one stable sort of every
+    trial's gains. Pass two walks the users: each takes, among the picked
+    relays still holding a pick token, the one with the best relay->user
+    trace, in every trial at once. Ties fall to the lowest relay index.
+    :func:`relaysec.reference.channel_gain_select` is one trial's pick.
     """
-    theta1 = _block_gains(realization.source_to_relay)
-    picked = np.argsort(-theta1, kind="stable")[:config.selected_relays]
-    eta1 = float(theta1[picked].sum())
-    combo = np.sort(picked)
-    theta2 = _block_gains(realization.relay_to_user[combo])
-    tokens = np.ones(len(combo), dtype=bool)
-    eta2 = 0.0
-    for user in range(min(config.num_users, len(combo))):
+    t = config.selected_relays
+    theta1 = _block_gains(realization.source_to_relay)  # (..., P)
+    picked = np.argsort(-theta1, axis=-1, kind="stable")[..., :t]
+    eta1 = np.take_along_axis(theta1, picked, axis=-1).sum(axis=-1)
+    combo = np.sort(picked, axis=-1)
+    theta2 = np.take_along_axis(_block_gains(realization.relay_to_user), combo[..., None],
+                                axis=-2)  # (..., T, M)
+    tokens = np.ones(combo.shape, dtype=bool)
+    eta2 = np.zeros(combo.shape[:-1])
+    for user in range(min(config.num_users, t)):
+        gains = theta2[..., user]
         # argmax keeps the first maximum: the lowest relay index among ties
-        winner = int(np.argmax(np.where(tokens, theta2[:, user], -np.inf)))
-        eta2 += float(theta2[winner, user])
-        tokens[winner] = False
-    combined = float(combine_metrics(eta1, eta2, combine))
-    return tuple(combo.tolist()), CriterionScore(eta1, eta2, combined)
+        winner = np.argmax(np.where(tokens, gains, -np.inf), axis=-1)[..., None]
+        eta2 += np.take_along_axis(gains, winner, axis=-1)[..., 0]
+        np.put_along_axis(tokens, winner, False, axis=-1)
+    members = _combination_table(config.pool_size, t)[1]
+    rows = np.argmax(np.all(members == combo[..., None, :], axis=-1), axis=-1)
+    return rows, (eta1, eta2, combine_metrics(eta1, eta2, combine))
 
 
 def max_ratio_select(realization: ChannelRealization, config: SystemConfig,
@@ -516,8 +534,11 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
     array is ``(B, S)``, row ``b`` byte for byte trial ``b``'s pick alone.
     ``s-sr`` takes one row-wise argmax over the block's table of scores, and
     ``sr`` reads the same table for every trial whose eavesdropper stack has
-    rank N_t, after one SVD of the block's stacks (:func:`_sr_scores`). The
-    other four criteria pick trial by trial.
+    rank N_t, after one SVD of the block's stacks (:func:`_sr_scores`).
+    ``s-sinr`` ranks by one noise-free ``(B, C)`` row gathered from per-relay
+    norms, and ``channel-gain`` runs both greedy passes over the whole block
+    (:func:`_channel_gain_picks`). ``sinr`` and ``max-ratio`` pick trial by
+    trial.
 
     Only ``sr`` and ``max-ratio`` see the eavesdropper channels; every other
     criterion gets ``realization.without_eavesdroppers()``, so it cannot read
@@ -533,31 +554,39 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
     if kind not in (CriterionKind.SECRECY_RATE, CriterionKind.MAX_RATIO):
         realization = realization.without_eavesdroppers()
     grid = _grid(config, noise)
+    if kind is CriterionKind.CHANNEL_GAIN:
+        rows, free = _channel_gain_picks(realization, config, combine)
+        return _every_point(rows, grid), CriterionScore(*(_every_point(a, grid) for a in free))
     if candidates is None and kind in EXHAUSTIVE_KINDS:
         candidates = prepare_candidates(realization, config)
-    one_trial = realization.source_to_relay.ndim == 3  # (P, N_i, N_t)
-    if one_trial or kind in (CriterionKind.SECRECY_RATE, CriterionKind.S_SR):
+    if kind in (CriterionKind.SINR, CriterionKind.MAX_RATIO):
         return _select_trials(kind, realization, config, candidates, combine, grid)
-    n_b = len(realization.source_to_relay)
-    positions = np.empty((n_b, len(grid)), dtype=np.intp)
-    score = CriterionScore(*(np.empty((n_b, len(grid))) for _ in range(3)))
-    for b in range(n_b):
-        positions[b], one = _select_trials(
-            kind, realization[b], config, candidates[b] if kind in EXHAUSTIVE_KINDS else None,
-            combine, grid)
-        score.eta1[b], score.eta2[b], score.combined[b] = one.eta1, one.eta2, one.combined
-    return positions, score
+    scores, ranking = _grid_scores(kind, realization, candidates, config, combine, grid)
+    return _pick_best(*scores, ranking)
+
+
+def _every_point(values, grid: np.ndarray) -> np.ndarray:
+    """A pick or score that ignores the noise level, at every point of ``grid``."""
+    return np.repeat(np.asarray(values)[..., None], len(grid), axis=-1)
 
 
 def _select_trials(kind: CriterionKind, realization: ChannelRealization, config: SystemConfig,
                    cs: CandidateSet | None, combine: str, grid: np.ndarray) -> tuple:
-    """:func:`select` on a realization already stripped for ``kind``: one
-    trial, or for ``sr`` and ``s-sr`` a block."""
-    if kind not in EXHAUSTIVE_KINDS:
-        greedy = channel_gain_select if kind is CriterionKind.CHANNEL_GAIN else max_ratio_select
-        combo, score = greedy(realization, config, combine)
+    """:func:`select` for ``sinr`` or ``max-ratio``, on a realization already
+    stripped for ``kind``: one trial, or a block's trials one at a time."""
+    if realization.source_to_relay.ndim == 4:  # (B, P, N_i, N_t): a block
+        n_b = len(realization.source_to_relay)
+        positions = np.empty((n_b, len(grid)), dtype=np.intp)
+        score = CriterionScore(*(np.empty((n_b, len(grid))) for _ in range(3)))
+        for b in range(n_b):
+            positions[b], one = _select_trials(kind, realization[b], config,
+                                               None if cs is None else cs[b], combine, grid)
+            score.eta1[b], score.eta2[b], score.combined[b] = one.eta1, one.eta2, one.combined
+        return positions, score
+    if kind is CriterionKind.MAX_RATIO:
+        combo, score = max_ratio_select(realization, config, combine)
         row = _combination_table(config.pool_size, config.selected_relays)[2][combo]
-        return np.full(len(grid), row), CriterionScore(
-            *(np.full(len(grid), a) for a in (score.eta1, score.eta2, score.combined)))
+        return _every_point(row, grid), CriterionScore(
+            *(_every_point(a, grid) for a in (score.eta1, score.eta2, score.combined)))
     scores, ranking = _grid_scores(kind, realization, cs, config, combine, grid)
     return _pick_best(*scores, ranking)

@@ -3,7 +3,9 @@
 These are the test oracles for the batched path: channel draws from one
 NumPy generator per block, a :class:`Precoder` per candidate, signals
 and covariances composed by hand, per-candidate criterion metrics
-written as plain loops, the det-ratio rate :func:`rate_bits` behind
+written as plain loops, ``s-sinr``'s scores from the stacked member
+channels, ``channel-gain``'s greedy pick one trial at a time, the
+det-ratio rate :func:`rate_bits` behind
 :func:`gamma_rate_bits`, and the one-combination forms of the batched
 selection and secrecy evaluation. Only tests and ``relaysec verify`` use
 this module; the sweep never imports it, and the CLI imports it only to
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import CriterionScore, _combination_table, select
+from .criteria import CriterionScore, _block_gains, _combination_table, combine_metrics, select
 from .kernels import LN2, hermitize, logdet
 from .model import (
     LINK_DOMAINS,
@@ -400,6 +402,47 @@ def ssinr_metric(channel_block: np.ndarray) -> float:
     """
     block = np.asarray(channel_block)
     return float(np.min(np.sum(np.abs(block) ** 2, axis=0)))
+
+
+def ssinr_scores(realization: ChannelRealization, config: SystemConfig,
+                 combine: str = "min") -> tuple:
+    """``s-sinr``'s ``(eta1, eta2, combined)`` of every candidate of one
+    trial, ``(C,)`` each, from the members' stacked channels: the weakest
+    squared row norm of the stacked first hop, and of a user antenna's row
+    of the stacked second hop."""
+    members = _combination_table(config.pool_size, config.selected_relays)[1]
+    hop1 = realization.stacked_source_channel(members)
+    hop2 = realization.all_users_channel(members).reshape(
+        len(members), config.num_users, config.user_antennas, -1)
+    eta1 = np.min(np.sum(np.abs(hop1) ** 2, axis=2), axis=1)
+    eta2 = np.min(np.sum(np.abs(hop2) ** 2, axis=3), axis=(1, 2))
+    return eta1, eta2, combine_metrics(eta1, eta2, combine)
+
+
+def channel_gain_select(realization: ChannelRealization, config: SystemConfig,
+                        combine: str = "min"):
+    """Greedy two-pass selection on channel-gain traces, for one trial.
+
+    Pass one picks the ``T`` relays with the largest source-side
+    ``trace(H H^H)``, each pickable once. Pass two walks the users and
+    scores, among the picked relays still holding a pick token, the best
+    relay->user trace. Ties fall to the lowest relay index. Returns
+    ``(combination, CriterionScore of floats)``.
+    """
+    theta1 = _block_gains(realization.source_to_relay)
+    picked = np.argsort(-theta1, kind="stable")[:config.selected_relays]
+    eta1 = float(theta1[picked].sum())
+    combo = np.sort(picked)
+    theta2 = _block_gains(realization.relay_to_user[combo])
+    tokens = np.ones(len(combo), dtype=bool)
+    eta2 = 0.0
+    for user in range(min(config.num_users, len(combo))):
+        # argmax keeps the first maximum: the lowest relay index among ties
+        winner = int(np.argmax(np.where(tokens, theta2[:, user], -np.inf)))
+        eta2 += float(theta2[winner, user])
+        tokens[winner] = False
+    combined = float(combine_metrics(eta1, eta2, combine))
+    return tuple(combo.tolist()), CriterionScore(eta1, eta2, combined)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from relaysec.criteria import (
     CRITERION_NAMES,
     CriterionKind,
     NotSingleAntennaError,
-    channel_gain_select,
     combine_metrics,
     enumerate_combinations,
     legit_rates,
@@ -31,6 +30,7 @@ from relaysec.reference import (
     NoViableCandidateError,
     Precoder,
     SingularGramError,
+    channel_gain_select,
     desired_covariance,
     gamma_rate_bits,
     interference_covariance,

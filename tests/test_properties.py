@@ -15,6 +15,7 @@ selection and evaluation over an SNR grid equal their one-point calls,
 oracle."""
 
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -34,21 +35,24 @@ from relaysec.criteria import (  # noqa: E402
     score_candidates,
     select,
 )
-from relaysec.model import SystemConfig, generate_realization  # noqa: E402
+from relaysec.model import ConfigError, SystemConfig, generate_realization  # noqa: E402
 from relaysec.montecarlo import SweepSpec, run_sweep  # noqa: E402
 from relaysec.reference import (  # noqa: E402
     NoViableCandidateError,
+    channel_gain_select,
     desired_covariance,
     gamma_rate_bits,
     interference_covariance,
     keyed_realization,
     pair_secrecy_rate,
+    position,
     relay_precoder,
     select_one,
+    ssinr_scores,
     svd_zf_valid,
     zf_precoder,
 )
-from relaysec.secrecy import secrecy_rate  # noqa: E402
+from relaysec.secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate  # noqa: E402
 
 LINKS = ("source_to_relay", "relay_to_user", "source_to_eve", "relay_to_eve")
 
@@ -126,6 +130,53 @@ def test_sweep_independent_of_block_size(cfg, trials):
 def test_sweep_independent_of_worker_count(cfg, trials):
     assert_same_sweep(run_sweep(sweep_spec(cfg, trials)),
                       run_sweep(sweep_spec(cfg, trials, workers=3)))
+
+
+# Extreme scalars: the ends of the accepted powers and SNRs and just past
+# them, the float range's ends and values that are not numbers, and powers
+# on a log scale over the accepted range and over the whole float range.
+extreme_snrs = st.one_of(
+    st.sampled_from([-1e6, -3000.0, -400.0, 0.0, 400.0, 3000.0, 3100.0, 1e6,
+                     float("nan"), float("inf")]),
+    st.floats(-3100.0, 3100.0))
+extreme_powers = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-150, 1.0, 1e150, 1e300, 1.7e308, 0.0, -1.0,
+                     float("nan"), float("inf")]),
+    st.floats(-150.0, 150.0).map(lambda exponent: 10.0 ** exponent),
+    st.floats(-323.0, 308.0).map(lambda exponent: 10.0 ** exponent))
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(users=st.integers(1, 2), user_antennas=st.integers(1, 2),
+       relay_antennas=st.sampled_from([1, 2, 4]), extra=st.integers(0, 2),
+       eves=st.integers(1, 3), eve_antennas=st.integers(1, 2), power=extreme_powers,
+       grid=st.lists(extreme_snrs, min_size=1, max_size=3),
+       seed=st.sampled_from([0, 1, 2**130 + 7, -1]), trials=st.integers(1, 3),
+       kinds=st.lists(st.sampled_from(CRITERION_NAMES), min_size=1, max_size=3, unique=True),
+       combine=st.sampled_from(["min", "sum"]), clamp=st.booleans(),
+       eve_model=st.sampled_from(EVE_MODELS), eve_aggregate=st.sampled_from(EVE_AGGREGATES))
+def test_every_config_is_refused_or_runs_without_warnings(
+        users, user_antennas, relay_antennas, extra, eves, eve_antennas, power, grid, seed,
+        trials, kinds, combine, clamp, eve_model, eve_aggregate):
+    # A config is refused with ConfigError, or its sweep completes without a
+    # warning and counts every discarded sample by reason. T = N_t / N_i may
+    # come out fractional or zero, which the config must refuse.
+    n_t = users * user_antennas
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = SystemConfig(
+                num_users=users, user_antennas=user_antennas, relay_antennas=relay_antennas,
+                pool_size=n_t // relay_antennas + extra, selected_relays=n_t / relay_antennas,
+                num_eves=eves, eve_antennas=eve_antennas, snr_db=grid[0], signal_power=power,
+                seed=seed)
+            spec = SweepSpec(config=config, snr_grid_db=tuple(grid), trials=trials,
+                             criteria=tuple(kinds), combine=combine, clamp=clamp,
+                             eve_model=eve_model, eve_aggregate=eve_aggregate)
+        except ConfigError:
+            return
+        result = run_sweep(spec)
+    assert np.array_equal(result.n_discarded, sum(result.meta["discards"].values()))
 
 
 def hand_rates(real, combo, cfg, eve_model, eve_aggregate):
@@ -222,6 +273,54 @@ def test_grid_select_equals_per_point_select(cfg, grid, trial, combine):
             for got, expected in zip((score.eta1, score.eta2, score.combined),
                                      (want.eta1, want.eta2, want.combined)):
                 assert np.array_equal(got[s], expected)  # same bits
+
+
+@st.composite
+def gathered_configs(draw):
+    """Scenarios with one- and two-antenna relays and ``T N_i`` up to 10,
+    past 8, where numpy sums a row pairwise instead of in order."""
+    relay_antennas = draw(st.integers(1, 2))
+    selected = draw(st.integers(1, 5))
+    n_t = selected * relay_antennas
+    user_antennas = draw(st.sampled_from([d for d in range(1, n_t + 1) if n_t % d == 0]))
+    return SystemConfig(
+        num_users=n_t // user_antennas, user_antennas=user_antennas,
+        relay_antennas=relay_antennas, pool_size=draw(st.integers(selected, selected + 2)),
+        selected_relays=selected, num_eves=1, eve_antennas=1, seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(cfg=gathered_configs(), grid=snr_grids, first=st.integers(0, 50), size=st.integers(1, 5),
+       copied=st.integers(0, 5), combine=st.sampled_from(["min", "sum"]))
+def test_block_channel_gain_and_ssinr_equal_the_one_trial_oracles(cfg, grid, first, size,
+                                                                   copied, combine):
+    # In trial `copied` (when it is in the block), relay 1 takes relay 0's
+    # channels: every candidate that holds both is singular, and the two
+    # relays tie on every gain.
+    block = generate_realization(cfg, trial=np.arange(first, first + size))
+    if copied < size and cfg.pool_size > 1:
+        for link in (block.source_to_relay, block.relay_to_user):
+            link[copied, 1] = link[copied, 0]
+    cands = prepare_candidates(block, cfg)
+    if copied < size and cfg.selected_relays > 1:
+        assert not cands.valid[copied].all()
+    noise = cfg.noise_powers(grid)
+    for kind in ("channel-gain", "s-sinr"):
+        positions, score = select(kind, block, cfg, candidates=cands, combine=combine,
+                                  noise=noise)
+        assert positions.shape == (size, len(grid))
+        for b in range(size):
+            if kind == "channel-gain":
+                combo, one = channel_gain_select(block[b], cfg, combine)
+                row, want = position(cfg, combo), (one.eta1, one.eta2, one.combined)
+            else:
+                scores = ssinr_scores(block[b], cfg, combine)
+                row = int(np.argmax(scores[2]))
+                want = tuple(a[row] for a in scores)
+            assert positions[b].tolist() == [row] * len(grid), (kind, b)
+            for got, value in zip((score.eta1, score.eta2, score.combined), want):
+                assert got[b].tobytes() == np.full(len(grid), value).tobytes(), (kind, b)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
