@@ -89,9 +89,11 @@ class SystemConfig:
         for name, value in counts.items():
             if not _is_integer_at_least(value, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # math.comb and shapes take no float
         # SeedSequence, which keys the channel draws, takes no negative seed.
         if not _is_integer_at_least(self.seed, 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         # A zero or non-finite power or SNR leaves every rate undefined;
         # reject it here rather than fail inside a sweep.
         if not (0 < self.signal_power < np.inf):

@@ -17,17 +17,20 @@ every candidate of every trial of the block at every grid point in one
 pass and takes a row-wise argmax over that table. ``sr`` reads the same
 table for each trial whose stacked eavesdropper channel has full rank,
 after one SVD of all the block's stacks, and scores the other trials on
-their row-space bases, one pass per rank. The other four criteria pick
-trial by trial inside that call, and those whose pick ignores the noise
-level return the same row at every point. The distinct (trial, candidate,
-SNR point) triples that the criteria picked in the block are then evaluated
-by one ``secrecy_rate`` call, and each sample is gathered from it, with the
-reason for every discard counted. With several workers the trials are cut
-into contiguous chunks: this process runs the first, and one child process
-started for the sweep runs each of the others and sends its result back
-over a pipe (:func:`run_sweep`). Results are bit-identical for a given spec
-regardless of the worker count and block size, because trials are keyed,
-independent work units and the reduction runs in fixed trial order.
+their row-space bases, one pass per rank. ``s-sinr`` ranks every trial by
+one noise-free row of scores gathered from per-relay channel norms, and
+``channel-gain`` runs its two greedy passes over the whole block; ``sinr``
+and ``max-ratio`` pick trial by trial inside their calls. The four whose
+pick ignores the noise level return the same row at every point. The
+distinct (trial, candidate, SNR point) triples that the criteria picked in
+the block are then evaluated by one ``secrecy_rate`` call, and each sample
+is gathered from it, with the reason for every discard counted. With
+several workers the trials are cut into contiguous chunks: this process
+runs the first, and one child process started for the sweep runs each of
+the others and sends its result back over a pipe (:func:`run_sweep`).
+Results are bit-identical for a given spec regardless of the worker count
+and block size, because trials are keyed, independent work units and the
+reduction runs in fixed trial order.
 """
 
 from __future__ import annotations
@@ -60,6 +63,16 @@ BLOCK_BYTES = 256 * 1024
 # at a few times its arrays (``TestBlockPeak``), so a trial at the cap needs
 # a few hundred MB; C(24, 6) single-antenna relays (0.47 GB) are over it.
 TRIAL_BYTES_CAP = 64 * 2 ** 20
+
+# Signal powers a sweep accepts, and its highest SNR. Gains and grams reach
+# the signal power times channel gains and antenna counts, and the
+# eavesdropper kernel's inverse grams its reciprocal times a condition number;
+# inside 1e-150..1e150 both stay far from the float range's ends (about 1e-308
+# and 1.8e308), where they overflowed. Every stream's received power over the
+# noise, P / (d^2 s), is the SNR times a channel gain, and stays finite up to
+# 3000 dB; at 3100 dB it overflowed.
+SIGNAL_POWER_RANGE = (1e-150, 1e150)
+MAX_SNR_DB = 3000.0
 
 
 @dataclass(frozen=True)
@@ -107,6 +120,13 @@ class SweepSpec:
             raise ConfigError(
                 f"snr_grid_db must give a positive, finite noise power at signal_power "
                 f"{self.config.signal_power}, got {self.snr_grid_db} dB")
+        if max(self.snr_grid_db) > MAX_SNR_DB:
+            raise ConfigError(f"snr_grid_db values must be at most {MAX_SNR_DB:g} dB, "
+                              f"got {self.snr_grid_db}")
+        low, high = SIGNAL_POWER_RANGE
+        if not low <= self.config.signal_power <= high:
+            raise ConfigError(f"signal_power must be from {low:g} to {high:g} in a sweep, "
+                              f"got {self.config.signal_power}")
         if not self.criteria:
             raise ConfigError("criteria must not be empty")
         if len(set(self.criteria)) != len(self.criteria):

@@ -74,6 +74,11 @@ class TestSystemConfig:
         assert scalar_config(seed=2.0).seed == 2
         assert scalar_config(seed=2**80).seed == 2**80
 
+    def test_integral_float_counts_are_stored_as_ints(self):
+        # math.comb and numpy shapes take no float, however integral.
+        cfg = scalar_config(pool_size=5.0, selected_relays=1.0, seed=2.0)
+        assert [type(v) for v in (cfg.pool_size, cfg.selected_relays, cfg.seed)] == [int] * 3
+
     @pytest.mark.parametrize("snr_db", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_snr_rejected(self, snr_db):
         with pytest.raises(ConfigError, match="snr_db"):

@@ -75,6 +75,26 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="positive, finite noise power"):
             SweepSpec(config=pair_config(signal_power=power), snr_grid_db=grid, trials=1)
 
+    @pytest.mark.parametrize("grid, power, message", [
+        ((3100.0,), 1.0, "at most 3000 dB"),  # P / (d^2 s) overflowed
+        ((0.0,), 1.7e308, "signal_power must be from"),  # the grams overflowed
+        ((0.0,), 5e-324, "signal_power must be from"),  # the inverse grams overflowed
+    ])
+    def test_powers_past_the_float_headroom_rejected(self, grid, power, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(config=pair_config(signal_power=power), snr_grid_db=grid, trials=1)
+
+    @pytest.mark.parametrize("grid, power", [
+        ((3000.0,), 1e150), ((-3000.0,), 1e-150), ((-400.0, 400.0), 1e150)])
+    def test_edges_of_the_accepted_powers_run_clean(self, grid, power):
+        spec = small_spec(config=pair_config(user_antennas=2, relay_antennas=2, eve_antennas=2,
+                                             signal_power=power),
+                          snr_grid_db=grid, trials=3, criteria=("sinr", "sr", "s-sr"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+        assert np.all(result.n_discarded == 0)
+
     def test_far_but_representable_noise_powers_run_clean(self):
         spec = small_spec(snr_grid_db=(-330.0, 330.0, 400.0), trials=3,
                           criteria=("sinr", "sr", "s-sr"))
