@@ -459,9 +459,9 @@ def _block_gains(blocks: np.ndarray) -> np.ndarray:
 
 def _channel_gain_picks(realization: ChannelRealization, config: SystemConfig,
                         combine: str) -> tuple:
-    """``channel-gain``'s candidate rows and noise-free ``(eta1, eta2,
-    combined)``, each ``(...)``, with a block's trial axis, if any, in place
-    of ``...``.
+    """``channel-gain``'s candidate rows and noise-free ``eta1``, ``eta2``
+    and ``combined``, each ``(...)``, with a block's trial axis, if any, in
+    place of ``...``.
 
     Pass one picks the ``T`` relays with the largest source-side
     ``trace(H H^H)``, each pickable once, by one stable sort of every
@@ -470,24 +470,24 @@ def _channel_gain_picks(realization: ChannelRealization, config: SystemConfig,
     trace, in every trial at once. Ties fall to the lowest relay index.
     :func:`relaysec.reference.channel_gain_select` is one trial's pick.
     """
-    t = config.selected_relays
-    theta1 = _block_gains(realization.source_to_relay)  # (..., P)
-    picked = np.argsort(-theta1, axis=-1, kind="stable")[..., :t]
-    eta1 = np.take_along_axis(theta1, picked, axis=-1).sum(axis=-1)
+    lead, t = realization.source_to_relay.shape[:-3], config.selected_relays
+    theta1 = _block_gains(realization.source_to_relay).reshape(-1, config.pool_size)  # (B, P)
+    trials = np.arange(len(theta1))
+    picked = np.argsort(-theta1, axis=-1, kind="stable")[:, :t]
+    eta1 = theta1[trials[:, None], picked].sum(axis=-1)
     combo = np.sort(picked, axis=-1)
-    theta2 = np.take_along_axis(_block_gains(realization.relay_to_user), combo[..., None],
-                                axis=-2)  # (..., T, M)
+    theta2 = _block_gains(realization.relay_to_user).reshape(len(theta1), config.pool_size, -1)
+    theta2 = theta2[trials[:, None], combo]  # (B, T, M)
     tokens = np.ones(combo.shape, dtype=bool)
-    eta2 = np.zeros(combo.shape[:-1])
+    eta2 = np.zeros(len(combo))
     for user in range(min(config.num_users, t)):
-        gains = theta2[..., user]
         # argmax keeps the first maximum: the lowest relay index among ties
-        winner = np.argmax(np.where(tokens, gains, -np.inf), axis=-1)[..., None]
-        eta2 += np.take_along_axis(gains, winner, axis=-1)[..., 0]
-        np.put_along_axis(tokens, winner, False, axis=-1)
+        winner = np.argmax(np.where(tokens, theta2[:, :, user], -np.inf), axis=-1)
+        eta2 += theta2[trials, winner, user]
+        tokens[trials, winner] = False
     members = _combination_table(config.pool_size, t)[1]
-    rows = np.argmax(np.all(members == combo[..., None, :], axis=-1), axis=-1)
-    return rows, (eta1, eta2, combine_metrics(eta1, eta2, combine))
+    rows = np.argmax(np.all(members == combo[:, None], axis=-1), axis=-1)
+    return tuple(a.reshape(lead) for a in (rows, eta1, eta2, combine_metrics(eta1, eta2, combine)))
 
 
 def max_ratio_select(realization: ChannelRealization, config: SystemConfig,
@@ -555,7 +555,7 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
         realization = realization.without_eavesdroppers()
     grid = _grid(config, noise)
     if kind is CriterionKind.CHANNEL_GAIN:
-        rows, free = _channel_gain_picks(realization, config, combine)
+        rows, *free = _channel_gain_picks(realization, config, combine)
         return _every_point(rows, grid), CriterionScore(*(_every_point(a, grid) for a in free))
     if candidates is None and kind in EXHAUSTIVE_KINDS:
         candidates = prepare_candidates(realization, config)
