@@ -543,8 +543,9 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
     Only ``sr`` and ``max-ratio`` see the eavesdropper channels; every other
     criterion gets ``realization.without_eavesdroppers()``, so it cannot read
     them. The exhaustive criteria score every candidate of ``candidates``
-    (built from ``realization`` when None) at every noise level in one pass
-    and keep the best; ties go to the candidate that enumerates first.
+    (built from ``realization`` when None; ``s-sinr`` reads the member
+    channels instead) at every noise level in one pass and keep the best;
+    ties go to the candidate that enumerates first.
     ``sinr`` and ``s-sinr`` rank by their noise-free scores, and
     ``channel-gain`` and ``max-ratio`` pick once, so these four return one
     row at every point.
@@ -557,8 +558,8 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
     if kind is CriterionKind.CHANNEL_GAIN:
         rows, *free = _channel_gain_picks(realization, config, combine)
         return _every_point(rows, grid), CriterionScore(*(_every_point(a, grid) for a in free))
-    if candidates is None and kind in EXHAUSTIVE_KINDS:
-        candidates = prepare_candidates(realization, config)
+    if candidates is None and kind in EXHAUSTIVE_KINDS and kind is not CriterionKind.S_SINR:
+        candidates = prepare_candidates(realization, config)  # s-sinr reads the channels
     if kind in (CriterionKind.SINR, CriterionKind.MAX_RATIO):
         return _select_trials(kind, realization, config, candidates, combine, grid)
     scores, ranking = _grid_scores(kind, realization, candidates, config, combine, grid)
