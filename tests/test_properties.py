@@ -277,8 +277,8 @@ def test_grid_select_equals_per_point_select(cfg, grid, trial, combine):
 
 @st.composite
 def gathered_configs(draw):
-    """Scenarios with one- and two-antenna relays and ``T N_i`` up to 10,
-    past 8, where numpy sums a row pairwise instead of in order."""
+    """Scenarios with one- and two-antenna relays and ``T N_i`` up to 10:
+    from 8 on, numpy sums a row pairwise instead of in order."""
     relay_antennas = draw(st.integers(1, 2))
     selected = draw(st.integers(1, 5))
     n_t = selected * relay_antennas
