@@ -39,6 +39,7 @@ toward the candidate that enumerates first (lexicographic order).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -46,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import LN2, eve_terms, received_grams, user_rates
-from .model import ChannelRealization, ConfigError, SystemConfig, _side_by_side, zf_core_batch
+from .model import ChannelRealization, ConfigError, SystemConfig, zf_core_batch
 
 
 class NotSingleAntennaError(ValueError):
@@ -120,6 +121,22 @@ def _combination_table(pool_size: int, selected: int) -> tuple:
     members = np.array(combinations)
     members.flags.writeable = False
     return combinations, members, {combo: pos for pos, combo in enumerate(combinations)}
+
+
+@lru_cache(maxsize=8)
+def _rank_weights(pool_size: int, selected: int) -> np.ndarray:
+    """``(T, P)`` table with ``[i, v] = C(P - 1 - v, T - i)``, for
+    :func:`_combination_rows`."""
+    return np.array([[math.comb(pool_size - 1 - v, selected - i) for v in range(pool_size)]
+                     for i in range(selected)])
+
+
+def _combination_rows(combos: np.ndarray, pool_size: int, selected: int) -> np.ndarray:
+    """Rows in :func:`_combination_table` of sorted ``(..., T)`` relay
+    combinations: the lexicographic rank ``C(P, T) - 1 - sum_i C(P - 1 -
+    c_i, T - i)``, by the combinatorial number system."""
+    weights = _rank_weights(pool_size, selected)
+    return math.comb(pool_size, selected) - 1 - weights[np.arange(selected), combos].sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +274,23 @@ def _score_ssinr(realization: ChannelRealization, config: SystemConfig, combine:
     stacked first hop, and ``eta2`` the weakest of a user antenna's row of
     the members' relay->user channels side by side. Both are gathered from
     per-relay squares through the ``(C, T)`` member array, and each row of
-    ``eta2`` is summed in the stacked row's order, so the scores are the
-    stacked channels' bits (:func:`relaysec.reference.ssinr_scores`).
-    Precoder validity does not constrain them.
+    ``eta2`` is gathered as one contiguous run in the stacked row's order,
+    so the scores are the bits of the stacked channels' contiguous row sums
+    (:func:`relaysec.reference.ssinr_scores`). Precoder validity does not
+    constrain them.
     """
     members = _combination_table(config.pool_size, config.selected_relays)[1]
+    n_i = config.relay_antennas
+    # Row c lists candidate c's relay antennas, in the stacked channels' order.
+    columns = (members[:, :, None] * n_i + np.arange(n_i)).reshape(len(members), -1)
     rows = np.sum(np.abs(realization.source_to_relay) ** 2, axis=-1)  # (..., P, N_i)
-    eta1 = np.min(rows[..., members, :], axis=(-2, -1))
+    rows = rows.reshape(*rows.shape[:-2], -1)  # (..., P N_i)
+    eta1 = np.min(np.take(rows, columns, axis=-1), axis=-1)
     squares = np.abs(realization.relay_to_user) ** 2  # (..., P, M, N_r, N_i)
-    eta2 = np.min(np.sum(_side_by_side(squares[..., members, :, :, :]), axis=-1), axis=(-2, -1))
+    # One contiguous (..., M N_r, P N_i) copy: each user antenna's row is
+    # gathered as one contiguous T N_i run, in the stacked row's order.
+    antennas = np.moveaxis(squares, -4, -2).reshape(*rows.shape[:-1], -1, rows.shape[-1])
+    eta2 = np.min(np.sum(np.take(antennas, columns, axis=-1), axis=-1), axis=-2)
     return eta1, eta2, combine_metrics(eta1, eta2, combine)
 
 
@@ -485,8 +510,7 @@ def _channel_gain_picks(realization: ChannelRealization, config: SystemConfig,
         winner = np.argmax(np.where(tokens, theta2[:, :, user], -np.inf), axis=-1)
         eta2 += theta2[trials, winner, user]
         tokens[trials, winner] = False
-    members = _combination_table(config.pool_size, t)[1]
-    rows = np.argmax(np.all(members == combo[:, None], axis=-1), axis=-1)
+    rows = _combination_rows(combo, config.pool_size, t)
     return tuple(a.reshape(lead) for a in (rows, eta1, eta2, combine_metrics(eta1, eta2, combine)))
 
 

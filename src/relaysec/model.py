@@ -23,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
@@ -30,7 +31,10 @@ from math import prod
 import numpy as np
 
 # Accepting channels up to the usual 1e12 condition bound would let the ZF
-# product drift far above 1e-9 in float64, so admission is residual-based.
+# product drift far above 1e-9 in float64, so admission is residual-based: a
+# core X is admitted when the computed ||H X - I||_F is below this. Where an
+# LU bound already proves that, zf_core_batch skips the product
+# (see _lu_residual_bound).
 ZF_RESIDUAL_TOL = 1e-9
 
 
@@ -319,6 +323,44 @@ def generate_realization(config: SystemConfig, trial=0,
 # ---------------------------------------------------------------------------
 
 
+def _lu_residual_bound(n: int) -> float:
+    """``c(n)``, with a margin of ten: the computed ``||H X - I||_F`` of an
+    ``n x n`` complex ``H`` and its inverse ``X`` from ``np.linalg.inv`` is
+    at most ``c(n) ||H||_F ||X||_F``.
+
+    ``inv`` solves ``H X = I`` by LU with partial pivoting (LAPACK
+    ``zgesv``). By Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., Thm 9.4, column ``j`` of the computed ``X`` solves ``(H + E_j)
+    x_j = e_j`` with ``|E_j| <= g(3n) |L||U|`` entry-wise, where ``g(k) = k u
+    / (1 - k u)`` and ``u`` bounds one operation's relative error. So
+    ``||H X - I||_F <= g(3n) ||L||_F ||U||_F ||X||_F``. Three things widen
+    the real-arithmetic textbook form:
+
+    * complex operations: ``u = sqrt(2) 4 eps / (1 - 4 eps)``, with ``eps``
+      the unit roundoff, is Higham's Lemma 3.5 bound for a complex
+      division, the worst of the four operations;
+    * LAPACK picks a complex pivot by ``|re| + |im|``, so ``|l_ij| <=
+      sqrt(2)`` rather than 1 and the growth factor is at most ``(1 +
+      sqrt(2))^(n - 1)`` rather than ``2^(n - 1)``: ``||L||_F <= n`` and
+      ``||U||_F <= sqrt(n (n + 1) / 2) (1 + sqrt(2))^(n - 1) ||H||_F``;
+    * forming ``H X`` adds ``g(n) ||H||_F ||X||_F``.
+
+    Subtracting ``I``, the three norms and a triangular solve that
+    multiplies by reciprocal pivots move either side by a relative
+    ``O(n^2 eps)``, far inside the margin. ``c(4)`` is 1.3e-11, so a 4x4
+    core is admitted without its residual when ``||H||_F ||X||_F < 74``;
+    as ``||H||_F ||H^-1||_F >= n``, a core of ``n >= 6`` never is.
+    """
+    eps = np.finfo(float).eps / 2
+    u = math.sqrt(2.0) * 4 * eps / (1 - 4 * eps)
+
+    def g(k):
+        return k * u / (1 - k * u)
+
+    growth = n * math.sqrt(n * (n + 1) / 2) * (1 + math.sqrt(2.0)) ** (n - 1)
+    return 10.0 * (g(3 * n) * growth + g(n))
+
+
 def zf_core_batch(stacked: np.ndarray, signal_power: float):
     """Vectorized ZF construction over a batch of square stacked channels.
 
@@ -333,21 +375,61 @@ def zf_core_batch(stacked: np.ndarray, signal_power: float):
     matrix : (..., C, n, n) scaled precoders (garbage where invalid).
     core : (..., C, n, n) raw inverses.
     valid : (..., C) bool, True where the Frobenius norm of
-        ``stacked @ core - I`` is below ``ZF_RESIDUAL_TOL``.
+        ``stacked @ core - I`` is below ``ZF_RESIDUAL_TOL`` and no column
+        of the core is zero.
+
+    The residual is taken only where a bound does not already prove it
+    small: a core from the batched LU inverse is admitted when
+    ``c(n) ||H||_F ||X||_F < ZF_RESIDUAL_TOL``, with the constant ``c(n)``
+    of :func:`_lu_residual_bound` (Higham, Thm 9.4) and both squared norms
+    in the normal float range, so no underflow voids the bound. The rest,
+    and every core of a block that took :func:`_trial_cores`, whose SVD
+    pseudo-inverse is not an LU solve, take ``stacked @ core`` and its norm.
+    :func:`relaysec.reference.zf_core_exact` takes the residual of every
+    candidate, and gives the same bytes.
 
     Never raises. When some member is exactly singular, every trial is
     inverted on its own, so a trial's cores do not depend on the other
     trials of its block (see :func:`_trial_cores`).
     """
     n = stacked.shape[-1]
+    core, lu = _inverse_cores(stacked)
+    col_norms = np.linalg.norm(core, axis=-2)
+    valid = np.zeros(stacked.shape[:-2], dtype=bool)
+    if lu:
+        h2, x2 = _frobenius_sq(stacked), np.sum(col_norms * col_norms, axis=-1)
+        tiny = np.finfo(float).tiny
+        valid = ((_lu_residual_bound(n) ** 2 * h2 * x2 < ZF_RESIDUAL_TOL ** 2)
+                 & (h2 >= tiny) & (x2 >= tiny))
+    rest = ~valid
+    if rest.any():
+        residual = np.linalg.norm(stacked[rest] @ core[rest] - np.eye(n), axis=(-2, -1))
+        valid[rest] = np.isfinite(residual) & (residual < ZF_RESIDUAL_TOL)
+    return _scaled(core, col_norms, valid, signal_power)
+
+
+def _inverse_cores(stacked: np.ndarray) -> tuple:
+    """``(core, lu)``: the inverses of ``stacked`` from one batched
+    ``np.linalg.inv``, with ``lu`` True, or, when some member is exactly
+    singular, from :func:`_trial_cores` for each trial, with ``lu`` False."""
     try:
-        core = np.linalg.inv(stacked)
+        return np.linalg.inv(stacked), True
     except np.linalg.LinAlgError:
         trials = stacked.reshape(-1, *stacked.shape[-3:])
-        core = np.stack([_trial_cores(t) for t in trials]).reshape(stacked.shape)
-    residual = np.linalg.norm(stacked @ core - np.eye(n), axis=(-2, -1))
-    valid = np.isfinite(residual) & (residual < ZF_RESIDUAL_TOL)
-    col_norms = np.linalg.norm(core, axis=-2)
+        return np.stack([_trial_cores(t) for t in trials]).reshape(stacked.shape), False
+
+
+def _frobenius_sq(blocks: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every matrix (the last two axes)."""
+    flat = np.ascontiguousarray(blocks, dtype=complex).view(float)
+    flat = flat.reshape(*flat.shape[:-2], -1)
+    return np.einsum("...i,...i->...", flat, flat)
+
+
+def _scaled(core: np.ndarray, col_norms: np.ndarray, valid: np.ndarray,
+            signal_power: float) -> tuple:
+    """``(matrix, core, valid)``: ``core``'s columns scaled to power
+    ``signal_power``, and ``valid`` cleared where a column is zero."""
     valid &= np.all(col_norms > 0, axis=-1)
     safe = np.where(col_norms > 0, col_norms, 1.0)
     matrix = np.sqrt(signal_power) * core / safe[..., None, :]

@@ -4,12 +4,12 @@ These are the test oracles for the batched path: channel draws from one
 NumPy generator per block, a :class:`Precoder` per candidate, signals
 and covariances composed by hand, per-candidate criterion metrics
 written as plain loops, ``s-sinr``'s scores from the stacked member
-channels, ``channel-gain``'s greedy pick one trial at a time, the
-det-ratio rate :func:`rate_bits` behind
-:func:`gamma_rate_bits`, and the one-combination forms of the batched
-selection and secrecy evaluation. Only tests and ``relaysec verify`` use
-this module; the sweep never imports it, and the CLI imports it only to
-verify.
+channels, ``channel-gain``'s greedy pick one trial at a time, ZF admission
+with every residual taken (:func:`zf_core_exact`), a user's rate in the
+Woodbury form that holds at high SNR (:func:`gamma_rate_bits`), and the
+one-combination forms of the batched selection and secrecy evaluation.
+Only tests and ``relaysec verify`` use this module; the sweep never
+imports it, and the CLI imports it only to verify.
 """
 
 from __future__ import annotations
@@ -19,13 +19,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .criteria import CriterionScore, _block_gains, _combination_table, combine_metrics, select
-from .kernels import LN2, hermitize, logdet
+from .kernels import LN2, hermitize
 from .model import (
     LINK_DOMAINS,
     ZF_RESIDUAL_TOL,
     ChannelRealization,
     SingularChannelError,
     SystemConfig,
+    _inverse_cores,
+    _scaled,
     complex_normal,
     zf_core_batch,
 )
@@ -109,6 +111,12 @@ class Precoder:
         lo = user * self.user_antennas
         return self.matrix[:, lo:lo + self.user_antennas]
 
+    def other_columns(self, user: int) -> np.ndarray:
+        """Every column of the precoder but ``user``'s."""
+        self.user_block(user)  # checks the index
+        lo = user * self.user_antennas
+        return np.delete(self.matrix, np.s_[lo:lo + self.user_antennas], axis=1)
+
 
 def zf_precoder(stacked_channel: np.ndarray, signal_power: float = 1.0,
                 user_antennas: int = 1) -> Precoder:
@@ -133,14 +141,27 @@ def zf_precoder(stacked_channel: np.ndarray, signal_power: float = 1.0,
                     user_antennas=user_antennas)
 
 
+def zf_core_exact(stacked: np.ndarray, signal_power: float) -> tuple:
+    """:func:`relaysec.model.zf_core_batch` with the residual of every
+    candidate taken: the admission rule as defined, ``||stacked @ core -
+    I||_F < ZF_RESIDUAL_TOL`` and no zero column, without the LU bound that
+    lets the batched form skip the product."""
+    core, _ = _inverse_cores(stacked)
+    residual = np.linalg.norm(stacked @ core - np.eye(stacked.shape[-1]), axis=(-2, -1))
+    valid = np.isfinite(residual) & (residual < ZF_RESIDUAL_TOL)
+    return _scaled(core, np.linalg.norm(core, axis=-2), valid, signal_power)
+
+
 def svd_zf_valid(stacked: np.ndarray) -> np.ndarray:
     """``(C,)`` ZF admission of a batch of square channels, from the SVD.
 
     The core is ``V diag(1/sigma) U^H`` (0 for a zero singular value); a
     channel is admitted when ``stacked @ core`` is within
     ``ZF_RESIDUAL_TOL`` of the identity (Frobenius) and no column of the
-    core is zero, the rule :func:`relaysec.model.zf_core_batch` applies to
-    its batched inverse.
+    core is zero. That is the rule :func:`relaysec.model.zf_core_batch`
+    applies to its batched inverse, with the residual taken, or, for most
+    LU inverses, proved below the tolerance by a backward-error bound
+    (:func:`zf_core_exact` takes it for every channel).
     """
     u, sv, vh = np.linalg.svd(stacked)
     with np.errstate(divide="ignore"):
@@ -274,38 +295,37 @@ def secrecy_gamma(channel: np.ndarray, cov_num: np.ndarray, cov_den: np.ndarray,
     return np.linalg.solve(gram_den, gram_num)
 
 
-def rate_bits(gram_num: np.ndarray, gram_den: np.ndarray) -> np.ndarray:
-    """``log2 det(I + gram_den^{-1} gram_num)`` over batches of PSD grams.
+def gamma_rate_bits(channel, own, others, noise_power: float) -> float:
+    """Rate in bits of one user at a receiver that sees ``channel`` with
+    noise power ``s > 0``: ``log2 det(I + B_u^H (B_I B_I^H + s I)^{-1}
+    B_u)``, with ``B_u = channel @ own`` the user's precoded columns and
+    ``B_I = channel @ others`` the other users'.
 
-    A singular denominator yields 0 when the numerator is also negligible
-    (dead link) and +inf otherwise (unbounded ratio). A gram that is not
-    finite yields NaN: it has no rate.
+    It is taken in the per-user Woodbury form ``log2 det(I + (B_u^H B_u -
+    B_u^H B_I (s I + B_I^H B_I)^{-1} B_I^H B_u) / s)``, so no gram is formed
+    on the receiver's side, where at high SNR ``det(B_I B_I^H + s I)`` is set
+    by rounding once the receiver has more antennas than ``B_I`` has
+    columns. The form holds up to 200 dB where the part of ``B_u`` off the
+    span of ``B_I`` has full column rank, as for a Gaussian eavesdropper
+    with ``N_e >= N_t`` (``N_e > N_t - N_r`` for one-antenna users); where
+    it does not, the subtraction leaves an ``O(s)`` eigenvalue of the inner
+    matrix to rounding. ``sr``'s eavesdropper term, whose noise sits inside
+    the covariance, is this rate at a receiver that sees an orthonormal
+    basis of the eavesdropper stack's row space (:func:`row_basis`).
     """
-    ok_t, logdet_t = logdet(gram_den + gram_num)
-    ok_d, logdet_d = logdet(gram_den)
-    ok = ok_t & ok_d
-    if ok.all():
-        return (logdet_t - logdet_d) / LN2
-    out = np.zeros(np.shape(ok))
-    np.subtract(logdet_t, logdet_d, out=out, where=ok)
-    out /= LN2
-    num_scale = np.max(np.abs(gram_num), axis=(-2, -1))
-    den_scale = np.max(np.abs(gram_den), axis=(-2, -1))
-    dead = ~ok & (num_scale <= 1e-14 * (1.0 + den_scale))
-    out = np.where(~ok & ~dead, np.inf, out)
-    # A NaN gram fails both tests above, so it is told apart here.
-    finite = np.isfinite(gram_num).all(axis=(-2, -1)) & np.isfinite(gram_den).all(axis=(-2, -1))
-    return np.where(finite, out, np.nan)
-
-
-def gamma_rate_bits(channel, cov_num, cov_den, noise_power: float = 0.0) -> float:
-    """``log2 det(I + gamma)`` for one destination, via the stable det ratio."""
     channel = np.asarray(channel)
-    gram_den = channel @ cov_den @ channel.conj().T
-    if noise_power:
-        gram_den = gram_den + noise_power * np.eye(channel.shape[0])
-    gram_num = channel @ cov_num @ channel.conj().T
-    return float(rate_bits(gram_num[None], gram_den[None])[0])
+    b_u, b_i = channel @ own, channel @ others
+    gram = b_i.conj().T @ b_i + noise_power * np.eye(b_i.shape[1])
+    cross = b_i.conj().T @ b_u
+    inner = b_u.conj().T @ b_u - cross.conj().T @ np.linalg.solve(gram, cross)
+    _, value = np.linalg.slogdet(np.eye(b_u.shape[1]) + inner / noise_power)
+    return float(value / LN2)
+
+
+def row_basis(stack) -> np.ndarray:
+    """Orthonormal rows spanning the row space of a full-rank ``stack``
+    (``min(rows, N_t) x N_t``), from a QR factorization of ``stack^H``."""
+    return np.linalg.qr(np.asarray(stack).conj().T)[0].conj().T
 
 
 def ssr_eve_term(precoder: Precoder, own_user: int, noise_power: float,
@@ -324,7 +344,7 @@ def ssr_eve_term(precoder: Precoder, own_user: int, noise_power: float,
     factorization of ``W^H W + s I`` instead (:func:`relaysec.kernels.eve_terms`).
     """
     u_u, n_r = precoder.user_block(own_user), precoder.user_antennas
-    others = np.delete(precoder.matrix, np.s_[own_user * n_r:(own_user + 1) * n_r], axis=1)
+    others = precoder.other_columns(own_user)
     gram = others.conj().T @ others + noise_power * np.eye(others.shape[1])
     inner = u_u.conj().T @ (u_u - others @ np.linalg.solve(gram, others.conj().T @ u_u))
     if symbol_covariance is not None:
@@ -409,13 +429,16 @@ def ssinr_scores(realization: ChannelRealization, config: SystemConfig,
     """``s-sinr``'s ``(eta1, eta2, combined)`` of every candidate of one
     trial, ``(C,)`` each, from the members' stacked channels: the weakest
     squared row norm of the stacked first hop, and of a user antenna's row
-    of the stacked second hop."""
+    of the stacked second hop. Each row is summed as one contiguous run:
+    numpy's order for a row sum depends on the memory layout, and
+    :func:`relaysec.model.ChannelRealization.all_users_channel` is a
+    strided view where ``N_i = 1``."""
     members = _combination_table(config.pool_size, config.selected_relays)[1]
     hop1 = realization.stacked_source_channel(members)
     hop2 = realization.all_users_channel(members).reshape(
         len(members), config.num_users, config.user_antennas, -1)
     eta1 = np.min(np.sum(np.abs(hop1) ** 2, axis=2), axis=1)
-    eta2 = np.min(np.sum(np.abs(hop2) ** 2, axis=3), axis=(1, 2))
+    eta2 = np.min(np.sum(np.ascontiguousarray(np.abs(hop2) ** 2), axis=3), axis=(1, 2))
     return eta1, eta2, combine_metrics(eta1, eta2, combine)
 
 

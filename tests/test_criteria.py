@@ -31,16 +31,16 @@ from relaysec.reference import (
     Precoder,
     SingularGramError,
     channel_gain_select,
-    desired_covariance,
     gamma_rate_bits,
-    interference_covariance,
     pair_secrecy_rate,
     relay_precoder,
+    row_basis,
     secrecy_gamma,
     select_one,
     sinr_relay_metric,
     sinr_user_metric,
     ssinr_metric,
+    ssinr_scores,
     ssr_eve_term,
     zf_precoder,
 )
@@ -85,6 +85,15 @@ class TestEnumeration:
     def test_oversized_selection_rejected(self):
         with pytest.raises(ValueError, match="pool"):
             enumerate_combinations(3, 4)
+
+    @pytest.mark.parametrize("pool, selected", [(1, 1), (5, 1), (5, 2), (6, 3), (7, 7),
+                                                (8, 5), (12, 4)])
+    def test_rank_is_the_enumeration_index(self, pool, selected):
+        combos = np.array(enumerate_combinations(pool, selected))
+        rows = criteria._combination_rows(combos, pool, selected)
+        assert rows.tolist() == list(range(len(combos)))
+        # One combination alone, as a (T,) row, gives its index too.
+        assert criteria._combination_rows(combos[-1], pool, selected) == len(combos) - 1
 
 
 class TestChannelGain:
@@ -289,20 +298,19 @@ class TestSecrecyGamma:
             secrecy_gamma(h, np.eye(4, dtype=complex), np.eye(4, dtype=complex))
 
     def test_rate_bits_zero_numerator_dead_link(self):
-        h = np.zeros((2, 4), dtype=complex)
-        zero = np.zeros((4, 4), dtype=complex)
-        assert gamma_rate_bits(h, zero, zero) == 0.0
+        h = complex_normal(np.random.default_rng(6), (2, 4))
+        zero = np.zeros((4, 1), dtype=complex)
+        assert gamma_rate_bits(h, zero, np.eye(4, 3), 0.1) == 0.0
+        assert gamma_rate_bits(np.zeros((2, 4)), np.eye(4, 1), np.eye(4, 3), 0.1) == 0.0
 
     def test_rate_monotone_in_numerator_scale(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             h = complex_normal(rng, (2, 4))
-            a = complex_normal(rng, (4, 2))
-            r_num = a @ a.conj().T
-            b = complex_normal(rng, (4, 4))
-            r_den = b @ b.conj().T + 0.2 * np.eye(4)
-            low = gamma_rate_bits(h, r_num, r_den)
-            high = gamma_rate_bits(h, 3.0 * r_num, r_den)
+            own = complex_normal(rng, (4, 2))
+            others = complex_normal(rng, (4, 3))
+            low = gamma_rate_bits(h, own, others, 0.2)
+            high = gamma_rate_bits(h, np.sqrt(3.0) * own, others, 0.2)
             assert high >= low - 1e-12
 
 
@@ -348,6 +356,26 @@ class TestSsinr:
         combo, _ = select_one(CriterionKind.S_SINR, real, cfg)
         assert combo == (0, 1)
 
+    @pytest.mark.parametrize("dims", [
+        dict(num_users=8, pool_size=10, selected_relays=8),
+        dict(num_users=4, user_antennas=2, relay_antennas=2, pool_size=6, selected_relays=4),
+        dict(num_users=3, user_antennas=3, relay_antennas=3, pool_size=5, selected_relays=3),
+        dict(num_users=12, pool_size=13, selected_relays=12),
+    ], ids=["T8-Ni1", "T4-Ni2", "T3-Ni3", "T12-Ni1"])
+    def test_wide_rows_match_the_stacked_channels(self, dims):
+        # Rows of 8 or more entries, where numpy's sum order depends on the
+        # layout: the block's gather sums each stacked row as the oracle does.
+        cfg = scalar_config(num_eves=1, **dims)
+        block = generate_realization(cfg, trial=range(4))
+        positions, score = select(CriterionKind.S_SINR, block, cfg)
+        for b in range(4):
+            scores = criteria._score_ssinr(block[b], cfg, "min")
+            want = ssinr_scores(block[b], cfg)
+            for got, value in zip(scores, want):
+                assert got.tobytes() == value.tobytes()
+            assert positions[b, 0] == np.argmax(want[2])
+            assert score.eta2[b, 0] == want[1][positions[b, 0]]
+
     # select hands these criteria a stripped realization, so none may need
     # the eavesdropper channels.
     @pytest.mark.parametrize("kind", ["channel-gain", "sinr", "s-sinr", "s-sr"])
@@ -383,10 +411,11 @@ class TestSsrEveTerm:
         assert ssr_eve_term(pre, 0, noise) == pytest.approx(math.log2(1.0 + 1.0 / noise),
                                                           rel=1e-12)
 
-    def test_matches_full_knowledge_oracle(self):
+    @pytest.mark.parametrize("snr_db", [10.0, 100.0, 150.0, 200.0])
+    def test_matches_full_knowledge_oracle(self, snr_db):
         # square, full-rank stacked eavesdropper channel: the reduced term
         # equals the log-det computed from the eavesdropper gammas
-        cfg = single_antenna_config()
+        cfg = single_antenna_config(snr_db=snr_db)
         worst = 0.0
         for t in range(50):
             real = generate_realization(cfg, trial=t)
@@ -395,9 +424,9 @@ class TestSsrEveTerm:
             pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
                               cfg.user_antennas)
             for user in range(cfg.num_users):
-                r_in = interference_covariance(pre, user, cfg.noise_power)
                 reduced = ssr_eve_term(pre, user, cfg.noise_power)
-                full = gamma_rate_bits(eve_stack, desired_covariance(pre, user), r_in)
+                full = gamma_rate_bits(row_basis(eve_stack), pre.user_block(user),
+                                       pre.other_columns(user), cfg.noise_power)
                 worst = max(worst, abs(reduced - full) / max(1.0, abs(full)))
         assert worst < 1e-8
 
@@ -472,16 +501,12 @@ class TestSecrecySelection:
                 h1 = real.stacked_source_channel(combo)
                 h2_all = real.all_users_channel(combo)
                 for user in range(cfg.num_users):
-                    rows = h1[cfg.user_streams(user), :]
-                    rd = desired_covariance(u, user)
-                    ri = interference_covariance(u, user, include_noise=False)
-                    hop1 += gamma_rate_bits(rows, rd, ri, cfg.noise_power)
-                    rows2 = h2_all[cfg.user_streams(user), :]
-                    rd2 = desired_covariance(v, user)
-                    ri2 = interference_covariance(v, user, include_noise=False)
-                    hop2 += gamma_rate_bits(rows2, rd2, ri2, cfg.noise_power)
-                    r_in = interference_covariance(u, user, cfg.noise_power)
-                    eve += gamma_rate_bits(eve_stack, rd, r_in)
+                    rows = cfg.user_streams(user)
+                    own, others = u.user_block(user), u.other_columns(user)
+                    hop1 += gamma_rate_bits(h1[rows], own, others, cfg.noise_power)
+                    hop2 += gamma_rate_bits(h2_all[rows], v.user_block(user),
+                                            v.other_columns(user), cfg.noise_power)
+                    eve += gamma_rate_bits(row_basis(eve_stack), own, others, cfg.noise_power)
                 value = min(hop1 - eve, hop2 - eve)
                 if value > best_score:
                     best_combo, best_score = combo, value
@@ -685,18 +710,15 @@ def scalar_scores(kind, real, cfg):
         hop1 = hop2 = eve = 0.0
         for user in range(cfg.num_users):
             rows = cfg.user_streams(user)
-            rd = desired_covariance(u, user)
-            hop1 += gamma_rate_bits(h1[rows], rd, interference_covariance(
-                u, user, include_noise=False), cfg.noise_power)
-            hop2 += gamma_rate_bits(h2[rows], desired_covariance(v, user),
-                                    interference_covariance(v, user, include_noise=False),
+            own, others = u.user_block(user), u.other_columns(user)
+            hop1 += gamma_rate_bits(h1[rows], own, others, cfg.noise_power)
+            hop2 += gamma_rate_bits(h2[rows], v.user_block(user), v.other_columns(user),
                                     cfg.noise_power)
-            r_in = interference_covariance(u, user, cfg.noise_power)
             if kind is CriterionKind.SECRECY_RATE:
-                # E's triangular QR factor has E's gram, and stays square
-                # (so defined) for tall stacks.
-                eve += gamma_rate_bits(np.linalg.qr(real.stacked_eve_channel(), mode="r"),
-                                       rd, r_in)
+                # The noise inside sr's covariance is white noise at an
+                # orthonormal basis of E's row space.
+                eve += gamma_rate_bits(row_basis(real.stacked_eve_channel()), own, others,
+                                       cfg.noise_power)
             else:
                 eve += ssr_eve_term(u, user, cfg.noise_power)
         scores.append(min(hop1 - eve, hop2 - eve))

@@ -1,7 +1,6 @@
 """Kernel tests: ``logdet``'s 2x2 closed form against LAPACK's ``slogdet``,
-the reference rate kernel's dead-link, unbounded and NaN results on 2x2
-grams, the per-user rates of received blocks against closed forms at high
-SNR, and the Cholesky eavesdropper terms against the Woodbury oracle."""
+the per-user rates of received blocks against closed forms at high SNR, and
+the Cholesky eavesdropper terms against the Woodbury oracle."""
 
 import warnings
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from relaysec.kernels import LN2, cholesky_factor, eve_terms, logdet, received_grams, user_rates
-from relaysec.reference import rate_bits, ssr_eve_term, zf_precoder
+from relaysec.reference import ssr_eve_term, zf_precoder
 
 
 def complex_gaussian(rng, shape):
@@ -65,26 +64,6 @@ class TestLogdetTwoByTwo:
         regular, value = logdet(m)
         assert not regular.any()
         assert np.all(np.isnan(value))
-
-
-class TestRateBitsTwoByTwo:
-    def test_regular_grams_match_slogdet(self):
-        rng = np.random.default_rng(23)
-        a, b = (complex_gaussian(rng, (200, 2, 2)) for _ in range(2))
-        num = a @ a.conj().swapaxes(-1, -2)
-        den = b @ b.conj().swapaxes(-1, -2) + 1e-3 * np.eye(2)
-        want = (np.linalg.slogdet(den + num)[1] - np.linalg.slogdet(den)[1]) / LN2
-        np.testing.assert_allclose(rate_bits(num, den), want, rtol=0, atol=1e-9)
-
-    def test_dead_link_unbounded_and_nan(self):
-        zero, eye, nan = np.zeros((2, 2)), np.eye(2), np.full((2, 2), np.nan)
-        rank_one = np.diag([1.0, 0.0])
-        num = np.array([zero, zero, eye, nan, eye])
-        den = np.array([zero, rank_one, rank_one, eye, nan])
-        out = rate_bits(num, den)
-        assert out[:2].tolist() == [0.0, 0.0]  # nothing to receive: a dead link
-        assert out[2] == np.inf  # signal where the denominator has no noise
-        assert np.all(np.isnan(out[3:]))  # a NaN gram has no rate
 
 
 class TestUserRates:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from relaysec.model import (
+    ZF_RESIDUAL_TOL,
     ConfigError,
     SingularChannelError,
     SystemConfig,
     complex_normal,
     generate_realization,
+    zf_core_batch,
 )
 from relaysec.reference import (
     Precoder,
@@ -19,6 +21,7 @@ from relaysec.reference import (
     relay_rx_signal,
     user_channel,
     user_rx_signal,
+    zf_core_exact,
     zf_precoder,
 )
 
@@ -221,6 +224,26 @@ class TestZeroForcing:
         h = np.ones((4, 4), dtype=complex)
         with pytest.raises(SingularChannelError, match="residual"):
             zf_precoder(h)
+
+    def test_residuals_just_below_and_just_above_the_tolerance(self):
+        # Channels with singular values (1, 1, 1, s): the residual grows as s
+        # falls. Of a fine grid of s, the stacks whose residuals are the
+        # closest below and above 1e-9 sit beside two random channels and a
+        # unitary one, which the LU bound admits without its residual.
+        rng = np.random.default_rng(2024)
+        q1, q2 = (np.linalg.qr(complex_normal(rng, (4, 4)))[0] for _ in range(2))
+        grid = np.array([(q1 * [1.0, 1.0, 1.0, s]) @ q2.conj().T
+                         for s in np.geomspace(1e-9, 1e-5, 2001)])
+        residual = np.linalg.norm(grid @ np.linalg.inv(grid) - np.eye(4), axis=(-2, -1))
+        below = np.flatnonzero(residual < ZF_RESIDUAL_TOL)
+        above = np.flatnonzero(residual >= ZF_RESIDUAL_TOL)
+        picks = [below[np.argmax(residual[below])], above[np.argmin(residual[above])]]
+        assert np.all(np.abs(residual[picks] / ZF_RESIDUAL_TOL - 1.0) < 0.01)
+        stacked = np.concatenate([complex_normal(rng, (2, 4, 4)), grid[picks], q1[None]])[None]
+        got = zf_core_batch(stacked, 2.0)
+        assert got[2].tolist() == [[True, True, True, False, True]]
+        for a, b in zip(got, zf_core_exact(stacked, 2.0)):
+            assert a.tobytes() == b.tobytes()
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):

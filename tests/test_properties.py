@@ -12,7 +12,7 @@ unchanged,
 ``sr`` equals ``s-sr`` when the eavesdropper stack has full column rank,
 selection and evaluation over an SNR grid equal their one-point calls,
 ``sinr``'s pick ignores the noise level, and ZF admission agrees with an SVD
-oracle."""
+oracle and, through its LU bound, with the residual of every candidate."""
 
 import dataclasses
 import warnings
@@ -35,14 +35,18 @@ from relaysec.criteria import (  # noqa: E402
     score_candidates,
     select,
 )
-from relaysec.model import ConfigError, SystemConfig, generate_realization  # noqa: E402
+from relaysec.model import (  # noqa: E402
+    ConfigError,
+    SystemConfig,
+    complex_normal,
+    generate_realization,
+    zf_core_batch,
+)
 from relaysec.montecarlo import SweepSpec, run_sweep  # noqa: E402
 from relaysec.reference import (  # noqa: E402
     NoViableCandidateError,
     channel_gain_select,
-    desired_covariance,
     gamma_rate_bits,
-    interference_covariance,
     keyed_realization,
     pair_secrecy_rate,
     position,
@@ -50,6 +54,7 @@ from relaysec.reference import (  # noqa: E402
     select_one,
     ssinr_scores,
     svd_zf_valid,
+    zf_core_exact,
     zf_precoder,
 )
 from relaysec.secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate  # noqa: E402
@@ -186,9 +191,8 @@ def hand_rates(real, combo, cfg, eve_model, eve_aggregate):
     users = range(cfg.num_users)
 
     def rate(channel, precoder, user):
-        rd = desired_covariance(precoder, user)
-        ri = interference_covariance(precoder, user, include_noise=False)
-        return max(gamma_rate_bits(channel, rd, ri, cfg.noise_power), 0.0)
+        return max(gamma_rate_bits(channel, precoder.user_block(user),
+                                   precoder.other_columns(user), cfg.noise_power), 0.0)
 
     h1 = real.stacked_source_channel(combo)
     h2 = real.all_users_channel(combo)
@@ -352,6 +356,48 @@ def test_admitted_candidates_invert_their_channels(cfg, trial, spread):
         residual = np.linalg.norm(channels @ cores - eye, axis=(1, 2))
         assert np.all(residual[cands.valid] < 1e-9)
     assert np.array_equal(cands.valid, svd_zf_valid(cands.hop1) & svd_zf_valid(hop2))
+
+
+@st.composite
+def channel_stacks(draw):
+    """``(B, C, n, n)`` complex stacks, ``n`` from 1 to 8 and 1 to 5 trials
+    of 1 to 6 members: ``s U diag(sigma) V^H`` with random unitaries, singular
+    values spread from 1 down to as little as 1e-16 and ``s`` from 1e-150 to
+    1e150, and some members set exactly singular (a zero row), or given a
+    NaN or an inf entry."""
+    n = draw(st.integers(1, 8))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.sampled_from([0.0, 2.0, 6.0, 9.0, 12.0, 16.0]))
+    scale = 10.0 ** draw(st.sampled_from([-150, -75, 0, 75, 150]))
+
+    def unitaries():
+        return np.linalg.qr(complex_normal(rng, (*shape, n, n)))[0]
+
+    sigma = 10.0 ** (-decades * rng.random((*shape, n)))
+    sigma[..., 0], sigma[..., -1] = 1.0, 10.0 ** -decades
+    stacked = scale * (unitaries() * sigma[..., None, :]) @ unitaries().conj().swapaxes(-1, -2)
+    members = [(b, c) for b in range(shape[0]) for c in range(shape[1])]
+    for kind in ("singular", "nan", "inf"):
+        for b, c in draw(st.lists(st.sampled_from(members), max_size=2)):
+            if kind == "singular":
+                stacked[b, c, -1] = 0.0
+            else:
+                stacked[b, c, 0, -1] = np.nan if kind == "nan" else np.inf
+    return stacked
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(stacked=channel_stacks(), power=st.sampled_from([1e-3, 1.0, 7.5]))
+def test_bound_admission_equals_the_residual_of_every_candidate(stacked, power):
+    # The LU bound may only skip a residual that is below the tolerance, so
+    # admission, cores and precoders equal the exact rule's, byte for byte.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = zf_core_batch(stacked, power)
+        want = zf_core_exact(stacked, power)
+    for name, a, b in zip(("matrix", "core", "valid"), got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

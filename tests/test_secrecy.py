@@ -6,9 +6,7 @@ import pytest
 from relaysec.criteria import prepare_candidates
 from relaysec.model import SingularChannelError, SystemConfig, generate_realization
 from relaysec.reference import (
-    desired_covariance,
     gamma_rate_bits,
-    interference_covariance,
     pair_secrecy_rate,
     position,
     relay_precoder,
@@ -223,35 +221,39 @@ class TestCriterionAgnostic:
             assert np.array_equal(cands.relay_precoders[pos], v.matrix)
 
 
+def composed_rates(real, combo, cfg, eve_model, eve_aggregate):
+    """(legit, eve) of one pair, composed from the scalar precoders and the
+    Woodbury rate oracle, one receiver at a time."""
+    users = range(cfg.num_users)
+
+    def rate(channel, precoder, user):
+        return max(gamma_rate_bits(channel, precoder.user_block(user),
+                                   precoder.other_columns(user), cfg.noise_power), 0.0)
+
+    u = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power, cfg.user_antennas)
+    v = relay_precoder(real, combo, cfg)
+    h1 = real.stacked_source_channel(combo)
+    h2 = real.all_users_channel(combo)
+    legit = 0.5 * min(sum(rate(h1[cfg.user_streams(r)], u, r) for r in users),
+                      sum(rate(h2[cfg.user_streams(r)], v, r) for r in users))
+    per_eve = []
+    for k in range(cfg.num_eves):
+        leak = sum(rate(real.source_to_eve[k], u, r) for r in users)
+        if eve_model == "both":
+            e2 = np.hstack([real.relay_to_eve[(i, k)] for i in combo])
+            leak += sum(rate(e2, v, r) for r in users)
+        per_eve.append(leak)
+    return legit, 0.5 * (sum(per_eve) if eve_aggregate == "sum" else max(per_eve))
+
+
 class TestMimoAgainstComposedCovariances:
     @pytest.mark.parametrize("eve_model", ["phase1", "both"])
     @pytest.mark.parametrize("eve_aggregate", ["sum", "max"])
     def test_rates_match_hand_composition(self, eve_model, eve_aggregate):
         cfg = pair_config(user_antennas=2, relay_antennas=2, eve_antennas=2, snr_db=6.0)
-        users = range(cfg.num_users)
-
-        def rate(channel, precoder, user):
-            rd = desired_covariance(precoder, user)
-            ri = interference_covariance(precoder, user, include_noise=False)
-            return max(gamma_rate_bits(channel, rd, ri, cfg.noise_power), 0.0)
-
         for t in range(5):
             real, combo, cands = build(cfg, trial=t)
-            u = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                            cfg.user_antennas)
-            v = relay_precoder(real, combo, cfg)
-            h1 = real.stacked_source_channel(combo)
-            h2 = real.all_users_channel(combo)
-            legit = 0.5 * min(sum(rate(h1[cfg.user_streams(r)], u, r) for r in users),
-                              sum(rate(h2[cfg.user_streams(r)], v, r) for r in users))
-            per_eve = []
-            for k in range(cfg.num_eves):
-                leak = sum(rate(real.source_to_eve[k], u, r) for r in users)
-                if eve_model == "both":
-                    e2 = np.hstack([real.relay_to_eve[(i, k)] for i in combo])
-                    leak += sum(rate(e2, v, r) for r in users)
-                per_eve.append(leak)
-            eve = 0.5 * (sum(per_eve) if eve_aggregate == "sum" else max(per_eve))
+            legit, eve = composed_rates(real, combo, cfg, eve_model, eve_aggregate)
             options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate)
             signed = pair_secrecy_rate(real, cands, combo, cfg, clamp=False, **options)
             assert signed.legit_rate == pytest.approx(legit, rel=1e-9)
@@ -259,3 +261,26 @@ class TestMimoAgainstComposedCovariances:
             assert signed.secrecy_rate == pytest.approx(legit - eve, rel=1e-9)
             clamped = pair_secrecy_rate(real, cands, combo, cfg, **options)
             assert clamped.secrecy_rate == pytest.approx(max(legit - eve, 0.0), rel=1e-9)
+
+    # Every eavesdropper has more antennas than the other users have
+    # streams (N_e > N_t - N_r), where a gram on its side is singular and
+    # the noise, 1e-10 to 1e-20 here, lies far below that gram's rounding.
+    # With N_r = 2 the oracle needs N_e = N_t: at N_e = 3 a user's two
+    # streams keep one dimension clear of the others', and the oracle's
+    # subtraction leaves the other's O(s) eigenvalue to rounding.
+    @pytest.mark.parametrize("dims", [
+        dict(eve_antennas=2),
+        dict(user_antennas=2, relay_antennas=2, eve_antennas=4),
+    ], ids=["single-antenna-users", "two-antenna-users"])
+    @pytest.mark.parametrize("snr_db", [100.0, 150.0, 200.0])
+    @pytest.mark.parametrize("eve_model", ["phase1", "both"])
+    def test_rates_match_woodbury_oracle_at_high_snr(self, dims, snr_db, eve_model):
+        cfg = pair_config(snr_db=snr_db, **dims)
+        for t in range(5):
+            real, combo, cands = build(cfg, trial=t)
+            legit, eve = composed_rates(real, combo, cfg, eve_model, "sum")
+            signed = pair_secrecy_rate(real, cands, combo, cfg, clamp=False, eve_model=eve_model)
+            assert signed.legit_rate == pytest.approx(legit, rel=1e-9)
+            assert signed.eve_rate == pytest.approx(eve, rel=1e-9)
+            assert signed.secrecy_rate == pytest.approx(legit - eve, rel=1e-9,
+                                                        abs=1e-9 * (legit + eve))
