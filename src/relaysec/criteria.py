@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 
@@ -79,6 +79,13 @@ EXHAUSTIVE_KINDS = (
     CriterionKind.SECRECY_RATE,
     CriterionKind.S_SINR,
     CriterionKind.S_SR,
+)
+
+# Rules whose pick reads the channels alone: they need no candidate set.
+CANDIDATE_FREE_KINDS = (
+    CriterionKind.CHANNEL_GAIN,
+    CriterionKind.MAX_RATIO,
+    CriterionKind.S_SINR,
 )
 
 
@@ -155,8 +162,8 @@ class CandidateSet:
     the unscaled inverses; candidates where either hop's channel was
     singular have ``valid[c]`` False and identity placeholders so batched
     linear algebra stays finite. Row ``c`` belongs to ``combinations[c]``;
-    :func:`select` returns picks as rows, and the same rows serve
-    :func:`relaysec.secrecy.secrecy_rate`'s evaluation of the pick.
+    :func:`select` returns picks as rows, and :meth:`rows` gathers the
+    picked rows that :func:`relaysec.secrecy.secrecy_rate` evaluates.
 
     Given a block of trials, :func:`prepare_candidates` puts the trial axis
     in front of every array; ``block[b]`` is trial ``b``'s set, as views.
@@ -204,11 +211,52 @@ class CandidateSet:
             view._ssr, view._view_of = self._ssr, (self, trial)
         return view
 
-    def stream_gains(self, positions=slice(None)) -> np.ndarray:
-        """Noise-free received power ``P / d_l^2`` of every stream of the
-        candidates at ``positions``, ``(2, J, N_t)``, source hop first."""
-        cores = np.stack([self.cores[positions], self.relay_cores[positions]])
-        return self.config.signal_power / np.sum(np.abs(cores) ** 2, axis=-2)
+    def stream_gains(self) -> np.ndarray:
+        """Noise-free received power ``P / d_l^2`` of every stream of every
+        candidate, ``(2, ..., C, N_t)``, source hop first."""
+        return stream_gains(self.cores, self.relay_cores, self.config.signal_power)
+
+    def rows(self, trials, positions, first: int = 0) -> "CandidateRows":
+        """Candidate ``positions[j]`` of trial ``trials[j]`` of this block's
+        set, for every ``j``, as copies: the set can be dropped afterwards.
+        ``first`` is the set's first trial in the block of realizations the
+        rows are evaluated with."""
+        trials = np.asarray(trials, dtype=np.intp)
+        positions = np.asarray(positions, dtype=np.intp)
+        gains = stream_gains(self.cores[trials, positions], self.relay_cores[trials, positions],
+                             self.config.signal_power)
+        return CandidateRows(trials + first, positions, gains.swapaxes(0, 1),
+                             *(getattr(self, name)[trials, positions]
+                               for name in ("precoders", "relay_precoders", "valid")))
+
+
+@dataclass(frozen=True)
+class CandidateRows:
+    """Rows gathered out of candidate sets, ``(R, ...)`` arrays: row ``r`` is
+    candidate ``positions[r]`` (a row of the combination table) of trial
+    ``trials[r]`` of a block of realizations, with that candidate's stream
+    gains ``(2, N_t)`` (:func:`stream_gains`, source hop first), two
+    precoders and ``valid`` flag (see :class:`CandidateSet`)."""
+
+    trials: np.ndarray
+    positions: np.ndarray
+    gains: np.ndarray
+    precoders: np.ndarray
+    relay_precoders: np.ndarray
+    valid: np.ndarray
+
+    @classmethod
+    def concatenate(cls, parts) -> "CandidateRows":
+        """The rows of ``parts``, one after another."""
+        return cls(*(np.concatenate([getattr(part, f.name) for part in parts])
+                     for f in fields(cls)))
+
+
+def stream_gains(cores: np.ndarray, relay_cores: np.ndarray, signal_power: float) -> np.ndarray:
+    """Noise-free received power ``P / d_l^2`` of every ZF stream, ``(2, ...,
+    N_t)``, source hop first, from the two hops' cores ``(..., N_t, N_t)``
+    and their column norms ``d``."""
+    return signal_power / np.sum(np.abs(np.stack([cores, relay_cores])) ** 2, axis=-2)
 
 
 def legit_rates(gains: np.ndarray, noise) -> np.ndarray:
@@ -273,9 +321,11 @@ def _score_ssinr(realization: ChannelRealization, config: SystemConfig, combine:
     ``eta1`` is the weakest squared norm of a member antenna's row of the
     stacked first hop, and ``eta2`` the weakest of a user antenna's row of
     the members' relay->user channels side by side. Both are gathered from
-    per-relay squares through the ``(C, T)`` member array, and each row of
-    ``eta2`` is gathered as one contiguous run in the stacked row's order,
-    so the scores are the bits of the stacked channels' contiguous row sums
+    per-relay squares through the ``(C, T)`` member array, one member
+    antenna and one user antenna at a time, so no temporary holds more than
+    one float a candidate. Each row of ``eta2`` is summed in the stacked
+    row's order (:func:`_member_sums`), so the scores are the bits of the
+    stacked channels' contiguous row sums
     (:func:`relaysec.reference.ssinr_scores`). Precoder validity does not
     constrain them.
     """
@@ -285,13 +335,29 @@ def _score_ssinr(realization: ChannelRealization, config: SystemConfig, combine:
     columns = (members[:, :, None] * n_i + np.arange(n_i)).reshape(len(members), -1)
     rows = np.sum(np.abs(realization.source_to_relay) ** 2, axis=-1)  # (..., P, N_i)
     rows = rows.reshape(*rows.shape[:-2], -1)  # (..., P N_i)
-    eta1 = np.min(np.take(rows, columns, axis=-1), axis=-1)
+    eta1 = np.take(rows, columns[:, 0], axis=-1)
+    for column in columns.T[1:]:
+        np.minimum(eta1, np.take(rows, column, axis=-1), out=eta1)
     squares = np.abs(realization.relay_to_user) ** 2  # (..., P, M, N_r, N_i)
-    # One contiguous (..., M N_r, P N_i) copy: each user antenna's row is
-    # gathered as one contiguous T N_i run, in the stacked row's order.
     antennas = np.moveaxis(squares, -4, -2).reshape(*rows.shape[:-1], -1, rows.shape[-1])
-    eta2 = np.min(np.sum(np.take(antennas, columns, axis=-1), axis=-1), axis=-2)
+    antennas = np.moveaxis(antennas, -2, 0)  # (M N_r, ..., P N_i): a row per user antenna
+    eta2 = _member_sums(antennas[0], columns)
+    for antenna in antennas[1:]:
+        np.minimum(eta2, _member_sums(antenna, columns), out=eta2)
     return eta1, eta2, combine_metrics(eta1, eta2, combine)
+
+
+def _member_sums(values: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``values[..., columns].sum(axis=-1)``, ``(..., C)``, with the bits of a
+    contiguous row sum: numpy adds fewer than eight entries in order, so those
+    rows are summed one column at a time, and rows of eight or more, which
+    it sums pairwise, are gathered whole."""
+    if columns.shape[1] >= 8:
+        return np.sum(np.take(values, columns, axis=-1), axis=-1)
+    sums = np.take(values, columns[:, 0], axis=-1)
+    for column in columns.T[1:]:
+        sums += np.take(values, column, axis=-1)
+    return sums
 
 
 def _eve_row_spaces(eve_stacks: np.ndarray) -> tuple:
@@ -462,14 +528,13 @@ def _pick_best(eta1, eta2, combined, ranking) -> tuple:
     ``np.argmax`` keeps the first maximum, the candidate that enumerates
     first; a row whose picked score is not finite picks -1 with NaN scores.
     """
-    shape = combined.shape[:-1]
-    best = np.broadcast_to(np.argmax(ranking, axis=-1), shape).ravel()  # one per (point, trial)
-    eta1, eta2, combined = (a.reshape(-1, a.shape[-1]) for a in (eta1, eta2, combined))
-    rows = np.arange(len(best))
-    viable = np.isfinite(combined[rows, best])
-    score = CriterionScore(*(np.where(viable, a[rows, best], np.nan).reshape(shape).T
-                             for a in (eta1, eta2, combined)))
-    return np.where(viable, best, -1).reshape(shape).T, score
+    # One pick per (point, trial), gathered without copying a broadcast row.
+    best = np.broadcast_to(np.argmax(ranking, axis=-1), combined.shape[:-1])[..., None]
+    eta1, eta2, combined = (np.take_along_axis(a, best, axis=-1)[..., 0]
+                            for a in (eta1, eta2, combined))
+    viable = np.isfinite(combined)
+    score = CriterionScore(*(np.where(viable, a, np.nan).T for a in (eta1, eta2, combined)))
+    return np.where(viable, best[..., 0], -1).T, score
 
 
 # ---------------------------------------------------------------------------

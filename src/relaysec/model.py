@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -256,6 +257,25 @@ def _side_by_side(blocks: np.ndarray) -> np.ndarray:
     return moved.reshape(*moved.shape[:-2], moved.shape[-2] * moved.shape[-1])
 
 
+@lru_cache(maxsize=8)
+def _draw_layout(p: int, m: int, k: int, n_t: int, n_i: int, n_r: int, n_e: int) -> tuple:
+    """``(layout, counters, sizes)`` of :func:`generate_realization`: every
+    link's ``(node axes, block shape)``, and every channel block's Philox
+    counter and float count, in draw order."""
+    layout = {
+        "source_to_relay": ((p,), (n_i, n_t)),
+        "relay_to_user": ((p, m), (n_r, n_i)),
+        "source_to_eve": ((k,), (n_e, n_t)),
+        "relay_to_eve": ((p, k), (n_e, n_i)),
+    }
+    counters, sizes = [], []
+    for link, (keys, block) in layout.items():
+        for a, b in product(*map(range, keys + (1,) * (2 - len(keys)))):
+            counters.append([0, b, a, LINK_DOMAINS[link]])
+            sizes.append(2 * prod(block))
+    return layout, tuple(counters), tuple(sizes)
+
+
 def generate_realization(config: SystemConfig, trial=0,
                          seed: int | None = None) -> ChannelRealization:
     """Draw i.i.d. CN(0,1) fading realizations of the whole network.
@@ -275,31 +295,22 @@ def generate_realization(config: SystemConfig, trial=0,
     """
     base = config.seed if seed is None else seed
     trials = np.ravel(trial).tolist()
-    p, k, n_t = config.pool_size, config.num_eves, config.transmit_antennas
-    n_i, n_r, n_e = config.relay_antennas, config.user_antennas, config.eve_antennas
-    layout = {
-        "source_to_relay": ((p,), (n_i, n_t)),
-        "relay_to_user": ((p, config.num_users), (n_r, n_i)),
-        "source_to_eve": ((k,), (n_e, n_t)),
-        "relay_to_eve": ((p, k), (n_e, n_i)),
-    }
-    counters, sizes = [], []
-    for link, (keys, block) in layout.items():
-        for a, b in product(*map(range, keys + (1,) * (2 - len(keys)))):
-            counters.append([0, b, a, LINK_DOMAINS[link]])
-            sizes.append(2 * prod(block))
+    layout, counters, sizes = _draw_layout(config.pool_size, config.num_users, config.num_eves,
+                                           config.transmit_antennas, config.relay_antennas,
+                                           config.user_antennas, config.eve_antennas)
 
     # One generator for the call; the setter writes every field of `state`
-    # before each block, so its seed is never used.
+    # before each block, so its seed is never used. Python ints (the key as
+    # a list, the buffer as a list) set it in half the time numpy words do.
     bit_generator = np.random.Philox(0)
     gen = np.random.Generator(bit_generator)
     key_counter = {}
-    state = {"bit_generator": "Philox", "state": key_counter, "buffer": np.zeros(4, np.uint64),
+    state = {"bit_generator": "Philox", "state": key_counter, "buffer": [0, 0, 0, 0],
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     draws = np.empty((len(trials), sum(sizes)))
     for row, t in zip(draws, trials):
         key_counter["key"] = np.random.SeedSequence(base, spawn_key=(t,)).generate_state(
-            2, np.uint64)
+            2, np.uint64).tolist()
         start = 0
         for counter, size in zip(counters, sizes):
             key_counter["counter"] = counter

@@ -10,27 +10,31 @@ legitimate rate is ``sum_l log2(1 + P / (d_l^2 s))`` and an SINR
 ``P / (d_l^2 s)``, and the eavesdropper term of ``sr`` and ``s-sr`` comes
 from the Cholesky factors of ``W^H W + s I``, taken column by column for
 every candidate and noise level at once. So the SNR grid is an array axis
-rather than a loop, and so is the trial axis of a block: the draws and the
-ZF cores are built for a block of trials at a time (:func:`_run_trials`),
-and each criterion makes one ``select`` call per block. ``s-sr`` scores
-every candidate of every trial of the block at every grid point in one
-pass and takes a row-wise argmax over that table. ``sr`` reads the same
-table for each trial whose stacked eavesdropper channel has full rank,
-after one SVD of all the block's stacks, and scores the other trials on
-their row-space bases, one pass per rank. ``s-sinr`` ranks every trial by
-one noise-free row of scores gathered from per-relay channel norms, and
-``channel-gain`` runs its two greedy passes over the whole block; ``sinr``
-and ``max-ratio`` pick trial by trial inside their calls. The four whose
-pick ignores the noise level return the same row at every point. The
-distinct (trial, candidate, SNR point) triples that the criteria picked in
-the block are then evaluated by one ``secrecy_rate`` call, and each sample
-is gathered from it, with the reason for every discard counted. With
-several workers the trials are cut into contiguous chunks: this process
-runs the first, and one child process started for the sweep runs each of
-the others and sends its result back over a pipe (:func:`run_sweep`).
-Results are bit-identical for a given spec regardless of the worker count
-and block size, because trials are keyed, independent work units and the
-reduction runs in fixed trial order.
+rather than a loop, and so is the trial axis of a block. The trials go in
+trial blocks, each cut into candidate blocks (:func:`_run_trials`). A trial
+block is drawn at once, and the criteria whose pick reads only channel
+norms make one ``select`` call on it: ``s-sinr`` ranks every trial by one
+noise-free row of scores gathered from per-relay channel norms,
+``channel-gain`` runs its two greedy passes over the whole block, and
+``max-ratio`` picks trial by trial inside its call. A candidate block
+builds the ZF cores of its trials, and each criterion that scores
+candidates makes one ``select`` call on it: ``s-sr`` scores every candidate
+of every trial of the block at every grid point in one pass and takes a
+row-wise argmax over that table, ``sr`` reads the same table for each
+trial whose stacked eavesdropper channel has full rank, after one SVD of
+all the block's stacks, and scores the other trials on their row-space
+bases, one pass per rank, and ``sinr`` picks trial by trial. The four
+whose pick ignores the noise level return the same row at every point.
+Each candidate block then hands over the candidate rows its trials'
+criteria picked, and its candidate arrays are freed. The distinct (row,
+SNR point) pairs of the trial block are evaluated by one ``secrecy_rate``
+call, and each sample is gathered from it, with the reason for every
+discard counted. With several workers the trials are cut into contiguous
+chunks: this process runs the first, and one child process started for the
+sweep runs each of the others and sends its result back over a pipe
+(:func:`run_sweep`). Results are bit-identical for a given spec regardless
+of the worker count and block sizes, because trials are keyed, independent
+work units and the reduction runs in fixed trial order.
 """
 
 from __future__ import annotations
@@ -48,14 +52,17 @@ from .criteria import CriterionKind
 from .model import ConfigError, SystemConfig, _is_integer_at_least, generate_realization
 from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 
-# Bytes a block of trials may hold in its candidate arrays, and again in the
-# Cholesky factors of its s-sr term: each trial adds six (C, N_t, N_t) complex
-# arrays (two hop channels, two cores, two precoders), 12 N_t^2 floats a
-# candidate, and on an S-point grid one factor of W^H W + s I per candidate
-# and grid point, N_t^2 floats each (``kernels.cholesky_factor``); the larger
-# of the two sets the block size. Temporaries come on top of both, so a
-# block peaks at a few budgets (``tests/test_montecarlo.py::TestBlockPeak``).
-# A C(12, 4) pool (760 KB per trial) stays one trial per block.
+# Bytes a candidate block of trials may hold in its candidate arrays, and
+# again in the Cholesky factors of its s-sr term: each trial adds six (C, N_t,
+# N_t) complex arrays (two hop channels, two cores, two precoders), 12 N_t^2
+# floats a candidate, and on an S-point grid one factor of W^H W + s I per
+# candidate and grid point, N_t^2 floats each (``kernels.cholesky_factor``);
+# the larger of the two sets the block size. A trial block holds as many
+# trials again in what they hold outside those arrays (``_trial_bytes``), in
+# whole candidate blocks. Temporaries come on top of both, so a trial block
+# peaks at a few budgets (``tests/test_montecarlo.py::TestBlockPeak``). A
+# C(12, 4) pool (760 KB per trial) runs one trial per candidate block, and 16
+# per trial block.
 BLOCK_BYTES = 256 * 1024
 
 # Largest candidate arrays one trial may need, the six (C, N_t, N_t) complex
@@ -230,17 +237,66 @@ class SweepResult:
         return self.snr_grid_db, self.mean[idx], self.stderr[idx]
 
 
+def _block_steps(spec: SweepSpec) -> tuple:
+    """``(trial_step, candidate_step)``: the trials of one trial block and of
+    one candidate block in :func:`_run_trials`.
+
+    A candidate block holds as many trials' candidate arrays as fit
+    ``BLOCK_BYTES``, at least one. A trial block holds as many trials as fit
+    the same budget in what a trial holds outside its candidate arrays
+    (:func:`_trial_bytes`), rounded down to a whole number of candidate
+    blocks, at least one.
+    """
+    cfg = spec.config
+    n_combos = comb(cfg.pool_size, cfg.selected_relays)
+    candidate_bytes = 8 * n_combos * cfg.transmit_antennas ** 2 * max(12, len(spec.snr_grid_db))
+    candidate_step = max(1, BLOCK_BYTES // candidate_bytes)
+    blocks = max(1, BLOCK_BYTES // (candidate_step * _trial_bytes(spec)))
+    return blocks * candidate_step, candidate_step
+
+
+def _trial_bytes(spec: SweepSpec) -> int:
+    """Bytes one trial holds outside its candidate arrays in a trial block:
+    its channels, its picks and the rows they picked, and the largest
+    temporary array of a step that needs no candidate set.
+
+    * Channels: every complex entry of the realization.
+    * Picks: one for every criterion and SNR point, with its rate and masks.
+    * Rows: at most one a pick and one a candidate, each its two
+      ``(N_t, N_t)`` complex precoders and ``2 N_t`` stream gains.
+    * The largest temporary: the float draws of the channels; ``s-sinr``'s
+      member sums, one float a candidate (``N_t`` where rows of eight or
+      more are gathered whole, :func:`relaysec.criteria._member_sums`); or
+      the per-user grams of every pick in both phases, in evaluation.
+    """
+    cfg = spec.config
+    n_combos = comb(cfg.pool_size, cfg.selected_relays)
+    n_t, k, n_e = cfg.transmit_antennas, cfg.num_eves, cfg.eve_antennas
+    relay_antennas = cfg.pool_size * cfg.relay_antennas
+    entries = 2 * relay_antennas * n_t + k * n_e * (n_t + relay_antennas)
+    picks = len(spec.criteria) * len(spec.snr_grid_db)
+    rows = min(picks, n_combos) * (32 * n_t ** 2 + 16 * n_t)
+    ssinr = 8 * n_combos * (n_t if n_t >= 8 else 1) if CriterionKind.S_SINR in spec.criteria else 0
+    own, other = min(n_e, n_t), min(n_e, n_t - cfg.user_antennas)
+    grams = picks * 32 * k * max(own ** 2, cfg.num_users * other ** 2)
+    return 16 * entries + 40 * picks + rows + max(16 * entries, ssinr, grams)
+
+
 def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
     """Evaluate a run of trials; pure function of (spec, indices).
 
-    The trials go in blocks of as many as fit ``BLOCK_BYTES``, at least
-    one: one ``generate_realization`` and one ``prepare_candidates`` call
-    per block, then one ``select`` call per criterion on the whole block
-    (``sr``'s with one SVD of the block's eavesdropper stacks), and one
-    ``secrecy_rate`` call for the distinct (trial, candidate, SNR point)
-    triples the block's criteria picked. Every draw, core, pick and rate is
-    byte for byte the one its trial gets alone, so the results do not depend
-    on the block size or on how the trials are split between workers.
+    The trials go in trial blocks, and each trial block in candidate blocks
+    (:func:`_block_steps`). A trial block makes one ``generate_realization``
+    call and one ``select`` call for each criterion that needs no candidate
+    set (``channel-gain``, ``max-ratio``, ``s-sinr``). Each of its candidate
+    blocks makes one ``prepare_candidates`` call and one ``select`` call for
+    each criterion that scores candidates (``sinr``, ``sr``, ``s-sr``), and
+    then gathers the rows every criterion picked in it, so that its candidate
+    arrays are dropped before the next candidate block is built. The trial
+    block ends with one ``secrecy_rate`` call on its distinct picked rows, at
+    the distinct SNR points they were picked at. Every draw, core, pick and
+    rate is byte for byte the one its trial gets alone, so the results do not
+    depend on the block sizes or on how the trials are split between workers.
 
     Returns ``(samples, selections, discards)``: the first two are
     ``(criteria, SNR points, trials)`` arrays, and ``discards`` maps each
@@ -251,38 +307,55 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
     cfg0 = spec.config
     n_combos = comb(cfg0.pool_size, cfg0.selected_relays)
     noise = cfg0.noise_powers(spec.snr_grid_db)
-    trial_bytes = 8 * n_combos * cfg0.transmit_antennas ** 2 * max(12, len(noise))
-    step = max(1, BLOCK_BYTES // trial_bytes)
+    trial_step, candidate_step = _block_steps(spec)
     n_c, n_s = len(spec.criteria), len(noise)
+    free = [c for c, kind in enumerate(spec.criteria) if kind in crit.CANDIDATE_FREE_KINDS]
+    scored = [c for c in range(n_c) if c not in free]
     samples = np.full((len(trial_indices), n_c, n_s), np.nan)
     selections = np.full((len(trial_indices), n_c, n_s), -1, dtype=np.int32)
     discards = {reason: np.zeros((n_c, n_s), dtype=np.int64)
                 for reason in ("no-viable-candidate", "invalid-pick", "non-finite-rate")}
-    for first in range(0, len(trial_indices), step):
-        realizations = generate_realization(cfg0, trial=trial_indices[first:first + step])
-        candidates = crit.prepare_candidates(realizations, cfg0)
-        n_b = len(candidates.valid)
+    for first in range(0, len(trial_indices), trial_step):
+        realizations = generate_realization(cfg0, trial=trial_indices[first:first + trial_step])
+        n_b = len(realizations.source_to_relay)
         picks = np.empty((n_b, n_c, n_s), dtype=np.intp)
-        for c, kind in enumerate(spec.criteria):
-            picks[:, c] = crit.select(kind, realizations, cfg0, candidates=candidates,
+        for c in free:
+            picks[:, c] = crit.select(spec.criteria[c], realizations, cfg0,
                                       combine=spec.combine, noise=noise)[0]
-        trial = np.broadcast_to(np.arange(n_b)[:, None, None], picks.shape)
-        point = np.broadcast_to(np.arange(n_s), picks.shape)
-        viable = picks >= 0
-        usable = viable.copy()
-        usable[viable] = candidates.valid[trial[viable], picks[viable]]
-        # Each distinct (trial, candidate, SNR point) triple is evaluated once.
-        wanted = np.zeros((n_b, n_combos, n_s), dtype=bool)
-        wanted[trial[usable], picks[usable], point[usable]] = True
-        rows = np.nonzero(wanted)
-        rates = np.full(wanted.shape, np.nan)
-        rates[rows] = secrecy_rate(
-            realizations, candidates, rows[0], rows[1], cfg0, noise[rows[2]],
+        usable = np.empty(picks.shape, dtype=bool)
+        parts = []
+        for low in range(0, n_b, candidate_step):
+            part = slice(low, low + candidate_step)
+            members = realizations[part]
+            candidates = crit.prepare_candidates(members, cfg0)
+            for c in scored:
+                picks[part, c] = crit.select(spec.criteria[c], members, cfg0,
+                                             candidates=candidates, combine=spec.combine,
+                                             noise=noise)[0]
+            mine = picks[part]
+            ok = mine >= 0
+            trial = np.broadcast_to(np.arange(len(mine))[:, None, None], mine.shape)
+            ok[ok] = candidates.valid[trial[ok], mine[ok]]
+            usable[part] = ok
+            # The distinct (trial, candidate) pairs picked here, as copies,
+            # so that this set is freed before the next one is built.
+            slots = np.zeros(candidates.valid.shape, dtype=bool)
+            slots[trial[ok], mine[ok]] = True
+            parts.append(candidates.rows(*np.nonzero(slots), first=low))
+            del candidates
+        rows = crit.CandidateRows.concatenate(parts)
+        # Each distinct (row, SNR point) pair is evaluated once.
+        trial, _, point = np.nonzero(usable)
+        row = np.searchsorted(rows.trials * n_combos + rows.positions,
+                              trial * n_combos + picks[usable])
+        wanted, inverse = np.unique(row * n_s + point, return_inverse=True)
+        values = np.full(picks.shape, np.nan)
+        values[usable] = secrecy_rate(
+            realizations, rows, cfg0, noise[wanted % n_s], wanted // n_s,
             half_duplex=spec.half_duplex, clamp=spec.clamp, eve_model=spec.eve_model,
             eve_aggregate=spec.eve_aggregate,
-        ).secrecy_rate
-        values = np.where(usable, rates[trial, picks, point], np.nan)
-        kept = np.isfinite(values)
+        ).secrecy_rate[inverse]
+        viable, kept = picks >= 0, np.isfinite(values)
         samples[first:first + n_b] = np.where(kept, values, np.nan)
         selections[first:first + n_b] = np.where(kept, picks, -1)
         discards["no-viable-candidate"] += np.sum(~viable, axis=0)

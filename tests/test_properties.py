@@ -412,7 +412,7 @@ def test_batched_secrecy_rate_equals_per_pair_calls(cfg, grid, trial, eve_model,
     rows = np.repeat(positions, len(grid))
     points = np.tile(np.arange(len(grid)), len(positions))
     options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate, clamp=clamp)
-    batch = secrecy_rate(real, cands, np.zeros_like(rows), rows, cfg,
+    batch = secrecy_rate(real, cands.rows(np.zeros_like(rows), rows), cfg,
                          cfg.noise_powers(grid)[points], **options)
     for j, (row, s) in enumerate(zip(rows, points)):
         one = pair_secrecy_rate(real[0], cands[0], cands.combinations[row],
@@ -444,19 +444,20 @@ def test_block_evaluation_equals_per_trial_evaluations(cfg, grid, first, size, e
     trials, rows, points = np.nonzero(np.repeat(cands.valid[..., None], len(grid), axis=2))
     noise = cfg.noise_powers(grid)
     options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate, clamp=clamp)
-    batch = secrecy_rate(block, cands, trials, rows, cfg, noise[points], **options)
+    batch = secrecy_rate(block, cands.rows(trials, rows), cfg, noise[points], **options)
     for b in range(size):
         mine = trials == b
-        alone = secrecy_rate(block[b:b + 1], cands[b:b + 1], np.zeros(mine.sum(), int),
-                             rows[mine], cfg, noise[points[mine]], **options)
+        alone = secrecy_rate(block[b:b + 1], cands[b:b + 1].rows(np.zeros(mine.sum(), int),
+                                                                 rows[mine]),
+                             cfg, noise[points[mine]], **options)
         for name in ("secrecy_rate", "legit_rate", "eve_rate"):
             assert getattr(batch, name)[mine].tobytes() == getattr(alone, name).tobytes()
     # Shuffled, with a third of the triples twice: the noise-free terms are
-    # built once per (trial, candidate) pair, and every triple keeps its bytes.
+    # built once per row, and every triple keeps its bytes.
     order = np.random.default_rng(first).permutation(len(rows))
     order = np.concatenate([order, order[:len(order) // 3]])
-    shuffled = secrecy_rate(block, cands, trials[order], rows[order], cfg,
-                            noise[points[order]], **options)
+    shuffled = secrecy_rate(block, cands.rows(trials, rows), cfg, noise[points[order]], order,
+                            **options)
     for name in ("secrecy_rate", "legit_rate", "eve_rate"):
         assert getattr(shuffled, name).tobytes() == getattr(batch, name)[order].tobytes()
 
@@ -476,8 +477,8 @@ def test_relabeling_the_eavesdroppers_leaves_every_rate_unchanged(cfg, grid, fir
     trials, rows, points = np.nonzero(np.repeat(cands.valid[..., None], len(grid), axis=2))
     noise = cfg.noise_powers(grid)[points]
     options = dict(eve_model=eve_model, eve_aggregate=eve_aggregate)
-    want = secrecy_rate(block, cands, trials, rows, cfg, noise, **options)
-    got = secrecy_rate(relabeled, cands, trials, rows, cfg, noise, **options)
+    want = secrecy_rate(block, cands.rows(trials, rows), cfg, noise, **options)
+    got = secrecy_rate(relabeled, cands.rows(trials, rows), cfg, noise, **options)
     assert got.legit_rate.tobytes() == want.legit_rate.tobytes()
     assert got.eve_rate == pytest.approx(want.eve_rate, rel=1e-9, abs=0)
     # The difference of the two rates, relative to their size.
@@ -511,7 +512,7 @@ def trial_outputs(block, cfg, grid, combine, options, rows=None):
     legit = legit_rates(cands[0].stream_gains(), noise[:, None, None]).sum(axis=1)
     out["scale"] = legit[:, rows]
     usable, points = np.nonzero(np.repeat(out["valid"][:, None], len(grid), axis=1))
-    out["rates"] = secrecy_rate(block, cands, np.zeros_like(usable), rows[usable], cfg,
+    out["rates"] = secrecy_rate(block, cands.rows(np.zeros_like(usable), rows[usable]), cfg,
                                 noise[points], **options)
     return out
 

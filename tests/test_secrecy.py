@@ -117,7 +117,7 @@ class TestEdgeCases:
         cfg = pair_config(user_antennas=2, relay_antennas=2, eve_antennas=2)
         real = generate_realization(cfg, trial=[0, 1])
         none = np.zeros(0, dtype=int)
-        sample = secrecy_rate(real, prepare_candidates(real, cfg), none, none, cfg,
+        sample = secrecy_rate(real, prepare_candidates(real, cfg).rows(none, none), cfg,
                               np.zeros(0), eve_model=eve_model)
         for rates in (sample.secrecy_rate, sample.legit_rate, sample.eve_rate):
             assert rates.shape == (0,)
@@ -205,7 +205,7 @@ class TestCriterionAgnostic:
         assert len(rows) > 2
         copies = 3
         noise = np.full(copies * len(rows), cfg.noise_power)
-        sample = secrecy_rate(real, cands, np.tile(trials, copies), np.tile(rows, copies),
+        sample = secrecy_rate(real, cands.rows(np.tile(trials, copies), np.tile(rows, copies)),
                               cfg, noise)
         for rates in (sample.secrecy_rate, sample.legit_rate, sample.eve_rate):
             first, *others = rates.reshape(copies, -1)
@@ -223,7 +223,7 @@ class TestCriterionAgnostic:
 
 def composed_rates(real, combo, cfg, eve_model, eve_aggregate):
     """(legit, eve) of one pair, composed from the scalar precoders and the
-    Woodbury rate oracle, one receiver at a time."""
+    rate oracle, one receiver at a time."""
     users = range(cfg.num_users)
 
     def rate(channel, precoder, user):
@@ -265,13 +265,14 @@ class TestMimoAgainstComposedCovariances:
     # Every eavesdropper has more antennas than the other users have
     # streams (N_e > N_t - N_r), where a gram on its side is singular and
     # the noise, 1e-10 to 1e-20 here, lies far below that gram's rounding.
-    # With N_r = 2 the oracle needs N_e = N_t: at N_e = 3 a user's two
-    # streams keep one dimension clear of the others', and the oracle's
-    # subtraction leaves the other's O(s) eigenvalue to rounding.
+    # At N_r = 2, N_t = 4 and N_e = 3 a user's two streams keep one
+    # dimension clear of the others' span: the oracle takes that part's
+    # 1 / s terms in a factor of their own.
     @pytest.mark.parametrize("dims", [
         dict(eve_antennas=2),
         dict(user_antennas=2, relay_antennas=2, eve_antennas=4),
-    ], ids=["single-antenna-users", "two-antenna-users"])
+        dict(user_antennas=2, relay_antennas=2, eve_antennas=3),
+    ], ids=["single-antenna-users", "two-antenna-users", "two-antenna-users-three-eve-antennas"])
     @pytest.mark.parametrize("snr_db", [100.0, 150.0, 200.0])
     @pytest.mark.parametrize("eve_model", ["phase1", "both"])
     def test_rates_match_woodbury_oracle_at_high_snr(self, dims, snr_db, eve_model):
