@@ -322,10 +322,11 @@ def _score_ssinr(realization: ChannelRealization, config: SystemConfig, combine:
     stacked first hop, and ``eta2`` the weakest of a user antenna's row of
     the members' relay->user channels side by side. Both are gathered from
     per-relay squares through the ``(C, T)`` member array, one member
-    antenna and one user antenna at a time, so no temporary holds more than
-    one float a candidate. Each row of ``eta2`` is summed in the stacked
-    row's order (:func:`_member_sums`), so the scores are the bits of the
-    stacked channels' contiguous row sums
+    antenna and one user antenna at a time, so that with fewer than eight
+    member antennas no temporary holds more than one float a candidate.
+    Each row of ``eta2`` is summed in the stacked row's order
+    (:func:`_member_sums`), so the scores are the bits of the stacked
+    channels' contiguous row sums
     (:func:`relaysec.reference.ssinr_scores`). Precoder validity does not
     constrain them.
     """

@@ -260,8 +260,8 @@ def _side_by_side(blocks: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _draw_layout(p: int, m: int, k: int, n_t: int, n_i: int, n_r: int, n_e: int) -> tuple:
     """``(layout, counters, sizes)`` of :func:`generate_realization`: every
-    link's ``(node axes, block shape)``, and every channel block's Philox
-    counter and float count, in draw order."""
+    link's ``(link, (node axes, block shape))``, and every channel block's
+    Philox counter and float count, in draw order, all tuples."""
     layout = {
         "source_to_relay": ((p,), (n_i, n_t)),
         "relay_to_user": ((p, m), (n_r, n_i)),
@@ -271,9 +271,9 @@ def _draw_layout(p: int, m: int, k: int, n_t: int, n_i: int, n_r: int, n_e: int)
     counters, sizes = [], []
     for link, (keys, block) in layout.items():
         for a, b in product(*map(range, keys + (1,) * (2 - len(keys)))):
-            counters.append([0, b, a, LINK_DOMAINS[link]])
+            counters.append((0, b, a, LINK_DOMAINS[link]))
             sizes.append(2 * prod(block))
-    return layout, tuple(counters), tuple(sizes)
+    return tuple(layout.items()), tuple(counters), tuple(sizes)
 
 
 def generate_realization(config: SystemConfig, trial=0,
@@ -319,7 +319,7 @@ def generate_realization(config: SystemConfig, trial=0,
             start += size
 
     arrays, start = {}, 0
-    for link, (keys, block) in layout.items():
+    for link, (keys, block) in layout:
         end = start + 2 * prod(keys) * prod(block)
         halves = draws[:, start:end].reshape(len(trials), -1, 2, prod(block))
         arrays[link] = ((halves[:, :, 0] + 1j * halves[:, :, 1]) / np.sqrt(2.0)).reshape(

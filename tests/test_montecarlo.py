@@ -275,10 +275,17 @@ class TestPairing:
 
 
 class TestCallsPerTrial:
-    # pair_config's candidate arrays take 6 * C(5, 2) * 2**2 * 16 = 3840 bytes a trial.
-    @pytest.mark.parametrize("budget, blocks", [(None, 1), (2 * 3840, 3), (1, 5)])
-    def test_one_draw_and_one_evaluation_per_block_one_select_per_criterion(
-            self, monkeypatch, budget, blocks):
+    # A C(12, 4) pool of one-antenna nodes: a trial's candidate arrays take
+    # 8 * 495 * 4**2 * 12 = 760320 bytes, over every budget here, so each
+    # candidate block holds one trial. What a trial holds outside them, 22864
+    # bytes with all six criteria on three points, sets the trial blocks: 11
+    # trials at the default budget, 2 at 50000 bytes and 1 at 1 byte.
+    FREE = ("channel-gain", "max-ratio", "s-sinr")
+    SCORED = ("sinr", "sr", "s-sr")
+
+    @pytest.mark.parametrize("budget, trial_blocks", [(None, 1), (50_000, 3), (1, 5)])
+    def test_one_draw_pick_and_evaluation_per_trial_block(self, monkeypatch, budget,
+                                                          trial_blocks):
         if budget is not None:
             monkeypatch.setattr(montecarlo, "BLOCK_BYTES", budget)
         calls = []
@@ -287,17 +294,21 @@ class TestCallsPerTrial:
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
+                calls.append(f"{_name}.{args[0].value}" if _name == "select" else _name)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        kinds = ("channel-gain", "max-ratio", "sinr", "sr", "s-sinr", "s-sr")
-        spec = small_spec(trials=5, snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0), criteria=kinds)
+        config = SystemConfig(seed=5, **TestBlockPeak.POOL12)
+        spec = SweepSpec(config=config, snr_grid_db=(0.0, 10.0, 20.0), trials=5,
+                         criteria=self.FREE + self.SCORED)
         result = run_sweep(spec)
-        assert calls.count("generate_realization") == blocks
-        assert calls.count("prepare_candidates") == blocks
-        assert calls.count("select") == blocks * len(kinds)
-        assert calls.count("secrecy_rate") == blocks
+        assert calls.count("generate_realization") == trial_blocks
+        assert calls.count("secrecy_rate") == trial_blocks
+        assert calls.count("prepare_candidates") == 5
+        for kind in self.FREE:
+            assert calls.count(f"select.{kind}") == trial_blocks, kind
+        for kind in self.SCORED:
+            assert calls.count(f"select.{kind}") == 5, kind
         assert np.all(result.n_discarded == 0)
 
 
@@ -328,13 +339,16 @@ class TestBlockBytes:
 
 
 class TestBlockPeak:
-    # The traced peak of one block of _run_trials, in BLOCK_BYTES: the
+    # The traced peak of one trial block of _run_trials, in BLOCK_BYTES: the
     # budget scales a block's memory without bounding it, since it counts
     # only the largest arrays. Before this bound was fixed, the peaks read
     # 6.8, 3.8, 5.6 and 2.5 budgets on the fig2-single, fig5-relays-mimo,
     # pool12-select4 and fig5-101-points shapes; the fig3-rank block, whose
     # sr takes every trial's eavesdropper basis, read 4.9 per trial and 5.1
-    # with sr scored per block, when it was added.
+    # with sr scored per block, when it was added. On the other shapes a
+    # trial block is one candidate block; the pool12-select4-16 block, added
+    # with the trial blocks, is the workload's 16 trials in one trial block
+    # of 16 one-trial candidate blocks.
     PEAK_BUDGETS = 8
     FIG2 = dict(num_users=2, user_antennas=1, relay_antennas=1, pool_size=5,
                 selected_relays=2, num_eves=2, eve_antennas=1)
@@ -345,27 +359,30 @@ class TestBlockPeak:
                   selected_relays=4, num_eves=4, eve_antennas=1)
     PRESET_GRID = tuple(range(0, 21, 2))
 
-    @pytest.mark.parametrize("dims, grid, kinds, block", [
-        (FIG2, PRESET_GRID, ("channel-gain", "max-ratio", "sinr", "sr", "s-sinr", "s-sr"), 68),
-        (FIG3, PRESET_GRID, ("channel-gain", "sr", "s-sinr", "s-sr"), 68),
-        (FIG5, PRESET_GRID, ("channel-gain", "s-sinr", "s-sr"), 8),
-        (POOL12, (0, 10, 20), ("channel-gain", "s-sinr", "sr", "s-sr"), 1),
-        (FIG5, tuple(range(0, 201, 2)), ("channel-gain", "s-sinr", "s-sr"), 1),
+    @pytest.mark.parametrize("dims, grid, kinds, block, candidate_blocks", [
+        (FIG2, PRESET_GRID, ("channel-gain", "max-ratio", "sinr", "sr", "s-sinr", "s-sr"), 68, 1),
+        (FIG3, PRESET_GRID, ("channel-gain", "sr", "s-sinr", "s-sr"), 68, 1),
+        (FIG5, PRESET_GRID, ("channel-gain", "s-sinr", "s-sr"), 8, 1),
+        (POOL12, (0, 10, 20), ("channel-gain", "s-sinr", "sr", "s-sr"), 1, 1),
+        (POOL12, (0, 10, 20), ("channel-gain", "s-sinr", "sr", "s-sr"), 16, 16),
+        (FIG5, tuple(range(0, 201, 2)), ("channel-gain", "s-sinr", "s-sr"), 1, 1),
     ], ids=["fig2-single", "fig3-rank", "fig5-relays-mimo", "pool12-select4",
-            "fig5-101-points"])
+            "pool12-select4-16", "fig5-101-points"])
     def test_one_block_peaks_within_a_fixed_multiple_of_the_budget(
-            self, monkeypatch, dims, grid, kinds, block):
+            self, monkeypatch, dims, grid, kinds, block, candidate_blocks):
         spec = SweepSpec(config=SystemConfig(seed=11, **dims), snr_grid_db=grid,
                          trials=block, criteria=kinds)
         montecarlo._run_trials(spec, np.arange(1))  # fills the combination table's cache
-        blocks = []
-        original = criteria.prepare_candidates
+        calls = []
+        for module, name in ((criteria, "prepare_candidates"),
+                             (montecarlo, "generate_realization")):
+            original = getattr(module, name)
 
-        def counted(*args, **kwargs):
-            blocks.append(1)
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(criteria, "prepare_candidates", counted)
+            monkeypatch.setattr(module, name, counted)
         tracemalloc.start()
         try:
             floor = tracemalloc.get_traced_memory()[0]
@@ -373,7 +390,9 @@ class TestBlockPeak:
             peak = tracemalloc.get_traced_memory()[1] - floor
         finally:
             tracemalloc.stop()
-        assert len(blocks) == 1  # the workload's block size, or larger
+        # The workload's block sizes, or larger.
+        assert calls.count("generate_realization") == 1
+        assert calls.count("prepare_candidates") == candidate_blocks
         assert peak <= self.PEAK_BUDGETS * montecarlo.BLOCK_BYTES
 
 

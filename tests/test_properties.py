@@ -1,6 +1,7 @@
 """Property tests: the channel draws equal one NumPy Philox generator per
 block byte for byte, a block of trials draws what each trial draws alone, a
-sweep's results do not depend on its block size or worker count, the batched
+sweep's results do not depend on its block sizes (rank-deficient ``sr``
+trials and invalid candidates mixed in) or worker count, the batched
 evaluation equals the scalar reference oracles and, over a block of trials,
 each trial's own evaluation byte for byte (in any order, a pick given twice
 included), as does each trial's ``sr`` and ``s-sr`` selection from the
@@ -128,6 +129,48 @@ def test_sweep_independent_of_block_size(cfg, trials):
     with mock.patch.object(montecarlo, "BLOCK_BYTES", 1):
         one_per_block = run_sweep(spec)
     assert_same_sweep(default, one_per_block)
+
+
+def spoiled(generate):
+    """``generate`` with two kinds of trial mixed into every block: where
+    ``t % 3 == 1`` the eavesdropper stack has rank one, so ``sr`` scores the
+    trial on its own basis, and where ``t % 4 == 2`` relay 1's channels are
+    twice relay 0's, so every candidate holding both is invalid."""
+    def draw(config, trial):
+        block = generate(config, trial=trial)
+        eve_rows = config.num_eves * config.eve_antennas
+        for b, t in enumerate(np.ravel(trial).tolist()):
+            if t % 3 == 1 and config.transmit_antennas > 1:
+                eves = block.source_to_eve[b]
+                eves[:] = eves[0, 0] * np.arange(1, eve_rows + 1).reshape(
+                    config.num_eves, config.eve_antennas, 1)
+            if t % 4 == 2 and config.pool_size > 1:
+                for links in (block.source_to_relay, block.relay_to_user):
+                    links[b, 1] = 2.0 * links[b, 0]
+        return block
+    return draw
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(cfg=configs(), trials=st.integers(1, 12), trial_step=st.integers(1, 12),
+       candidate_step=st.integers(1, 12))
+def test_sweep_independent_of_trial_and_candidate_blocks(cfg, trials, trial_step,
+                                                         candidate_step):
+    # Any two block sizes: a trial block need not be a whole number of
+    # candidate blocks, nor a run a whole number of trial blocks.
+    spec = sweep_spec(cfg, trials)
+    runs = []
+    with mock.patch.object(montecarlo, "generate_realization",
+                           spoiled(montecarlo.generate_realization)):
+        for steps in ((1, 1), (trial_step, candidate_step)):
+            with mock.patch.object(montecarlo, "_block_steps", lambda spec, steps=steps: steps):
+                runs.append(montecarlo._run_trials(spec, np.arange(trials)))
+    (samples, selections, discards), (want_samples, want_selections, want_discards) = runs
+    assert samples.tobytes() == want_samples.tobytes()
+    assert selections.tobytes() == want_selections.tobytes()
+    assert discards.keys() == want_discards.keys()
+    for reason, counts in discards.items():
+        assert np.array_equal(counts, want_discards[reason]), reason
 
 
 @settings(max_examples=4, derandomize=True, deadline=None)
