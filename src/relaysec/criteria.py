@@ -530,12 +530,13 @@ def _pick_best(eta1, eta2, combined, ranking) -> tuple:
     first; a row whose picked score is not finite picks -1 with NaN scores.
     """
     # One pick per (point, trial), gathered without copying a broadcast row.
-    best = np.broadcast_to(np.argmax(ranking, axis=-1), combined.shape[:-1])[..., None]
-    eta1, eta2, combined = (np.take_along_axis(a, best, axis=-1)[..., 0]
-                            for a in (eta1, eta2, combined))
+    shape = combined.shape[:-1]
+    best = np.broadcast_to(np.argmax(ranking, axis=-1), shape)
+    index = (*np.indices(shape, sparse=True), best)
+    eta1, eta2, combined = (a[index] for a in (eta1, eta2, combined))
     viable = np.isfinite(combined)
     score = CriterionScore(*(np.where(viable, a, np.nan).T for a in (eta1, eta2, combined)))
-    return np.where(viable, best[..., 0], -1).T, score
+    return np.where(viable, best, -1).T, score
 
 
 # ---------------------------------------------------------------------------
