@@ -17,11 +17,11 @@ gathered out of its candidate set (:class:`relaysec.criteria.CandidateRows`),
 and every pick's rates are the bytes that pick gets in a batch of its own.
 So the candidate sets need not outlive selection: a sweep gathers the rows
 its criteria picked in each block of candidates, and evaluates a whole block
-of trials at once. The work comes in two stages. The row stage runs once per
-row: the streams' noise-free received powers, every eavesdropper's received
-blocks ``E W`` in both phases, and their per-user grams. The pick stage runs
-once per pick: it adds the noise level, takes the rates and sums them over
-users, phases and eavesdroppers.
+of trials at once. A row brings its streams' noise-free received powers, and
+the work comes in two stages. The row stage runs once per row: every
+eavesdropper's received blocks ``E W`` in both phases, and their per-user
+grams. The pick stage runs once per pick: it adds the noise level, takes the
+rates and sums them over users, phases and eavesdroppers.
 """
 
 from __future__ import annotations
