@@ -22,7 +22,7 @@ import numpy as np
 
 from .criteria import CRITERION_NAMES, CriterionKind, prepare_candidates, select
 from .model import ConfigError, SystemConfig, generate_realization
-from .montecarlo import SweepSpec, compare_criteria, run_sweep
+from .montecarlo import TRIAL_BYTES_CAP, SweepSpec, compare_criteria, run_sweep
 
 # Scenario presets. Antenna and eavesdropper counts are reconstructions
 # chosen so the stacked eavesdropper channel has rank N_t, where sr and s-sr
@@ -62,7 +62,8 @@ class UsageError(ValueError):
 
 
 def parse_snr_grid(text: str) -> tuple:
-    """Parse ``start:step:stop`` (inclusive) or a single dB value."""
+    """Parse ``start:step:stop`` (inclusive) or a single dB value; a grid
+    longer than any sweep accepts is rejected before it is built."""
     parts = str(text).split(":")
     try:
         if len(parts) == 1:
@@ -80,8 +81,11 @@ def parse_snr_grid(text: str) -> tuple:
         raise UsageError(f"snr step must be positive in {text!r}")
     if stop < start:
         raise UsageError(f"snr stop must be >= start in {text!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + k * step for k in range(count))
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if not count <= TRIAL_BYTES_CAP // 8:  # the most points, at C = N_t = 1
+        raise UsageError(f"snr grid {text!r} has {count:.0f} points, over the "
+                         f"{TRIAL_BYTES_CAP // 8} a sweep accepts")
+    return tuple(start + k * step for k in range(int(count)))
 
 
 def _format_snr_grid(grid) -> str:

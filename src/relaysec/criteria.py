@@ -16,24 +16,18 @@ Both hops are square zero forcing (ZF). With ``d`` the column norms of a
 core ``H^{-1}`` and ``D = diag(d)``, the precoder is ``W = sqrt(P) H^{-1} D^{-1}``,
 so ``H W = sqrt(P) D^{-1}``: stream ``l`` arrives with power ``P / d_l^2`` and
 no interference, every legitimate rate is ``sum_l log2(1 + P / (d_l^2 s))``
-and every stream SINR ``P / (d_l^2 s)`` at noise power ``s``. So ``sinr``'s
-pick does not depend on the noise level.
+and every stream SINR ``P / (d_l^2 s)`` at noise power ``s``. So receiver
+noise enters no stored array, and ``sinr``'s pick does not depend on the
+noise level. ``sr`` and ``s-sr`` share one eavesdropper term
+(:func:`_eve_terms`), the same computation whenever the stacked
+eavesdropper channel has full column rank.
 
-``sr`` and ``s-sr`` share one eavesdropper term. By the determinant lemma and
-Jacobi's complementary-minor identity, with ``G = A^H A``, it is
-``-log2 det(s [(G + s I)^{-1}]_uu)`` for user ``u``: ``A = W`` for ``s-sr``,
-and ``A = V^H W`` for ``sr``, with ``V`` a basis of the row space of the
-stacked eavesdropper channel. ``s-sr`` takes it from one Cholesky
-factorization of ``W^H W + s I`` per candidate and noise level, run column by
-column over all of them at once (:func:`relaysec.kernels.eve_terms`), and the
-two criteria are the same computation whenever that channel has full column
-rank.
-
-Exhaustive rules score every T-combination of the relay pool. Each candidate
-is scored under its own pair of ZF precoders (source side for phase 1,
-coordinated relay side for phase 2), held by a :class:`CandidateSet` that
-several criteria share on one realization (paired comparisons). Ties break
-toward the candidate that enumerates first (lexicographic order).
+Exhaustive rules score every T-combination of the relay pool under its own
+pair of ZF precoders (source side for phase 1, coordinated relay side for
+phase 2), held by a :class:`CandidateSet` that several criteria share on one
+realization (paired comparisons). Ties break toward the candidate that
+enumerates first (lexicographic order). In a shape such as ``(S, ..., C)``,
+``...`` stands for a block's leading trial axis, or for none.
 """
 
 from __future__ import annotations
@@ -121,13 +115,13 @@ def enumerate_combinations(pool_size: int, selected: int) -> list:
 
 @lru_cache(maxsize=8)
 def _combination_table(pool_size: int, selected: int) -> tuple:
-    """``(combinations, members, index)`` shared by every candidate set of
-    one ``(pool_size, selected)``: the combination list, its ``(C, T)``
-    read-only array and the map from a combination to its row."""
+    """``(combinations, members)`` shared by every candidate set of one
+    ``(pool_size, selected)``: the combination list and its ``(C, T)``
+    read-only array. :func:`_combination_rows` maps combinations to rows."""
     combinations = enumerate_combinations(pool_size, selected)
     members = np.array(combinations)
     members.flags.writeable = False
-    return combinations, members, {combo: pos for pos, combo in enumerate(combinations)}
+    return combinations, members
 
 
 @lru_cache(maxsize=8)
@@ -166,23 +160,20 @@ class CandidateSet:
     picked rows that :func:`relaysec.secrecy.secrecy_rate` evaluates.
 
     Given a block of trials, :func:`prepare_candidates` puts the trial axis
-    in front of every array; ``block[b]`` is trial ``b``'s set, as views.
-    :func:`select` takes the block's set whole, and gives its trials' views
-    to ``sinr``, which picks trial by trial.
+    in front of every array; ``block[b]`` is trial ``b``'s set, as views,
+    with a table of its own.
 
-    Receiver noise enters no stored array. ZF makes ``H W = sqrt(P) D^{-1}``
-    with ``D`` the diagonal of a core's column norms ``d``, so stream ``l``
-    of either hop is received with the noise-free power ``P / d_l^2``
-    (:meth:`stream_gains`) and its rate at noise power ``s`` is
-    ``log2(1 + P / (d_l^2 s))`` (:func:`legit_rates`). ``s-sr``'s scores are
-    kept per grid and ``combine`` rule, ``(S, B, C)`` for a block, for ``sr``
-    to reuse where its score is the same: a block's ``s-sr`` and ``sr``
-    selections are separate calls that read one table. A block's views
-    share the block's table too: the first view to ask scores every trial
-    of the block at once, and each view reads its own trial's row. Nothing
-    here is derived from the eavesdropper channels. ``config`` supplies
-    dimensions and signal power only; the noise levels come from each
-    selection.
+    Receiver noise enters no stored array (see the module docstring): the
+    rates at a noise level come from :meth:`stream_gains`, the noise-free
+    received powers. ``config`` supplies dimensions and signal power only.
+
+    The set keeps a table of ``s-sr``'s scores, ``(S, ..., C)``, per grid
+    and ``combine`` rule. ``sr``'s score is ``s-sr``'s for every trial whose
+    stacked eavesdropper channel has rank N_t, so a block's ``s-sr`` and
+    ``sr`` selections, separate :func:`select` calls, read one table:
+    whichever comes first scores every candidate of every trial at every
+    grid point in one pass. The table is derived from the precoders alone,
+    never from the eavesdropper channels.
     """
 
     config: SystemConfig
@@ -194,22 +185,16 @@ class CandidateSet:
     relay_precoders: np.ndarray
     relay_cores: np.ndarray
     valid: np.ndarray
-    # s-sr's (eta1, eta2, combined) per (grid, combine), for this set or, in
-    # a view, for its whole block; ``_view_of`` is a view's (block, trial).
+    # s-sr's (eta1, eta2, combined) per (grid bytes, combine rule).
     _ssr: dict = field(default_factory=dict, init=False, repr=False)
-    _view_of: tuple | None = field(default=None, init=False, repr=False)
 
     def __getitem__(self, trial) -> "CandidateSet":
-        """Trial ``trial`` of a block's set, as views that read the block's
-        ``s-sr`` table."""
-        view = CandidateSet(
+        """Trial ``trial`` of a block's set, or a block of them, as views."""
+        return CandidateSet(
             self.config, self.combinations, self.hop1[trial], self.hop2[trial],
             self.precoders[trial], self.cores[trial], self.relay_precoders[trial],
             self.relay_cores[trial], self.valid[trial],
         )
-        if self._view_of is None:
-            view._ssr, view._view_of = self._ssr, (self, trial)
-        return view
 
     def stream_gains(self) -> np.ndarray:
         """Noise-free received power ``P / d_l^2`` of every stream of every
@@ -274,7 +259,7 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig) ->
     channels are stacked into ``(B, C, n, n)`` and each hop takes one
     :func:`relaysec.model.zf_core_batch`.
     """
-    combinations, members, _ = _combination_table(config.pool_size, config.selected_relays)
+    combinations, members = _combination_table(config.pool_size, config.selected_relays)
     hop1 = realization.stacked_source_channel(members)
     # All users' antennas stacked give a square phase-2 channel as well.
     hop2_all = realization.all_users_channel(members)
@@ -315,8 +300,7 @@ def _score_sinr(cs: CandidateSet, config: SystemConfig, combine: str):
 
 
 def _score_ssinr(realization: ChannelRealization, config: SystemConfig, combine: str):
-    """``s-sinr``'s noise-free ``(eta1, eta2, combined)``, each ``(..., C)``
-    with a block's trial axis, if any, in place of ``...``.
+    """``s-sinr``'s noise-free ``(eta1, eta2, combined)``, each ``(..., C)``.
 
     ``eta1`` is the weakest squared norm of a member antenna's row of the
     stacked first hop, and ``eta2`` the weakest of a user antenna's row of
@@ -377,13 +361,13 @@ def _eve_row_spaces(eve_stacks: np.ndarray) -> tuple:
 
 def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
                basis: np.ndarray | None):
-    """Eavesdropper log-det terms from the precoders, on a subspace.
+    """The eavesdropper log-det terms ``sr`` and ``s-sr`` share, from the
+    precoders, on a subspace.
 
     ``log2 det(I + U_u^H V (V^H (R_I + s I) V)^{-1} V^H U_u)`` for every
-    noise level ``s`` in ``noise``, candidate and user, shape
-    ``(S, ..., C, M)`` with the set's leading trial axes, if any, in place
-    of ``...``, where ``U_u`` is user ``u``'s columns of the precoder ``W``
-    and ``R_I`` the other users' covariance. ``s-sr`` passes no basis
+    noise level ``s`` in ``noise``, candidate and user, ``(S, ..., C, M)``,
+    where ``U_u`` is user ``u``'s columns of the precoder ``W`` and ``R_I``
+    the other users' covariance. ``s-sr`` passes no basis
     (V = I); ``sr`` passes the bases ``(..., N_t, r)`` of the trials'
     eavesdropper row spaces, all of one rank ``r``, where the term equals
     ``log2 det(E (R_I + R_d + s I) E^H) / det(E (R_I + s I) E^H)`` by the
@@ -391,7 +375,8 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
     ``E E^H`` is singular. With a basis the term is the rate of user ``u``
     at a receiver that sees ``V^H W`` (:func:`relaysec.kernels.user_rates`).
 
-    With no basis it is ``-log2 det(s [(W^H W + s I)^{-1}]_uu)``, from the
+    With no basis it is ``-log2 det(s [(W^H W + s I)^{-1}]_uu)`` by the
+    determinant lemma and Jacobi's complementary-minor identity, from the
     Cholesky factors of ``W^H W + s I`` (:func:`relaysec.kernels.eve_terms`);
     a candidate whose factorization breaks down gets +inf.
     """
@@ -406,10 +391,9 @@ def _eve_terms(cs: CandidateSet, config: SystemConfig, noise: np.ndarray,
 
 def _score_secrecy(cs: CandidateSet, config: SystemConfig, combine: str, noise: np.ndarray,
                    basis: np.ndarray | None):
-    """Two-hop secrecy score, ``(eta1, eta2, combined)`` of shape
-    ``(S, ..., C)`` with the set's leading trial axes; the legitimate rates
-    are the ones the evaluation side takes (receiver noise at the
-    destination antennas)."""
+    """Two-hop secrecy score, ``(eta1, eta2, combined)``, ``(S, ..., C)``;
+    the legitimate rates are the ones the evaluation side takes (receiver
+    noise at the destination antennas)."""
     gains = cs.stream_gains()
     legit = legit_rates(gains, noise.reshape(-1, *[1] * (gains.ndim - 1)))
     eve = _eve_terms(cs, config, noise, basis).sum(axis=-1)
@@ -425,15 +409,13 @@ def _grid(config: SystemConfig, noise) -> np.ndarray:
 
 def _ssr_scores(cs: CandidateSet, config: SystemConfig, combine: str,
                 grid: np.ndarray) -> tuple:
-    """``s-sr``'s ``(eta1, eta2, combined)``, ``(S, ..., C)``, from the table
-    a trial's view shares with its block: the first call per grid and
-    combine rule scores every trial of the block."""
-    block, trial = cs._view_of or (cs, slice(None))
+    """``s-sr``'s ``(eta1, eta2, combined)``, ``(S, ..., C)``, from the set's
+    table (see :class:`CandidateSet`), scored on the first call per grid and
+    combine rule."""
     key = (grid.tobytes(), combine)
-    table = cs._ssr.get(key)
-    if table is None:
-        table = cs._ssr[key] = _score_secrecy(block, config, combine, grid, None)
-    return tuple(a[:, trial] for a in table)
+    if key not in cs._ssr:
+        cs._ssr[key] = _score_secrecy(cs, config, combine, grid, None)
+    return cs._ssr[key]
 
 
 def _sr_scores(realization: ChannelRealization, cs: CandidateSet, config: SystemConfig,
@@ -470,10 +452,9 @@ def _sr_scores(realization: ChannelRealization, cs: CandidateSet, config: System
 def _grid_scores(kind: CriterionKind, realization: ChannelRealization, cs: CandidateSet,
                  config: SystemConfig, combine: str, grid: np.ndarray) -> tuple:
     """``(eta1, eta2, combined)``, each ``(S, ..., C)`` with row ``s`` at
-    noise power ``grid[s]`` and a block's trial axis, if any, in place of
-    ``...``, and the ranking whose row-wise argmax is the pick: ``combined``
-    itself, or for ``sinr`` and ``s-sinr``, whose picks do not depend on the
-    noise level, their one noise-free row. ``sinr`` takes one trial."""
+    noise power ``grid[s]``, and the ranking :func:`_pick_best` takes:
+    ``combined``, or ``sinr``'s and ``s-sinr``'s one noise-free row.
+    ``sinr`` takes one trial."""
     if kind is CriterionKind.SINR:
         free = _score_sinr(cs, config, combine)
         return tuple(a / grid[:, None] for a in free), free[2][None]
@@ -487,47 +468,12 @@ def _grid_scores(kind: CriterionKind, realization: ChannelRealization, cs: Candi
     return scores, scores[2]
 
 
-def score_candidates(kind: CriterionKind, realization: ChannelRealization,
-                     config: SystemConfig, candidates: CandidateSet | None = None,
-                     combine: str = "min", noise=None):
-    """Score every candidate under an exhaustive criterion.
-
-    Returns ``(candidate_set, eta1, eta2, combined)``: three ``(S, C)``
-    arrays whose row ``s`` is at noise power ``noise[s]`` (see
-    :meth:`SystemConfig.noise_powers`) and column ``c`` is
-    ``candidate_set.combinations[c]``. ``noise`` defaults to the one-point
-    grid at ``config``'s noise level. Greedy criteria (channel-gain,
-    max-ratio) do not enumerate candidates and are rejected here.
-
-    ``s-sr``'s scores, which read no eavesdropper channel, are kept per
-    grid and ``combine`` rule, for the candidate set or, for a trial's view
-    of a block, for the whole block; ``sr`` returns the same arrays when the
-    stacked eavesdropper channel has rank N_t, where its score is
-    ``s-sr``'s. The returned arrays are read-only.
-
-    ``sr``, ``s-sr`` and ``s-sinr`` also take a block of trials whole, and
-    return ``(S, B, C)`` arrays: ``sr`` takes one SVD of the block's
-    eavesdropper stacks and scores its rank-deficient trials one rank at a
-    time (:func:`_sr_scores`), and ``s-sinr`` gathers every trial's scores
-    from per-relay norms (:func:`_score_ssinr`). ``sinr`` takes one trial.
-    """
-    if kind not in EXHAUSTIVE_KINDS:
-        raise ValueError(f"{kind.value} does not score the full candidate list")
-    cs = candidates if candidates is not None else prepare_candidates(realization, config)
-    scores, _ = _grid_scores(kind, realization, cs, config, combine, _grid(config, noise))
-    for array in scores:
-        array.flags.writeable = False
-    return (cs, *scores)
-
-
 def _pick_best(eta1, eta2, combined, ranking) -> tuple:
     """Row-wise pick from ``(S, C)`` scores, or a block's ``(S, B, C)``:
     ``(positions, CriterionScore)``, each ``(S,)``, or ``(B, S)`` for a block.
-
     The pick is the argmax of each row of ``ranking``, ``combined`` itself or
-    one noise-free row, ``(1, C)`` or ``(1, B, C)``, for every point.
-    ``np.argmax`` keeps the first maximum, the candidate that enumerates
-    first; a row whose picked score is not finite picks -1 with NaN scores.
+    one noise-free row for every point; ``np.argmax`` keeps the first
+    maximum. A row whose picked score is not finite picks -1 with NaN scores.
     """
     # One pick per (point, trial), gathered without copying a broadcast row.
     shape = combined.shape[:-1]
@@ -552,8 +498,7 @@ def _block_gains(blocks: np.ndarray) -> np.ndarray:
 def _channel_gain_picks(realization: ChannelRealization, config: SystemConfig,
                         combine: str) -> tuple:
     """``channel-gain``'s candidate rows and noise-free ``eta1``, ``eta2``
-    and ``combined``, each ``(...)``, with a block's trial axis, if any, in
-    place of ``...``.
+    and ``combined``, each ``(...)``.
 
     Pass one picks the ``T`` relays with the largest source-side
     ``trace(H H^H)``, each pickable once, by one stable sort of every
@@ -617,29 +562,19 @@ def select(kind: CriterionKind, realization: ChannelRealization, config: SystemC
     Returns ``(positions, score)``: ``positions[s]`` is the candidate-set
     row picked at noise power ``noise[s]``, -1 where no candidate is viable,
     and ``score`` holds ``(S,)`` arrays, NaN at -1. ``noise`` defaults to
-    ``config``'s noise level; :func:`relaysec.reference.select_one` is that
-    call as one combination, for the tests.
+    ``config``'s noise level. Given a block of trials, every array is
+    ``(B, S)``, row ``b`` byte for byte trial ``b``'s pick alone.
 
-    Given a block of trials (what :func:`relaysec.model.generate_realization`
-    and :func:`prepare_candidates` return for a sequence of them), every
-    array is ``(B, S)``, row ``b`` byte for byte trial ``b``'s pick alone.
-    ``s-sr`` takes one row-wise argmax over the block's table of scores, and
-    ``sr`` reads the same table for every trial whose eavesdropper stack has
-    rank N_t, after one SVD of the block's stacks (:func:`_sr_scores`).
-    ``s-sinr`` ranks by one noise-free ``(B, C)`` row gathered from per-relay
-    norms, and ``channel-gain`` runs both greedy passes over the whole block
-    (:func:`_channel_gain_picks`). ``sinr`` and ``max-ratio`` pick trial by
-    trial.
-
-    Only ``sr`` and ``max-ratio`` see the eavesdropper channels; every other
-    criterion gets ``realization.without_eavesdroppers()``, so it cannot read
-    them. The exhaustive criteria score every candidate of ``candidates``
-    (built from ``realization`` when None; ``s-sinr`` reads the member
-    channels instead) at every noise level in one pass and keep the best;
-    ties go to the candidate that enumerates first.
-    ``sinr`` and ``s-sinr`` rank by their noise-free scores, and
-    ``channel-gain`` and ``max-ratio`` pick once, so these four return one
-    row at every point.
+    The exhaustive criteria score every candidate of ``candidates`` (built
+    from ``realization`` when None; ``s-sinr`` reads the member channels
+    instead) at every noise level in one pass and keep the best; ties go to
+    the candidate that enumerates first. ``sr`` and ``s-sr`` read one table
+    (see :class:`CandidateSet`). ``sinr`` and ``s-sinr`` rank by their
+    noise-free scores, and ``channel-gain`` and ``max-ratio`` pick once, so
+    these four return one row at every point. Only ``sr`` and ``max-ratio``
+    see the eavesdropper channels; every other criterion gets
+    ``realization.without_eavesdroppers()``, so it cannot read them.
+    :func:`relaysec.reference.select_one` is this call as one combination.
     """
     if isinstance(kind, str):
         kind = CriterionKind.from_name(kind)
@@ -677,7 +612,7 @@ def _select_trials(kind: CriterionKind, realization: ChannelRealization, config:
         return positions, score
     if kind is CriterionKind.MAX_RATIO:
         combo, score = max_ratio_select(realization, config, combine)
-        row = _combination_table(config.pool_size, config.selected_relays)[2][combo]
+        row = _combination_rows(np.array(combo), config.pool_size, config.selected_relays)
         return _every_point(row, grid), CriterionScore(
             *(_every_point(a, grid) for a in (score.eta1, score.eta2, score.combined)))
     scores, ranking = _grid_scores(kind, realization, cs, config, combine, grid)

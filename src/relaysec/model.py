@@ -2,11 +2,8 @@
 
 Network geometry, Rayleigh fading generation and batched zero-forcing
 precoder construction. Channels are plain complex ndarrays; shapes follow
-the dimensions in :class:`SystemConfig`. A :class:`ChannelRealization` holds
-each link type as one dense array whose leading axes index the nodes:
-``source_to_relay[i]``, ``relay_to_user[i, r]``, ``source_to_eve[k]`` and
-``relay_to_eve[i, k]`` are single blocks, and only its accessors know how a
-selected set's blocks are stacked. The one-precoder-at-a-time versions of
+the dimensions in :class:`SystemConfig`, and a :class:`ChannelRealization`
+holds one dense array per link type. The one-precoder-at-a-time versions of
 the precoding and signal composition live in :mod:`relaysec.reference`.
 
 Conventions used throughout the package:

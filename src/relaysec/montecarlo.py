@@ -1,40 +1,28 @@
 """Seeded Monte Carlo sweeps of mean secrecy rate versus SNR.
 
-Each trial draws one channel realization from a sub-stream keyed by
-``(seed, trial)`` and evaluates every requested criterion on that same
-realization (paired comparison). Between two SNR points only the receiver
-noise ``s`` changes, and every criterion takes it from noise-free terms of
-the trial's one :class:`CandidateSet`: zero forcing makes each stream's
-received power ``P / d_l^2`` (``d`` the ZF cores' column norms), so a
-legitimate rate is ``sum_l log2(1 + P / (d_l^2 s))`` and an SINR
-``P / (d_l^2 s)``, and the eavesdropper term of ``sr`` and ``s-sr`` comes
-from the Cholesky factors of ``W^H W + s I``, taken column by column for
-every candidate and noise level at once. So the SNR grid is an array axis
-rather than a loop, and so is the trial axis of a block. The trials go in
-trial blocks, each cut into candidate blocks (:func:`_run_trials`). A trial
-block is drawn at once, and the criteria whose pick reads only channel
-norms make one ``select`` call on it: ``s-sinr`` ranks every trial by one
-noise-free row of scores gathered from per-relay channel norms,
-``channel-gain`` runs its two greedy passes over the whole block, and
-``max-ratio`` picks trial by trial inside its call. A candidate block
-builds the ZF cores of its trials, and each criterion that scores
-candidates makes one ``select`` call on it: ``s-sr`` scores every candidate
-of every trial of the block at every grid point in one pass and takes a
-row-wise argmax over that table, ``sr`` reads the same table for each
-trial whose stacked eavesdropper channel has full rank, after one SVD of
-all the block's stacks, and scores the other trials on their row-space
-bases, one pass per rank, and ``sinr`` picks trial by trial. The four
-whose pick ignores the noise level return the same row at every point.
-Each candidate block then hands over the candidate rows its trials'
-criteria picked, and its candidate arrays are freed. The distinct (row,
-SNR point) pairs of the trial block are evaluated by one ``secrecy_rate``
-call, and each sample is gathered from it, with the reason for every
-discard counted. With several workers the trials are cut into contiguous
-chunks: this process runs the first, and one child process started for the
-sweep runs each of the others and sends its result back over a pipe
-(:func:`run_sweep`). Results are bit-identical for a given spec regardless
-of the worker count and block sizes, because trials are keyed, independent
-work units and the reduction runs in fixed trial order.
+Each trial draws one channel realization keyed by ``(seed, trial)``, and
+every requested criterion is evaluated on it (paired comparison). Criteria
+take the noise level from noise-free terms (:mod:`relaysec.criteria`), so
+the SNR grid is an array axis rather than a loop, as are a block's trials.
+
+:func:`_run_trials` runs the trials in trial blocks, each cut into candidate
+blocks (:func:`_block_steps`):
+
+* A trial block makes one ``generate_realization`` call, and one ``select``
+  call for each criterion whose pick reads the channels alone
+  (``channel-gain``, ``max-ratio``, ``s-sinr``).
+* Each candidate block makes one ``prepare_candidates`` call and one
+  ``select`` call for each criterion that scores candidates (``sinr``,
+  ``sr``, ``s-sr``; the last two read one table, see
+  :class:`relaysec.criteria.CandidateSet`). The candidate rows its criteria
+  picked are gathered, and its arrays freed before the next one is built.
+* The trial block ends with one ``secrecy_rate`` call on the distinct (row,
+  SNR point) pairs its criteria picked; each sample is gathered from it, and
+  the reason for every discard counted.
+
+Every draw, core, pick and rate is byte for byte the one its trial gets
+alone, and the reduction runs in fixed trial order, so the results depend
+neither on the block sizes nor on the worker count (:func:`run_sweep`).
 """
 
 from __future__ import annotations
@@ -52,23 +40,17 @@ from .criteria import CriterionKind
 from .model import ConfigError, SystemConfig, _is_integer_at_least, generate_realization
 from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 
-# Bytes a candidate block of trials may hold in its candidate arrays, and
-# again in the Cholesky factors of its s-sr term: each trial adds six (C, N_t,
-# N_t) complex arrays (two hop channels, two cores, two precoders), 12 N_t^2
-# floats a candidate, and on an S-point grid one factor of W^H W + s I per
-# candidate and grid point, N_t^2 floats each (``kernels.cholesky_factor``);
-# the larger of the two sets the block size. A trial block holds as many
-# trials again in what they hold outside those arrays (``_trial_bytes``), in
-# whole candidate blocks. Temporaries come on top of both, so a trial block
-# peaks at a few budgets (``tests/test_montecarlo.py::TestBlockPeak``). A
-# C(12, 4) pool (760 KB per trial) runs one trial per candidate block, and 16
-# per trial block.
+# Bytes the trials of a candidate block, and again of a trial block, may hold
+# (``_block_steps``). Temporaries come on top, so a trial block peaks at a few
+# budgets (``tests/test_montecarlo.py::TestBlockPeak``). A C(12, 4) pool (760
+# KB per trial) runs one trial per candidate block, and 16 per trial block.
 BLOCK_BYTES = 256 * 1024
 
-# Largest candidate arrays one trial may need, the six (C, N_t, N_t) complex
-# arrays above: 64 MiB, 88 times a C(12, 4) pool's. A block of one trial peaks
-# at a few times its arrays (``TestBlockPeak``), so a trial at the cap needs
-# a few hundred MB; C(24, 6) single-antenna relays (0.47 GB) are over it.
+# Largest ``_candidate_bytes`` one trial may need: 64 MiB, 88 times a C(12, 4)
+# pool's on a grid of up to 12 points. A block of one trial peaks at a few
+# times its arrays (``TestBlockPeak``), so a trial at the cap needs a few
+# hundred MB; C(24, 6) single-antenna relays (0.47 GB) are over it, and so is
+# C(12, 4) on a grid of 1060 points.
 TRIAL_BYTES_CAP = 64 * 2 ** 20
 
 # Signal powers a sweep accepts, and its highest SNR. Gains and grams reach
@@ -80,6 +62,17 @@ TRIAL_BYTES_CAP = 64 * 2 ** 20
 # 3000 dB; at 3100 dB it overflowed.
 SIGNAL_POWER_RANGE = (1e-150, 1e150)
 MAX_SNR_DB = 3000.0
+
+
+def _candidate_bytes(config: SystemConfig, points: int) -> int:
+    """Bytes of one trial's candidate arrays or, on a ``points``-point grid,
+    of the Cholesky factors of its ``s-sr`` term, whichever is more:
+    ``8 C N_t^2 max(12, S)``. The arrays are six ``(C, N_t, N_t)`` complex
+    ones (two hop channels, two cores, two precoders), 12 ``N_t^2`` floats a
+    candidate, and the factors of ``W^H W + s I`` take ``N_t^2`` floats a
+    candidate and grid point (:func:`relaysec.kernels.cholesky_factor`)."""
+    n_combos = comb(config.pool_size, config.selected_relays)
+    return 8 * n_combos * config.transmit_antennas ** 2 * max(12, points)
 
 
 @dataclass(frozen=True)
@@ -151,15 +144,14 @@ class SweepSpec:
         if self.eve_aggregate not in EVE_AGGREGATES:
             raise ConfigError(f"eve_aggregate must be one of {EVE_AGGREGATES}, "
                               f"got {self.eve_aggregate!r}")
-        # Six complex (C, N_t, N_t) arrays, 96 bytes an entry, checked before any
-        # candidate is enumerated.
-        cfg = self.config
-        trial_bytes = 96 * comb(cfg.pool_size, cfg.selected_relays) * cfg.transmit_antennas ** 2
+        # Checked from math.comb, before any candidate is enumerated.
+        cfg, points = self.config, len(self.snr_grid_db)
+        trial_bytes = _candidate_bytes(cfg, points)
         if trial_bytes > TRIAL_BYTES_CAP:
             raise ConfigError(
-                f"choosing {cfg.selected_relays} of {cfg.pool_size} relays needs "
-                f"{trial_bytes / 2 ** 20:.4g} MiB of candidate arrays a trial, over the "
-                f"{TRIAL_BYTES_CAP // 2 ** 20} MiB cap")
+                f"choosing {cfg.selected_relays} of {cfg.pool_size} relays on a {points}-point "
+                f"grid needs {trial_bytes / 2 ** 20:.4g} MiB of candidate arrays a trial, "
+                f"over the {TRIAL_BYTES_CAP // 2 ** 20} MiB cap")
         multi = (self.config.relay_antennas, self.config.user_antennas,
                  self.config.eve_antennas) != (1, 1, 1)
         if CriterionKind.MAX_RATIO in self.criteria and multi:
@@ -241,16 +233,13 @@ def _block_steps(spec: SweepSpec) -> tuple:
     """``(trial_step, candidate_step)``: the trials of one trial block and of
     one candidate block in :func:`_run_trials`.
 
-    A candidate block holds as many trials' candidate arrays as fit
-    ``BLOCK_BYTES``, at least one. A trial block holds as many trials as fit
-    the same budget in what a trial holds outside its candidate arrays
-    (:func:`_trial_bytes`), rounded down to a whole number of candidate
-    blocks, at least one.
+    A candidate block holds as many trials as fit ``BLOCK_BYTES`` in
+    :func:`_candidate_bytes`, at least one. A trial block holds as many
+    trials as fit the same budget in what a trial holds outside its
+    candidate arrays (:func:`_trial_bytes`), rounded down to a whole number
+    of candidate blocks, at least one.
     """
-    cfg = spec.config
-    n_combos = comb(cfg.pool_size, cfg.selected_relays)
-    candidate_bytes = 8 * n_combos * cfg.transmit_antennas ** 2 * max(12, len(spec.snr_grid_db))
-    candidate_step = max(1, BLOCK_BYTES // candidate_bytes)
+    candidate_step = max(1, BLOCK_BYTES // _candidate_bytes(spec.config, len(spec.snr_grid_db)))
     blocks = max(1, BLOCK_BYTES // (candidate_step * _trial_bytes(spec)))
     return blocks * candidate_step, candidate_step
 
@@ -283,20 +272,8 @@ def _trial_bytes(spec: SweepSpec) -> int:
 
 
 def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
-    """Evaluate a run of trials; pure function of (spec, indices).
-
-    The trials go in trial blocks, and each trial block in candidate blocks
-    (:func:`_block_steps`). A trial block makes one ``generate_realization``
-    call and one ``select`` call for each criterion that needs no candidate
-    set (``channel-gain``, ``max-ratio``, ``s-sinr``). Each of its candidate
-    blocks makes one ``prepare_candidates`` call and one ``select`` call for
-    each criterion that scores candidates (``sinr``, ``sr``, ``s-sr``), and
-    then gathers the rows every criterion picked in it, so that its candidate
-    arrays are dropped before the next candidate block is built. The trial
-    block ends with one ``secrecy_rate`` call on its distinct picked rows, at
-    the distinct SNR points they were picked at. Every draw, core, pick and
-    rate is byte for byte the one its trial gets alone, so the results do not
-    depend on the block sizes or on how the trials are split between workers.
+    """Evaluate a run of trials, a pure function of (spec, indices), by the
+    pipeline of the module docstring.
 
     Returns ``(samples, selections, discards)``: the first two are
     ``(criteria, SNR points, trials)`` arrays, and ``discards`` maps each
@@ -386,9 +363,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Each chunk runs in its own blocks (:func:`_run_trials`), and each child
     sends back ``(ok, payload)`` over a one-way pipe: its result, or the
     exception it raised, which is raised here with the child's traceback
-    as its cause. Every child is joined before the sweep returns; if the
-    sweep raises, the children still running are terminated first, since a
-    child blocked in sending a result nobody receives would never exit.
+    as its cause. Every child is joined before the sweep returns, and
+    terminated first if the sweep raised.
     """
     start = time.perf_counter()
     n_c, n_s = len(spec.criteria), len(spec.snr_grid_db)
@@ -402,8 +378,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # `relaysec` start-up.
         import multiprocessing
 
-        # One contiguous chunk per process: a child started for each chunk
-        # after the first, which this process runs meanwhile.
         first, *rest = [c for c in np.array_split(all_trials, spec.workers) if c.size]
         children = []
         try:

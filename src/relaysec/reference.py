@@ -6,19 +6,21 @@ and covariances composed by hand, per-candidate criterion metrics
 written as plain loops, ``s-sinr``'s scores from the stacked member
 channels, ``channel-gain``'s greedy pick one trial at a time, ZF admission
 with every residual taken (:func:`zf_core_exact`), a user's rate in a
-QR form that holds at high SNR (:func:`gamma_rate_bits`), and the
-one-combination forms of the batched selection and secrecy evaluation.
+QR form that holds at high SNR (:func:`gamma_rate_bits`), the
+one-combination forms of the batched selection and secrecy evaluation, and
+every candidate's exhaustive scores (:func:`score_candidates`).
 Only tests and ``relaysec verify`` use this module; the sweep never
 imports it, and the CLI imports it only to verify.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionScore, _block_gains, _combination_table, combine_metrics, select
+from .criteria import (CriterionScore, _block_gains, _combination_rows, _combination_table, _grid,
+                       _grid_scores, combine_metrics, prepare_candidates, select)
 from .kernels import LN2, hermitize
 from .model import (
     LINK_DOMAINS,
@@ -158,10 +160,7 @@ def svd_zf_valid(stacked: np.ndarray) -> np.ndarray:
     The core is ``V diag(1/sigma) U^H`` (0 for a zero singular value); a
     channel is admitted when ``stacked @ core`` is within
     ``ZF_RESIDUAL_TOL`` of the identity (Frobenius) and no column of the
-    core is zero. That is the rule :func:`relaysec.model.zf_core_batch`
-    applies to its batched inverse, with the residual taken, or, for most
-    LU inverses, proved below the tolerance by a backward-error bound
-    (:func:`zf_core_exact` takes it for every channel).
+    core is zero: the rule of :func:`relaysec.model.zf_core_batch`.
     """
     u, sv, vh = np.linalg.svd(stacked)
     with np.errstate(divide="ignore"):
@@ -455,14 +454,9 @@ def ssinr_scores(realization: ChannelRealization, config: SystemConfig,
 
 def channel_gain_select(realization: ChannelRealization, config: SystemConfig,
                         combine: str = "min"):
-    """Greedy two-pass selection on channel-gain traces, for one trial.
-
-    Pass one picks the ``T`` relays with the largest source-side
-    ``trace(H H^H)``, each pickable once. Pass two walks the users and
-    scores, among the picked relays still holding a pick token, the best
-    relay->user trace. Ties fall to the lowest relay index. Returns
-    ``(combination, CriterionScore of floats)``.
-    """
+    """One trial's greedy two-pass ``channel-gain`` pick, by the rule of
+    :func:`relaysec.criteria._channel_gain_picks`, as ``(combination,
+    CriterionScore of floats)``."""
     theta1 = _block_gains(realization.source_to_relay)
     picked = np.argsort(-theta1, kind="stable")[:config.selected_relays]
     eta1 = float(theta1[picked].sum())
@@ -485,8 +479,19 @@ def channel_gain_select(realization: ChannelRealization, config: SystemConfig,
 
 
 def position(config: SystemConfig, combination) -> int:
-    """Row of ``combination`` in every candidate set of ``config``."""
-    return _combination_table(config.pool_size, config.selected_relays)[2][tuple(combination)]
+    """Row of the sorted ``combination`` in every candidate set of ``config``."""
+    return int(_combination_rows(np.array(combination), config.pool_size,
+                                 config.selected_relays))
+
+
+def score_candidates(kind, realization: ChannelRealization, config: SystemConfig,
+                     candidates=None, combine: str = "min", noise=None) -> tuple:
+    """``(candidate_set, eta1, eta2, combined)``: the ``(S, ..., C)`` scores
+    :func:`relaysec.criteria.select` picks an exhaustive criterion's row from.
+    ``s-sr``'s arrays, and full-rank ``sr``'s, are the set's kept table."""
+    cs = prepare_candidates(realization, config) if candidates is None else candidates
+    scores, _ = _grid_scores(kind, realization, cs, config, combine, _grid(config, noise))
+    return (cs, *scores)
 
 
 def select_one(kind, realization: ChannelRealization, config: SystemConfig,
@@ -510,12 +515,7 @@ def pair_secrecy_rate(realization: ChannelRealization, candidates, combination,
     """:func:`relaysec.secrecy.secrecy_rate` of one combination of one
     trial at ``config``'s noise level, with float rates: the trial's
     realization and candidate set become a block of one trial, as views."""
-    block = ChannelRealization(*(None if a is None else a[None] for a in (
-        realization.source_to_relay, realization.relay_to_user,
-        realization.source_to_eve, realization.relay_to_eve)))
-    one = replace(candidates, **{name: getattr(candidates, name)[None] for name in (
-        "hop1", "hop2", "precoders", "cores", "relay_precoders", "relay_cores", "valid")})
-    sample = secrecy_rate(block, one.rows([0], [position(config, combination)]), config,
-                          [config.noise_power], **options)
+    rows = candidates[None].rows([0], [position(config, combination)])
+    sample = secrecy_rate(realization[None], rows, config, [config.noise_power], **options)
     return SecrecySample(*(float(rate[0]) for rate in (
         sample.secrecy_rate, sample.legit_rate, sample.eve_rate)))

@@ -2,26 +2,17 @@
 
 This is the measurement side of the simulator: whichever criterion picked
 the combination, the achieved rates are computed here from the ground-truth
-channels (eavesdropper blocks included). Rates are log-det mutual-information
-terms with receiver noise added at the destination antennas; the two-hop
-legitimate rate is the bottleneck of the hops, and the half-duplex two-slot
-protocol contributes a factor 1/2 unless disabled.
-
-Phase 2 uses the coordinated relay re-transmission: the selected relays
-jointly apply a zero-forcing precoder on the stacked user channels, exactly
-mirroring the source-side precoding of phase 1.
+channels, eavesdropper blocks included (:func:`secrecy_rate`). Phase 2 is
+the selected relays' coordinated zero-forcing re-transmission on the stacked
+user channels, mirroring the source-side precoding of phase 1.
 
 One call evaluates a batch of picks across a block of trials: every pick is
 a ``(row, noise level)`` pair, where a row is one candidate of one trial,
 gathered out of its candidate set (:class:`relaysec.criteria.CandidateRows`),
 and every pick's rates are the bytes that pick gets in a batch of its own.
-So the candidate sets need not outlive selection: a sweep gathers the rows
-its criteria picked in each block of candidates, and evaluates a whole block
-of trials at once. A row brings its streams' noise-free received powers, and
-the work comes in two stages. The row stage runs once per row: every
-eavesdropper's received blocks ``E W`` in both phases, and their per-user
-grams. The pick stage runs once per pick: it adds the noise level, takes the
-rates and sums them over users, phases and eavesdroppers.
+So the candidate sets need not outlive selection (see
+:mod:`relaysec.montecarlo`). The noise-free work runs once per row, and the
+noise enters once per pick.
 """
 
 from __future__ import annotations
@@ -74,7 +65,7 @@ def secrecy_rate(realizations: ChannelRealization, rows: CandidateRows, config: 
 
     The legitimate rate of each hop is the ZF closed form
     ``sum_l log2(1 + P / (d_l^2 s))`` (see
-    :class:`relaysec.criteria.CandidateSet`), and the weaker hop counts.
+    :mod:`relaysec.criteria`), and the weaker hop counts.
     Every eavesdropper overhears phase 1 through its source-side channel;
     with ``eve_model="both"`` it also overhears the relays' phase-2
     transmission. Per eavesdropper the per-user intercept rates accumulate,

@@ -17,7 +17,6 @@ from relaysec.criteria import (
     legit_rates,
     max_ratio_select,
     prepare_candidates,
-    score_candidates,
     select,
 )
 from relaysec.model import (
@@ -35,6 +34,7 @@ from relaysec.reference import (
     pair_secrecy_rate,
     relay_precoder,
     row_basis,
+    score_candidates,
     secrecy_gamma,
     select_one,
     sinr_relay_metric,

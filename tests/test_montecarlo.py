@@ -103,25 +103,27 @@ class TestSpecValidation:
             result = run_sweep(spec)
         assert result.samples.shape == (3, 3, 3)
 
-    @pytest.mark.parametrize("pool, select, within", [
-        (40, 8, False),  # 76.9e6 candidates, 473 GB a trial
-        (24, 6, False),  # 0.47 GB a trial
-        (12, 4, True),  # pool12-select4: 0.76 MB a trial
+    @pytest.mark.parametrize("pool, select, points, within", [
+        (40, 8, 1, False),  # 76.9e6 candidates, 473 GB a trial
+        (24, 6, 1, False),  # 0.47 GB a trial
+        (12, 4, 1, True),  # pool12-select4: 0.76 MB a trial
+        (12, 4, 1060, False),  # s-sr's Cholesky factors: 67.2e6 B a trial
     ])
     def test_candidate_bytes_a_trial_are_capped_before_anything_is_allocated(
-            self, pool, select, within):
+            self, pool, select, points, within):
         config = SystemConfig(num_users=select, user_antennas=1, relay_antennas=1,
                               pool_size=pool, selected_relays=select, num_eves=4,
                               eve_antennas=1, seed=0)
-        assert (6 * 16 * math.comb(pool, select) * select ** 2
+        assert (8 * math.comb(pool, select) * select ** 2 * max(12, points)
                 <= montecarlo.TRIAL_BYTES_CAP) == within
+        grid = tuple(range(points))
         tracemalloc.start()
         try:
             if within:
-                SweepSpec(config=config, snr_grid_db=(0.0,), trials=1)
+                SweepSpec(config=config, snr_grid_db=grid, trials=1)
             else:
                 with pytest.raises(ConfigError, match=f"choosing {select} of {pool} relays"):
-                    SweepSpec(config=config, snr_grid_db=(0.0,), trials=1)
+                    SweepSpec(config=config, snr_grid_db=grid, trials=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

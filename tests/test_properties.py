@@ -4,8 +4,8 @@ sweep's results do not depend on its block sizes (rank-deficient ``sr``
 trials and invalid candidates mixed in) or worker count, the batched
 evaluation equals the scalar reference oracles and, over a block of trials,
 each trial's own evaluation byte for byte (in any order, a pick given twice
-included), as does each trial's ``sr`` and ``s-sr`` selection from the
-block's shared score table, relabeling the eavesdroppers leaves every
+included), as does each trial's row of a block's selection (``sr`` and
+``s-sr`` reading one score table), relabeling the eavesdroppers leaves every
 achieved rate unchanged, one unitary on the source side of every channel,
 relabeling the relays (with ``N_r = 1`` or ``N_i = N_r``) and scaling the
 signal power at a fixed SNR leave every exhaustive score, pick and rate
@@ -32,8 +32,8 @@ from relaysec.criteria import (  # noqa: E402
     CriterionKind,
     _combination_table,
     legit_rates,
+    max_ratio_select,
     prepare_candidates,
-    score_candidates,
     select,
 )
 from relaysec.model import (  # noqa: E402
@@ -52,6 +52,7 @@ from relaysec.reference import (  # noqa: E402
     pair_secrecy_rate,
     position,
     relay_precoder,
+    score_candidates,
     select_one,
     ssinr_scores,
     svd_zf_valid,
@@ -353,21 +354,30 @@ def test_block_channel_gain_and_ssinr_equal_the_one_trial_oracles(cfg, grid, fir
     if copied < size and cfg.selected_relays > 1:
         assert not cands.valid[copied].all()
     noise = cfg.noise_powers(grid)
-    for kind in ("channel-gain", "s-sinr"):
+    single = (cfg.relay_antennas, cfg.user_antennas, cfg.eve_antennas) == (1, 1, 1)
+    for kind in ("channel-gain", "s-sinr", "sinr") + (("max-ratio",) if single else ()):
         positions, score = select(kind, block, cfg, candidates=cands, combine=combine,
                                   noise=noise)
         assert positions.shape == (size, len(grid))
         for b in range(size):
-            if kind == "channel-gain":
-                combo, one = channel_gain_select(block[b], cfg, combine)
-                row, want = position(cfg, combo), (one.eta1, one.eta2, one.combined)
+            if kind == "sinr":
+                rows, one = select(kind, block[b], cfg, combine=combine, noise=noise,
+                                   candidates=prepare_candidates(block[b], cfg))
+                want = (one.eta1, one.eta2, one.combined)
             else:
-                scores = ssinr_scores(block[b], cfg, combine)
-                row = int(np.argmax(scores[2]))
-                want = tuple(a[row] for a in scores)
-            assert positions[b].tolist() == [row] * len(grid), (kind, b)
-            for got, value in zip((score.eta1, score.eta2, score.combined), want):
-                assert got[b].tobytes() == np.full(len(grid), value).tobytes(), (kind, b)
+                if kind == "s-sinr":
+                    scores = ssinr_scores(block[b], cfg, combine)
+                    row = int(np.argmax(scores[2]))
+                    values = tuple(a[row] for a in scores)
+                else:
+                    oracle = channel_gain_select if kind == "channel-gain" else max_ratio_select
+                    combo, one = oracle(block[b], cfg, combine)
+                    row, values = position(cfg, combo), (one.eta1, one.eta2, one.combined)
+                rows = np.full(len(grid), row)
+                want = tuple(np.full(len(grid), value) for value in values)
+            assert positions[b].tobytes() == rows.tobytes(), (kind, b)
+            for got, expected in zip((score.eta1, score.eta2, score.combined), want):
+                assert got[b].tobytes() == expected.tobytes(), (kind, b)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -663,16 +673,15 @@ def test_block_selection_equals_per_trial_selection(cfg, grid, first, size, comb
     cands = prepare_candidates(block, cfg)
     noise = cfg.noise_powers(grid)
     picks = {}
-    for b in range(size):
-        real = block[b]
-        alone = prepare_candidates(real, cfg)
-        for kind in (CriterionKind.S_SR, CriterionKind.SECRECY_RATE):
-            got = select(kind, real, cfg, candidates=cands[b], combine=combine, noise=noise)
-            want = select(kind, real, cfg, candidates=alone, combine=combine, noise=noise)
-            picks[b, kind] = got
-            assert got[0].tobytes() == want[0].tobytes()
+    for kind in (CriterionKind.S_SR, CriterionKind.SECRECY_RATE):
+        picks[kind] = select(kind, block, cfg, candidates=cands, combine=combine, noise=noise)
+        positions, score = picks[kind]
+        for b in range(size):
+            want = select(kind, block[b], cfg, candidates=prepare_candidates(block[b], cfg),
+                          combine=combine, noise=noise)
+            assert positions[b].tobytes() == want[0].tobytes()
             for name in ("eta1", "eta2", "combined"):
-                assert getattr(got[1], name).tobytes() == getattr(want[1], name).tobytes()
+                assert getattr(score, name)[b].tobytes() == getattr(want[1], name).tobytes()
     # One table entry, for this grid and combine rule. Spoiled, it must not
     # reach the rank-deficient trial's sr pick, which takes its own basis.
     assert len(cands._ssr) == 1
@@ -680,11 +689,11 @@ def test_block_selection_equals_per_trial_selection(cfg, grid, first, size, comb
         for array in table:
             array[...] = np.nan
     if deficient:
-        got = select(CriterionKind.SECRECY_RATE, block[rank_one], cfg,
-                     candidates=cands[rank_one], combine=combine, noise=noise)
-        want = picks[rank_one, CriterionKind.SECRECY_RATE]
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].combined.tobytes() == want[1].combined.tobytes()
+        got = select(CriterionKind.SECRECY_RATE, block, cfg, candidates=cands,
+                     combine=combine, noise=noise)
+        want = picks[CriterionKind.SECRECY_RATE]
+        assert got[0][rank_one].tobytes() == want[0][rank_one].tobytes()
+        assert got[1].combined[rank_one].tobytes() == want[1].combined[rank_one].tobytes()
     # The shared table is what s-sr reads: spoiled, no candidate is viable.
-    assert np.all(select(CriterionKind.S_SR, block[0], cfg, candidates=cands[0],
+    assert np.all(select(CriterionKind.S_SR, block, cfg, candidates=cands,
                          combine=combine, noise=noise)[0] == -1)
