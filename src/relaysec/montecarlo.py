@@ -110,6 +110,14 @@ class SweepSpec:
             raise ConfigError("snr_grid_db must not be empty")
         if not np.all(np.isfinite(self.snr_grid_db)):
             raise ConfigError(f"snr_grid_db values must be finite, got {self.snr_grid_db}")
+        # Checked from math.comb, before any candidate is enumerated or noise level taken.
+        cfg, points = self.config, len(self.snr_grid_db)
+        trial_bytes = _candidate_bytes(cfg, points)
+        if trial_bytes > TRIAL_BYTES_CAP:
+            raise ConfigError(
+                f"choosing {cfg.selected_relays} of {cfg.pool_size} relays on a {points}-point "
+                f"grid needs {trial_bytes / 2 ** 20:.4g} MiB of candidate arrays a trial, "
+                f"over the {TRIAL_BYTES_CAP // 2 ** 20} MiB cap")
         # Every criterion divides by the noise power, and the eavesdropper
         # kernel takes its logarithm.
         try:
@@ -144,14 +152,6 @@ class SweepSpec:
         if self.eve_aggregate not in EVE_AGGREGATES:
             raise ConfigError(f"eve_aggregate must be one of {EVE_AGGREGATES}, "
                               f"got {self.eve_aggregate!r}")
-        # Checked from math.comb, before any candidate is enumerated.
-        cfg, points = self.config, len(self.snr_grid_db)
-        trial_bytes = _candidate_bytes(cfg, points)
-        if trial_bytes > TRIAL_BYTES_CAP:
-            raise ConfigError(
-                f"choosing {cfg.selected_relays} of {cfg.pool_size} relays on a {points}-point "
-                f"grid needs {trial_bytes / 2 ** 20:.4g} MiB of candidate arrays a trial, "
-                f"over the {TRIAL_BYTES_CAP // 2 ** 20} MiB cap")
         multi = (self.config.relay_antennas, self.config.user_antennas,
                  self.config.eve_antennas) != (1, 1, 1)
         if CriterionKind.MAX_RATIO in self.criteria and multi:

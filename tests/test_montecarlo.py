@@ -110,7 +110,7 @@ class TestSpecValidation:
         (12, 4, 1060, False),  # s-sr's Cholesky factors: 67.2e6 B a trial
     ])
     def test_candidate_bytes_a_trial_are_capped_before_anything_is_allocated(
-            self, pool, select, points, within):
+            self, monkeypatch, pool, select, points, within):
         config = SystemConfig(num_users=select, user_antennas=1, relay_antennas=1,
                               pool_size=pool, selected_relays=select, num_eves=4,
                               eve_antennas=1, seed=0)
@@ -122,6 +122,8 @@ class TestSpecValidation:
             if within:
                 SweepSpec(config=config, snr_grid_db=grid, trials=1)
             else:
+                # Nor is a noise level taken, which builds a config a point.
+                monkeypatch.setattr(SystemConfig, "noise_powers", None)
                 with pytest.raises(ConfigError, match=f"choosing {select} of {pool} relays"):
                     SweepSpec(config=config, snr_grid_db=grid, trials=1)
             peak = tracemalloc.get_traced_memory()[1]
