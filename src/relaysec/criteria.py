@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -161,7 +161,10 @@ class CandidateSet:
 
     Given a block of trials, :func:`prepare_candidates` puts the trial axis
     in front of every array; ``block[b]`` is trial ``b``'s set, as views,
-    with a table of its own.
+    with a table of its own. A set passed to it as ``out`` lends its arrays
+    to the new set and must not be read again: its arrays then hold the new
+    set's values, and its table the old ones. Rows gathered by
+    :meth:`rows` are copies and stay valid.
 
     Receiver noise enters no stored array (see the module docstring): the
     rates at a noise level come from :meth:`stream_gains`, the noise-free
@@ -252,35 +255,36 @@ def legit_rates(gains: np.ndarray, noise) -> np.ndarray:
     return np.log1p(gains / np.asarray(noise)[..., None]).sum(axis=-1) / LN2
 
 
-def prepare_candidates(realization: ChannelRealization, config: SystemConfig) -> CandidateSet:
+def prepare_candidates(realization: ChannelRealization, config: SystemConfig,
+                       out: CandidateSet | None = None) -> CandidateSet:
     """Stack channels and build both ZF precoders for every candidate.
 
     A block of trials gives one set with a leading trial axis: its hop
     channels are stacked into ``(B, C, n, n)`` and each hop takes one
-    :func:`relaysec.model.zf_core_batch`.
+    :func:`relaysec.model.zf_core_batch`. The arrays are written into
+    ``out``'s, a set of the same shape that is not read again (see
+    :class:`CandidateSet`), or into new ones when ``out`` is None; either
+    way the set returned is a new one, with an empty ``s-sr`` table.
     """
     combinations, members = _combination_table(config.pool_size, config.selected_relays)
-    hop1 = realization.stacked_source_channel(members)
+    n = config.transmit_antennas
+    if out is None:
+        shape = (*realization.source_to_relay.shape[:-3], len(members), n, n)
+        out = CandidateSet(config, combinations, *(np.empty(shape, complex) for _ in range(6)),
+                           valid=np.empty(shape[:-2], dtype=bool))
+    hop1, hop2 = out.hop1, out.hop2.reshape(out.hop1.shape)
+    np.copyto(hop1, realization.stacked_source_channel(members))
     # All users' antennas stacked give a square phase-2 channel as well.
-    hop2_all = realization.all_users_channel(members)
-    matrix1, core1, valid1 = zf_core_batch(hop1, config.signal_power)
-    matrix2, core2, valid2 = zf_core_batch(hop2_all, config.signal_power)
-    valid = valid1 & valid2
-    if not valid.all():
-        invalid = ~valid
-        for array in (matrix1, core1, matrix2, core2):
-            array[invalid] = np.eye(config.transmit_antennas)
-    return CandidateSet(
-        config=config,
-        combinations=combinations,
-        hop1=hop1,
-        hop2=hop2_all.reshape(*hop2_all.shape[:-2], config.num_users, config.user_antennas, -1),
-        precoders=matrix1,
-        cores=core1,
-        relay_precoders=matrix2,
-        relay_cores=core2,
-        valid=valid,
-    )
+    np.copyto(hop2, realization.all_users_channel(members))
+    valid1 = zf_core_batch(hop1, config.signal_power, out=(out.precoders, out.cores))[2]
+    valid2 = zf_core_batch(hop2, config.signal_power, out=(out.relay_precoders, out.relay_cores))[2]
+    np.logical_and(valid1, valid2, out=out.valid)
+    if not out.valid.all():
+        invalid = ~out.valid
+        for array in (out.precoders, out.cores, out.relay_precoders, out.relay_cores):
+            array[invalid] = np.eye(n)
+    return replace(out, config=config, combinations=combinations, hop2=hop2.reshape(
+        *hop2.shape[:-2], config.num_users, config.user_antennas, -1))
 
 
 # ---------------------------------------------------------------------------

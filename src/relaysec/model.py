@@ -369,7 +369,7 @@ def _lu_residual_bound(n: int) -> float:
     return 10.0 * (g(3 * n) * growth + g(n))
 
 
-def zf_core_batch(stacked: np.ndarray, signal_power: float):
+def zf_core_batch(stacked: np.ndarray, signal_power: float, out=None):
     """Vectorized ZF construction over a batch of square stacked channels.
 
     Parameters
@@ -377,6 +377,8 @@ def zf_core_batch(stacked: np.ndarray, signal_power: float):
     stacked : (..., C, n, n) complex array: one trial's C channels, after
         any leading trial axes.
     signal_power : per-column power after normalization.
+    out : ``(matrix, core)`` arrays of ``stacked``'s shape to write the
+        results into, or None for new ones.
 
     Returns
     -------
@@ -401,7 +403,10 @@ def zf_core_batch(stacked: np.ndarray, signal_power: float):
     trials of its block (see :func:`_trial_cores`).
     """
     n = stacked.shape[-1]
-    core, lu = _inverse_cores(stacked)
+    inverse, lu = _inverse_cores(stacked)
+    matrix, core = (np.empty_like(inverse), np.empty_like(inverse)) if out is None else out
+    np.copyto(core, inverse)
+    del inverse
     col_norms = np.linalg.norm(core, axis=-2)
     valid = np.zeros(stacked.shape[:-2], dtype=bool)
     if lu:
@@ -413,7 +418,7 @@ def zf_core_batch(stacked: np.ndarray, signal_power: float):
     if rest.any():
         residual = np.linalg.norm(stacked[rest] @ core[rest] - np.eye(n), axis=(-2, -1))
         valid[rest] = np.isfinite(residual) & (residual < ZF_RESIDUAL_TOL)
-    return _scaled(core, col_norms, valid, signal_power)
+    return _scaled(core, col_norms, valid, signal_power, matrix)
 
 
 def _inverse_cores(stacked: np.ndarray) -> tuple:
@@ -435,12 +440,14 @@ def _frobenius_sq(blocks: np.ndarray) -> np.ndarray:
 
 
 def _scaled(core: np.ndarray, col_norms: np.ndarray, valid: np.ndarray,
-            signal_power: float) -> tuple:
+            signal_power: float, matrix: np.ndarray | None = None) -> tuple:
     """``(matrix, core, valid)``: ``core``'s columns scaled to power
-    ``signal_power``, and ``valid`` cleared where a column is zero."""
+    ``signal_power``, into ``matrix`` when given, and ``valid`` cleared
+    where a column is zero."""
     valid &= np.all(col_norms > 0, axis=-1)
     safe = np.where(col_norms > 0, col_norms, 1.0)
-    matrix = np.sqrt(signal_power) * core / safe[..., None, :]
+    matrix = np.multiply(np.sqrt(signal_power), core, out=matrix)
+    np.divide(matrix, safe[..., None, :], out=matrix)
     return matrix, core, valid
 
 

@@ -15,7 +15,9 @@ blocks (:func:`_block_steps`):
   ``select`` call for each criterion that scores candidates (``sinr``,
   ``sr``, ``s-sr``; the last two read one table, see
   :class:`relaysec.criteria.CandidateSet`). The candidate rows its criteria
-  picked are gathered, and its arrays freed before the next one is built.
+  picked are gathered as copies, and the next candidate block of the trial
+  block is built into its arrays, a prefix of them for a short last block.
+  The arrays are freed when the trial block's candidate blocks are done.
 * The trial block ends with one ``secrecy_rate`` call on the distinct (row,
   SNR point) pairs its criteria picked; each sample is gathered from it, and
   the reason for every discard counted.
@@ -301,25 +303,27 @@ def _run_trials(spec: SweepSpec, trial_indices) -> tuple:
                                       combine=spec.combine, noise=noise)[0]
         usable = np.empty(picks.shape, dtype=bool)
         parts = []
+        candidates = None
         for low in range(0, n_b, candidate_step):
             part = slice(low, low + candidate_step)
-            members = realizations[part]
-            candidates = crit.prepare_candidates(members, cfg0)
+            members, mine = realizations[part], picks[part]
+            if candidates is not None:  # a prefix, for a short last block
+                candidates = candidates[:len(mine)]
+            candidates = crit.prepare_candidates(members, cfg0, out=candidates)
             for c in scored:
                 picks[part, c] = crit.select(spec.criteria[c], members, cfg0,
                                              candidates=candidates, combine=spec.combine,
                                              noise=noise)[0]
-            mine = picks[part]
             ok = mine >= 0
             trial = np.broadcast_to(np.arange(len(mine))[:, None, None], mine.shape)
             ok[ok] = candidates.valid[trial[ok], mine[ok]]
             usable[part] = ok
             # The distinct (trial, candidate) pairs picked here, as copies,
-            # so that this set is freed before the next one is built.
+            # so that the next candidate block is built into this set's arrays.
             slots = np.zeros(candidates.valid.shape, dtype=bool)
             slots[trial[ok], mine[ok]] = True
             parts.append(candidates.rows(*np.nonzero(slots), first=low))
-            del candidates
+        del candidates
         rows = crit.CandidateRows.concatenate(parts)
         # Each distinct (row, SNR point) pair is evaluated once.
         trial, _, point = np.nonzero(usable)

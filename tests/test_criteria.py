@@ -904,3 +904,41 @@ class TestZeroForcingAdmission:
             for name in ("hop1", "hop2", "precoders", "cores", "relay_precoders",
                          "relay_cores", "valid"):
                 assert getattr(sets[b], name).tobytes() == getattr(alone[b], name).tobytes(), name
+
+    def test_set_refilled_in_place_equals_a_fresh_one(self):
+        # Blocks of two trials built one into the arrays of the other: a clean
+        # block, one whose NaN first-hop members get identity placeholders,
+        # one whose exactly singular second-hop members send every trial to
+        # the per-trial inverses, and a clean one again.
+        cfg = mimo_config(pool_size=4)
+        combos = enumerate_combinations(cfg.pool_size, cfg.selected_relays)
+        blocks = [generate_realization(cfg, trial=[2 * b, 2 * b + 1]) for b in range(4)]
+        invalid = np.zeros((4, 2, len(combos)), dtype=bool)
+        blocks[1].source_to_relay[0, 1] = np.nan
+        invalid[1, 0] = [1 in combo for combo in combos]
+        blocks[2].relay_to_user[1, 2] = 0.0
+        invalid[2, 1] = [2 in combo for combo in combos]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(blocks[2].all_users_channel(np.array(combos)))
+        names = ("hop1", "hop2", "precoders", "cores", "relay_precoders", "relay_cores",
+                 "valid")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            previous = prepare_candidates(blocks[0], cfg)
+            for index, block in enumerate(blocks[1:], 1):
+                select("s-sr", blocks[index - 1], cfg, candidates=previous)  # fills its table
+                assert previous._ssr
+                rows = previous.rows([0, 1, 1], [0, 2, 5])
+                gathered = (rows.gains, rows.precoders, rows.relay_precoders, rows.valid)
+                kept = [a.copy() for a in gathered]
+                fresh = prepare_candidates(block, cfg)
+                refilled = prepare_candidates(block, cfg, out=previous)
+                assert np.array_equal(fresh.valid, ~invalid[index])
+                assert refilled is not previous and refilled._ssr == {}
+                for name in names:
+                    got, want = getattr(refilled, name), getattr(fresh, name)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+                    assert np.shares_memory(got, getattr(previous, name)), name
+                for got, want in zip(gathered, kept):
+                    assert got.tobytes() == want.tobytes()
+                previous = refilled

@@ -399,6 +399,28 @@ class TestBlockPeak:
         assert calls.count("prepare_candidates") == candidate_blocks
         assert peak <= self.PEAK_BUDGETS * montecarlo.BLOCK_BYTES
 
+    def test_candidate_blocks_of_a_trial_block_share_one_set_of_arrays(self, monkeypatch):
+        # pool12-select4's trial block of 16 one-trial candidate blocks: each
+        # block is built into the arrays of the first, not into new ones. The
+        # mechanism is pinned, not the page faults it saves, which depend on
+        # the allocator.
+        spec = SweepSpec(config=SystemConfig(seed=11, **self.POOL12), snr_grid_db=(0, 10, 20),
+                         trials=16, criteria=("channel-gain", "s-sinr", "sr", "s-sr"))
+        sets = []
+        original = criteria.prepare_candidates
+
+        def recorded(*args, **kwargs):
+            sets.append(original(*args, **kwargs))
+            return sets[-1]
+
+        monkeypatch.setattr(criteria, "prepare_candidates", recorded)
+        montecarlo._run_trials(spec, np.arange(16))
+        assert len(sets) == 16
+        names = ("hop1", "hop2", "cores", "precoders", "relay_cores", "relay_precoders")
+        for later in sets[1:]:
+            for name in names:
+                assert np.shares_memory(getattr(later, name), getattr(sets[0], name)), name
+
 
 class TestDiscardReasons:
     # Trial 1's first hop is all zero, so every candidate is invalid: s-sr
