@@ -89,10 +89,17 @@ def parse_snr_grid(text: str) -> tuple:
 
 
 def _format_snr_grid(grid) -> str:
+    """Text that :func:`parse_snr_grid` reads back as ``grid``: each value's
+    ``repr`` less a trailing ``.0``, the step the shortest decimal that gives
+    the grid again (in ``0.1:0.2:1``, ``grid[1] - grid[0]`` is 0.2 + 4e-17)."""
+    start, stop = (repr(value).removesuffix(".0") for value in (grid[0], grid[-1]))
     if len(grid) == 1:
-        return f"{grid[0]:g}"
-    step = grid[1] - grid[0]
-    return f"{grid[0]:g}:{step:g}:{grid[-1]:g}"
+        return start
+    for digits in range(1, 18):  # 17 significant digits give grid[1] - grid[0] itself
+        step = repr(float(f"{grid[1] - grid[0]:.{digits}g}")).removesuffix(".0")
+        if parse_snr_grid(f"{start}:{step}:{stop}") == tuple(grid):
+            break
+    return f"{start}:{step}:{stop}"
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
@@ -292,7 +299,7 @@ def verify_zf(draws: int = 100, seed: int = VERIFY_SEED):
     for t in range(draws):
         realization = generate_realization(cfg, trial=t)
         stacked = realization.stacked_source_channel((0, 1))
-        pre = zf_precoder(stacked, cfg.signal_power, cfg.user_antennas)
+        pre = zf_precoder(stacked, user_antennas=cfg.user_antennas)
         worst = max(worst, float(np.linalg.norm(stacked @ pre.core - eye)))
     ok = worst < 1e-9
     lines = [f"zf: {draws} draws, max residual {worst:.3e} (tolerance 1e-9)"]
@@ -344,8 +351,8 @@ def verify_ssr_oracle(draws: int = 1000, seed: int = VERIFY_SEED):
         for pos, combo in enumerate(cands.combinations):
             if not cands.valid[pos]:
                 continue
-            pre = zf_precoder(realization.stacked_source_channel(combo), cfg.signal_power,
-                              cfg.user_antennas)
+            pre = zf_precoder(realization.stacked_source_channel(combo),
+                              user_antennas=cfg.user_antennas)
             for user in range(cfg.num_users):
                 reduced = ssr_eve_term(pre, user, cfg.noise_power)
                 full = gamma_rate_bits(basis, pre.user_block(user), pre.other_columns(user),

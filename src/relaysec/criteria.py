@@ -13,10 +13,10 @@ Six selection rules are provided:
   precoders alone; eavesdropper channels are never read on this path.
 
 Both hops are square zero forcing (ZF). With ``d`` the column norms of a
-core ``H^{-1}`` and ``D = diag(d)``, the precoder is ``W = sqrt(P) H^{-1} D^{-1}``,
-so ``H W = sqrt(P) D^{-1}``: stream ``l`` arrives with power ``P / d_l^2`` and
-no interference, every legitimate rate is ``sum_l log2(1 + P / (d_l^2 s))``
-and every stream SINR ``P / (d_l^2 s)`` at noise power ``s``. So receiver
+core ``H^{-1}`` and ``D = diag(d)``, the precoder is ``W = H^{-1} D^{-1}``, with
+unit-power columns, so ``H W = D^{-1}``: stream ``l`` arrives with power
+``1 / d_l^2`` and no interference, every legitimate rate is ``sum_l log2(1 +
+1 / (d_l^2 s))`` and every stream SINR ``1 / (d_l^2 s)`` at noise power ``s``. So receiver
 noise enters no stored array, and ``sinr``'s pick does not depend on the
 noise level. ``sr`` and ``s-sr`` share one eavesdropper term
 (:func:`_eve_terms`), the same computation whenever the stacked
@@ -152,8 +152,8 @@ class CandidateSet:
     ``hop1[c]`` stacks the members' source->relay blocks (square, N_t x N_t);
     ``hop2[c, u]`` concatenates the members' relay->user blocks for user
     ``u``. ``precoders[c]`` / ``relay_precoders[c]`` hold the candidate's
-    scaled ZF matrices for the two hops and ``cores[c]`` / ``relay_cores[c]``
-    the unscaled inverses; candidates where either hop's channel was
+    ZF matrices for the two hops, with unit-power columns, and ``cores[c]``
+    / ``relay_cores[c]`` the unscaled inverses; candidates where either hop's channel was
     singular have ``valid[c]`` False and identity placeholders so batched
     linear algebra stays finite. Row ``c`` belongs to ``combinations[c]``;
     :func:`select` returns picks as rows, and :meth:`rows` gathers the
@@ -168,7 +168,7 @@ class CandidateSet:
 
     Receiver noise enters no stored array (see the module docstring): the
     rates at a noise level come from :meth:`stream_gains`, the noise-free
-    received powers. ``config`` supplies dimensions and signal power only.
+    received powers ``1 / d_l^2``. ``config`` supplies dimensions only.
 
     The set keeps a table of ``s-sr``'s scores, ``(S, ..., C)``, per grid
     and ``combine`` rule. ``sr``'s score is ``s-sr``'s for every trial whose
@@ -200,9 +200,9 @@ class CandidateSet:
         )
 
     def stream_gains(self) -> np.ndarray:
-        """Noise-free received power ``P / d_l^2`` of every stream of every
+        """Noise-free received power ``1 / d_l^2`` of every stream of every
         candidate, ``(2, ..., C, N_t)``, source hop first."""
-        return stream_gains(self.cores, self.relay_cores, self.config.signal_power)
+        return stream_gains(self.cores, self.relay_cores)
 
     def rows(self, trials, positions, first: int = 0) -> "CandidateRows":
         """Candidate ``positions[j]`` of trial ``trials[j]`` of this block's
@@ -211,8 +211,7 @@ class CandidateSet:
         rows are evaluated with."""
         trials = np.asarray(trials, dtype=np.intp)
         positions = np.asarray(positions, dtype=np.intp)
-        gains = stream_gains(self.cores[trials, positions], self.relay_cores[trials, positions],
-                             self.config.signal_power)
+        gains = stream_gains(self.cores[trials, positions], self.relay_cores[trials, positions])
         return CandidateRows(trials + first, positions, gains.swapaxes(0, 1),
                              *(getattr(self, name)[trials, positions]
                                for name in ("precoders", "relay_precoders", "valid")))
@@ -240,11 +239,11 @@ class CandidateRows:
                      for f in fields(cls)))
 
 
-def stream_gains(cores: np.ndarray, relay_cores: np.ndarray, signal_power: float) -> np.ndarray:
-    """Noise-free received power ``P / d_l^2`` of every ZF stream, ``(2, ...,
+def stream_gains(cores: np.ndarray, relay_cores: np.ndarray) -> np.ndarray:
+    """Noise-free received power ``1 / d_l^2`` of every ZF stream, ``(2, ...,
     N_t)``, source hop first, from the two hops' cores ``(..., N_t, N_t)``
     and their column norms ``d``."""
-    return signal_power / np.sum(np.abs(np.stack([cores, relay_cores])) ** 2, axis=-2)
+    return 1.0 / np.sum(np.abs(np.stack([cores, relay_cores])) ** 2, axis=-2)
 
 
 def legit_rates(gains: np.ndarray, noise) -> np.ndarray:
@@ -276,8 +275,8 @@ def prepare_candidates(realization: ChannelRealization, config: SystemConfig,
     np.copyto(hop1, realization.stacked_source_channel(members))
     # All users' antennas stacked give a square phase-2 channel as well.
     np.copyto(hop2, realization.all_users_channel(members))
-    valid1 = zf_core_batch(hop1, config.signal_power, out=(out.precoders, out.cores))[2]
-    valid2 = zf_core_batch(hop2, config.signal_power, out=(out.relay_precoders, out.relay_cores))[2]
+    valid1 = zf_core_batch(hop1, out=(out.precoders, out.cores))[2]
+    valid2 = zf_core_batch(hop2, out=(out.relay_precoders, out.relay_cores))[2]
     np.logical_and(valid1, valid2, out=out.valid)
     if not out.valid.all():
         invalid = ~out.valid

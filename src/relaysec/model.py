@@ -14,8 +14,8 @@ Conventions used throughout the package:
 * Stream ``l`` (a row of the stacked first-hop channel) carries data for
   user ``l // user_antennas``; zero forcing maps stream ``l`` onto relay
   antenna ``l``.
-* Symbols are unit power (``E[s s^H] = I``); the transmit power lives in the
-  precoder columns, each scaled to power ``signal_power``.
+* Symbols are unit power (``E[s s^H] = I``), and so is every precoder
+  column; the noise power ``10 ** (-snr_db / 10)`` sets the SNR.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ def _is_integer_at_least(value, lowest: int) -> bool:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Dimensions and power levels of one network scenario.
+    """Dimensions and SNR of one network scenario.
 
-    ``snr_db`` fixes the ratio ``signal_power / noise_power``; the signal
-    power is held at ``signal_power`` and the noise power is derived from it.
+    Every precoder column has unit power, so ``snr_db`` fixes the noise
+    power alone: ``noise_power = 10 ** (-snr_db / 10)``.
     """
 
     num_users: int = 2
@@ -75,7 +75,6 @@ class SystemConfig:
     num_eves: int = 2
     eve_antennas: int = 1
     snr_db: float = 10.0
-    signal_power: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -96,10 +95,7 @@ class SystemConfig:
         if not _is_integer_at_least(self.seed, 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
-        # A zero or non-finite power or SNR leaves every rate undefined;
-        # reject it here rather than fail inside a sweep.
-        if not (0 < self.signal_power < np.inf):
-            raise ConfigError(f"signal_power must be positive and finite, got {self.signal_power}")
+        # A non-finite SNR leaves every rate undefined; reject it before any sweep.
         if not np.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if self.selected_relays > self.pool_size:
@@ -122,7 +118,7 @@ class SystemConfig:
 
     @property
     def noise_power(self) -> float:
-        return self.signal_power * db_to_linear(-self.snr_db)
+        return db_to_linear(-self.snr_db)
 
     def at_snr(self, snr_db: float) -> "SystemConfig":
         return replace(self, snr_db=float(snr_db))
@@ -133,7 +129,7 @@ class SystemConfig:
         One scalar power per point: numpy's vectorized ``10**x`` differs from
         it in the last bit at some grid points.
         """
-        return np.array([self.at_snr(s).noise_power for s in snr_grid_db])
+        return np.array([db_to_linear(-float(s)) for s in snr_grid_db])
 
     def stream_user(self, stream: int) -> int:
         """User index served by global stream ``stream``."""
@@ -369,20 +365,19 @@ def _lu_residual_bound(n: int) -> float:
     return 10.0 * (g(3 * n) * growth + g(n))
 
 
-def zf_core_batch(stacked: np.ndarray, signal_power: float, out=None):
+def zf_core_batch(stacked: np.ndarray, out=None):
     """Vectorized ZF construction over a batch of square stacked channels.
 
     Parameters
     ----------
     stacked : (..., C, n, n) complex array: one trial's C channels, after
         any leading trial axes.
-    signal_power : per-column power after normalization.
     out : ``(matrix, core)`` arrays of ``stacked``'s shape to write the
         results into, or None for new ones.
 
     Returns
     -------
-    matrix : (..., C, n, n) scaled precoders (garbage where invalid).
+    matrix : (..., C, n, n) precoders, unit-power columns (garbage where invalid).
     core : (..., C, n, n) raw inverses.
     valid : (..., C) bool, True where the Frobenius norm of
         ``stacked @ core - I`` is below ``ZF_RESIDUAL_TOL`` and no column
@@ -418,7 +413,7 @@ def zf_core_batch(stacked: np.ndarray, signal_power: float, out=None):
     if rest.any():
         residual = np.linalg.norm(stacked[rest] @ core[rest] - np.eye(n), axis=(-2, -1))
         valid[rest] = np.isfinite(residual) & (residual < ZF_RESIDUAL_TOL)
-    return _scaled(core, col_norms, valid, signal_power, matrix)
+    return _scaled(core, col_norms, valid, matrix)
 
 
 def _inverse_cores(stacked: np.ndarray) -> tuple:
@@ -440,15 +435,12 @@ def _frobenius_sq(blocks: np.ndarray) -> np.ndarray:
 
 
 def _scaled(core: np.ndarray, col_norms: np.ndarray, valid: np.ndarray,
-            signal_power: float, matrix: np.ndarray | None = None) -> tuple:
-    """``(matrix, core, valid)``: ``core``'s columns scaled to power
-    ``signal_power``, into ``matrix`` when given, and ``valid`` cleared
-    where a column is zero."""
+            matrix: np.ndarray | None = None) -> tuple:
+    """``(matrix, core, valid)``: ``core``'s columns at unit power, into
+    ``matrix`` when given, and ``valid`` cleared where a column is zero."""
     valid &= np.all(col_norms > 0, axis=-1)
     safe = np.where(col_norms > 0, col_norms, 1.0)
-    matrix = np.multiply(np.sqrt(signal_power), core, out=matrix)
-    np.divide(matrix, safe[..., None, :], out=matrix)
-    return matrix, core, valid
+    return np.divide(core, safe[..., None, :], out=matrix), core, valid
 
 
 def _trial_cores(stacked: np.ndarray) -> np.ndarray:

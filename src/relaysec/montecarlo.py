@@ -39,7 +39,8 @@ import numpy as np
 
 from . import criteria as crit
 from .criteria import CriterionKind
-from .model import ConfigError, SystemConfig, _is_integer_at_least, generate_realization
+from .model import (ConfigError, SystemConfig, _is_integer_at_least, db_to_linear,
+                    generate_realization)
 from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 
 # Bytes the trials of a candidate block, and again of a trial block, may hold
@@ -55,14 +56,9 @@ BLOCK_BYTES = 256 * 1024
 # C(12, 4) on a grid of 1060 points.
 TRIAL_BYTES_CAP = 64 * 2 ** 20
 
-# Signal powers a sweep accepts, and its highest SNR. Gains and grams reach
-# the signal power times channel gains and antenna counts, and the
-# eavesdropper kernel's inverse grams its reciprocal times a condition number;
-# inside 1e-150..1e150 both stay far from the float range's ends (about 1e-308
-# and 1.8e308), where they overflowed. Every stream's received power over the
-# noise, P / (d^2 s), is the SNR times a channel gain, and stays finite up to
+# The highest SNR a sweep accepts. Every stream's received power over the
+# noise, 1 / (d^2 s), is the SNR times a channel gain, and stays finite up to
 # 3000 dB; at 3100 dB it overflowed.
-SIGNAL_POWER_RANGE = (1e-150, 1e150)
 MAX_SNR_DB = 3000.0
 
 
@@ -75,6 +71,25 @@ def _candidate_bytes(config: SystemConfig, points: int) -> int:
     candidate and grid point (:func:`relaysec.kernels.cholesky_factor`)."""
     n_combos = comb(config.pool_size, config.selected_relays)
     return 8 * n_combos * config.transmit_antennas ** 2 * max(12, points)
+
+
+def _usable_noise(snr_db: float) -> bool:
+    """Whether the noise power at ``snr_db`` is positive and finite: every
+    criterion divides by it, and the eavesdropper kernel takes its logarithm."""
+    try:
+        return 0 < db_to_linear(-snr_db) < np.inf
+    except OverflowError:  # 10 ** x past the float range, at a point far below 0 dB
+        return False
+
+
+def _check_grid(grid: tuple, rule: str, bad) -> None:
+    """Raise a ``ConfigError`` if ``bad`` holds at some grid points, naming
+    the first three and their count, so a long grid gives a short message."""
+    points = [s for s, b in zip(grid, bad) if b]
+    if points:
+        more = ", ..." if len(points) > 3 else ""
+        raise ConfigError(f"snr_grid_db values must {rule}; {len(points)} of {len(grid)} "
+                          f"points fail: {', '.join(map(repr, points[:3]))}{more} dB")
 
 
 @dataclass(frozen=True)
@@ -108,35 +123,20 @@ class SweepSpec:
             CriterionKind.from_name(k) if isinstance(k, str) else k for k in self.criteria
         )
         object.__setattr__(self, "criteria", kinds)
-        if not self.snr_grid_db:
+        if not grid:
             raise ConfigError("snr_grid_db must not be empty")
-        if not np.all(np.isfinite(self.snr_grid_db)):
-            raise ConfigError(f"snr_grid_db values must be finite, got {self.snr_grid_db}")
+        _check_grid(grid, "be finite", ~np.isfinite(grid))
         # Checked from math.comb, before any candidate is enumerated or noise level taken.
-        cfg, points = self.config, len(self.snr_grid_db)
+        cfg, points = self.config, len(grid)
         trial_bytes = _candidate_bytes(cfg, points)
         if trial_bytes > TRIAL_BYTES_CAP:
             raise ConfigError(
                 f"choosing {cfg.selected_relays} of {cfg.pool_size} relays on a {points}-point "
                 f"grid needs {trial_bytes / 2 ** 20:.4g} MiB of candidate arrays a trial, "
                 f"over the {TRIAL_BYTES_CAP // 2 ** 20} MiB cap")
-        # Every criterion divides by the noise power, and the eavesdropper
-        # kernel takes its logarithm.
-        try:
-            noise = self.config.noise_powers(self.snr_grid_db)
-        except OverflowError:  # 10 ** x past the float range, at a point far below 0 dB
-            noise = np.array([np.inf])
-        if not np.all((noise > 0) & (noise < np.inf)):
-            raise ConfigError(
-                f"snr_grid_db must give a positive, finite noise power at signal_power "
-                f"{self.config.signal_power}, got {self.snr_grid_db} dB")
-        if max(self.snr_grid_db) > MAX_SNR_DB:
-            raise ConfigError(f"snr_grid_db values must be at most {MAX_SNR_DB:g} dB, "
-                              f"got {self.snr_grid_db}")
-        low, high = SIGNAL_POWER_RANGE
-        if not low <= self.config.signal_power <= high:
-            raise ConfigError(f"signal_power must be from {low:g} to {high:g} in a sweep, "
-                              f"got {self.config.signal_power}")
+        _check_grid(grid, "give a positive, finite noise power",
+                    [not _usable_noise(s) for s in grid])
+        _check_grid(grid, f"be at most {MAX_SNR_DB:g} dB", np.array(grid) > MAX_SNR_DB)
         if not self.criteria:
             raise ConfigError("criteria must not be empty")
         if len(set(self.criteria)) != len(self.criteria):

@@ -124,6 +124,7 @@ def zf_precoder(stacked_channel: np.ndarray, signal_power: float = 1.0,
                 user_antennas: int = 1) -> Precoder:
     """Zero-forcing precoder for a square stacked first-hop channel.
 
+    Every column has power ``signal_power`` (the sweep's have unit power).
     ``user_antennas`` sets the per-user column partition. Raises
     :class:`SingularChannelError` when the inverse cannot reproduce the
     identity within ``ZF_RESIDUAL_TOL``; the caller should redraw the
@@ -132,18 +133,18 @@ def zf_precoder(stacked_channel: np.ndarray, signal_power: float = 1.0,
     stacked_channel = np.asarray(stacked_channel)
     if stacked_channel.ndim != 2 or stacked_channel.shape[0] != stacked_channel.shape[1]:
         raise ValueError(f"stacked channel must be square, got {stacked_channel.shape}")
-    matrix, core, valid = zf_core_batch(stacked_channel[None], signal_power)
+    matrix, core, valid = zf_core_batch(stacked_channel[None])
     if not valid[0]:
         residual = np.linalg.norm(stacked_channel @ core[0] - np.eye(len(stacked_channel)))
         raise SingularChannelError(
             f"stacked channel is numerically singular (ZF residual {residual:.3e} "
             f"exceeds {ZF_RESIDUAL_TOL:.0e}); redraw the realization"
         )
-    return Precoder(matrix=matrix[0], core=core[0], signal_power=float(signal_power),
-                    user_antennas=user_antennas)
+    return Precoder(matrix=np.sqrt(signal_power) * matrix[0], core=core[0],
+                    signal_power=float(signal_power), user_antennas=user_antennas)
 
 
-def zf_core_exact(stacked: np.ndarray, signal_power: float) -> tuple:
+def zf_core_exact(stacked: np.ndarray) -> tuple:
     """:func:`relaysec.model.zf_core_batch` with the residual of every
     candidate taken: the admission rule as defined, ``||stacked @ core -
     I||_F < ZF_RESIDUAL_TOL`` and no zero column, without the LU bound that
@@ -151,7 +152,7 @@ def zf_core_exact(stacked: np.ndarray, signal_power: float) -> tuple:
     core, _ = _inverse_cores(stacked)
     residual = np.linalg.norm(stacked @ core - np.eye(stacked.shape[-1]), axis=(-2, -1))
     valid = np.isfinite(residual) & (residual < ZF_RESIDUAL_TOL)
-    return _scaled(core, np.linalg.norm(core, axis=-2), valid, signal_power)
+    return _scaled(core, np.linalg.norm(core, axis=-2), valid)
 
 
 def svd_zf_valid(stacked: np.ndarray) -> np.ndarray:
@@ -178,11 +179,11 @@ def relay_precoder(realization: ChannelRealization, combination,
     The selected relays jointly hold exactly ``N_t`` antennas, so stacking
     every user's second-hop channel gives a square matrix and the relays can
     re-transmit the decoded streams interference-free, mirroring the source
-    precoder. Column powers are normalized to ``signal_power`` each, keeping
-    the second-hop SNR governed by ``snr_db`` instead of the fading scale.
+    precoder. Columns are normalized to unit power, keeping the second-hop
+    SNR governed by ``snr_db`` instead of the fading scale.
     """
     stacked = realization.all_users_channel(combination)
-    return zf_precoder(stacked, config.signal_power, config.user_antennas)
+    return zf_precoder(stacked, user_antennas=config.user_antennas)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +415,7 @@ def sinr_user_metric(realization: ChannelRealization, combination, config: Syste
     with an explicit relay output covariance (the interference model stays).
     """
     stacked = realization.all_users_channel(combination)
-    own, others = _user_terms(zf_precoder(stacked, config.signal_power, config.user_antennas))
+    own, others = _user_terms(zf_precoder(stacked, user_antennas=config.user_antennas))
     per_user = []
     for user in range(config.num_users):
         num_cov = own[user] if relay_output_covariance is None else relay_output_covariance

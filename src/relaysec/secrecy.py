@@ -64,7 +64,7 @@ def secrecy_rate(realizations: ChannelRealization, rows: CandidateRows, config: 
     :class:`SingularChannelError`, and an empty batch gives empty arrays.
 
     The legitimate rate of each hop is the ZF closed form
-    ``sum_l log2(1 + P / (d_l^2 s))`` (see
+    ``sum_l log2(1 + 1 / (d_l^2 s))`` (see
     :mod:`relaysec.criteria`), and the weaker hop counts.
     Every eavesdropper overhears phase 1 through its source-side channel;
     with ``eve_model="both"`` it also overhears the relays' phase-2

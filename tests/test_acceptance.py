@@ -152,8 +152,7 @@ def test_acceptance_6_numerical_kernels(figure_sweep):
     worst_eig = 0.0
     for t in range(100):
         real = generate_realization(cfg, trial=t)
-        pre = zf_precoder(real.stacked_source_channel((0, 1)), cfg.signal_power,
-                          cfg.user_antennas)
+        pre = zf_precoder(real.stacked_source_channel((0, 1)), user_antennas=cfg.user_antennas)
         for u in range(cfg.num_users):
             r_in = interference_covariance(pre, u, cfg.noise_power)
             if not np.array_equal(r_in, r_in.conj().T):

@@ -157,6 +157,17 @@ class TestConfigFile:
         reparsed = build_spec(read_config_file(str(path)))
         assert reparsed == spec
 
+    @pytest.mark.parametrize("snr", ["0:0.1234567:1", "17.123456789", "0.1:0.2:1"])
+    def test_round_trip_keeps_every_grid_digit(self, tmp_path, snr):
+        # 6 significant digits wrote 0:0.123457:0.987654 and 17.1235; and
+        # 0.1 + 0.2 - 0.1 is 0.20000000000000004, which is no step of 0.1:0.2:1.
+        spec = build_spec({"snr": snr, "trials": 1})
+        path = tmp_path / "spec.cfg"
+        path.write_text(format_config(spec), encoding="utf-8")
+        reparsed = build_spec(read_config_file(str(path)))
+        assert reparsed.snr_grid_db == spec.snr_grid_db
+        assert reparsed.digest() == spec.digest()
+
 
 class TestCsv:
     def _result(self, **kw):

@@ -191,18 +191,17 @@ class TestSinrMetrics:
         real = generate_realization(cfg)
         row = np.array([[0.6 + 0.8j]])  # |h| = 1
         real.source_to_relay[0] = row
-        u = np.sqrt(cfg.signal_power) * row.conj().T
-        pre = Precoder(matrix=u, core=u, signal_power=cfg.signal_power, user_antennas=1)
+        u = row.conj().T
+        pre = Precoder(matrix=u, core=u, signal_power=1.0, user_antennas=1)
         got = sinr_relay_metric(real, pre, (0,), cfg)
-        assert got == pytest.approx(cfg.signal_power / cfg.noise_power)
+        assert got == pytest.approx(1.0 / cfg.noise_power)
 
     def test_matches_quadratic_form_oracle(self):
         cfg = mimo_config()
         for t in range(10):
             real = generate_realization(cfg, trial=t)
             combo = (1, 4)
-            pre = zf_precoder(real.stacked_source_channel((0, 2)), cfg.signal_power,
-                              cfg.user_antennas)
+            pre = zf_precoder(real.stacked_source_channel((0, 2)), user_antennas=cfg.user_antennas)
             got = sinr_relay_metric(real, pre, combo, cfg)
             # independent per-stream evaluation
             h = real.stacked_source_channel(combo)
@@ -232,12 +231,12 @@ class TestSinrMetrics:
         assert m2 == pytest.approx(2.0 * m1)
 
     def test_user_metric_scalar_ratio(self):
-        # single user, scalar second hop: SINR = |h|^2 * power / noise
+        # single user, scalar second hop, unit power: SINR = |h|^2 / noise
         cfg = scalar_config(num_users=1)
         real = generate_realization(cfg, trial=2)
         h2 = real.relay_to_user[(0, 0)]
         got = sinr_user_metric(real, (0,), cfg)
-        want = np.abs(h2[0, 0]) ** 2 * cfg.signal_power / cfg.noise_power
+        want = np.abs(h2[0, 0]) ** 2 / cfg.noise_power
         assert got == pytest.approx(want)
 
     def test_user_metric_numerator_override(self):
@@ -421,8 +420,7 @@ class TestSsrEveTerm:
             real = generate_realization(cfg, trial=t)
             eve_stack = real.stacked_eve_channel()
             combo = (0, 1)
-            pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                              cfg.user_antennas)
+            pre = zf_precoder(real.stacked_source_channel(combo), user_antennas=cfg.user_antennas)
             for user in range(cfg.num_users):
                 reduced = ssr_eve_term(pre, user, cfg.noise_power)
                 full = gamma_rate_bits(row_basis(eve_stack), pre.user_block(user),
@@ -443,8 +441,7 @@ class TestSsrEveTerm:
             for pos, combo in enumerate(cs.combinations):
                 if not cs.valid[pos]:
                     continue
-                pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                                  cfg.user_antennas)
+                pre = zf_precoder(real.stacked_source_channel(combo), user_antennas=cfg.user_antennas)
                 for s, level in enumerate(noise):
                     eve = sum(ssr_eve_term(pre, user, level) for user in range(cfg.num_users))
                     for hop, eta in enumerate((eta1, eta2)):
@@ -494,8 +491,7 @@ class TestSecrecySelection:
             eve_stack = real.stacked_eve_channel()
             best_combo, best_score = None, -np.inf
             for combo in enumerate_combinations(cfg.pool_size, cfg.selected_relays):
-                u = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                                cfg.user_antennas)
+                u = zf_precoder(real.stacked_source_channel(combo), user_antennas=cfg.user_antennas)
                 v = relay_precoder(real, combo, cfg)
                 hop1 = hop2 = eve = 0.0
                 h1 = real.stacked_source_channel(combo)
@@ -540,7 +536,7 @@ class TestSecrecySelection:
             best_combo, best_score = None, -np.inf
             for combo in enumerate_combinations(cfg.pool_size, cfg.selected_relays):
                 pre = zf_precoder(real.stacked_source_channel(combo),
-                                  cfg.signal_power, cfg.user_antennas)
+                                  user_antennas=cfg.user_antennas)
                 eta1 = sinr_relay_metric(real, pre, combo, cfg)
                 eta2 = sinr_user_metric(real, combo, cfg)
                 value = min(eta1, eta2)
@@ -698,8 +694,7 @@ def scalar_scores(kind, real, cfg):
     """Combined sr, s-sr or sinr score of every candidate, from the scalar oracles."""
     scores = []
     for combo in enumerate_combinations(cfg.pool_size, cfg.selected_relays):
-        u = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                        cfg.user_antennas)
+        u = zf_precoder(real.stacked_source_channel(combo), user_antennas=cfg.user_antennas)
         if kind is CriterionKind.SINR:
             scores.append(min(sinr_relay_metric(real, u, combo, cfg),
                               sinr_user_metric(real, combo, cfg)))
@@ -856,8 +851,8 @@ class TestExactHighSnrOracle:
                         eta2 = min(hop2.reshape(-1, n_r).mean(axis=1)) / level
                         assert sinr[0][s, pos] == pytest.approx(eta1, rel=1e-14)
                         assert sinr[1][s, pos] == pytest.approx(eta2, rel=1e-14)
-                        # Unitary precoders: each stream's s-sr term is log2(1 + P / s).
-                        eve = n_t * math.log2(1.0 + cfg.signal_power / level)
+                        # Unitary precoders: each stream's s-sr term is log2(1 + 1 / s).
+                        eve = n_t * math.log2(1.0 + 1.0 / level)
                         for hop, want in enumerate(rates):
                             assert ssr[hop][s, pos] == pytest.approx(want - eve, rel=1e-12,
                                                                      abs=1e-11)

@@ -87,15 +87,10 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match="snr_db"):
             scalar_config(snr_db=snr_db)
 
-    @pytest.mark.parametrize("power", [0.0, -1.0, float("inf"), float("nan")])
-    def test_signal_power_must_be_positive_and_finite(self, power):
-        with pytest.raises(ConfigError, match="signal_power"):
-            scalar_config(signal_power=power)
-
     def test_snr_sets_noise_power(self):
-        cfg = scalar_config(snr_db=20.0, signal_power=2.0)
-        assert cfg.noise_power == pytest.approx(0.02)
-        assert cfg.at_snr(0.0).noise_power == pytest.approx(2.0)
+        cfg = scalar_config(snr_db=20.0)
+        assert cfg.noise_power == pytest.approx(0.01)
+        assert cfg.at_snr(0.0).noise_power == pytest.approx(1.0)
 
     def test_stream_user_map(self):
         cfg = mimo_config()
@@ -240,9 +235,9 @@ class TestZeroForcing:
         picks = [below[np.argmax(residual[below])], above[np.argmin(residual[above])]]
         assert np.all(np.abs(residual[picks] / ZF_RESIDUAL_TOL - 1.0) < 0.01)
         stacked = np.concatenate([complex_normal(rng, (2, 4, 4)), grid[picks], q1[None]])[None]
-        got = zf_core_batch(stacked, 2.0)
+        got = zf_core_batch(stacked)
         assert got[2].tolist() == [[True, True, True, False, True]]
-        for a, b in zip(got, zf_core_exact(stacked, 2.0)):
+        for a, b in zip(got, zf_core_exact(stacked)):
             assert a.tobytes() == b.tobytes()
 
     def test_non_square_rejected(self):
@@ -265,8 +260,7 @@ class TestSignals:
         cfg = mimo_config()
         real = generate_realization(cfg, trial=2)
         combo = (1, 3)
-        pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                          cfg.user_antennas)
+        pre = zf_precoder(real.stacked_source_channel(combo), user_antennas=cfg.user_antennas)
         rng = np.random.default_rng(0)
         s = complex_normal(rng, (4, 1))
         got = relay_rx_signal(real, combo, pre, s, noise_power=0.0)
@@ -308,8 +302,7 @@ class TestSignals:
         cfg = mimo_config()
         real = generate_realization(cfg, trial=5)
         combo = (0, 1)
-        pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                          cfg.user_antennas)
+        pre = zf_precoder(real.stacked_source_channel(combo), user_antennas=cfg.user_antennas)
         s = np.zeros((4, 1), dtype=complex)
         rng = np.random.default_rng(42)
         draws = np.concatenate([
@@ -344,8 +337,7 @@ class TestSignals:
                                eve_antennas=1, seed=int(rng.integers(1 << 16)))
             real = generate_realization(cfg)
             combo = tuple(range(t))
-            pre = zf_precoder(real.stacked_source_channel(combo), cfg.signal_power,
-                              cfg.user_antennas)
+            pre = zf_precoder(real.stacked_source_channel(combo), user_antennas=cfg.user_antennas)
             s = complex_normal(rng, (cfg.transmit_antennas, 1))
             y = relay_rx_signal(real, combo, pre, s, 0.0)
             assert y.shape == (t * n_i, 1)
@@ -358,8 +350,7 @@ class TestCovariances:
     def test_single_user_has_noise_only(self):
         cfg = scalar_config()
         real = generate_realization(cfg)
-        pre = zf_precoder(real.stacked_source_channel((0,)), cfg.signal_power,
-                          cfg.user_antennas)
+        pre = zf_precoder(real.stacked_source_channel((0,)), user_antennas=cfg.user_antennas)
         r_in = interference_covariance(pre, 0, noise_power=0.3, include_noise=True)
         assert np.allclose(r_in, 0.3 * np.eye(1))
         assert np.allclose(
@@ -389,8 +380,7 @@ class TestCovariances:
         rng = np.random.default_rng(11)
         for t in range(25):
             real = generate_realization(cfg, trial=t)
-            pre = zf_precoder(real.stacked_source_channel((0, 1)), cfg.signal_power,
-                              cfg.user_antennas)
+            pre = zf_precoder(real.stacked_source_channel((0, 1)), user_antennas=cfg.user_antennas)
             for u in range(2):
                 r_in = interference_covariance(pre, u, cfg.noise_power)
                 assert np.array_equal(r_in, r_in.conj().T)
@@ -412,4 +402,4 @@ class TestRelayPrecoder:
         v = relay_precoder(real, combo, cfg)
         stacked = real.all_users_channel(combo)
         assert np.linalg.norm(stacked @ v.core - np.eye(4)) < 1e-9
-        assert np.allclose(np.sum(np.abs(v.matrix) ** 2, axis=0), cfg.signal_power)
+        assert np.allclose(np.sum(np.abs(v.matrix) ** 2, axis=0), 1.0)

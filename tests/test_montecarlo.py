@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from relaysec import criteria, kernels, montecarlo
-from relaysec.cli import emit_csv
+from relaysec.cli import emit_csv, parse_snr_grid
 from relaysec.criteria import CriterionKind
 from relaysec.model import ConfigError, SystemConfig
 from relaysec.montecarlo import SweepSpec, compare_criteria, run_sweep
@@ -66,29 +66,37 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=message):
             small_spec(**{field: bad})
 
-    @pytest.mark.parametrize("grid, power", [
-        ((0.0, 1e6), 1.0),  # the noise power underflows to 0
-        ((-1e6,), 1.0),  # 10 ** 1e5 is past the float range
-        ((-400.0,), 1e300),  # the noise power overflows to inf
+    @pytest.mark.parametrize("grid", [
+        (0.0, 1e6),  # the noise power underflows to 0
+        (-1e6,),  # 10 ** 1e5 is past the float range
     ])
-    def test_grid_without_a_positive_finite_noise_power_rejected(self, grid, power):
+    def test_grid_without_a_positive_finite_noise_power_rejected(self, grid):
         with pytest.raises(ConfigError, match="positive, finite noise power"):
-            SweepSpec(config=pair_config(signal_power=power), snr_grid_db=grid, trials=1)
+            SweepSpec(config=pair_config(), snr_grid_db=grid, trials=1)
 
-    @pytest.mark.parametrize("grid, power, message", [
-        ((3100.0,), 1.0, "at most 3000 dB"),  # P / (d^2 s) overflowed
-        ((0.0,), 1.7e308, "signal_power must be from"),  # the grams overflowed
-        ((0.0,), 5e-324, "signal_power must be from"),  # the inverse grams overflowed
+    @pytest.mark.parametrize("rule, bad", [
+        ("at most 3000 dB", 3000.0),  # every point past it, the first 3000.03
+        ("positive, finite noise power", -4000.0),  # one point, in the middle
     ])
-    def test_powers_past_the_float_headroom_rejected(self, grid, power, message):
-        with pytest.raises(ConfigError, match=message):
-            SweepSpec(config=pair_config(signal_power=power), snr_grid_db=grid, trials=1)
+    def test_a_long_grid_is_rejected_with_a_short_message(self, rule, bad):
+        # 100 051 points, 0:0.03:3001.5 at the CLI: the message names the
+        # first bad point and counts the rest, where it printed the grid (1 MB).
+        grid = parse_snr_grid("0:0.03:3001.5")
+        if bad < 0:
+            grid = grid[:50_000] + (bad,) + grid[50_000:100_001]
+        first = next(s for s in grid if s > 3000.0 or s == bad)
+        with pytest.raises(ConfigError, match=rule) as info:
+            SweepSpec(config=pair_config(), snr_grid_db=grid, trials=1)
+        assert len(str(info.value)) <= 1000
+        assert repr(first) in str(info.value)
 
-    @pytest.mark.parametrize("grid, power", [
-        ((3000.0,), 1e150), ((-3000.0,), 1e-150), ((-400.0, 400.0), 1e150)])
-    def test_edges_of_the_accepted_powers_run_clean(self, grid, power):
-        spec = small_spec(config=pair_config(user_antennas=2, relay_antennas=2, eve_antennas=2,
-                                             signal_power=power),
+    def test_powers_past_the_float_headroom_rejected(self):
+        with pytest.raises(ConfigError, match="at most 3000 dB"):  # 1 / (d^2 s) overflowed
+            SweepSpec(config=pair_config(), snr_grid_db=(3100.0,), trials=1)
+
+    @pytest.mark.parametrize("grid", [(3000.0,), (-3000.0,), (-400.0, 400.0)])
+    def test_edges_of_the_accepted_powers_run_clean(self, grid):
+        spec = small_spec(config=pair_config(user_antennas=2, relay_antennas=2, eve_antennas=2),
                           snr_grid_db=grid, trials=3, criteria=("sinr", "sr", "s-sr"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -122,8 +130,8 @@ class TestSpecValidation:
             if within:
                 SweepSpec(config=config, snr_grid_db=grid, trials=1)
             else:
-                # Nor is a noise level taken, which builds a config a point.
-                monkeypatch.setattr(SystemConfig, "noise_powers", None)
+                # Nor is a noise level taken.
+                monkeypatch.setattr(montecarlo, "db_to_linear", None)
                 with pytest.raises(ConfigError, match=f"choosing {select} of {pool} relays"):
                     SweepSpec(config=config, snr_grid_db=grid, trials=1)
             peak = tracemalloc.get_traced_memory()[1]
