@@ -92,6 +92,15 @@ class TestSystemConfig:
         assert cfg.noise_power == pytest.approx(0.01)
         assert cfg.at_snr(0.0).noise_power == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("grid", [
+        tuple(np.arange(-30.0, 30.0, 0.1)),
+        (-3000.0, -308.0, 0.0, 17.123456789, 3000.0),
+    ])
+    def test_noise_powers_equal_each_point_bit_for_bit(self, grid):
+        cfg = scalar_config()
+        want = [cfg.at_snr(s).noise_power for s in grid]
+        assert cfg.noise_powers(grid).tobytes() == np.array(want).tobytes()
+
     def test_stream_user_map(self):
         cfg = mimo_config()
         assert [cfg.stream_user(s) for s in range(4)] == [0, 0, 1, 1]
