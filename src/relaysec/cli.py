@@ -91,15 +91,22 @@ def parse_snr_grid(text: str) -> tuple:
 def _format_snr_grid(grid) -> str:
     """Text that :func:`parse_snr_grid` reads back as ``grid``: each value's
     ``repr`` less a trailing ``.0``, the step the shortest decimal that gives
-    the grid again (in ``0.1:0.2:1``, ``grid[1] - grid[0]`` is 0.2 + 4e-17)."""
+    the grid again (in ``0.1:0.2:1``, ``grid[1] - grid[0]`` is 0.2 + 4e-17).
+    Raises :class:`UsageError` for a grid no such text gives, one that is not
+    ascending and evenly spaced."""
     start, stop = (repr(value).removesuffix(".0") for value in (grid[0], grid[-1]))
     if len(grid) == 1:
         return start
     for digits in range(1, 18):  # 17 significant digits give grid[1] - grid[0] itself
         step = repr(float(f"{grid[1] - grid[0]:.{digits}g}")).removesuffix(".0")
-        if parse_snr_grid(f"{start}:{step}:{stop}") == tuple(grid):
-            break
-    return f"{start}:{step}:{stop}"
+        text = f"{start}:{step}:{stop}"
+        try:
+            if parse_snr_grid(text) == tuple(grid):
+                return text
+        except UsageError:  # a step of 0 or below: the grid descends or repeats
+            continue
+    raise UsageError(f"the {len(grid)}-point snr grid from {start} to {stop} dB "
+                     f"cannot be written as start:step:stop")
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
@@ -193,7 +200,9 @@ def read_config_file(path: str) -> dict:
 
 
 def format_config(spec: SweepSpec) -> str:
-    """Render a sweep spec in the flat config-file format (round-trips)."""
+    """Render a sweep spec in the flat config-file format (round-trips);
+    raises :class:`UsageError` for an SNR grid that ``start:step:stop``
+    cannot write."""
     lines = []
     for s in SETTINGS:
         if s.field:

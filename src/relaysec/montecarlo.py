@@ -39,8 +39,7 @@ import numpy as np
 
 from . import criteria as crit
 from .criteria import CriterionKind
-from .model import (ConfigError, SystemConfig, _is_integer_at_least, db_to_linear,
-                    generate_realization)
+from .model import ConfigError, SystemConfig, _is_integer_at_least, generate_realization
 from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 
 # Bytes the trials of a candidate block, and again of a trial block, may hold
@@ -56,10 +55,12 @@ BLOCK_BYTES = 256 * 1024
 # C(12, 4) on a grid of 1060 points.
 TRIAL_BYTES_CAP = 64 * 2 ** 20
 
-# The highest SNR a sweep accepts. Every stream's received power over the
+# The SNR range a sweep accepts. Every stream's received power over the
 # noise, 1 / (d^2 s), is the SNR times a channel gain, and stays finite up to
-# 3000 dB; at 3100 dB it overflowed.
-MAX_SNR_DB = 3000.0
+# 3000 dB; at 3100 dB it overflowed. Below about -3082.5 dB the noise power
+# 10 ** (-SNR / 10) overflows; points down to there ran clean with the picks
+# of -3000 dB, so the range is symmetric.
+MIN_SNR_DB, MAX_SNR_DB = -3000.0, 3000.0
 
 
 def _candidate_bytes(config: SystemConfig, points: int) -> int:
@@ -71,25 +72,6 @@ def _candidate_bytes(config: SystemConfig, points: int) -> int:
     candidate and grid point (:func:`relaysec.kernels.cholesky_factor`)."""
     n_combos = comb(config.pool_size, config.selected_relays)
     return 8 * n_combos * config.transmit_antennas ** 2 * max(12, points)
-
-
-def _usable_noise(snr_db: float) -> bool:
-    """Whether the noise power at ``snr_db`` is positive and finite: every
-    criterion divides by it, and the eavesdropper kernel takes its logarithm."""
-    try:
-        return 0 < db_to_linear(-snr_db) < np.inf
-    except OverflowError:  # 10 ** x past the float range, at a point far below 0 dB
-        return False
-
-
-def _check_grid(grid: tuple, rule: str, bad) -> None:
-    """Raise a ``ConfigError`` if ``bad`` holds at some grid points, naming
-    the first three and their count, so a long grid gives a short message."""
-    points = [s for s, b in zip(grid, bad) if b]
-    if points:
-        more = ", ..." if len(points) > 3 else ""
-        raise ConfigError(f"snr_grid_db values must {rule}; {len(points)} of {len(grid)} "
-                          f"points fail: {', '.join(map(repr, points[:3]))}{more} dB")
 
 
 @dataclass(frozen=True)
@@ -125,7 +107,15 @@ class SweepSpec:
         object.__setattr__(self, "criteria", kinds)
         if not grid:
             raise ConfigError("snr_grid_db must not be empty")
-        _check_grid(grid, "be finite", ~np.isfinite(grid))
+        # NaN fails the comparison too. The message names the first three bad
+        # points and their count, so a long grid gives a short message.
+        bad = [s for s in grid if not MIN_SNR_DB <= s <= MAX_SNR_DB]
+        if bad:
+            more = ", ..." if len(bad) > 3 else ""
+            raise ConfigError(
+                f"snr_grid_db values must be finite and from {MIN_SNR_DB:g} to {MAX_SNR_DB:g} dB; "
+                f"{len(bad)} of {len(grid)} points fail: "
+                f"{', '.join(map(repr, bad[:3]))}{more} dB")
         # Checked from math.comb, before any candidate is enumerated or noise level taken.
         cfg, points = self.config, len(grid)
         trial_bytes = _candidate_bytes(cfg, points)
@@ -134,9 +124,6 @@ class SweepSpec:
                 f"choosing {cfg.selected_relays} of {cfg.pool_size} relays on a {points}-point "
                 f"grid needs {trial_bytes / 2 ** 20:.4g} MiB of candidate arrays a trial, "
                 f"over the {TRIAL_BYTES_CAP // 2 ** 20} MiB cap")
-        _check_grid(grid, "give a positive, finite noise power",
-                    [not _usable_noise(s) for s in grid])
-        _check_grid(grid, f"be at most {MAX_SNR_DB:g} dB", np.array(grid) > MAX_SNR_DB)
         if not self.criteria:
             raise ConfigError("criteria must not be empty")
         if len(set(self.criteria)) != len(self.criteria):

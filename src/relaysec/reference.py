@@ -94,13 +94,12 @@ class Precoder:
     """Column-scaled zero-forcing precoder.
 
     ``core`` satisfies ``stacked_channel @ core ~= I``; ``matrix`` is ``core``
-    with every column normalized and rescaled to power ``signal_power``, so
-    the total transmit power is ``signal_power * N_t``.
+    with every column normalized to unit power, so the total transmit power
+    is ``N_t``.
     """
 
     matrix: np.ndarray
     core: np.ndarray
-    signal_power: float
     user_antennas: int
 
     @property
@@ -120,15 +119,13 @@ class Precoder:
         return np.delete(self.matrix, np.s_[lo:lo + self.user_antennas], axis=1)
 
 
-def zf_precoder(stacked_channel: np.ndarray, signal_power: float = 1.0,
-                user_antennas: int = 1) -> Precoder:
+def zf_precoder(stacked_channel: np.ndarray, user_antennas: int = 1) -> Precoder:
     """Zero-forcing precoder for a square stacked first-hop channel.
 
-    Every column has power ``signal_power`` (the sweep's have unit power).
-    ``user_antennas`` sets the per-user column partition. Raises
-    :class:`SingularChannelError` when the inverse cannot reproduce the
-    identity within ``ZF_RESIDUAL_TOL``; the caller should redraw the
-    realization.
+    Every column has unit power. ``user_antennas`` sets the per-user column
+    partition. Raises :class:`SingularChannelError` when the inverse cannot
+    reproduce the identity within ``ZF_RESIDUAL_TOL``; the caller should
+    redraw the realization.
     """
     stacked_channel = np.asarray(stacked_channel)
     if stacked_channel.ndim != 2 or stacked_channel.shape[0] != stacked_channel.shape[1]:
@@ -140,8 +137,7 @@ def zf_precoder(stacked_channel: np.ndarray, signal_power: float = 1.0,
             f"stacked channel is numerically singular (ZF residual {residual:.3e} "
             f"exceeds {ZF_RESIDUAL_TOL:.0e}); redraw the realization"
         )
-    return Precoder(matrix=np.sqrt(signal_power) * matrix[0], core=core[0],
-                    signal_power=float(signal_power), user_antennas=user_antennas)
+    return Precoder(matrix=matrix[0], core=core[0], user_antennas=user_antennas)
 
 
 def zf_core_exact(stacked: np.ndarray) -> tuple:

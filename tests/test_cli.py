@@ -1,5 +1,7 @@
 """CLI tests: config resolution, CSV output, verification suites, exit codes."""
 
+import dataclasses
+
 import pytest
 
 from relaysec.cli import (
@@ -167,6 +169,14 @@ class TestConfigFile:
         reparsed = build_spec(read_config_file(str(path)))
         assert reparsed.snr_grid_db == spec.snr_grid_db
         assert reparsed.digest() == spec.digest()
+
+    @pytest.mark.parametrize("grid", [(20.0, 0.0), (0.0, 0.0), (0.0, 1.0, 5.0)])
+    def test_grid_that_no_start_step_stop_gives_is_refused(self, grid):
+        # Descending, repeated and unevenly spaced grids, which SweepSpec accepts.
+        spec = build_spec({"snr": "0", "trials": 1})
+        spec = dataclasses.replace(spec, snr_grid_db=grid)
+        with pytest.raises(UsageError, match="cannot be written as start:step:stop"):
+            format_config(spec)
 
 
 class TestCsv:

@@ -192,7 +192,7 @@ class TestSinrMetrics:
         row = np.array([[0.6 + 0.8j]])  # |h| = 1
         real.source_to_relay[0] = row
         u = row.conj().T
-        pre = Precoder(matrix=u, core=u, signal_power=1.0, user_antennas=1)
+        pre = Precoder(matrix=u, core=u, user_antennas=1)
         got = sinr_relay_metric(real, pre, (0,), cfg)
         assert got == pytest.approx(1.0 / cfg.noise_power)
 
@@ -223,9 +223,8 @@ class TestSinrMetrics:
         cfg = scalar_config(num_users=1)
         real = generate_realization(cfg, trial=1)
         u = np.array([[1.0 + 0j]])
-        pre1 = Precoder(matrix=u, core=u, signal_power=1.0, user_antennas=1)
-        pre2 = Precoder(matrix=np.sqrt(2.0) * u, core=u, signal_power=2.0,
-                        user_antennas=1)
+        pre1 = Precoder(matrix=u, core=u, user_antennas=1)
+        pre2 = Precoder(matrix=np.sqrt(2.0) * u, core=u, user_antennas=1)
         m1 = sinr_relay_metric(real, pre1, (0,), cfg)
         m2 = sinr_relay_metric(real, pre2, (0,), cfg)
         assert m2 == pytest.approx(2.0 * m1)
@@ -389,7 +388,7 @@ class TestSsrEveTerm:
     def test_zero_symbol_covariance_gives_zero(self):
         rng = np.random.default_rng(10)
         q, _ = np.linalg.qr(complex_normal(rng, (4, 4)))
-        pre = Precoder(matrix=q, core=q, signal_power=1.0, user_antennas=2)
+        pre = Precoder(matrix=q, core=q, user_antennas=2)
         zero = np.zeros((2, 2), dtype=complex)
         got = ssr_eve_term(pre, 0, 1.0, symbol_covariance=zero)
         assert got == 0.0
@@ -398,7 +397,7 @@ class TestSsrEveTerm:
         # unitary precoder at unit noise: each of the N_r streams adds log2(1 + 1/1)
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(complex_normal(rng, (4, 4)))
-        pre = Precoder(matrix=q, core=q, signal_power=1.0, user_antennas=2)
+        pre = Precoder(matrix=q, core=q, user_antennas=2)
         got = ssr_eve_term(pre, 0, 1.0)
         assert got == pytest.approx(2.0)
 
@@ -406,7 +405,7 @@ class TestSsrEveTerm:
     def test_keeps_growing_at_high_snr(self, noise):
         # A unitary precoder's term is log2(1 + 1/s) a stream, 66.44 bits at
         # 200 dB, where R_I + s I is singular to float precision.
-        pre = Precoder(matrix=np.eye(2), core=np.eye(2), signal_power=1.0, user_antennas=1)
+        pre = Precoder(matrix=np.eye(2), core=np.eye(2), user_antennas=1)
         assert ssr_eve_term(pre, 0, noise) == pytest.approx(math.log2(1.0 + 1.0 / noise),
                                                           rel=1e-12)
 

@@ -100,7 +100,7 @@ class TestEveTerms:
     def test_matches_the_woodbury_oracle_up_to_200_db(self, n_t, n_r):
         rng = np.random.default_rng(30 + n_t + n_r)
         noise = 10.0 ** (-np.array(self.SNR_DB) / 10.0)
-        precoders = [zf_precoder(complex_gaussian(rng, (n_t, n_t)), 1.0, n_r) for _ in range(20)]
+        precoders = [zf_precoder(complex_gaussian(rng, (n_t, n_t)), n_r) for _ in range(20)]
         w = np.array([p.matrix for p in precoders])
         got = eve_terms(w.conj().swapaxes(-1, -2) @ w, noise, n_r)
         assert got.shape == (len(noise), len(precoders), n_t // n_r)
