@@ -268,17 +268,13 @@ def emit_csv(result, path: str) -> str:
     One row per (criterion, SNR point), criteria alphabetical and SNR
     ascending, floats at 9 significant digits, LF line endings.
     """
-    mean, stderr = result.mean, result.stderr
-    n_samples, n_discarded = result.n_samples, result.n_discarded
+    snrs = result.snr_grid_db.tolist()
+    columns = [a.tolist() for a in (result.mean, result.stderr, result.n_samples,
+                                    result.n_discarded)]
     rows = []
-    order = sorted(range(len(result.criteria)), key=lambda c: result.criteria[c])
-    for c in order:
-        name = result.criteria[c]
-        for s, snr in enumerate(result.snr_grid_db):
-            rows.append(
-                f"{name},{snr:.9g},{mean[c, s]:.9g},{stderr[c, s]:.9g},"
-                f"{int(n_samples[c, s])},{int(n_discarded[c, s])}"
-            )
+    for name, c in sorted(zip(result.criteria, range(len(result.criteria)))):
+        for snr, mean, stderr, kept, dropped in zip(snrs, *(column[c] for column in columns)):
+            rows.append(f"{name},{snr:.9g},{mean:.9g},{stderr:.9g},{kept},{dropped}")
     body = "criterion,snr_db,mean_sr,stderr,n_samples,n_discarded\n" + "\n".join(rows) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

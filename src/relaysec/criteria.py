@@ -355,10 +355,13 @@ def _eve_row_spaces(eve_stacks: np.ndarray) -> tuple:
     orthonormal basis of a rank-``r`` stack's row space.
 
     Each rank uses ``np.linalg.matrix_rank``'s default tolerance, relative
-    to the largest singular value, which the SVD puts first.
+    to the largest singular value, which the SVD puts first. A tall or
+    square stack's SVD is reduced, which skips the ``(K*N_e)^2`` left factor
+    and gives the same ``vh``; a wide one's stays full, as reduced it would not.
     """
-    _, sv, vh = np.linalg.svd(eve_stacks)
-    tol = sv[..., :1] * max(eve_stacks.shape[-2:]) * np.finfo(float).eps
+    rows, n_t = eve_stacks.shape[-2:]
+    _, sv, vh = np.linalg.svd(eve_stacks, full_matrices=rows < n_t)
+    tol = sv[..., :1] * max(rows, n_t) * np.finfo(float).eps
     return (sv > tol).sum(axis=-1), vh
 
 

@@ -30,6 +30,7 @@ neither on the block sizes nor on the worker count (:func:`run_sweep`).
 from __future__ import annotations
 
 import hashlib
+import reprlib
 import time
 import traceback
 from dataclasses import dataclass, field, fields
@@ -48,11 +49,12 @@ from .secrecy import EVE_AGGREGATES, EVE_MODELS, secrecy_rate
 # KB per trial) runs one trial per candidate block, and 16 per trial block.
 BLOCK_BYTES = 256 * 1024
 
-# Largest ``_candidate_bytes`` one trial may need: 64 MiB, 88 times a C(12, 4)
-# pool's on a grid of up to 12 points. A block of one trial peaks at a few
-# times its arrays (``TestBlockPeak``), so a trial at the cap needs a few
-# hundred MB; C(24, 6) single-antenna relays (0.47 GB) are over it, and so is
-# C(12, 4) on a grid of 1060 points.
+# Largest ``_candidate_bytes``, and ``_trial_bytes``, one trial may need: 64
+# MiB, 88 times a C(12, 4) pool's candidate bytes on a grid of up to 12 points.
+# A block of one trial peaks at a few times its arrays (``TestBlockPeak``), so
+# a trial at the cap needs a few hundred MB; C(24, 6) single-antenna relays
+# (0.47 GB) are over it, and so are C(12, 4) on a grid of 1060 points and two
+# eavesdroppers of 10^8 antennas (44.8 GB of channels and draws).
 TRIAL_BYTES_CAP = 64 * 2 ** 20
 
 # The SNR range a sweep accepts. Every stream's received power over the
@@ -61,6 +63,14 @@ TRIAL_BYTES_CAP = 64 * 2 ** 20
 # 10 ** (-SNR / 10) overflows; points down to there ran clean with the picks
 # of -3000 dB, so the range is symmetric.
 MIN_SNR_DB, MAX_SNR_DB = -3000.0, 3000.0
+
+# The most worker processes a sweep accepts, fixed so that no machine decides it.
+MAX_WORKERS = 256
+
+
+def _first_few(values) -> str:
+    """The first three of ``values``, and ``...`` if there are more."""
+    return ", ".join(map(reprlib.repr, values[:3])) + (", ..." if len(values) > 3 else "")
 
 
 def _candidate_bytes(config: SystemConfig, points: int) -> int:
@@ -95,11 +105,19 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self):
+        grid, bad = [], []
         try:
-            grid = tuple(float(s) for s in self.snr_grid_db)
-        except (TypeError, ValueError):
-            raise ConfigError(f"snr_grid_db must be a sequence of numbers, "
-                              f"got {self.snr_grid_db!r}") from None
+            for value in self.snr_grid_db:
+                try:
+                    grid.append(float(value))
+                except (TypeError, ValueError):
+                    bad.append(value)
+        except TypeError:  # not a sequence
+            bad = [self.snr_grid_db]
+        if bad:
+            raise ConfigError(f"snr_grid_db must be a sequence of numbers; {len(bad)} of "
+                              f"{len(grid) + len(bad)} entries are not: {_first_few(bad)}")
+        grid = tuple(grid)
         object.__setattr__(self, "snr_grid_db", grid)
         kinds = tuple(
             CriterionKind.from_name(k) if isinstance(k, str) else k for k in self.criteria
@@ -107,23 +125,21 @@ class SweepSpec:
         object.__setattr__(self, "criteria", kinds)
         if not grid:
             raise ConfigError("snr_grid_db must not be empty")
-        # NaN fails the comparison too. The message names the first three bad
-        # points and their count, so a long grid gives a short message.
+        # NaN fails the comparison too.
         bad = [s for s in grid if not MIN_SNR_DB <= s <= MAX_SNR_DB]
         if bad:
-            more = ", ..." if len(bad) > 3 else ""
             raise ConfigError(
                 f"snr_grid_db values must be finite and from {MIN_SNR_DB:g} to {MAX_SNR_DB:g} dB; "
-                f"{len(bad)} of {len(grid)} points fail: "
-                f"{', '.join(map(repr, bad[:3]))}{more} dB")
+                f"{len(bad)} of {len(grid)} points fail: {_first_few(bad)} dB")
         # Checked from math.comb, before any candidate is enumerated or noise level taken.
         cfg, points = self.config, len(grid)
-        trial_bytes = _candidate_bytes(cfg, points)
-        if trial_bytes > TRIAL_BYTES_CAP:
-            raise ConfigError(
-                f"choosing {cfg.selected_relays} of {cfg.pool_size} relays on a {points}-point "
-                f"grid needs {trial_bytes / 2 ** 20:.4g} MiB of candidate arrays a trial, "
-                f"over the {TRIAL_BYTES_CAP // 2 ** 20} MiB cap")
+        for what, size in (("candidate arrays", _candidate_bytes(cfg, points)),
+                           ("channels, picks and temporaries", _trial_bytes(self))):
+            if size > TRIAL_BYTES_CAP:
+                raise ConfigError(
+                    f"choosing {cfg.selected_relays} of {cfg.pool_size} relays on a "
+                    f"{points}-point grid needs {size / 2 ** 20:.4g} MiB of {what} a trial, "
+                    f"over the {TRIAL_BYTES_CAP // 2 ** 20} MiB cap")
         if not self.criteria:
             raise ConfigError("criteria must not be empty")
         if len(set(self.criteria)) != len(self.criteria):
@@ -134,6 +150,8 @@ class SweepSpec:
             if not _is_integer_at_least(value, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if self.workers > MAX_WORKERS:
+            raise ConfigError(f"workers must be at most {MAX_WORKERS}, got {self.workers}")
         if self.combine not in ("min", "sum"):
             raise ConfigError(f"combine must be 'min' or 'sum', got {self.combine!r}")
         if self.eve_model not in EVE_MODELS:
@@ -157,23 +175,48 @@ class SweepSpec:
 
 
 def _nan_mean_stderr(samples: np.ndarray) -> tuple:
-    """Mean and standard error of the mean over the last axis, skipping NaNs.
-
-    The mean is NaN where no sample is finite; the standard error is 0 where
-    fewer than two are.
+    """Count, mean and standard error of the mean over the last axis,
+    skipping NaNs, without a warning. The mean has ``np.nanmean``'s bits, or
+    is NaN where no sample is finite; the standard error is 0 where fewer
+    than two are.
     """
     counts = np.sum(~np.isnan(samples), axis=-1)
+    mean, stderr = np.full(counts.shape, np.nan), np.zeros(counts.shape)
     with np.errstate(invalid="ignore"):
-        sums = np.nansum(samples, axis=-1)
-    mean = np.full(counts.shape, np.nan)
-    np.divide(sums, counts, out=mean, where=counts > 0)
-    dev = samples - mean[..., None]
-    with np.errstate(invalid="ignore"):
+        np.divide(np.nansum(samples, axis=-1), counts, out=mean, where=counts > 0)
+        dev = samples - mean[..., None]
         ss = np.nansum(dev * dev, axis=-1)
-    stderr = np.zeros(counts.shape)
     good = counts > 1
     stderr[good] = np.sqrt(ss[good] / (counts[good] - 1) / counts[good])
-    return mean, stderr
+    return counts, mean, stderr
+
+
+@dataclass(frozen=True)
+class PairGap:
+    """Paired mean gap (first minus second) per SNR point, with its standard
+    error, and both averaged over the grid (NaN where no point has a gap)."""
+
+    first: str
+    second: str
+    mean_gap: np.ndarray
+    gap_stderr: np.ndarray
+    grid_gap: float
+    grid_stderr: float
+
+
+def _summarize(samples: np.ndarray, names: tuple) -> dict:
+    """The fields of :class:`SweepResult` that reduce ``samples``. The gaps
+    are taken on paired trials (same realization), which removes the common
+    channel variance from the comparison."""
+    n_samples, mean, stderr = _nan_mean_stderr(samples)
+    first, second = np.triu_indices(len(names), 1)
+    _, gaps, gap_stderr = _nan_mean_stderr(samples[first] - samples[second])
+    _, (grid_gaps, grid_stderr), _ = _nan_mean_stderr(np.stack([gaps, gap_stderr]))
+    pairs = [PairGap(names[a], names[b], *rows) for a, b, *rows in zip(
+        first.tolist(), second.tolist(), gaps, gap_stderr, grid_gaps.tolist(),
+        grid_stderr.tolist())]
+    return dict(n_samples=n_samples, n_discarded=samples.shape[-1] - n_samples,
+                mean=mean, stderr=stderr, pairs=pairs)
 
 
 @dataclass
@@ -183,6 +226,9 @@ class SweepResult:
     ``samples[c, s, t]`` is the secrecy rate of criterion ``c`` at SNR point
     ``s`` in trial ``t`` (NaN where the trial was discarded);
     ``selections[c, s, t]`` indexes into ``combinations`` (-1 on discard).
+    The samples are reduced once (:func:`_summarize`): ``n_samples``,
+    ``n_discarded``, ``mean`` and ``stderr`` per ``(criterion, SNR point)``,
+    and a :class:`PairGap` for every two criteria, in ``criteria`` order.
     ``meta["discards"]`` maps each reason a sample was discarded to its
     ``(criteria, SNR points)`` count (see :func:`_run_trials`).
     """
@@ -193,23 +239,12 @@ class SweepResult:
     samples: np.ndarray
     selections: np.ndarray
     combinations: list
+    n_samples: np.ndarray
+    n_discarded: np.ndarray
+    mean: np.ndarray
+    stderr: np.ndarray
+    pairs: list
     meta: dict = field(default_factory=dict)
-
-    @property
-    def n_samples(self) -> np.ndarray:
-        return np.sum(~np.isnan(self.samples), axis=2)
-
-    @property
-    def n_discarded(self) -> np.ndarray:
-        return self.samples.shape[2] - self.n_samples
-
-    @property
-    def mean(self) -> np.ndarray:
-        return _nan_mean_stderr(self.samples)[0]
-
-    @property
-    def stderr(self) -> np.ndarray:
-        return _nan_mean_stderr(self.samples)[1]
 
     def curve(self, criterion) -> tuple:
         """(snr_grid, mean, stderr) arrays for one criterion."""
@@ -397,8 +432,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             for child, receiver in children:
                 child.join()
                 receiver.close()
-    combos = crit.enumerate_combinations(spec.config.pool_size,
-                                         spec.config.selected_relays)
+    names = tuple(k.value for k in spec.criteria)
+    summary = _summarize(samples, names)
     meta = {
         "seed": spec.config.seed,
         "spec_digest": spec.digest(),
@@ -406,15 +441,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "workers": spec.workers,
         "discards": discards,
     }
-    return SweepResult(
-        spec=spec,
-        criteria=tuple(k.value for k in spec.criteria),
-        snr_grid_db=np.asarray(spec.snr_grid_db, dtype=float),
-        samples=samples,
-        selections=selections,
-        combinations=combos,
-        meta=meta,
-    )
+    combos = crit.enumerate_combinations(spec.config.pool_size, spec.config.selected_relays)
+    return SweepResult(spec, names, np.asarray(spec.snr_grid_db, dtype=float), samples,
+                       selections, combos, meta=meta, **summary)
 
 
 # ---------------------------------------------------------------------------
@@ -422,61 +451,30 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairGap:
-    """Paired mean gap (first minus second) per SNR point."""
-
-    first: str
-    second: str
-    mean_gap: np.ndarray
-    gap_stderr: np.ndarray
-
-
 @dataclass
 class ComparisonReport:
-    criteria: tuple
+    """The criteria ranked by mean at each SNR point, best first, and the
+    paired gaps of every two criteria (:class:`PairGap`)."""
+
     snr_grid_db: np.ndarray
-    means: np.ndarray
     rankings: list
     pairs: list
 
     def render(self) -> str:
         lines = ["ranking per SNR point (best first):"]
-        for s, snr in enumerate(self.snr_grid_db):
-            order = ", ".join(self.rankings[s])
-            lines.append(f"  {snr:6.1f} dB: {order}")
+        for snr, order in zip(self.snr_grid_db.tolist(), self.rankings):
+            lines.append(f"  {snr:6.1f} dB: {', '.join(order)}")
         if self.pairs:
             lines.append("paired mean gaps (first - second, averaged over the grid):")
             for pair in self.pairs:
-                avg = float(np.nanmean(pair.mean_gap))
-                se = float(np.nanmean(pair.gap_stderr))
-                lines.append(f"  {pair.first} vs {pair.second}: {avg:+.4f} "
-                             f"(typical stderr {se:.4f})")
+                lines.append(f"  {pair.first} vs {pair.second}: {pair.grid_gap:+.4f} "
+                             f"(typical stderr {pair.grid_stderr:.4f})")
         return "\n".join(lines)
 
 
 def compare_criteria(result: SweepResult) -> ComparisonReport:
-    """Per-SNR ranking plus paired gap statistics between criterion pairs.
-
-    Gaps are computed on paired trials (same realization), which removes the
-    common channel variance from the comparison. A single-criterion result
-    yields an empty pair table.
-    """
-    names = list(result.criteria)
-    means = result.mean
-    rankings = []
-    for s in range(len(result.snr_grid_db)):
-        order = sorted(range(len(names)), key=lambda c: (-means[c, s], names[c]))
-        rankings.append([names[c] for c in order])
-    pairs = []
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            mean_gap, gap_se = _nan_mean_stderr(result.samples[a] - result.samples[b])
-            pairs.append(PairGap(names[a], names[b], mean_gap, gap_se))
-    return ComparisonReport(
-        criteria=result.criteria,
-        snr_grid_db=result.snr_grid_db,
-        means=means,
-        rankings=rankings,
-        pairs=pairs,
-    )
+    """The ranking and the paired gaps of ``result``'s criteria."""
+    names = result.criteria
+    rankings = [[names[c] for c in sorted(range(len(names)), key=lambda c: (-means[c], names[c]))]
+                for means in result.mean.T.tolist()]
+    return ComparisonReport(result.snr_grid_db, rankings, result.pairs)

@@ -2,6 +2,7 @@
 exhaustive selections against brute-force evaluation through the public ops."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -633,6 +634,41 @@ class TestOneShape:
             assert np.all(np.isnan(array))
         with pytest.raises(NoViableCandidateError):
             select_one(kind, real, cfg)
+
+
+class TestEveRowSpaces:
+    """sr's one SVD of every trial's eavesdropper stack."""
+
+    @pytest.mark.parametrize("shape", [(30, 2, 2), (30, 4, 2), (30, 8, 4), (30, 4, 4),
+                                       (10, 200, 4), (30, 3, 4), (30, 1, 2)],
+                             ids=["square-2", "tall-2", "tall-4", "square-4", "tall-200",
+                                  "wide-3x4", "wide-1x2"])
+    def test_ranks_and_vh_are_the_full_svds_bytes(self, shape):
+        # Half the stacks have rank one, the rest full rank.
+        rng = np.random.default_rng(31)
+        stacks = complex_normal(rng, shape)
+        half = shape[0] // 2
+        stacks[:half] = complex_normal(rng, (half, shape[1], 1)) * stacks[:half, :1]
+        ranks, vh = criteria._eve_row_spaces(stacks)
+        _, sv, full_vh = np.linalg.svd(stacks, full_matrices=True)
+        want = (sv > sv[..., :1] * max(shape[1:]) * np.finfo(float).eps).sum(axis=-1)
+        assert ranks.tolist() == want.tolist()
+        assert ranks[:half].tolist() == [1] * half
+        assert vh.shape == full_vh.shape
+        assert vh.tobytes() == full_vh.tobytes()
+
+    def test_a_tall_stack_builds_no_square_left_factor(self):
+        # 68 trials of two 100-antenna eavesdroppers against N_t = 4. The full
+        # SVD's left factor alone is 68 * 200^2 * 16 B = 43.5 MB; the bound was
+        # fixed before the first run.
+        stacks = complex_normal(np.random.default_rng(5), (68, 200, 4))
+        tracemalloc.start()
+        try:
+            criteria._eve_row_spaces(stacks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestBlockSelect:

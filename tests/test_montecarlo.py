@@ -1,6 +1,7 @@
 """Sweep engine tests: reproducibility, pairing, aggregation statistics."""
 
 import csv
+import itertools
 import math
 import multiprocessing
 import signal
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from relaysec import criteria, kernels, montecarlo
-from relaysec.cli import emit_csv, parse_snr_grid
+from relaysec.cli import build_spec, emit_csv, parse_snr_grid
 from relaysec.criteria import CriterionKind
 from relaysec.model import ConfigError, SystemConfig
 from relaysec.montecarlo import SweepSpec, compare_criteria, run_sweep
@@ -137,6 +138,38 @@ class TestSpecValidation:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_a_long_sequence_with_a_non_number_is_refused_with_a_short_message(self):
+        # The message names the bad entry, not the 100 001-entry input.
+        with pytest.raises(ConfigError, match="must be a sequence of numbers") as info:
+            SweepSpec(config=pair_config(), snr_grid_db=[0.0] * 100_000 + ["a"], trials=1)
+        assert len(str(info.value)) <= 1000
+        assert "'a'" in str(info.value)
+        assert "1 of 100001 entries" in str(info.value)
+
+    def test_a_trials_own_bytes_are_capped_before_anything_is_allocated(self, monkeypatch):
+        # 10^8 antennas on each of two eavesdroppers: 44.8 GB of channels and
+        # draws a trial. Only the spec is built; no sweep runs.
+        values = {"eve-antennas": "100000000"}
+        tracemalloc.start()
+        try:
+            monkeypatch.setattr(SystemConfig, "noise_powers", None)
+            with pytest.raises(ConfigError, match="of channels, picks and temporaries a trial"):
+                build_spec(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        monkeypatch.undo()
+        # 100 antennas each, 45 840 B a trial, are accepted.
+        spec = build_spec({"eve-antennas": "100"})
+        assert montecarlo._trial_bytes(spec) <= montecarlo.TRIAL_BYTES_CAP
+
+    def test_worker_count_is_capped_whatever_the_machine(self):
+        # Only the specs are built; no worker is started.
+        assert small_spec(workers=montecarlo.MAX_WORKERS).workers == 256
+        with pytest.raises(ConfigError, match="workers must be at most 256, got 100000"):
+            small_spec(workers=100_000)
 
     def test_integral_float_count_runs(self):
         result = run_sweep(small_spec(trials=2.0, workers=1.0, criteria=("s-sr",)))
@@ -555,3 +588,52 @@ class TestComparison:
         text = compare_criteria(res).render()
         for name in res.criteria:
             assert name in text
+
+
+class TestSummary:
+    """run_sweep reduces the samples once; the CSV and the report read that."""
+
+    def test_pairs_equal_the_one_pair_reductions_and_nanmean_bit_for_bit(self):
+        # Criterion 1 misses every third trial, criterion 2 every trial at
+        # point 3, and criterion 3 every trial at every point.
+        samples = np.random.default_rng(7).random((4, 5, 37))
+        samples[1, :, ::3] = np.nan
+        samples[2, 3] = np.nan
+        samples[3] = np.nan
+        names = ("a", "b", "c", "d")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = montecarlo._summarize(samples, names)
+        pairs = list(itertools.combinations(range(4), 2))
+        assert [(p.first, p.second) for p in summary["pairs"]] == [
+            (names[a], names[b]) for a, b in pairs]
+        for pair, (a, b) in zip(summary["pairs"], pairs):
+            _, gap, gap_stderr = montecarlo._nan_mean_stderr(samples[a] - samples[b])
+            assert pair.mean_gap.tobytes() == gap.tobytes()
+            assert pair.gap_stderr.tobytes() == gap_stderr.tobytes()
+            assert pair.grid_stderr == float(np.nanmean(gap_stderr))
+            if b == 3:  # no point has a gap
+                assert math.isnan(pair.grid_gap)
+            else:
+                assert pair.grid_gap == float(np.nanmean(gap))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # nanmean warns on criterion 3's rows
+            want = np.nanmean(samples, axis=-1)
+        empty = np.isnan(want)  # nanmean's NaN there is 0 / 0, of the other sign
+        assert empty.tolist() == np.isnan(summary["mean"]).tolist()
+        assert summary["mean"][~empty].tobytes() == want[~empty].tobytes()
+        assert summary["n_samples"].tolist() == np.sum(~np.isnan(samples), axis=-1).tolist()
+        assert np.all(summary["n_samples"] + summary["n_discarded"] == 37)
+
+    def test_csv_and_report_reduce_nothing(self, monkeypatch, tmp_path):
+        result = run_sweep(small_spec(trials=20))
+
+        def reduced(*args, **kwargs):
+            raise AssertionError("a reader of the result reduced the samples again")
+
+        for module, name in ((montecarlo, "_nan_mean_stderr"), (np, "nanmean"),
+                             (np, "nansum"), (np, "mean")):
+            monkeypatch.setattr(module, name, reduced)
+        emit_csv(result, str(tmp_path / "out.csv"))
+        text = compare_criteria(result).render()
+        assert text.count(" vs ") == 3
